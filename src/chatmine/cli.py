@@ -172,8 +172,9 @@ def _cmd_train(args, file_cfg):
     pre_cfg = _pre_cfg(args, file_cfg)
     if args.target == "link":
         examples = disentangle.load_link_examples(args.data, pre_cfg)
+        epochs = {} if args.epochs is None else {"epochs": args.epochs}
         params, history = disentangle.train_link_scorer(
-            examples, hidden=args.link_hidden, epochs=args.epochs or 5, seed=args.seed
+            examples, hidden=args.link_hidden, seed=args.seed, **epochs
         )
         disentangle.save_link_checkpoint(args.out, params, args.link_hidden)
         _log(f"link scorer loss: {' '.join(f'{h:.4f}' for h in history)}")
@@ -200,8 +201,8 @@ def _cmd_extract(args, file_cfg):
     for s in skipped:
         _log(f"skipped line {s.line_no}: {s.reason}")
     clean, _ = preprocess_chat_log(log, pre_cfg)
-    issue_bundle = model_mod.load_model_checkpoint(args.issue_ckpt, enc_cfg)
-    solution_bundle = model_mod.load_model_checkpoint(args.solution_ckpt, enc_cfg)
+    issue_bundle = model_mod.load_model_checkpoint(args.issue_ckpt, enc_cfg, "issue")
+    solution_bundle = model_mod.load_model_checkpoint(args.solution_ckpt, enc_cfg, "solution")
     cfg = None
     if args.issue_threshold is not None or args.solution_threshold is not None:
         cfg = ModelConfig(
@@ -303,7 +304,7 @@ def build_parser():
     p.add_argument("--issue-threshold", type=float)
     p.add_argument("--solution-threshold", type=float)
     p.add_argument("--balance", action="store_true")
-    p.add_argument("--link-hidden", type=int, default=64)
+    p.add_argument("--link-hidden", type=int, default=disentangle.LINK_HIDDEN)
     p.add_argument("--encoder-dim", type=int)
     p.add_argument("--encoder-provider", choices=("hash", "table"))
     p.add_argument("--encoder-table")

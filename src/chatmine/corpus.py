@@ -41,6 +41,19 @@ class RawMessage:
     text: str
 
 
+def raw_message(record, where):
+    """A training-file utterance record ``{time, id, text}`` as a RawMessage;
+    a DataError naming ``where`` (file:line) when a field is missing or of
+    the wrong type."""
+    try:
+        raw = RawMessage(int(record["time"]), record["id"], record["text"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{where}: bad utterance ({exc})") from exc
+    if not isinstance(raw.author_id, str) or not isinstance(raw.text, str):
+        raise DataError(f"{where}: bad utterance (id and text must be strings)")
+    return raw
+
+
 @dataclass(frozen=True)
 class Utterance:
     """One chat message after normalization.

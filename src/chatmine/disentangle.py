@@ -19,6 +19,7 @@ from . import nn
 from .errors import ContractViolation, DataError
 
 FEATURE_DIM = 77
+LINK_HIDDEN = 64
 _TIME_BUCKETS = 25
 _DIST_BUCKETS = 15
 _COUNT_BUCKETS = 10
@@ -123,7 +124,7 @@ class LinkScorerParams:
         self.w3, self.b3 = w3, b3
 
     @classmethod
-    def init(cls, rng, input_dim=FEATURE_DIM, hidden=512):
+    def init(cls, rng, input_dim=FEATURE_DIM, hidden=LINK_HIDDEN):
         return cls(
             nn.Parameter("link.W1", nn.glorot_uniform(rng, (hidden, input_dim), input_dim, hidden)),
             nn.Parameter("link.b1", np.zeros(hidden)),
@@ -320,7 +321,7 @@ def load_link_examples(path, pre_cfg):
     import json
     from pathlib import Path
 
-    from .corpus import ChatLog, RawMessage, preprocess_utterance
+    from .corpus import ChatLog, preprocess_utterance, raw_message
 
     p = Path(path)
     if not p.is_file():
@@ -329,21 +330,25 @@ def load_link_examples(path, pre_cfg):
     for line_no, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
+        where = f"{p}:{line_no}"
         try:
             obj = json.loads(line)
             raw_utts = obj["utterances"]
             link_pairs = obj.get("links", [])
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise DataError(f"{p}:{line_no}: bad record ({exc})") from exc
-        utts = [
-            preprocess_utterance(RawMessage(int(r["time"]), r["id"], r["text"]), pre_cfg, index=i)
-            for i, r in enumerate(raw_utts)
-        ]
+            raise DataError(f"{where}: bad record ({exc})") from exc
+        if not isinstance(raw_utts, list) or not isinstance(link_pairs, list):
+            raise DataError(f"{where}: utterances and links must be lists")
+        raws = [raw_message(r, where) for r in raw_utts]
+        utts = [preprocess_utterance(raw, pre_cfg, index=i) for i, raw in enumerate(raws)]
         links = {}
         for pair in link_pairs:
-            child, parent = int(pair[0]), int(pair[1])
+            try:
+                child, parent = (int(x) for x in pair)
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{where}: bad link {pair!r} ({exc})") from exc
             if not 0 <= parent < child < len(utts):
-                raise DataError(f"{p}:{line_no}: bad link {pair}")
+                raise DataError(f"{where}: bad link {pair}")
             links[child] = parent
         examples.append((ChatLog(f"{p.stem}:{line_no}", utts), links))
     if not examples:
@@ -353,7 +358,7 @@ def load_link_examples(path, pre_cfg):
 
 def train_link_scorer(
     examples,
-    hidden=512,
+    hidden=LINK_HIDDEN,
     epochs=5,
     lr=0.001,
     batch_size=32,
@@ -400,13 +405,6 @@ def train_link_scorer(
                 # BCE on the logit: softplus(-z) for positives, softplus(z)
                 # for negatives
                 losses.append(nn.softplus(-z) if label == 1.0 else nn.softplus(z))
-            loss = losses[0]
-            for extra in losses[1:]:
-                loss = loss + extra
-            loss = loss * (1.0 / len(losses))
-            nn.zero_grads(pdict)
-            loss.backward()
-            nn.adam_step(pdict, state)
-            total += float(loss.data) * len(batch)
+            total += nn.train_step(losses, pdict, state) * len(batch)
         history.append(total / len(order))
     return params, history

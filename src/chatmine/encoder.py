@@ -18,6 +18,8 @@ import numpy as np
 from .errors import ConfigError, ContractViolation
 
 _PROVIDERS = ("hash", "table")
+# the EncoderConfig fields that change the produced vectors
+VECTOR_FIELDS = ("dim", "provider", "window_k", "seed", "buckets_per_token")
 
 
 @dataclass(frozen=True)
@@ -43,12 +45,6 @@ class EncoderConfig:
 
 
 @dataclass(frozen=True)
-class UtteranceEncoding:
-    index: int
-    vector: np.ndarray
-
-
-@dataclass(frozen=True)
 class LocalWindow:
     """2k+1 utterance vectors centered on one position. pad_mask[s] is True
     for real neighbors, False for zero padding."""
@@ -69,13 +65,7 @@ class EmbeddingTable:
 def config_fingerprint(cfg):
     """Stable hash of everything that changes the produced vectors; stored in
     checkpoints so stale encoder settings are caught at load time."""
-    payload = {
-        "dim": cfg.dim,
-        "provider": cfg.provider,
-        "window_k": cfg.window_k,
-        "seed": cfg.seed,
-        "buckets_per_token": cfg.buckets_per_token,
-    }
+    payload = {k: getattr(cfg, k) for k in VECTOR_FIELDS}
     if cfg.provider == "table":
         payload["table_sha256"] = hashlib.sha256(
             Path(cfg.table_path).read_bytes()
@@ -159,10 +149,6 @@ def encode_tokens(tokens, cfg, table=None):
     acc /= len(tokens)
     norm = np.linalg.norm(acc)
     return acc / norm if norm > 0 else acc
-
-
-def encode_utterance(utt, cfg, table=None):
-    return UtteranceEncoding(utt.index, encode_tokens(utt.tokens, cfg, table))
 
 
 def build_local_window(vectors, center, k, dim=None):

@@ -82,12 +82,9 @@ def cross_project_split(projects):
 
 
 def confusion_from_examples(examples, bundle, threshold):
-    from .model import predict_proba
-
     c = ConfusionCounts()
     for ex in examples:
-        p = predict_proba(ex, bundle.params, bundle.conv_spec, bundle.heur_stats, bundle.cfg)
-        pred = p >= threshold
+        pred = bundle.proba(ex) >= threshold
         gold = ex.label == 1
         c = c + ConfusionCounts(
             tp=int(pred and gold),

@@ -56,25 +56,27 @@ class ConvStackSpec:
         return self.kernel_counts[-1]
 
 
-def init_conv_params(rng, spec, input_len, prefix="conv"):
+def init_conv_params(rng, spec, input_len):
     """Glorot-initialized kernels and zero biases for every stage."""
     spec.validate_input_len(input_len)
     h = spec.kernel_size
     params = {}
     for i, m in enumerate(spec.kernel_counts, 1):
-        params[f"{prefix}{i}.w"] = nn.Parameter(
-            f"{prefix}{i}.w", nn.glorot_uniform(rng, (m, h), h, m)
+        params[f"conv{i}.w"] = nn.Parameter(
+            f"conv{i}.w", nn.glorot_uniform(rng, (m, h), h, m)
         )
-        params[f"{prefix}{i}.b"] = nn.Parameter(f"{prefix}{i}.b", np.zeros(m))
+        params[f"conv{i}.b"] = nn.Parameter(f"conv{i}.b", np.zeros(m))
     return params
 
 
-def textual_features(vec, spec, params, prefix="conv"):
+def textual_features(vec, spec, params, dropout=0.0, rng=None):
     """Run the utterance vector, read as a sequence of scalars, through the
-    convolution-pooling stack. Returns the final pooled tensor."""
+    convolution-pooling stack. Returns the final pooled tensor. A positive
+    ``dropout`` rate applies dropout, drawn from ``rng``, after each stage."""
     x = vec if isinstance(vec, nn.Tensor) else nn.tensor(np.asarray(vec))
     for i in range(1, len(spec.kernel_counts) + 1):
-        x = nn.conv1d_maxpool(x, params[f"{prefix}{i}.w"], params[f"{prefix}{i}.b"])
+        x = nn.conv1d_maxpool(x, params[f"conv{i}.w"], params[f"conv{i}.b"])
+        x = nn.dropout(x, dropout, rng)
     return x
 
 
@@ -273,16 +275,16 @@ class AttentionParams:
         self.Wq, self.Wk, self.Wv = Wq, Wk, Wv
 
     @classmethod
-    def init(cls, rng, input_dim, context_dim=CONTEXT_DIM, prefix="attn", tied_qk=False):
+    def init(cls, rng, input_dim, context_dim=CONTEXT_DIM, tied_qk=False):
         Wq = nn.Parameter(
-            f"{prefix}.wq", nn.glorot_uniform(rng, (context_dim, input_dim), input_dim, context_dim)
+            "attn.wq", nn.glorot_uniform(rng, (context_dim, input_dim), input_dim, context_dim)
         )
         Wk = nn.Parameter(
-            f"{prefix}.wk",
+            "attn.wk",
             Wq.data.copy() if tied_qk else nn.glorot_uniform(rng, (context_dim, input_dim), input_dim, context_dim),
         )
         Wv = nn.Parameter(
-            f"{prefix}.wv", nn.glorot_uniform(rng, (context_dim, input_dim), input_dim, context_dim)
+            "attn.wv", nn.glorot_uniform(rng, (context_dim, input_dim), input_dim, context_dim)
         )
         return cls(Wq, Wk, Wv)
 

@@ -21,12 +21,11 @@ import numpy as np
 from . import checkpoint as ckpt_io
 from . import encoder as enc
 from . import nn
-from .corpus import ChatLog, Utterance, preprocess_utterance, RawMessage
+from .corpus import ChatLog, Utterance, preprocess_utterance, raw_message
 from .disentangle import Dialog, split_head_body
 from .errors import ConfigError, ContractViolation, DataError
 from .features import (
     CONTEXT_DIM,
-    FUSED_DIM,
     HEURISTIC_DIM,
     AttentionParams,
     ConvStackSpec,
@@ -38,6 +37,7 @@ from .features import (
     init_conv_params,
     load_heuristic_lexicons,
     local_attention,
+    textual_features,
 )
 
 FC_HIDDEN = 64
@@ -122,10 +122,7 @@ def load_labeled_dialogs(path, pre_cfg):
         log = logs.setdefault(community, ChatLog(community, []))
         members = []
         for r in raw_utts:
-            try:
-                raw = RawMessage(int(r["time"]), r["id"], r["text"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{p}:{line_no}: bad utterance ({exc})") from exc
+            raw = raw_message(r, f"{p}:{line_no}")
             u = preprocess_utterance(raw, pre_cfg, index=len(log.utterances))
             log.utterances.append(u)
             members.append(u.index)
@@ -192,8 +189,11 @@ class DialogEmbedder:
             placeholders=dict(subject.placeholders),
         )
 
-    def examples_for(self, dialog, y_issue=-1, y_solution=()):
-        parts = split_head_body(dialog, self.chat)
+    def examples_for(self, dialog, y_issue=-1, y_solution=(), parts=None):
+        """(head example, body examples) of one dialog; ``parts`` is its
+        head/body split when the caller already has it."""
+        if parts is None:
+            parts = split_head_body(dialog, self.chat)
         if not parts.head_indices:
             raise ContractViolation("dialog head is empty")
         head_utt = self._head_utterance(dialog, parts)
@@ -258,18 +258,15 @@ def _attn_from(params):
 
 def forward_logits(example, params, conv_spec, heur_stats, cfg, rng=None, training=False):
     """Fused embedding then the two FC layers; returns the 2-logit tensor.
-    Dropout fires only in training mode with an rng supplied."""
+    In training mode dropout with rate cfg.dropout, drawn from ``rng``,
+    follows each conv stage and the first FC layer."""
+    p_drop = cfg.dropout if training else 0.0
     k = (len(example.window.pad_mask) - 1) // 2
-    x = nn.tensor(example.window.vectors[k])
-    for i in range(1, len(conv_spec.kernel_counts) + 1):
-        x = nn.conv1d_maxpool(x, params[f"conv{i}.w"], params[f"conv{i}.b"])
-        if training:
-            x = nn.dropout(x, cfg.dropout, rng)
+    x = textual_features(example.window.vectors[k], conv_spec, params, p_drop, rng)
     ctx = local_attention(example.window, _attn_from(params))
     fused = fuse_features(x, example.heur, ctx, heur_stats)
     h = nn.relu(nn.linear(fused, params["fc1.w"], params["fc1.b"]))
-    if training:
-        h = nn.dropout(h, cfg.dropout, rng)
+    h = nn.dropout(h, p_drop, rng)
     return nn.linear(h, params["fc2.w"], params["fc2.b"])
 
 
@@ -335,15 +332,13 @@ def build_examples(corpus, target, enc_cfg, lex=None):
     return examples
 
 
-def _mean_loss(examples, params, conv_spec, heur_stats, cfg, rng=None, training=False):
-    losses = []
-    for ex in examples:
-        logits = forward_logits(ex, params, conv_spec, heur_stats, cfg, rng, training)
-        losses.append(nn.softmax_cross_entropy(logits, ex.label))
-    total = losses[0]
-    for l in losses[1:]:
-        total = total + l
-    return total * (1.0 / len(losses))
+def _losses(examples, params, conv_spec, heur_stats, cfg, rng=None, training=False):
+    return [
+        nn.softmax_cross_entropy(
+            forward_logits(ex, params, conv_spec, heur_stats, cfg, rng, training), ex.label
+        )
+        for ex in examples
+    ]
 
 
 def train_model(
@@ -399,16 +394,13 @@ def train_model(
         running = 0.0
         for start in range(0, len(order), cfg.batch_size):
             batch = [examples[i] for i in order[start : start + cfg.batch_size]]
-            loss = _mean_loss(
+            losses = _losses(
                 batch, params, conv_spec, heur_stats, cfg, drop_rng, training=True
             )
-            nn.zero_grads(params)
-            loss.backward()
-            nn.adam_step(params, state)
-            running += float(loss.data) * len(batch)
+            running += nn.train_step(losses, params, state) * len(batch)
         train_loss = running / len(order)
         val_loss = float(
-            _mean_loss(val_examples, params, conv_spec, heur_stats, cfg).data
+            nn.batch_mean(_losses(val_examples, params, conv_spec, heur_stats, cfg)).data
         )
         history.append((train_loss, val_loss))
         if stopper.update(val_loss):
@@ -442,13 +434,7 @@ def save_model_checkpoint(path, result):
     extra = {
         "target": result.target,
         "model_config": asdict(result.cfg),
-        "encoder_config": {
-            "dim": enc_cfg.dim,
-            "provider": enc_cfg.provider,
-            "window_k": enc_cfg.window_k,
-            "seed": enc_cfg.seed,
-            "buckets_per_token": enc_cfg.buckets_per_token,
-        },
+        "encoder_config": {k: getattr(enc_cfg, k) for k in enc.VECTOR_FIELDS},
         "encoder_fingerprint": enc.config_fingerprint(enc_cfg),
         "conv_spec": {
             "kernel_counts": list(result.conv_spec.kernel_counts),
@@ -473,12 +459,34 @@ class ModelBundle:
     cfg: ModelConfig
     conv_spec: ConvStackSpec
 
+    def proba(self, example):
+        return predict_proba(example, self.params, self.conv_spec, self.heur_stats, self.cfg)
 
-def load_model_checkpoint(path, enc_cfg):
-    """Load and validate against the runtime encoder configuration; stale
-    encoder settings or missing parameters fail loudly."""
+
+def _manifest_field(man, name, build):
+    try:
+        return build(man[name])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"checkpoint manifest field {name!r} missing or malformed ({exc})") from exc
+
+
+def _heuristic_stats(d):
+    stats = HeuristicStats(tuple(map(float, d["mean"])), tuple(map(float, d["std"])))
+    if len(stats.mean) != HEURISTIC_DIM or len(stats.std) != HEURISTIC_DIM:
+        raise ValueError(f"mean and std must have {HEURISTIC_DIM} entries")
+    return stats
+
+
+def load_model_checkpoint(path, enc_cfg, target=None):
+    """Load and validate against the runtime encoder configuration and, when
+    given, the expected target; a checkpoint of another target, stale
+    encoder settings, or missing parameters or manifest fields fail loudly."""
     ck = ckpt_io.load_checkpoint(path)
     man = ck.manifest
+    found = man.get("target")
+    wanted = (target,) if target is not None else TARGETS
+    if found not in wanted:
+        raise ConfigError(f"checkpoint target {found!r} is not {' or '.join(wanted)}: {path}")
     stored = man.get("encoder_config", {})
     if stored.get("dim") != enc_cfg.dim:
         raise ConfigError(
@@ -486,42 +494,24 @@ def load_model_checkpoint(path, enc_cfg):
         )
     fp = enc.config_fingerprint(enc_cfg)
     if man.get("encoder_fingerprint") != fp:
-        mismatched = [
-            k
-            for k in ("dim", "provider", "window_k", "seed", "buckets_per_token")
-            if stored.get(k) != getattr(enc_cfg, k)
-        ]
+        mismatched = [k for k in enc.VECTOR_FIELDS if stored.get(k) != getattr(enc_cfg, k)]
         raise ConfigError(
             "checkpoint encoder fingerprint does not match runtime encoder"
             + (f" (differs in: {', '.join(mismatched)})" if mismatched else " (table contents changed)")
         )
-    spec = ConvStackSpec(
-        kernel_counts=tuple(man["conv_spec"]["kernel_counts"]),
-        kernel_size=man["conv_spec"]["kernel_size"],
+    spec = _manifest_field(
+        man, "conv_spec", lambda d: ConvStackSpec(tuple(d["kernel_counts"]), d["kernel_size"])
     )
     expected = [f"conv{i}.{s}" for i in range(1, len(spec.kernel_counts) + 1) for s in ("w", "b")]
     expected += list(_EXPECTED_SUFFIXES)
     ck.require(expected)
     params = {name: nn.Parameter(name, arr) for name, arr in ck.params.items()}
-    stats = HeuristicStats(
-        tuple(man["heuristic_stats"]["mean"]), tuple(man["heuristic_stats"]["std"])
-    )
-    cfg = ModelConfig(**man["model_config"])
-    target = man.get("target")
-    if target not in TARGETS:
-        raise DataError(f"checkpoint target {target!r} unsupported")
-    return ModelBundle(params, stats, target, cfg, spec)
+    stats = _manifest_field(man, "heuristic_stats", _heuristic_stats)
+    cfg = _manifest_field(man, "model_config", lambda d: ModelConfig(**d))
+    return ModelBundle(params, stats, found, cfg, spec)
 
 
 # -- inference and pair assembly ------------------------------------------
-
-
-@dataclass(frozen=True)
-class Prediction:
-    p_issue: float
-    p_solutions: tuple
-    issue_threshold: float
-    solution_threshold: float
 
 
 @dataclass(frozen=True)
@@ -534,60 +524,34 @@ class IssueSolutionPair:
     p_issue: float
 
 
-def predict_issue(dialog, embedder, bundle, threshold=None):
-    """(is_issue, prediction) for one dialog's head."""
-    if bundle.target != "issue":
-        raise ConfigError(f"issue prediction needs an issue checkpoint, got {bundle.target!r}")
-    thr = threshold if threshold is not None else bundle.cfg.issue_threshold
-    head_ex, _ = embedder.examples_for(dialog)
-    p = predict_proba(head_ex, bundle.params, bundle.conv_spec, bundle.heur_stats, bundle.cfg)
-    pred = Prediction(p, (), thr, bundle.cfg.solution_threshold)
-    return p >= thr, pred
-
-
-def predict_solutions(dialog, embedder, bundle, threshold=None):
-    """Chronological (utterance_index, probability) for body utterances at or
-    above the threshold."""
-    if bundle.target != "solution":
-        raise ConfigError(
-            f"solution prediction needs a solution checkpoint, got {bundle.target!r}"
-        )
-    thr = threshold if threshold is not None else bundle.cfg.solution_threshold
-    _, body_exs = embedder.examples_for(dialog)
-    out = []
-    for ex in body_exs:
-        p = predict_proba(ex, bundle.params, bundle.conv_spec, bundle.heur_stats, bundle.cfg)
-        if p >= thr:
-            out.append((ex.utt_index, p))
-    return out
-
-
 def extract_pairs_for_dialog(dialog, embedder, issue_bundle, solution_bundle, cfg=None):
-    """None when the issue gate rejects; otherwise the assembled pair."""
-    issue_thr = cfg.issue_threshold if cfg is not None else None
-    sol_thr = cfg.solution_threshold if cfg is not None else None
-    positive, pred = predict_issue(dialog, embedder, issue_bundle, issue_thr)
-    if not positive:
-        return None
+    """None when the issue gate rejects the dialog's head; otherwise the
+    pair with the body utterances whose solution probability reaches the
+    threshold, in chronological order. Thresholds come from ``cfg`` when
+    given, else from each bundle's own config; both gates are inclusive."""
+    issue_thr = (cfg or issue_bundle.cfg).issue_threshold
+    sol_thr = (cfg or solution_bundle.cfg).solution_threshold
     chat = embedder.chat
     parts = split_head_body(dialog, chat)
-    picked = predict_solutions(dialog, embedder, solution_bundle, sol_thr)
-    solutions = tuple(
-        {
-            "text": chat.utterances[i].raw_text,
-            "author": chat.utterances[i].author_id,
-            "time": chat.utterances[i].time,
-            "p": round(p, 6),
-        }
-        for i, p in picked
-    )
+    head_ex, body_exs = embedder.examples_for(dialog, parts=parts)
+    p_issue = issue_bundle.proba(head_ex)
+    if p_issue < issue_thr:
+        return None
+    solutions = []
+    for ex in body_exs:
+        p = solution_bundle.proba(ex)
+        if p >= sol_thr:
+            u = chat.utterances[ex.utt_index]
+            solutions.append(
+                {"text": u.raw_text, "author": u.author_id, "time": u.time, "p": round(p, 6)}
+            )
     return IssueSolutionPair(
         community_id=chat.community_id,
         subject_id=dialog.subject,
         issue_text="\n".join(chat.utterances[i].raw_text for i in parts.head_indices),
-        solutions=solutions,
+        solutions=tuple(solutions),
         status="answered" if solutions else "unresolved",
-        p_issue=round(pred.p_issue, 6),
+        p_issue=round(p_issue, 6),
     )
 
 

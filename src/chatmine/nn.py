@@ -22,13 +22,13 @@ __all__ = [
     "sigmoid",
     "softmax",
     "dropout",
-    "log",
     "concat",
     "conv1d_maxpool",
-    "cross_entropy",
     "softmax_cross_entropy",
+    "batch_mean",
     "AdamState",
     "adam_step",
+    "train_step",
     "glorot_uniform",
 ]
 
@@ -165,15 +165,6 @@ class Tensor:
 
         return Tensor(self.data.sum(), parents=(self,), backward_fn=back)
 
-    def mean(self):
-        n = self.data.size
-
-        def back(g):
-            if self.requires_grad:
-                self._accumulate(np.full_like(self.data, g / n))
-
-        return Tensor(self.data.mean(), parents=(self,), backward_fn=back)
-
 
 class Parameter(Tensor):
     """A named trainable tensor; models keep these in insertion-ordered dicts."""
@@ -282,16 +273,6 @@ def softmax(x):
     return Tensor(y, parents=(x,), backward_fn=back)
 
 
-def log(x):
-    x = _as_tensor(x)
-
-    def back(g):
-        if x.requires_grad:
-            x._accumulate(g / x.data)
-
-    return Tensor(np.log(x.data), parents=(x,), backward_fn=back)
-
-
 def dropout(x, p, rng, training=True):
     """Inverted dropout: zero with probability p, scale survivors by 1/(1-p).
 
@@ -367,12 +348,6 @@ def conv1d_maxpool(x, kernels, bias):
 _CE_CLAMP = 1e-12
 
 
-def cross_entropy(pred, label):
-    """-log pred[label] on a probability row, clamped at 1e-12. Plain float."""
-    pred = pred.data if isinstance(pred, Tensor) else np.asarray(pred, dtype=np.float64)
-    return float(-np.log(max(float(pred[label]), _CE_CLAMP)))
-
-
 def softmax_cross_entropy(logits, label):
     """Fused softmax + cross-entropy; gradient on logits is (p - onehot)."""
     logits = _as_tensor(logits)
@@ -388,6 +363,14 @@ def softmax_cross_entropy(logits, label):
             logits._accumulate(g * grad)
 
     return Tensor(loss, parents=(logits,), backward_fn=back)
+
+
+def batch_mean(losses):
+    """Mean of scalar loss tensors, summed left to right."""
+    total = losses[0]
+    for loss in losses[1:]:
+        total = total + loss
+    return total * (1.0 / len(losses))
 
 
 # -- optimisation --------------------------------------------------------
@@ -425,6 +408,15 @@ def adam_step(params, state):
         v_hat = v / (1.0 - state.beta2**t)
         p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
         p.grad = None
+
+
+def train_step(losses, params, state):
+    """One optimisation step on a batch's per-example losses: backpropagate
+    their mean and update ``params`` with Adam. Returns the mean loss."""
+    loss = batch_mean(losses)
+    loss.backward()
+    adam_step(params, state)
+    return float(loss.data)
 
 
 def zero_grads(params):

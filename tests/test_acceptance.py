@@ -35,8 +35,7 @@ from chatmine.model import (
     ModelConfig,
     assemble_pairs,
     build_examples,
-    predict_issue,
-    predict_solutions,
+    predict_proba,
     train_model,
 )
 
@@ -352,12 +351,20 @@ def test_c07_issue_gate_blocks_solutions_and_thresholds_are_monotone(small_bundl
         dialogs = assemble_dialogs(log, heuristic_link_scorer)
         assert set(by_subject) <= {d.subject for d in dialogs}
         for d in dialogs:
-            positive, _ = predict_issue(d, embedder, issue_b)
+            head_ex, body_exs = embedder.examples_for(d)
+            p_issue = predict_proba(
+                head_ex, issue_b.params, issue_b.conv_spec, issue_b.heur_stats, issue_b.cfg
+            )
+            positive = p_issue >= issue_b.cfg.issue_threshold
             assert (d.subject in by_subject) == positive
             if not positive:
                 continue
             pair = by_subject[d.subject]
-            want = predict_solutions(d, embedder, sol_b)
+            body_p = [
+                (ex.utt_index, predict_proba(ex, sol_b.params, sol_b.conv_spec, sol_b.heur_stats, sol_b.cfg))
+                for ex in body_exs
+            ]
+            want = [(j, p) for j, p in body_p if p >= sol_b.cfg.solution_threshold]
             body_times = [log.utterances[j].time for j in split_head_body(d, log).body_indices]
             assert len(pair.solutions) == len(want)
             for sol, (j, p) in zip(pair.solutions, want):

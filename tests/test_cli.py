@@ -259,3 +259,113 @@ def test_console_entry_point_help(tmp_path):
     assert proc.returncode == 0
     assert "preprocess" in proc.stdout
     assert "extract" in proc.stdout
+
+
+# -- bad input exits 3 -----------------------------------------------------
+
+
+def assert_data_error(rc, capsys):
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert sum(line.startswith("error: code=3 ") for line in err.splitlines()) == 1
+    assert "Traceback" not in err
+    return err
+
+
+GOOD_UTTS = [
+    {"time": 1000, "id": "ann", "text": "why does the build fail?"},
+    {"time": 2000, "id": "bob", "text": "clear the cache"},
+]
+
+
+@pytest.mark.parametrize(
+    "utterances, links",
+    [
+        ([{"id": "ann", "text": "hi"}], []),
+        ([{"time": 1000, "text": "hi"}], []),
+        ([{"time": 1000, "id": "ann"}], []),
+        ([{"time": 1000, "id": "ann", "text": 5}], []),
+        (GOOD_UTTS, [[1]]),
+        (GOOD_UTTS, [["x", 0]]),
+    ],
+    ids=["no-time", "no-id", "no-text", "text-not-string", "short-link", "bad-link-index"],
+)
+def test_train_link_on_malformed_record_exits_3(tmp_path, capsys, utterances, links):
+    data = tmp_path / "links.jsonl"
+    records = [{"utterances": GOOD_UTTS, "links": [[1, 0]]}, {"utterances": utterances, "links": links}]
+    data.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    rc = main(["train", "--data", str(data), "--target", "link", "--out", str(tmp_path / "l.ckpt")])
+    err = assert_data_error(rc, capsys)
+    assert f"{data}:2: bad" in err
+
+
+@pytest.mark.parametrize("field", ["conv_spec", "heuristic_stats", "model_config"])
+@pytest.mark.parametrize("edit", ["drop", "mistype"])
+def test_extract_with_broken_manifest_field_exits_3(tmp_path, cli_ckpts, capsys, field, edit):
+    from chatmine import checkpoint as ckpt_io
+
+    ck = ckpt_io.load_checkpoint(cli_ckpts["issue"])
+    manifest = dict(ck.manifest)
+    if edit == "drop":
+        del manifest[field]
+    else:
+        manifest[field] = [1, 2]
+    bad = tmp_path / "issue.ckpt"
+    ckpt_io.save_checkpoint(bad, ck.params, manifest)
+    rc = main(
+        [
+            "extract",
+            "--input", str(write_raw(tmp_path / "raw.jsonl")),
+            "--issue-ckpt", str(bad),
+            "--solution-ckpt", str(cli_ckpts["solution"]),
+            "--out", str(tmp_path / "pairs.jsonl"),
+            "--encoder-dim", "16",
+        ]
+    )
+    err = assert_data_error(rc, capsys)
+    assert field in err
+
+
+def test_extract_with_swapped_checkpoints_exits_3(tmp_path, cli_ckpts, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    rc = main(
+        [
+            "extract",
+            "--input", str(empty),
+            "--issue-ckpt", str(cli_ckpts["solution"]),
+            "--solution-ckpt", str(cli_ckpts["issue"]),
+            "--out", str(tmp_path / "pairs.jsonl"),
+            "--encoder-dim", "16",
+        ]
+    )
+    err = assert_data_error(rc, capsys)
+    assert "target" in err
+
+
+# -- README ----------------------------------------------------------------
+
+
+def readme_commands():
+    import re
+    import shlex
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("chatmine "):
+                commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 5
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit as exc:
+            pytest.fail(f"README command does not parse: chatmine {' '.join(argv)} ({exc})")

@@ -5,14 +5,16 @@ trained-model quality gates live in the acceptance suite.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from chatmine import checkpoint as ckpt_io
+from chatmine import disentangle as dis
 from chatmine import model as mdl
 from chatmine import nn
-from chatmine.disentangle import Dialog, heuristic_link_scorer
+from chatmine.disentangle import Dialog, assemble_dialogs, heuristic_link_scorer
 from chatmine.encoder import EncoderConfig
 from chatmine.errors import ConfigError, ContractViolation, DataError
 from chatmine.features import ConvStackSpec
@@ -28,9 +30,7 @@ from chatmine.model import (
     load_labeled_dialogs,
     load_model_checkpoint,
     pairs_to_jsonl,
-    predict_issue,
     predict_proba,
-    predict_solutions,
     save_model_checkpoint,
     train_model,
 )
@@ -373,6 +373,15 @@ def test_checkpoint_missing_parameter_reported_by_name(tmp_path, labeled_corpus)
         load_model_checkpoint(bad, TINY_ENC)
 
 
+def test_load_checkpoint_rejects_wrong_target(tmp_path, labeled_corpus):
+    res = train_model(labeled_corpus, "issue", tiny_cfg(), enc_cfg=TINY_ENC, conv_spec=TINY_SPEC)
+    p = tmp_path / "issue.ckpt"
+    save_model_checkpoint(p, res)
+    assert load_model_checkpoint(p, TINY_ENC, "issue").target == "issue"
+    with pytest.raises(ConfigError, match="target 'issue' is not solution"):
+        load_model_checkpoint(p, TINY_ENC, "solution")
+
+
 # -- prediction gates ------------------------------------------------------
 
 
@@ -383,48 +392,44 @@ def any_dialog(corpus, issue=True):
     raise AssertionError
 
 
-def test_predict_issue_threshold_is_inclusive(labeled_corpus, small_bundles, small_embedders, monkeypatch):
+def test_issue_gate_threshold_is_inclusive(labeled_corpus, small_bundles, small_embedders, monkeypatch):
     ld = any_dialog(labeled_corpus)
     emb = small_embedders[ld.community_id]
-    bundle = small_bundles["issue"]
+    cfg = ModelConfig(issue_threshold=0.5)
     monkeypatch.setattr(mdl, "predict_proba", lambda *a, **k: 0.5)
-    positive, pred = predict_issue(ld.dialog, emb, bundle, threshold=0.5)
-    assert positive and pred.p_issue == 0.5
+    pair = extract_pairs_for_dialog(ld.dialog, emb, small_bundles["issue"], small_bundles["solution"], cfg)
+    assert pair is not None and pair.p_issue == 0.5
     monkeypatch.setattr(mdl, "predict_proba", lambda *a, **k: 0.4999)
-    positive, _ = predict_issue(ld.dialog, emb, bundle, threshold=0.5)
-    assert not positive
+    pair = extract_pairs_for_dialog(ld.dialog, emb, small_bundles["issue"], small_bundles["solution"], cfg)
+    assert pair is None
 
 
-def test_predict_solutions_filters_and_keeps_order(labeled_corpus, small_bundles, small_embedders, monkeypatch):
+def test_extract_pair_solutions_filter_and_keep_order(labeled_corpus, small_bundles, small_embedders, monkeypatch):
     ld = issue_dialog_with_body(labeled_corpus, min_body=3)
     emb = small_embedders[ld.community_id]
+    log = labeled_corpus.logs[ld.community_id]
     parts_body = emb.examples_for(ld.dialog)[1]
-    probs = {}
+    probs = {ld.dialog.subject: 0.9}
     for ex, p in zip(parts_body, [0.9, 0.41, 0.1] + [0.0] * len(parts_body)):
         probs[ex.utt_index] = p
 
     monkeypatch.setattr(mdl, "predict_proba", lambda ex, *a, **k: probs[ex.utt_index])
-    got = predict_solutions(ld.dialog, emb, small_bundles["solution"], threshold=0.4)
-    want_idx = [ex.utt_index for ex in parts_body[:2]]
-    assert [i for i, _ in got] == want_idx
-    assert [p for _, p in got] == [0.9, 0.41]
+    cfg = ModelConfig(solution_threshold=0.4)
+    pair = extract_pairs_for_dialog(ld.dialog, emb, small_bundles["issue"], small_bundles["solution"], cfg)
+    want = [log.utterances[ex.utt_index] for ex in parts_body[:2]]
+    assert [s["time"] for s in pair.solutions] == [u.time for u in want]
+    assert [s["text"] for s in pair.solutions] == [u.raw_text for u in want]
+    assert [s["p"] for s in pair.solutions] == [0.9, 0.41]
 
 
-def test_predict_requires_matching_target(labeled_corpus, small_bundles, small_embedders):
-    ld = any_dialog(labeled_corpus)
-    emb = small_embedders[ld.community_id]
-    with pytest.raises(ConfigError):
-        predict_issue(ld.dialog, emb, small_bundles["solution"])
-    with pytest.raises(ConfigError):
-        predict_solutions(ld.dialog, emb, small_bundles["issue"])
-
-
-def test_single_message_dialog_has_no_solution_candidates(labeled_corpus, small_bundles, small_embedders):
+def test_single_message_dialog_has_no_solution_candidates(labeled_corpus, small_bundles, small_embedders, monkeypatch):
     cid = "alpha"
     emb = small_embedders[cid]
     d = Dialog(subject=0, members=(0,), links=())
-    got = predict_solutions(d, emb, small_bundles["solution"])
-    assert got == []
+    monkeypatch.setattr(mdl, "predict_proba", lambda *a, **k: 1.0)
+    pair = extract_pairs_for_dialog(d, emb, small_bundles["issue"], small_bundles["solution"])
+    assert pair.solutions == ()
+    assert pair.status == "unresolved"
 
 
 def test_extract_pair_gated_by_issue_model(labeled_corpus, small_bundles, small_embedders, monkeypatch):
@@ -485,6 +490,34 @@ def test_assemble_pairs_parallel_matches_serial(labeled_corpus, small_bundles, s
         enc_cfg=small_enc, jobs=4,
     )
     assert pairs_to_jsonl(serial) == pairs_to_jsonl(threaded)
+
+
+def test_extraction_splits_and_embeds_each_dialog_once(labeled_corpus, small_bundles, small_enc, monkeypatch):
+    log = labeled_corpus.logs["alpha"]
+    n_dialogs = len(assemble_dialogs(log, heuristic_link_scorer))
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*a, **k):
+            calls[name] += 1
+            return fn(*a, **k)
+
+        return wrapper
+
+    split = counted("split_head_body", dis.split_head_body)
+    monkeypatch.setattr(mdl, "split_head_body", split)
+    monkeypatch.setattr(dis, "split_head_body", split)
+    monkeypatch.setattr(
+        DialogEmbedder, "examples_for", counted("examples_for", DialogEmbedder.examples_for)
+    )
+    # every dialog passes the gate, so its body is scored too
+    monkeypatch.setattr(mdl, "predict_proba", lambda *a, **k: 0.9)
+    pairs = assemble_pairs(
+        log, small_bundles["issue"], small_bundles["solution"], heuristic_link_scorer,
+        enc_cfg=small_enc,
+    )
+    assert len(pairs) == n_dialogs
+    assert calls == {"split_head_body": n_dialogs, "examples_for": n_dialogs}
 
 
 def test_pairs_to_jsonl_round_trips_as_json(labeled_corpus, small_bundles, small_enc):
