@@ -61,6 +61,23 @@ class Checkpoint:
         return self
 
 
+_ENTRY_FIELDS = (
+    ("name", lambda v: isinstance(v, str)),
+    ("shape", lambda v: isinstance(v, list) and all(type(d) is int and d >= 0 for d in v)),
+    ("offset", lambda v: type(v) is int and v >= 0),
+)
+
+
+def _param_entry(entry):
+    """(name, shape, offset) of one manifest params entry, checked."""
+    if not isinstance(entry, dict):
+        raise DataError(f"checkpoint params entry is not an object: {entry!r}")
+    for field, ok in _ENTRY_FIELDS:
+        if not ok(entry.get(field)):
+            raise DataError(f"checkpoint params entry field {field!r} missing or malformed: {entry!r}")
+    return entry["name"], entry["shape"], entry["offset"]
+
+
 def load_checkpoint(path):
     p = Path(path)
     if not p.is_file():
@@ -75,6 +92,8 @@ def load_checkpoint(path):
         manifest = json.loads(raw[4 : 4 + mlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"checkpoint manifest unreadable: {p} ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise DataError(f"checkpoint manifest is not an object: {p}")
     if manifest.get("version") != FORMAT_VERSION:
         raise DataError(
             f"checkpoint version {manifest.get('version')} unsupported (want {FORMAT_VERSION})"
@@ -84,8 +103,11 @@ def load_checkpoint(path):
     blob = raw[4 + mlen :]
     values = np.frombuffer(blob, dtype="<f4")
     params = {}
-    for entry in manifest.get("params", []):
-        name, shape, offset = entry["name"], entry["shape"], entry["offset"]
+    entries = manifest.get("params", [])
+    if not isinstance(entries, list):
+        raise DataError("checkpoint manifest field 'params' is not a list")
+    for entry in entries:
+        name, shape, offset = _param_entry(entry)
         size = int(np.prod(shape)) if shape else 1
         if offset + size > values.size:
             raise DataError(f"checkpoint blob too short for parameter {name!r}")

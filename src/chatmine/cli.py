@@ -1,7 +1,7 @@
 """Command line surface.
 
 Verbs: preprocess, disentangle, train, extract, eval, gradcheck. Global
-flags --seed / --jobs / --config apply everywhere; a config file holds
+flags --seed / --config apply everywhere; a config file holds
 key=value lines mirroring the PreprocessConfig, ModelConfig, and encoder
 fields (encoder keys prefixed encoder_), and explicit CLI flags win over it.
 Diagnostics go to standard error only; outputs are files. Exit codes: 0
@@ -220,7 +220,6 @@ def _cmd_extract(args, file_cfg):
         _link_scorer(args),
         cfg,
         enc_cfg,
-        jobs=args.jobs,
     )
     Path(args.out).write_text(model_mod.pairs_to_jsonl(pairs), encoding="utf-8")
     _log(f"extracted {len(pairs)} issue-solution pairs")
@@ -270,7 +269,6 @@ def build_parser():
         description="Mine issue-solution pairs from developer chat logs.",
     )
     parser.add_argument("--seed", type=int, default=0, help="global random seed")
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads where supported")
     parser.add_argument("--config", help="key=value config file")
     sub = parser.add_subparsers(dest="verb", required=True)
 

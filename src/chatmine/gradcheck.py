@@ -105,12 +105,12 @@ def _frag_linear_ce(seed):
     return params, lambda: nn.softmax_cross_entropy(nn.linear(nn.tensor(x), W, b), label)
 
 
-def _frag_conv_pool(seed):
+def _frag_conv_pool(seed, m=4):
     def build(rng):
         x = rng.normal(size=10)
-        k = rng.normal(size=(4, 3)) * 0.7
-        b = rng.normal(size=4) * 0.3
-        r = rng.normal(size=4)
+        k = rng.normal(size=(m, 3)) * 0.7
+        b = rng.normal(size=m) * 0.3
+        r = rng.normal(size=m)
         return x, k, b, r
 
     def ok(x, k, b, r):
@@ -130,6 +130,11 @@ def _frag_conv_pool(seed):
     bp = nn.Parameter("bias", b)
     params = {"kernels": kp, "bias": bp}
     return params, lambda: (nn.conv1d_maxpool(nn.tensor(x), kp, bp) * nn.tensor(r)).sum()
+
+
+def _frag_conv_pool_blocks(seed):
+    """conv_pool with more kernels than one matmul block holds."""
+    return _frag_conv_pool(seed, m=nn._CONV_BLOCK + 2)
 
 
 def _frag_softsign_chain(seed):
@@ -233,6 +238,7 @@ def _frag_fc_head(seed, fused_dim=413, hidden=64, classes=2):
 STANDARD_FRAGMENTS = (
     ("linear_ce", _frag_linear_ce),
     ("conv_pool", _frag_conv_pool),
+    ("conv_pool_blocks", _frag_conv_pool_blocks),
     ("softsign_chain", _frag_softsign_chain),
     ("softmax_ce", _frag_softmax_ce),
     ("local_attention", _frag_local_attention),

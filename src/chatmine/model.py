@@ -115,6 +115,8 @@ def load_labeled_dialogs(path, pre_cfg):
             y_issue = int(obj["y_issue"])
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{p}:{line_no}: bad record ({exc})") from exc
+        if not isinstance(raw_utts, list):
+            raise DataError(f"{p}:{line_no}: bad record (utterances must be a list)")
         if y_issue not in (0, 1):
             raise DataError(f"{p}:{line_no}: y_issue must be 0 or 1")
         if not raw_utts:
@@ -197,7 +199,10 @@ class DialogEmbedder:
         if not parts.head_indices:
             raise ContractViolation("dialog head is empty")
         head_utt = self._head_utterance(dialog, parts)
-        head_vec = enc.encode_tokens(parts.head_tokens, self.enc_cfg, self.table)
+        if len(parts.head_indices) == 1:  # its tokens are that utterance's
+            head_vec = self.vecs[parts.head_indices[0]]
+        else:
+            head_vec = enc.encode_tokens(parts.head_tokens, self.enc_cfg, self.table)
         seq = [head_vec] + [self.vecs[i] for i in parts.body_indices]
         k = self.enc_cfg.window_k
         head_key = ("head", self.chat.community_id, dialog.subject)
@@ -488,6 +493,8 @@ def load_model_checkpoint(path, enc_cfg, target=None):
     if found not in wanted:
         raise ConfigError(f"checkpoint target {found!r} is not {' or '.join(wanted)}: {path}")
     stored = man.get("encoder_config", {})
+    if not isinstance(stored, dict):
+        raise DataError("checkpoint manifest field 'encoder_config' malformed (not an object)")
     if stored.get("dim") != enc_cfg.dim:
         raise ConfigError(
             f"checkpoint encoder dim {stored.get('dim')} != runtime dim {enc_cfg.dim}"
@@ -555,27 +562,18 @@ def extract_pairs_for_dialog(dialog, embedder, issue_bundle, solution_bundle, cf
     )
 
 
-def assemble_pairs(log, issue_bundle, solution_bundle, scorer, cfg=None, enc_cfg=None, jobs=1):
+def assemble_pairs(log, issue_bundle, solution_bundle, scorer, cfg=None, enc_cfg=None):
     """Full pipeline: disentangle, split, gate on the issue model, extract
-    solutions. Dialog order follows the subject utterance; --jobs only
-    parallelizes, never reorders."""
-    from concurrent.futures import ThreadPoolExecutor
-
+    solutions. Dialog order follows the subject utterance."""
     from .disentangle import assemble_dialogs
 
     enc_cfg = enc_cfg if enc_cfg is not None else enc.EncoderConfig()
     embedder = DialogEmbedder(log, enc_cfg)
-    dialogs = assemble_dialogs(log, scorer)
-
-    def run(d):
-        return extract_pairs_for_dialog(d, embedder, issue_bundle, solution_bundle, cfg)
-
-    if jobs > 1 and len(dialogs) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, dialogs))
-    else:
-        results = [run(d) for d in dialogs]
-    return [r for r in results if r is not None]
+    pairs = (
+        extract_pairs_for_dialog(d, embedder, issue_bundle, solution_bundle, cfg)
+        for d in assemble_dialogs(log, scorer)
+    )
+    return [p for p in pairs if p is not None]
 
 
 def pairs_to_jsonl(pairs):

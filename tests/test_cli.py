@@ -241,7 +241,7 @@ def test_gradcheck_verb_passes_and_reports(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     lines = [l for l in out.strip().splitlines() if l]
-    assert len(lines) == 6
+    assert len(lines) == 7  # one line per fragment
     for line in lines:
         assert line.endswith("PASS")
         assert "max_rel_error=" in line
@@ -299,6 +299,19 @@ def test_train_link_on_malformed_record_exits_3(tmp_path, capsys, utterances, li
     assert f"{data}:2: bad" in err
 
 
+def extract_with_issue_ckpt(tmp_path, issue_ckpt, solution_ckpt):
+    return main(
+        [
+            "extract",
+            "--input", str(write_raw(tmp_path / "raw.jsonl")),
+            "--issue-ckpt", str(issue_ckpt),
+            "--solution-ckpt", str(solution_ckpt),
+            "--out", str(tmp_path / "pairs.jsonl"),
+            "--encoder-dim", "16",
+        ]
+    )
+
+
 @pytest.mark.parametrize("field", ["conv_spec", "heuristic_stats", "model_config"])
 @pytest.mark.parametrize("edit", ["drop", "mistype"])
 def test_extract_with_broken_manifest_field_exits_3(tmp_path, cli_ckpts, capsys, field, edit):
@@ -312,17 +325,7 @@ def test_extract_with_broken_manifest_field_exits_3(tmp_path, cli_ckpts, capsys,
         manifest[field] = [1, 2]
     bad = tmp_path / "issue.ckpt"
     ckpt_io.save_checkpoint(bad, ck.params, manifest)
-    rc = main(
-        [
-            "extract",
-            "--input", str(write_raw(tmp_path / "raw.jsonl")),
-            "--issue-ckpt", str(bad),
-            "--solution-ckpt", str(cli_ckpts["solution"]),
-            "--out", str(tmp_path / "pairs.jsonl"),
-            "--encoder-dim", "16",
-        ]
-    )
-    err = assert_data_error(rc, capsys)
+    err = assert_data_error(extract_with_issue_ckpt(tmp_path, bad, cli_ckpts["solution"]), capsys)
     assert field in err
 
 
@@ -341,6 +344,46 @@ def test_extract_with_swapped_checkpoints_exits_3(tmp_path, cli_ckpts, capsys):
     )
     err = assert_data_error(rc, capsys)
     assert "target" in err
+
+
+def test_train_on_non_list_utterances_exits_3(tmp_path, capsys):
+    data = tmp_path / "labeled.jsonl"
+    data.write_text(
+        json.dumps({"community_id": "c", "utterances": 5, "y_issue": 0}) + "\n", encoding="utf-8"
+    )
+    rc = main(["train", "--data", str(data), "--target", "issue", "--out", str(tmp_path / "i.ckpt")])
+    err = assert_data_error(rc, capsys)
+    assert f"{data}:1: bad record" in err
+
+
+def rewrite_manifest(src, dst, edit):
+    """Copy a checkpoint with ``edit`` applied to its parsed manifest."""
+    import struct
+
+    raw = src.read_bytes()
+    (mlen,) = struct.unpack("<I", raw[:4])
+    manifest = json.loads(raw[4 : 4 + mlen])
+    edit(manifest)
+    body = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    dst.write_bytes(struct.pack("<I", len(body)) + body + raw[4 + mlen :])
+    return dst
+
+
+@pytest.mark.parametrize("field", ["name", "shape", "offset"])
+def test_extract_with_broken_params_entry_exits_3(tmp_path, cli_ckpts, capsys, field):
+    bad = rewrite_manifest(
+        cli_ckpts["issue"], tmp_path / "issue.ckpt", lambda man: man["params"][0].pop(field)
+    )
+    err = assert_data_error(extract_with_issue_ckpt(tmp_path, bad, cli_ckpts["solution"]), capsys)
+    assert repr(field) in err
+
+
+def test_extract_with_list_encoder_config_exits_3(tmp_path, cli_ckpts, capsys):
+    bad = rewrite_manifest(
+        cli_ckpts["issue"], tmp_path / "issue.ckpt", lambda man: man.update(encoder_config=[16])
+    )
+    err = assert_data_error(extract_with_issue_ckpt(tmp_path, bad, cli_ckpts["solution"]), capsys)
+    assert "encoder_config" in err
 
 
 # -- README ----------------------------------------------------------------

@@ -479,19 +479,6 @@ def test_extract_pair_fields_and_status(labeled_corpus, small_bundles, small_emb
 # -- end-to-end assembly ---------------------------------------------------
 
 
-def test_assemble_pairs_parallel_matches_serial(labeled_corpus, small_bundles, small_enc):
-    log = labeled_corpus.logs["alpha"]
-    serial = assemble_pairs(
-        log, small_bundles["issue"], small_bundles["solution"], heuristic_link_scorer,
-        enc_cfg=small_enc,
-    )
-    threaded = assemble_pairs(
-        log, small_bundles["issue"], small_bundles["solution"], heuristic_link_scorer,
-        enc_cfg=small_enc, jobs=4,
-    )
-    assert pairs_to_jsonl(serial) == pairs_to_jsonl(threaded)
-
-
 def test_extraction_splits_and_embeds_each_dialog_once(labeled_corpus, small_bundles, small_enc, monkeypatch):
     log = labeled_corpus.logs["alpha"]
     n_dialogs = len(assemble_dialogs(log, heuristic_link_scorer))
@@ -518,6 +505,29 @@ def test_extraction_splits_and_embeds_each_dialog_once(labeled_corpus, small_bun
     )
     assert len(pairs) == n_dialogs
     assert calls == {"split_head_body": n_dialogs, "examples_for": n_dialogs}
+
+
+def test_extraction_encodes_only_multi_utterance_heads_again(labeled_corpus, small_bundles, small_enc, monkeypatch):
+    from chatmine import encoder as enc
+
+    log = labeled_corpus.logs["alpha"]
+    dialogs = assemble_dialogs(log, heuristic_link_scorer)
+    multi_heads = sum(len(dis.split_head_body(d, log).head_indices) > 1 for d in dialogs)
+    assert 0 < multi_heads < len(dialogs)
+    calls = Counter()
+    encode = enc.encode_tokens
+
+    def counted(*a, **k):
+        calls["encode"] += 1
+        return encode(*a, **k)
+
+    monkeypatch.setattr(enc, "encode_tokens", counted)
+    monkeypatch.setattr(mdl, "predict_proba", lambda *a, **k: 0.9)
+    assemble_pairs(
+        log, small_bundles["issue"], small_bundles["solution"], heuristic_link_scorer,
+        enc_cfg=small_enc,
+    )
+    assert calls["encode"] == len(log.utterances) + multi_heads
 
 
 def test_pairs_to_jsonl_round_trips_as_json(labeled_corpus, small_bundles, small_enc):

@@ -134,6 +134,108 @@ def test_conv_pool_rejects_short_sequence():
         nn.conv1d_maxpool(nn.tensor(np.zeros(2)), nn.tensor(np.zeros((1, 3))), nn.tensor(np.zeros(1)))
 
 
+def window_major_conv_pool(x, kernels, bias, g):
+    """The window-major form the kernel-major conv-pool replaced: all
+    (n-h+1, m) pre-activations, ReLU, then the first argmax down each
+    column. Returns the output and the kernel, bias and x gradients for
+    upstream gradient ``g``."""
+    n = len(x)
+    m, h = kernels.shape
+    windows = np.lib.stride_tricks.sliding_window_view(x, h)
+    pre = windows @ kernels.T + bias
+    act = np.maximum(pre, 0.0)
+    win_idx = act.argmax(axis=0)
+    cols = np.arange(m)
+    gk = g * (pre[win_idx, cols] > 0.0)
+    gx = np.zeros(n)
+    np.add.at(gx, win_idx[:, None] + np.arange(h)[None, :], gk[:, None] * kernels)
+    return act[win_idx, cols], gk[:, None] * windows[win_idx], gk, gx
+
+
+def conv_pool_with_grads(x, kernels, bias, g):
+    xp, kp, bp = nn.Parameter("x", x), nn.Parameter("k", kernels), nn.Parameter("b", bias)
+    out = nn.conv1d_maxpool(xp, kp, bp)
+    (out * nn.tensor(g)).sum().backward()
+    return out.data, kp.grad, bp.grad, xp.grad
+
+
+def assert_matches_window_major(x, kernels, bias, g):
+    got = conv_pool_with_grads(x, kernels, bias, g)
+    want = window_major_conv_pool(x, kernels, bias, g)
+    for name, a, b in zip(("out", "kernel grad", "bias grad", "x grad"), got, want):
+        assert np.array_equal(a, b), name
+    return got
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+@pytest.mark.parametrize("n", [40, 800])
+def test_conv_pool_is_bit_identical_to_window_major_across_blocks(h, n):
+    rng = np.random.default_rng(10 * n + h)
+    m = 2 * nn._CONV_BLOCK + 5
+    x = rng.normal(size=n)
+    k = rng.normal(size=(m, h))
+    b = rng.normal(size=m) * 2.0  # some kernels dead, most alive
+    out, *_ = assert_matches_window_major(x, k, b, rng.normal(size=m))
+    assert 0 < np.count_nonzero(out) < m
+
+
+def test_conv_pool_tie_keeps_first_window_across_blocks():
+    # period-3 input: windows t and t+3 are equal, so every kernel ties
+    rng = np.random.default_rng(4)
+    m = 2 * nn._CONV_BLOCK + 5
+    x = np.tile([0.5, -1.0, 2.0], 20)
+    k = rng.normal(size=(m, 3))
+    _, _, _, gx = assert_matches_window_major(x, k, np.full(m, 5.0), rng.normal(size=m))
+    assert np.all(gx[5:] == 0.0)  # winners start at t in {0, 1, 2}
+
+
+def test_conv_pool_dead_kernels_route_nothing():
+    rng = np.random.default_rng(5)
+    m = nn._CONV_BLOCK + 7
+    x = rng.normal(size=50)
+    b = np.full(m, -100.0)
+    b[::3] = 0.5  # every third kernel stays alive
+    out, gk, gb, _ = assert_matches_window_major(x, rng.normal(size=(m, 3)), b, np.ones(m))
+    dead = b < 0
+    assert np.all(out[dead] == 0.0)
+    assert np.all(gk[dead] == 0.0) and np.all(gb[dead] == 0.0)
+
+
+def test_conv_pool_matches_window_major_on_a_trained_stack():
+    from pathlib import Path
+
+    from chatmine.checkpoint import load_checkpoint
+    from chatmine.encoder import EncoderConfig, encode_tokens
+
+    ckpt = Path(__file__).resolve().parent.parent / "perfbench" / "checkpoints" / "issue.ckpt"
+    params = load_checkpoint(ckpt).params
+    x = encode_tokens(("build", "fails", "after", "the", "upgrade"), EncoderConfig(), None)
+    assert x.shape == (800,)
+    rng = np.random.default_rng(6)
+    for i, m in enumerate((1024, 512, 256), 1):
+        k, b = params[f"conv{i}.w"], params[f"conv{i}.b"]
+        assert k.shape == (m, 3)
+        x, *_ = assert_matches_window_major(x, k, b, rng.normal(size=m))
+
+
+def test_conv_pool_graph_holds_no_window_by_kernel_array():
+    import tracemalloc
+
+    rng = np.random.default_rng(7)
+    x = nn.tensor(rng.normal(size=800))
+    k = nn.Parameter("k", rng.normal(size=(1024, 3)))
+    b = nn.Parameter("b", rng.normal(size=1024))
+    tracemalloc.start()
+    try:
+        out = nn.conv1d_maxpool(x, k, b)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    # the (798, 1024) pre-activations alone would be 6.5 MB
+    assert held < 1_000_000, held
+
+
 # -- losses ----------------------------------------------------------------
 
 
