@@ -8,11 +8,13 @@ load → save byte-identical, which the reproducibility checks rely on.
 """
 
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from . import nn
 from .errors import DataError
 
 FORMAT_VERSION = 1
@@ -51,14 +53,28 @@ class Checkpoint:
         self.manifest = manifest
         self.params = params  # name -> float64 ndarray
 
-    def require(self, names):
-        """Fail loudly when the manifest lacks an expected parameter."""
-        missing = [n for n in names if n not in self.params]
-        if missing:
+    def field(self, name, build):
+        """``build`` applied to a manifest field; a DataError naming the
+        field when it is missing or ``build`` rejects it."""
+        try:
+            return build(self.manifest[name])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(
-                "checkpoint missing parameter(s): " + ", ".join(sorted(missing))
-            )
-        return self
+                f"checkpoint manifest field {name!r} missing or malformed ({exc})"
+            ) from exc
+
+    def require(self, shapes):
+        """The expected parameters (name -> shape) as a name -> Parameter
+        dict; a DataError names any that is missing or of another shape."""
+        for name, shape in shapes.items():
+            if name not in self.params:
+                raise DataError(f"checkpoint missing parameter {name!r}")
+            if self.params[name].shape != tuple(shape):
+                raise DataError(
+                    f"checkpoint parameter {name!r} has shape "
+                    f"{list(self.params[name].shape)}, expected {list(shape)}"
+                )
+        return {name: nn.Parameter(name, self.params[name]) for name in shapes}
 
 
 _ENTRY_FIELDS = (
@@ -101,6 +117,8 @@ def load_checkpoint(path):
     if manifest.get("dtype") != "float32":
         raise DataError(f"checkpoint dtype {manifest.get('dtype')!r} unsupported")
     blob = raw[4 + mlen :]
+    if len(blob) % 4:
+        raise DataError(f"checkpoint blob of {len(blob)} bytes is not whole float32 values: {p}")
     values = np.frombuffer(blob, dtype="<f4")
     params = {}
     entries = manifest.get("params", [])
@@ -108,7 +126,7 @@ def load_checkpoint(path):
         raise DataError("checkpoint manifest field 'params' is not a list")
     for entry in entries:
         name, shape, offset = _param_entry(entry)
-        size = int(np.prod(shape)) if shape else 1
+        size = math.prod(shape)
         if offset + size > values.size:
             raise DataError(f"checkpoint blob too short for parameter {name!r}")
         params[name] = (

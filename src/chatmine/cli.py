@@ -26,7 +26,6 @@ from .corpus import (
 )
 from .errors import ConfigError, ContractViolation, DataError
 from .evaluation import cross_project_evaluate
-from .features import ConvStackSpec
 from .gradcheck import run_standard_checks
 from .model import ModelConfig
 
@@ -176,7 +175,7 @@ def _cmd_train(args, file_cfg):
         params, history = disentangle.train_link_scorer(
             examples, hidden=args.link_hidden, seed=args.seed, **epochs
         )
-        disentangle.save_link_checkpoint(args.out, params, args.link_hidden)
+        disentangle.save_link_checkpoint(args.out, params)
         _log(f"link scorer loss: {' '.join(f'{h:.4f}' for h in history)}")
         return 0
     cfg = _model_cfg(args, file_cfg)
@@ -243,8 +242,7 @@ def _cmd_eval(args, file_cfg):
 
 
 def _cmd_gradcheck(args, file_cfg):
-    seeds = tuple(int(s) for s in args.seeds.split(","))
-    reports = run_standard_checks(seeds=seeds, tolerance=args.tol, step=args.step)
+    reports = run_standard_checks(seeds=args.seeds, tolerance=args.tol, step=args.step)
     failed = [r for r in reports if not r.passed]
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
@@ -263,14 +261,51 @@ def _cmd_gradcheck(args, file_cfg):
 # -- wiring ----------------------------------------------------------------
 
 
+def _int_at_least(least):
+    """argparse type: a decimal integer no smaller than ``least``."""
+
+    def parse(text):
+        if not text.isdecimal() or int(text) < least:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+        return int(text)
+
+    return parse
+
+
+def _positive_float(text):
+    value = float(text)
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
+
+
+def _seed_list(text):
+    return tuple(_int_at_least(0)(s) for s in text.split(","))
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="chatmine",
         description="Mine issue-solution pairs from developer chat logs.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="global random seed")
+    parser.add_argument("--seed", type=_int_at_least(0), default=0, help="global random seed")
     parser.add_argument("--config", help="key=value config file")
     sub = parser.add_subparsers(dest="verb", required=True)
+
+    encoder_flags = argparse.ArgumentParser(add_help=False)
+    encoder_flags.add_argument("--encoder-dim", type=int)
+    encoder_flags.add_argument("--encoder-provider", choices=("hash", "table"))
+    encoder_flags.add_argument("--encoder-table")
+
+    model_flags = argparse.ArgumentParser(add_help=False)
+    model_flags.add_argument("--epochs", type=int)
+    model_flags.add_argument("--batch-size", type=int)
+    model_flags.add_argument("--dropout", type=float)
+    model_flags.add_argument("--lr", type=float)
+    model_flags.add_argument("--patience", type=int)
+    model_flags.add_argument("--issue-threshold", type=float)
+    model_flags.add_argument("--solution-threshold", type=float)
+    model_flags.add_argument("--balance", action="store_true")
 
     p = sub.add_parser("preprocess", help="normalize and repair a raw chat log")
     p.add_argument("--input", required=True)
@@ -290,25 +325,18 @@ def build_parser():
     p.add_argument("--lookback", type=int, default=50)
     p.set_defaults(func=_cmd_disentangle)
 
-    p = sub.add_parser("train", help="train the issue, solution, or link model")
+    p = sub.add_parser(
+        "train", parents=[model_flags, encoder_flags], help="train the issue, solution, or link model"
+    )
     p.add_argument("--data", required=True)
     p.add_argument("--target", required=True, choices=("issue", "solution", "link"))
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--issue-threshold", type=float)
-    p.add_argument("--solution-threshold", type=float)
-    p.add_argument("--balance", action="store_true")
-    p.add_argument("--link-hidden", type=int, default=disentangle.LINK_HIDDEN)
-    p.add_argument("--encoder-dim", type=int)
-    p.add_argument("--encoder-provider", choices=("hash", "table"))
-    p.add_argument("--encoder-table")
+    p.add_argument("--link-hidden", type=_int_at_least(1), default=disentangle.LINK_HIDDEN)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("extract", help="chat log + checkpoints -> issue-solution pairs")
+    p = sub.add_parser(
+        "extract", parents=[encoder_flags], help="chat log + checkpoints -> issue-solution pairs"
+    )
     p.add_argument("--input", required=True)
     p.add_argument("--issue-ckpt", required=True)
     p.add_argument("--solution-ckpt", required=True)
@@ -317,31 +345,19 @@ def build_parser():
     p.add_argument("--link-ckpt")
     p.add_argument("--issue-threshold", type=float)
     p.add_argument("--solution-threshold", type=float)
-    p.add_argument("--encoder-dim", type=int)
-    p.add_argument("--encoder-provider", choices=("hash", "table"))
-    p.add_argument("--encoder-table")
     p.set_defaults(func=_cmd_extract)
 
-    p = sub.add_parser("eval", help="cross-project evaluation of both models")
+    p = sub.add_parser(
+        "eval", parents=[model_flags, encoder_flags], help="cross-project evaluation of both models"
+    )
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--issue-threshold", type=float)
-    p.add_argument("--solution-threshold", type=float)
-    p.add_argument("--balance", action="store_true")
-    p.add_argument("--encoder-dim", type=int)
-    p.add_argument("--encoder-provider", choices=("hash", "table"))
-    p.add_argument("--encoder-table")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all fragments")
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--step", type=float, default=1e-5)
-    p.add_argument("--seeds", default="1,2,3")
+    p.add_argument("--tol", type=_positive_float, default=1e-4)
+    p.add_argument("--step", type=_positive_float, default=1e-5)
+    p.add_argument("--seeds", type=_seed_list, default="1,2,3")
     p.set_defaults(func=_cmd_gradcheck)
     return parser
 

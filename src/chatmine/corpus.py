@@ -47,7 +47,7 @@ def raw_message(record, where):
     the wrong type."""
     try:
         raw = RawMessage(int(record["time"]), record["id"], record["text"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{where}: bad utterance ({exc})") from exc
     if not isinstance(raw.author_id, str) or not isinstance(raw.text, str):
         raise DataError(f"{where}: bad utterance (id and text must be strings)")
@@ -100,36 +100,29 @@ class SkippedLine:
     reason: str
 
 
-def _path_or_bundled(path, name):
-    return str(path) if path is not None else str(lexicons.data_path(name))
-
-
 @lru_cache(maxsize=8)
-def _resources(rules_p, acro_p, emoji_p, stop_p, lemma_p):
-    acronyms = {k.lower(): v for k, v in lexicons.load_map(acro_p).items()}
+def _resources(cfg):
+    """The compiled normalization lexicons of a PreprocessConfig."""
+
+    def path(value, name):
+        return value if value is not None else lexicons.data_path(name)
+
+    acronyms = {
+        k.lower(): v for k, v in lexicons.load_map(path(cfg.acronyms_path, "acronyms.tsv")).items()
+    }
     keys = sorted(acronyms, key=len, reverse=True)
     acro_re = re.compile(
         r"\b(?:" + "|".join(re.escape(k) for k in keys) + r")\b", re.IGNORECASE
     ) if keys else None
-    emoji = lexicons.load_map(emoji_p)
+    emoji = lexicons.load_map(path(cfg.emoji_path, "emoji.tsv"))
     return {
-        "rules": lexicons.load_rules(rules_p),
+        "rules": lexicons.load_rules(path(cfg.placeholder_rules_path, "placeholder_rules.tsv")),
         "acro_re": acro_re,
         "acronyms": acronyms,
         "emoji": sorted(emoji.items(), key=lambda kv: (-len(kv[0]), kv[0])),
-        "stopwords": frozenset(lexicons.load_wordlist(stop_p)),
-        "lemma": lexicons.load_lemma_rules(lemma_p),
+        "stopwords": frozenset(lexicons.load_wordlist(path(cfg.stopwords_path, "stopwords.txt"))),
+        "lemma": lexicons.load_lemma_rules(path(cfg.lemma_rules_path, "lemma_rules.tsv")),
     }
-
-
-def _resources_for(cfg):
-    return _resources(
-        _path_or_bundled(cfg.placeholder_rules_path, "placeholder_rules.tsv"),
-        _path_or_bundled(cfg.acronyms_path, "acronyms.tsv"),
-        _path_or_bundled(cfg.emoji_path, "emoji.tsv"),
-        _path_or_bundled(cfg.stopwords_path, "stopwords.txt"),
-        _path_or_bundled(cfg.lemma_rules_path, "lemma_rules.tsv"),
-    )
 
 
 def _outside_placeholders(text, fn):
@@ -148,7 +141,7 @@ def preprocess_utterance(raw, cfg, index=0):
     """Normalize one message. Stage order matters: placeholders first (URLs
     before emails), then shorthand expansion, emoticons, lowercasing outside
     placeholders, lemmatization, whitespace collapse."""
-    res = _resources_for(cfg)
+    res = _resources(cfg)
     text = raw.text
     hits = Counter()
     for name, rx in res["rules"]:
@@ -449,18 +442,12 @@ def read_clean_jsonl(path, community_id=None):
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"{p}:{line_no}: invalid json") from exc
-        try:
-            utterances.append(
-                Utterance(
-                    index=len(utterances),
-                    time=int(obj["time"]),
-                    author_id=obj["id"],
-                    raw_text=obj["text"],
-                    clean_text=obj["clean_text"],
-                    tokens=tuple(obj["tokens"]),
-                    placeholders=dict(obj.get("placeholders", {})),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{p}:{line_no}: bad record ({exc})") from exc
+        raw = raw_message(obj, f"{p}:{line_no}")
+        clean, tokens, hits = obj.get("clean_text"), obj.get("tokens"), obj.get("placeholders", {})
+        if not (isinstance(clean, str) and isinstance(tokens, list) and isinstance(hits, dict)):
+            raise DataError(f"{p}:{line_no}: bad record (clean_text, tokens or placeholders)")
+        if not all(isinstance(t, str) for t in tokens):
+            raise DataError(f"{p}:{line_no}: bad record (tokens must be strings)")
+        utt = Utterance(len(utterances), raw.time, raw.author_id, raw.text, clean, tuple(tokens), hits)
+        utterances.append(utt)
     return ChatLog(community_id, utterances)

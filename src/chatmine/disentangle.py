@@ -115,35 +115,30 @@ def extract_link_features(log, child, parent):
 # -- the scorer network ----------------------------------------------------
 
 
-class LinkScorerParams:
-    """Two softsign hidden layers and a sigmoid readout."""
+def link_param_shapes(hidden):
+    """name -> shape of the scorer's tensors: two softsign hidden layers of
+    width ``hidden`` and a sigmoid readout."""
+    return {
+        "link.W1": (hidden, FEATURE_DIM),
+        "link.b1": (hidden,),
+        "link.W2": (hidden, hidden),
+        "link.b2": (hidden,),
+        "link.w3": (hidden,),
+        "link.b3": (),
+    }
 
-    def __init__(self, W1, b1, W2, b2, w3, b3):
-        self.W1, self.b1 = W1, b1
-        self.W2, self.b2 = W2, b2
-        self.w3, self.b3 = w3, b3
 
-    @classmethod
-    def init(cls, rng, input_dim=FEATURE_DIM, hidden=LINK_HIDDEN):
-        return cls(
-            nn.Parameter("link.W1", nn.glorot_uniform(rng, (hidden, input_dim), input_dim, hidden)),
-            nn.Parameter("link.b1", np.zeros(hidden)),
-            nn.Parameter("link.W2", nn.glorot_uniform(rng, (hidden, hidden), hidden, hidden)),
-            nn.Parameter("link.b2", np.zeros(hidden)),
-            nn.Parameter("link.w3", nn.glorot_uniform(rng, (hidden,), hidden, 1)),
-            nn.Parameter("link.b3", np.zeros(())),
-        )
-
-    def params(self):
-        return {p.name: p for p in (self.W1, self.b1, self.W2, self.b2, self.w3, self.b3)}
+def init_link_params(rng, hidden):
+    """Glorot-initialized weights and zero biases."""
+    return nn.init_params(rng, link_param_shapes(hidden))
 
 
 def link_logit(features, params):
     """Graph-building forward pass; returns the pre-sigmoid scalar tensor."""
     x = nn.tensor(np.asarray(features))
-    h1 = nn.softsign(nn.linear(x, params.W1, params.b1))
-    h2 = nn.softsign(nn.linear(h1, params.W2, params.b2))
-    return (params.w3 @ h2) + params.b3
+    h1 = nn.softsign(nn.linear(x, params["link.W1"], params["link.b1"]))
+    h2 = nn.softsign(nn.linear(h1, params["link.W2"], params["link.b2"]))
+    return (params["link.w3"] @ h2) + params["link.b3"]
 
 
 def score_reply_link(features, params):
@@ -282,17 +277,19 @@ def split_head_body(dialog, log):
     )
 
 
-def save_link_checkpoint(path, params, hidden):
+def save_link_checkpoint(path, params):
     from . import checkpoint as ckpt_io
 
+    hidden = params["link.W1"].shape[0]
     ckpt_io.save_checkpoint(
-        path,
-        params.params(),
-        {"target": "link", "hidden": hidden, "feature_dim": FEATURE_DIM},
+        path, params, {"target": "link", "hidden": hidden, "feature_dim": FEATURE_DIM}
     )
 
 
 def load_link_checkpoint(path):
+    """The scorer's name -> Parameter dict; a checkpoint of another target, or
+    with parameters missing or of other shapes than its hidden width needs,
+    is a data error."""
     from . import checkpoint as ckpt_io
 
     ck = ckpt_io.load_checkpoint(path)
@@ -300,14 +297,7 @@ def load_link_checkpoint(path):
         raise DataError(
             f"expected a link checkpoint, got target {ck.manifest.get('target')!r}"
         )
-    names = ["link.W1", "link.b1", "link.W2", "link.b2", "link.w3", "link.b3"]
-    ck.require(names)
-    if ck.params["link.W1"].shape[1] != FEATURE_DIM:
-        raise DataError(
-            f"link checkpoint feature dim {ck.params['link.W1'].shape[1]} != {FEATURE_DIM}"
-        )
-    tensors = [nn.Parameter(n, ck.params[n]) for n in names]
-    return LinkScorerParams(*tensors)
+    return ck.require(link_param_shapes(ck.field("hidden", int)))
 
 
 # -- training --------------------------------------------------------------
@@ -345,7 +335,7 @@ def load_link_examples(path, pre_cfg):
         for pair in link_pairs:
             try:
                 child, parent = (int(x) for x in pair)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise DataError(f"{where}: bad link {pair!r} ({exc})") from exc
             if not 0 <= parent < child < len(utts):
                 raise DataError(f"{where}: bad link {pair}")
@@ -388,8 +378,7 @@ def train_link_scorer(
                 pairs.append((extract_link_features(log, child, p), 0.0))
     if not pairs:
         raise DataError("no link training pairs")
-    params = LinkScorerParams.init(rng, hidden=hidden)
-    pdict = params.params()
+    params = init_link_params(rng, hidden)
     state = nn.AdamState(lr=lr)
     history = []
     order = np.arange(len(pairs))
@@ -405,6 +394,6 @@ def train_link_scorer(
                 # BCE on the logit: softplus(-z) for positives, softplus(z)
                 # for negatives
                 losses.append(nn.softplus(-z) if label == 1.0 else nn.softplus(z))
-            total += nn.train_step(losses, pdict, state) * len(batch)
+            total += nn.train_step(losses, params, state) * len(batch)
         history.append(total / len(order))
     return params, history

@@ -118,12 +118,7 @@ def evaluate_fold(corpus, test_project, train_projects, cfg, enc_cfg=None, conv_
     test_corpus = _subset(corpus, [test_project])
     results = {}
     for target, threshold_name in (("issue", "issue_threshold"), ("solution", "solution_threshold")):
-        trained = train_model(train_corpus, target, cfg, enc_cfg, conv_spec)
-        from .model import ModelBundle
-
-        bundle = ModelBundle(
-            trained.params, trained.heur_stats, target, cfg, conv_spec
-        )
+        bundle = train_model(train_corpus, target, cfg, enc_cfg, conv_spec)
         examples = build_examples(test_corpus, target, enc_cfg)
         counts = confusion_from_examples(
             examples, bundle, getattr(cfg, threshold_name)

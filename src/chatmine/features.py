@@ -14,6 +14,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,17 +57,19 @@ class ConvStackSpec:
         return self.kernel_counts[-1]
 
 
+def conv_param_shapes(spec):
+    """name -> shape of every stage's kernels and biases, stage by stage."""
+    shapes = {}
+    for i, m in enumerate(spec.kernel_counts, 1):
+        shapes[f"conv{i}.w"] = (m, spec.kernel_size)
+        shapes[f"conv{i}.b"] = (m,)
+    return shapes
+
+
 def init_conv_params(rng, spec, input_len):
     """Glorot-initialized kernels and zero biases for every stage."""
     spec.validate_input_len(input_len)
-    h = spec.kernel_size
-    params = {}
-    for i, m in enumerate(spec.kernel_counts, 1):
-        params[f"conv{i}.w"] = nn.Parameter(
-            f"conv{i}.w", nn.glorot_uniform(rng, (m, h), h, m)
-        )
-        params[f"conv{i}.b"] = nn.Parameter(f"conv{i}.b", np.zeros(m))
-    return params
+    return nn.init_params(rng, conv_param_shapes(spec))
 
 
 def textual_features(vec, spec, params, dropout=0.0, rng=None):
@@ -91,20 +94,15 @@ class HeuristicLexicons:
     emoji_class: dict
 
 
-def load_heuristic_lexicons(
-    greetings_path=None,
-    disapproval_path=None,
-    sentiment_words_path=None,
-    sentiment_emojis_path=None,
-):
-    def pick(path, name):
-        return str(path) if path is not None else str(lexicons.data_path(name))
-
+@lru_cache(maxsize=None)
+def load_heuristic_lexicons():
+    """The bundled greeting, disapproval and sentiment lexicons, read once."""
+    path = lexicons.data_path
     return HeuristicLexicons(
-        greetings=lexicons.load_wordlist(pick(greetings_path, "greetings.txt")),
-        disapproval=lexicons.load_wordlist(pick(disapproval_path, "disapproval.txt")),
-        word_class=dict(lexicons.load_map(pick(sentiment_words_path, "sentiment_words.tsv"))),
-        emoji_class=dict(lexicons.load_map(pick(sentiment_emojis_path, "sentiment_emojis.tsv"))),
+        greetings=lexicons.load_wordlist(path("greetings.txt")),
+        disapproval=lexicons.load_wordlist(path("disapproval.txt")),
+        word_class=lexicons.load_map(path("sentiment_words.tsv")),
+        emoji_class=lexicons.load_map(path("sentiment_emojis.tsv")),
     )
 
 
@@ -267,29 +265,21 @@ def standardize_heuristics(vec, stats):
 # -- local attention -------------------------------------------------------
 
 
-class AttentionParams:
-    """Query/key/value projections from the encoder width down to the
-    context width."""
+def attention_param_shapes(input_dim):
+    """name -> shape of the query/key/value projections from the encoder
+    width down to the context width."""
+    return dict.fromkeys(("attn.wq", "attn.wk", "attn.wv"), (CONTEXT_DIM, input_dim))
 
-    def __init__(self, Wq, Wk, Wv):
-        self.Wq, self.Wk, self.Wv = Wq, Wk, Wv
 
-    @classmethod
-    def init(cls, rng, input_dim, context_dim=CONTEXT_DIM, tied_qk=False):
-        Wq = nn.Parameter(
-            "attn.wq", nn.glorot_uniform(rng, (context_dim, input_dim), input_dim, context_dim)
-        )
-        Wk = nn.Parameter(
-            "attn.wk",
-            Wq.data.copy() if tied_qk else nn.glorot_uniform(rng, (context_dim, input_dim), input_dim, context_dim),
-        )
-        Wv = nn.Parameter(
-            "attn.wv", nn.glorot_uniform(rng, (context_dim, input_dim), input_dim, context_dim)
-        )
-        return cls(Wq, Wk, Wv)
-
-    def params(self):
-        return {p.name: p for p in (self.Wq, self.Wk, self.Wv)}
+def init_attention_params(rng, input_dim):
+    """Glorot-initialized projections. The key starts as a copy of the query,
+    so initial attention scores lean positive (the normalization is
+    score/sum, not softmax)."""
+    shapes = attention_param_shapes(input_dim)
+    del shapes["attn.wk"]  # copied, not drawn
+    params = nn.init_params(rng, shapes)
+    params["attn.wk"] = nn.Parameter("attn.wk", params["attn.wq"].data.copy())
+    return params
 
 
 def local_attention(win, params):
@@ -299,23 +289,25 @@ def local_attention(win, params):
     (2k²)); weights are score / Σscore exactly as written, padded slots
     excluded. When the score sum is not positive the weights fall back to
     uniform over the non-pad slots. The context is Σ a_s·h_V(s) / sqrt(d).
+    ``params`` holds the projections attn.wq, attn.wk and attn.wv.
     """
     n_slots, dim = win.vectors.shape
     k = (n_slots - 1) // 2
     center = k
     if not win.pad_mask[center]:
         raise ContractViolation("window center is padded")
+    wq, wk, wv = params["attn.wq"], params["attn.wk"], params["attn.wv"]
     u_i = nn.tensor(win.vectors[center])
-    h_q = params.Wq @ u_i
+    h_q = wq @ u_i
     live = [s for s in range(n_slots) if win.pad_mask[s]]
     scores = []
     values = []
     for s in live:
         u_s = nn.tensor(win.vectors[s])
-        h_k = params.Wk @ u_s
+        h_k = wk @ u_s
         gauss = 1.0 if s == center else math.exp(-((s - center) ** 2) / (2.0 * k * k))
         scores.append((h_q @ h_k) * gauss)
-        values.append(params.Wv @ u_s)
+        values.append(wv @ u_s)
     total = scores[0]
     for s in scores[1:]:
         total = total + s

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import nn
 from .encoder import LocalWindow
-from .features import AttentionParams, local_attention
+from .features import local_attention
 
 DEFAULT_STEP = 1e-5
 DEFAULT_TOLERANCE = 1e-4
@@ -199,12 +199,11 @@ def _frag_local_attention(seed, dim=16, context_dim=8):
         return total > 0.05
 
     vecs, Wq, Wk, Wv, r = _resample(seed, build, ok)
-    p = AttentionParams(
-        nn.Parameter("attn.wq", Wq), nn.Parameter("attn.wk", Wk), nn.Parameter("attn.wv", Wv)
-    )
+    params = {
+        name: nn.Parameter(name, w) for name, w in (("attn.wq", Wq), ("attn.wk", Wk), ("attn.wv", Wv))
+    }
     win = LocalWindow(center=1, vectors=vecs, pad_mask=(True, True, True))
-    params = p.params()
-    return params, lambda: (local_attention(win, p) * nn.tensor(r)).sum()
+    return params, lambda: (local_attention(win, params) * nn.tensor(r)).sum()
 
 
 def _frag_fc_head(seed, fused_dim=413, hidden=64, classes=2):

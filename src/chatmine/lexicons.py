@@ -7,7 +7,6 @@ config may point at edited copies.
 """
 
 import re
-from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -32,13 +31,11 @@ def _read_lines(path):
     return out
 
 
-@lru_cache(maxsize=None)
 def load_wordlist(path):
     """One term per line; returns a tuple preserving file order."""
     return tuple(line.strip() for line in _read_lines(path))
 
 
-@lru_cache(maxsize=None)
 def load_map(path):
     """``key<TAB>value`` per line; later duplicates win."""
     table = {}
@@ -50,7 +47,6 @@ def load_map(path):
     return table
 
 
-@lru_cache(maxsize=None)
 def load_rules(path):
     """Ordered ``name<TAB>regex`` rules, compiled."""
     rules = []
@@ -65,7 +61,6 @@ def load_rules(path):
 _VOWELS = set("aeiou")
 
 
-@lru_cache(maxsize=None)
 def load_lemma_rules(path):
     """Parse the lemma rule table: ``!word`` exception lines, then ordered
     ``suffix<TAB>replacement<TAB>min_stem<TAB>flags`` rules (flags: ``fix``

@@ -27,13 +27,15 @@ from .errors import ConfigError, ContractViolation, DataError
 from .features import (
     CONTEXT_DIM,
     HEURISTIC_DIM,
-    AttentionParams,
     ConvStackSpec,
     HeuristicStats,
     TopicStats,
+    attention_param_shapes,
+    conv_param_shapes,
     fit_heuristic_stats,
     fuse_features,
     heuristic_attributes,
+    init_attention_params,
     init_conv_params,
     load_heuristic_lexicons,
     local_attention,
@@ -113,10 +115,17 @@ def load_labeled_dialogs(path, pre_cfg):
             community = obj["community_id"]
             raw_utts = obj["utterances"]
             y_issue = int(obj["y_issue"])
-        except (KeyError, TypeError, ValueError) as exc:
+            raw_ys = obj.get("y_solution", [])
+            y_solution = tuple(int(y) for y in raw_ys)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"{p}:{line_no}: bad record ({exc})") from exc
-        if not isinstance(raw_utts, list):
-            raise DataError(f"{p}:{line_no}: bad record (utterances must be a list)")
+        if not (
+            isinstance(community, str) and isinstance(raw_utts, list) and isinstance(raw_ys, list)
+        ):
+            raise DataError(
+                f"{p}:{line_no}: bad record (community_id must be a string, "
+                "utterances and y_solution lists)"
+            )
         if y_issue not in (0, 1):
             raise DataError(f"{p}:{line_no}: y_issue must be 0 or 1")
         if not raw_utts:
@@ -130,7 +139,6 @@ def load_labeled_dialogs(path, pre_cfg):
             members.append(u.index)
         dialog = Dialog(subject=members[0], members=tuple(members), links=())
         parts = split_head_body(dialog, log)
-        y_solution = tuple(int(y) for y in obj.get("y_solution", ()))
         if y_issue == 1:
             if len(y_solution) != len(parts.body_indices):
                 raise DataError(
@@ -166,16 +174,12 @@ class DialogEmbedder:
     yields (head example, body examples) per dialog. Pure and reusable
     across dialogs of the same chat."""
 
-    def __init__(self, chat, enc_cfg, lex=None, table=None):
+    def __init__(self, chat, enc_cfg):
         self.chat = chat
         self.enc_cfg = enc_cfg
-        self.lex = lex if lex is not None else load_heuristic_lexicons()
-        self.table = table
+        self.lex = load_heuristic_lexicons()
         self.stats = TopicStats(chat)
-        self.vecs = {
-            u.index: enc.encode_tokens(u.tokens, enc_cfg, table)
-            for u in chat.utterances
-        }
+        self.vecs = {u.index: enc.encode_tokens(u.tokens, enc_cfg) for u in chat.utterances}
 
     def _head_utterance(self, dialog, parts):
         subject = self.chat.utterances[dialog.subject]
@@ -202,7 +206,7 @@ class DialogEmbedder:
         if len(parts.head_indices) == 1:  # its tokens are that utterance's
             head_vec = self.vecs[parts.head_indices[0]]
         else:
-            head_vec = enc.encode_tokens(parts.head_tokens, self.enc_cfg, self.table)
+            head_vec = enc.encode_tokens(parts.head_tokens, self.enc_cfg)
         seq = [head_vec] + [self.vecs[i] for i in parts.body_indices]
         k = self.enc_cfg.window_k
         head_key = ("head", self.chat.community_id, dialog.subject)
@@ -238,27 +242,29 @@ class DialogEmbedder:
 # -- parameters and forward pass ------------------------------------------
 
 
-def init_model_params(rng, enc_dim, conv_spec, fc_hidden=FC_HIDDEN):
-    """All trainable tensors, keyed by name. Query and key projections start
-    from the same matrix so initial attention scores lean positive (the
-    normalization in the attention layer is score/sum, not softmax)."""
-    params = init_conv_params(rng, conv_spec, enc_dim)
-    attn = AttentionParams.init(rng, enc_dim, CONTEXT_DIM, tied_qk=True)
-    params.update(attn.params())
+def model_param_shapes(enc_dim, conv_spec):
+    """name -> shape of every trainable tensor: the conv stack, attention and
+    the FC head. Checkpoints are checked against it."""
     fused = conv_spec.kernel_counts[-1] + HEURISTIC_DIM + CONTEXT_DIM
-    params["fc1.w"] = nn.Parameter(
-        "fc1.w", nn.glorot_uniform(rng, (fc_hidden, fused), fused, fc_hidden)
-    )
-    params["fc1.b"] = nn.Parameter("fc1.b", np.zeros(fc_hidden))
-    params["fc2.w"] = nn.Parameter(
-        "fc2.w", nn.glorot_uniform(rng, (N_CLASSES, fc_hidden), fc_hidden, N_CLASSES)
-    )
-    params["fc2.b"] = nn.Parameter("fc2.b", np.zeros(N_CLASSES))
+    return {
+        **conv_param_shapes(conv_spec),
+        **attention_param_shapes(enc_dim),
+        "fc1.w": (FC_HIDDEN, fused),
+        "fc1.b": (FC_HIDDEN,),
+        "fc2.w": (N_CLASSES, FC_HIDDEN),
+        "fc2.b": (N_CLASSES,),
+    }
+
+
+def init_model_params(rng, enc_dim, conv_spec):
+    """All trainable tensors, keyed by name and shaped as model_param_shapes
+    says: the conv stack, attention (query and key tied), then the FC head,
+    drawn from ``rng`` in that order."""
+    params = init_conv_params(rng, conv_spec, enc_dim)
+    params.update(init_attention_params(rng, enc_dim))
+    shapes = model_param_shapes(enc_dim, conv_spec)
+    params.update(nn.init_params(rng, {n: s for n, s in shapes.items() if n not in params}))
     return params
-
-
-def _attn_from(params):
-    return AttentionParams(params["attn.wq"], params["attn.wk"], params["attn.wv"])
 
 
 def forward_logits(example, params, conv_spec, heur_stats, cfg, rng=None, training=False):
@@ -268,7 +274,7 @@ def forward_logits(example, params, conv_spec, heur_stats, cfg, rng=None, traini
     p_drop = cfg.dropout if training else 0.0
     k = (len(example.window.pad_mask) - 1) // 2
     x = textual_features(example.window.vectors[k], conv_spec, params, p_drop, rng)
-    ctx = local_attention(example.window, _attn_from(params))
+    ctx = local_attention(example.window, params)
     fused = fuse_features(x, example.heur, ctx, heur_stats)
     h = nn.relu(nn.linear(fused, params["fc1.w"], params["fc1.b"]))
     h = nn.dropout(h, p_drop, rng)
@@ -306,26 +312,35 @@ class EarlyStopper:
 
 
 @dataclass
-class TrainResult:
+class ModelBundle:
+    """A model ready for inference, loaded from a checkpoint or just trained."""
+
     params: dict
     heur_stats: HeuristicStats
     target: str
     cfg: ModelConfig
-    enc_cfg: enc.EncoderConfig
     conv_spec: ConvStackSpec
+
+    def proba(self, example):
+        return predict_proba(example, self.params, self.conv_spec, self.heur_stats, self.cfg)
+
+
+@dataclass
+class TrainResult(ModelBundle):
+    """A trained model plus what its checkpoint records about training."""
+
+    enc_cfg: enc.EncoderConfig
     history: list = field(default_factory=list)  # (train_loss, val_loss)
     best_epoch: int = 0
 
 
-def build_examples(corpus, target, enc_cfg, lex=None):
+def build_examples(corpus, target, enc_cfg):
     """Flatten the labeled corpus into classifier examples. Issue: one per
     dialog, labeled with y_issue. Solution: one per body utterance of
     issue-positive dialogs, labeled with y_solution."""
     if target not in TARGETS:
         raise ConfigError(f"unknown target {target!r}")
-    embedders = {
-        cid: DialogEmbedder(log, enc_cfg, lex) for cid, log in corpus.logs.items()
-    }
+    embedders = {cid: DialogEmbedder(log, enc_cfg) for cid, log in corpus.logs.items()}
     examples = []
     for ld in corpus.dialogs:
         emb = embedders[ld.community_id]
@@ -352,7 +367,6 @@ def train_model(
     cfg,
     enc_cfg=None,
     conv_spec=None,
-    lex=None,
     log_fn=None,
 ):
     """Fit one model; bit-reproducible given (corpus, target, cfg). Raises a
@@ -362,7 +376,7 @@ def train_model(
 
     enc_cfg = enc_cfg if enc_cfg is not None else enc.EncoderConfig()
     conv_spec = conv_spec if conv_spec is not None else ConvStackSpec()
-    examples = build_examples(corpus, target, enc_cfg, lex)
+    examples = build_examples(corpus, target, enc_cfg)
     if not examples:
         raise DataError(f"no {target} training examples")
     labels = {ex.label for ex in examples}
@@ -431,8 +445,6 @@ def train_model(
 
 # -- checkpoints -----------------------------------------------------------
 
-_EXPECTED_SUFFIXES = ("fc1.w", "fc1.b", "fc2.w", "fc2.b", "attn.wq", "attn.wk", "attn.wv")
-
 
 def save_model_checkpoint(path, result):
     enc_cfg = result.enc_cfg
@@ -454,27 +466,6 @@ def save_model_checkpoint(path, result):
     ckpt_io.save_checkpoint(path, result.params, extra)
 
 
-@dataclass
-class ModelBundle:
-    """A loaded checkpoint ready for inference."""
-
-    params: dict
-    heur_stats: HeuristicStats
-    target: str
-    cfg: ModelConfig
-    conv_spec: ConvStackSpec
-
-    def proba(self, example):
-        return predict_proba(example, self.params, self.conv_spec, self.heur_stats, self.cfg)
-
-
-def _manifest_field(man, name, build):
-    try:
-        return build(man[name])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"checkpoint manifest field {name!r} missing or malformed ({exc})") from exc
-
-
 def _heuristic_stats(d):
     stats = HeuristicStats(tuple(map(float, d["mean"])), tuple(map(float, d["std"])))
     if len(stats.mean) != HEURISTIC_DIM or len(stats.std) != HEURISTIC_DIM:
@@ -485,7 +476,8 @@ def _heuristic_stats(d):
 def load_model_checkpoint(path, enc_cfg, target=None):
     """Load and validate against the runtime encoder configuration and, when
     given, the expected target; a checkpoint of another target, stale
-    encoder settings, or missing parameters or manifest fields fail loudly."""
+    encoder settings, missing or misshapen parameters, or missing manifest
+    fields fail loudly."""
     ck = ckpt_io.load_checkpoint(path)
     man = ck.manifest
     found = man.get("target")
@@ -506,15 +498,12 @@ def load_model_checkpoint(path, enc_cfg, target=None):
             "checkpoint encoder fingerprint does not match runtime encoder"
             + (f" (differs in: {', '.join(mismatched)})" if mismatched else " (table contents changed)")
         )
-    spec = _manifest_field(
-        man, "conv_spec", lambda d: ConvStackSpec(tuple(d["kernel_counts"]), d["kernel_size"])
+    spec = ck.field(
+        "conv_spec", lambda d: ConvStackSpec(tuple(d["kernel_counts"]), d["kernel_size"])
     )
-    expected = [f"conv{i}.{s}" for i in range(1, len(spec.kernel_counts) + 1) for s in ("w", "b")]
-    expected += list(_EXPECTED_SUFFIXES)
-    ck.require(expected)
-    params = {name: nn.Parameter(name, arr) for name, arr in ck.params.items()}
-    stats = _manifest_field(man, "heuristic_stats", _heuristic_stats)
-    cfg = _manifest_field(man, "model_config", lambda d: ModelConfig(**d))
+    params = ck.require(model_param_shapes(enc_cfg.dim, spec))
+    stats = ck.field("heuristic_stats", _heuristic_stats)
+    cfg = ck.field("model_config", lambda d: ModelConfig(**d))
     return ModelBundle(params, stats, found, cfg, spec)
 
 

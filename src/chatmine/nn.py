@@ -30,6 +30,7 @@ __all__ = [
     "adam_step",
     "train_step",
     "glorot_uniform",
+    "init_params",
 ]
 
 
@@ -413,7 +414,7 @@ def adam_step(params, state):
     """Bias-corrected Adam update over named parameters; zeroes grads after."""
     state.step += 1
     t = state.step
-    for p in params.values() if isinstance(params, dict) else params:
+    for p in params.values():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         m = state.m.get(p.name)
         v = state.v.get(p.name)
@@ -440,7 +441,7 @@ def train_step(losses, params, state):
 
 
 def zero_grads(params):
-    for p in params.values() if isinstance(params, dict) else params:
+    for p in params.values():
         p.grad = None
 
 
@@ -448,3 +449,18 @@ def glorot_uniform(rng, shape, fan_in, fan_out):
     """Seeded uniform init in +-sqrt(6 / (fan_in + fan_out))."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
+
+
+def init_params(rng, shapes):
+    """name -> Parameter for each entry of ``shapes`` (name -> shape), in its
+    order. A bias, a name whose last dotted part starts with "b", starts at
+    zero; every other tensor is Glorot-uniform with fan-in its last axis and
+    fan-out its first (1 for a vector), drawn from ``rng`` in that order."""
+    params = {}
+    for name, shape in shapes.items():
+        if name.rpartition(".")[2].startswith("b"):
+            data = np.zeros(shape)
+        else:
+            data = glorot_uniform(rng, shape, shape[-1], shape[0] if len(shape) > 1 else 1)
+        params[name] = Parameter(name, data)
+    return params

@@ -13,26 +13,10 @@ from chatmine import synth
 from chatmine.corpus import PreprocessConfig
 from chatmine.encoder import EncoderConfig
 from chatmine.features import ConvStackSpec
-from chatmine.model import (
-    DialogEmbedder,
-    ModelBundle,
-    ModelConfig,
-    load_labeled_dialogs,
-    train_model,
-)
+from chatmine.model import DialogEmbedder, ModelConfig, load_labeled_dialogs, train_model
 
 CORPUS_SEED = 7
 N_DIALOGS = 40
-
-
-def bundle_from_result(res):
-    return ModelBundle(
-        params=res.params,
-        heur_stats=res.heur_stats,
-        target=res.target,
-        cfg=res.cfg,
-        conv_spec=res.conv_spec,
-    )
 
 
 @pytest.fixture(scope="session")
@@ -70,8 +54,7 @@ def small_bundles(labeled_corpus, small_enc, small_spec):
     cfg = ModelConfig(max_epochs=12, patience=4, seed=0)
     out = {}
     for target in ("issue", "solution"):
-        res = train_model(labeled_corpus, target, cfg, enc_cfg=small_enc, conv_spec=small_spec)
-        out[target] = bundle_from_result(res)
+        out[target] = train_model(labeled_corpus, target, cfg, enc_cfg=small_enc, conv_spec=small_spec)
     return out
 
 
@@ -87,13 +70,11 @@ def trained_full(labeled_corpus):
     """Full-width models trained to convergence on the fixture corpus.
     Wall-clock per target is recorded for the overfit acceptance gate."""
     cfg = ModelConfig(seed=0)
-    out = {"seconds": {}, "results": {}}
+    out = {"seconds": {}}
     for target in ("issue", "solution"):
         t0 = time.monotonic()
-        res = train_model(labeled_corpus, target, cfg)
+        out[target] = train_model(labeled_corpus, target, cfg)
         out["seconds"][target] = time.monotonic() - t0
-        out["results"][target] = res
-        out[target] = bundle_from_result(res)
     return out
 
 

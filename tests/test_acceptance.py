@@ -86,7 +86,7 @@ def test_c03_block_widths_and_attention_weight_normalization():
     heur = np.zeros(ft.HEURISTIC_DIM)
     assert heur.shape == (29,)
 
-    att = ft.AttentionParams.init(rng, input_dim=800)
+    att = ft.init_attention_params(rng, input_dim=800)
     win = build_local_window([rng.normal(size=800) for _ in range(3)], 1, k=1)
     ctx = ft.local_attention(win, att)
     assert ctx.data.shape == (ft.CONTEXT_DIM,) == (128,)
@@ -103,11 +103,11 @@ def test_c03_block_widths_and_attention_weight_normalization():
         crng = np.random.default_rng(300 + case)
         k = 1 if case % 2 == 0 else 2
         sign = -1.0 if case % 5 == 0 else 1.0  # forces the uniform branch too
-        params = ft.AttentionParams(
-            nn.Parameter("attn.wq", crng.normal(size=(dim, dim))),
-            nn.Parameter("attn.wk", sign * crng.normal(size=(dim, dim))),
-            eye,
-        )
+        params = {
+            "attn.wq": nn.Parameter("attn.wq", crng.normal(size=(dim, dim))),
+            "attn.wk": nn.Parameter("attn.wk", sign * crng.normal(size=(dim, dim))),
+            "attn.wv": eye,
+        }
         n = crng.integers(1, 2 * k + 2)  # short sequences exercise padding
         seq = [crng.normal(size=dim) for _ in range(n)]
         center = int(crng.integers(n))
@@ -120,11 +120,11 @@ def test_c03_block_widths_and_attention_weight_normalization():
         assert abs(weights.sum() - 1.0) <= 1e-9
 
     # a single live slot must pass through with weight exactly 1
-    params = ft.AttentionParams(
-        nn.Parameter("attn.wq", rng.normal(size=(dim, dim))),
-        nn.Parameter("attn.wk", rng.normal(size=(dim, dim))),
-        eye,
-    )
+    params = {
+        "attn.wq": nn.Parameter("attn.wq", rng.normal(size=(dim, dim))),
+        "attn.wk": nn.Parameter("attn.wk", rng.normal(size=(dim, dim))),
+        "attn.wv": eye,
+    }
     v = rng.normal(size=dim)
     win = build_local_window([v], 0, k=1, dim=dim)
     ctx = ft.local_attention(win, params)
@@ -139,11 +139,11 @@ def _equal_dot_weights():
     proj[0, 0] = 1.0
     selector = np.zeros((3, 4))
     selector[0, 1] = selector[1, 2] = selector[2, 3] = 1.0
-    params = ft.AttentionParams(
-        nn.Parameter("attn.wq", proj),
-        nn.Parameter("attn.wk", proj.copy()),
-        nn.Parameter("attn.wv", selector),
-    )
+    params = {
+        "attn.wq": nn.Parameter("attn.wq", proj),
+        "attn.wk": nn.Parameter("attn.wk", proj.copy()),
+        "attn.wv": nn.Parameter("attn.wv", selector),
+    }
     vecs = [
         np.array([1.0, 1.0, 0.0, 0.0]),
         np.array([1.0, 0.0, 1.0, 0.0]),
@@ -310,12 +310,10 @@ def test_c06_models_overfit_fixture_corpus(labeled_corpus, trained_full):
     ten minutes each, and training is bit-reproducible for a fixed seed."""
     enc_cfg = EncoderConfig()
     for target, threshold in (("issue", 0.5), ("solution", 0.4)):
-        res = trained_full["results"][target]
+        res = trained_full[target]
         assert len(res.history) <= ModelConfig().max_epochs
         counts = confusion_from_examples(
-            build_examples(labeled_corpus, target, enc_cfg),
-            trained_full[target],
-            threshold,
+            build_examples(labeled_corpus, target, enc_cfg), res, threshold
         )
         _, _, f1 = compute_prf(counts)
         assert f1 >= 0.95, f"{target} training F1 {f1:.3f} ({counts})"

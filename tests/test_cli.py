@@ -356,6 +356,20 @@ def test_train_on_non_list_utterances_exits_3(tmp_path, capsys):
     assert f"{data}:1: bad record" in err
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [{"y_solution": 5}, {"y_solution": [1, "x"]}, {"community_id": [1]}],
+    ids=["y-solution-int", "y-solution-entry", "community-list"],
+)
+def test_train_on_malformed_labeled_record_exits_3(tmp_path, capsys, edit):
+    record = {"community_id": "c", "utterances": GOOD_UTTS, "y_issue": 1, "y_solution": [1]}
+    data = tmp_path / "labeled.jsonl"
+    data.write_text(json.dumps({**record, **edit}) + "\n", encoding="utf-8")
+    rc = main(["train", "--data", str(data), "--target", "issue", "--out", str(tmp_path / "i.ckpt")])
+    err = assert_data_error(rc, capsys)
+    assert f"{data}:1: bad record" in err
+
+
 def rewrite_manifest(src, dst, edit):
     """Copy a checkpoint with ``edit`` applied to its parsed manifest."""
     import struct
@@ -376,6 +390,63 @@ def test_extract_with_broken_params_entry_exits_3(tmp_path, cli_ckpts, capsys, f
     )
     err = assert_data_error(extract_with_issue_ckpt(tmp_path, bad, cli_ckpts["solution"]), capsys)
     assert repr(field) in err
+
+
+def test_extract_with_partial_float_blob_exits_3(tmp_path, cli_ckpts, capsys):
+    bad = tmp_path / "issue.ckpt"
+    bad.write_bytes(cli_ckpts["issue"].read_bytes() + b"\x00")
+    err = assert_data_error(extract_with_issue_ckpt(tmp_path, bad, cli_ckpts["solution"]), capsys)
+    assert "float32" in err
+
+
+def reshape_param(name, shape):
+    def edit(manifest):
+        (entry,) = [e for e in manifest["params"] if e["name"] == name]
+        entry["shape"] = shape
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "name, shape", [("fc1.w", [413, 64]), ("conv1.b", [2, 512])], ids=["fc1.w", "conv1.b"]
+)
+def test_extract_with_misshapen_parameter_exits_3(tmp_path, cli_ckpts, capsys, name, shape):
+    bad = rewrite_manifest(cli_ckpts["issue"], tmp_path / "issue.ckpt", reshape_param(name, shape))
+    err = assert_data_error(extract_with_issue_ckpt(tmp_path, bad, cli_ckpts["solution"]), capsys)
+    assert repr(name) in err
+
+
+def test_disentangle_with_misshapen_link_parameter_exits_3(tmp_path, capsys):
+    import numpy as np
+
+    from chatmine import disentangle
+
+    good = tmp_path / "link.ckpt"
+    disentangle.save_link_checkpoint(good, disentangle.init_link_params(np.random.default_rng(0), 64))
+    bad = rewrite_manifest(good, tmp_path / "bad.ckpt", reshape_param("link.W2", [32, 128]))
+    clean = tmp_path / "clean.jsonl"
+    assert main(["preprocess", "--input", str(write_raw(tmp_path / "raw.jsonl")), "--out", str(clean)]) == 0
+    argv = ["disentangle", "--input", str(clean), "--out", str(tmp_path / "d.jsonl"), "--link-ckpt"]
+    assert main(argv + [str(good)]) == 0
+    err = assert_data_error(main(argv + [str(bad)]), capsys)
+    assert "'link.W2'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gradcheck", "--seeds", "a,b"],
+        ["gradcheck", "--step", "0"],
+        ["gradcheck", "--tol", "nan"],
+        ["train", "--data", "d", "--target", "link", "--out", "o", "--link-hidden", "-1"],
+    ],
+    ids=["gradcheck-seeds", "gradcheck-step", "gradcheck-tol", "link-hidden"],
+)
+def test_bad_numeric_flag_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_extract_with_list_encoder_config_exits_3(tmp_path, cli_ckpts, capsys):

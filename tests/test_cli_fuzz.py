@@ -1,0 +1,179 @@
+"""Fuzz gate for the command line: every verb, fed mutated JSONL records or
+truncated and byte-edited copies of the benchmark checkpoints, must end with
+exit 0, 2 or 3 and never with a traceback.
+
+Runs are in-process through main(), so an exception escaping main() is the
+traceback a user would see. Examples are derandomized: the gate checks the
+same inputs on every run.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import struct
+from pathlib import Path
+
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from chatmine import synth
+from chatmine.cli import main
+
+CKPT_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "checkpoints"
+FUZZ = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+LABELED = synth.synth_labeled_records(8, seed=3)
+LINKED = [
+    {
+        "utterances": [
+            {"time": 1000, "id": "ann", "text": "why does the build fail?"},
+            {"time": 2000, "id": "bob", "text": "clear the cache"},
+            {"time": 3000, "id": "ann", "text": "thanks, that fixed it"},
+        ],
+        "links": [[1, 0], [2, 1]],
+    }
+]
+RAW = synth.synth_raw_chat_records(2, n_dialogs=2)
+UTTERANCE_KEYS = ("time", "id", "text")
+
+
+def run(argv):
+    """(exit code, stderr) of one in-process CLI run; a usage error's
+    SystemExit counts as its exit code."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, err.getvalue()
+
+
+def assert_clean_exit(argv):
+    rc, err = run(argv)
+    event(f"{argv[0]} exit {rc}")
+    assert rc in (0, 2, 3), f"exit {rc} for {argv}: {err}"
+    assert "Traceback" not in err
+
+
+def _edit(draw, obj, keys):
+    key = draw(st.sampled_from(keys))
+    if draw(st.booleans()):
+        obj.pop(key, None)
+    else:
+        obj[key] = draw(JSON_VALUES)
+
+
+@st.composite
+def mutated_jsonl(draw, records):
+    """The records as JSONL after one edit: a field of a record or of one of
+    its utterances dropped or replaced by arbitrary JSON, or the text
+    truncated or one character replaced."""
+    records = copy.deepcopy(records)
+    rec = records[draw(st.integers(0, len(records) - 1))]
+    where = draw(st.sampled_from(("record", "utterance", "text")))
+    if where == "record":
+        _edit(draw, rec, sorted(rec) + ["extra"])
+    elif where == "utterance" and isinstance(rec.get("utterances"), list):
+        utt = rec["utterances"][draw(st.integers(0, len(rec["utterances"]) - 1))]
+        _edit(draw, utt, UTTERANCE_KEYS)
+    text = "".join(json.dumps(r) + "\n" for r in records)
+    if where == "text":
+        pos = draw(st.integers(0, len(text) - 1))
+        text = text[:pos] + draw(st.sampled_from(("", "x", "{", "]", '"', "9", "\x00")))
+        if draw(st.booleans()):
+            text += "".join(json.dumps(r) + "\n" for r in records)[pos + 1 :]
+    return text
+
+
+@st.composite
+def damaged_checkpoint(draw, name):
+    """A benchmark checkpoint truncated, with one byte replaced (mostly in
+    the length prefix or the manifest), or with one manifest field dropped or
+    replaced by arbitrary JSON."""
+    raw = (CKPT_DIR / f"{name}.ckpt").read_bytes()
+    (mlen,) = struct.unpack("<I", raw[:4])
+    kind = draw(st.sampled_from(("truncate", "byte", "field")))
+    if kind == "truncate":
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    if kind == "byte":
+        pos = draw(st.integers(0, min(len(raw), 4 + mlen + 64) - 1))
+        return raw[:pos] + bytes([draw(st.integers(0, 255))]) + raw[pos + 1 :]
+    manifest = json.loads(raw[4 : 4 + mlen])
+    _edit(draw, manifest, sorted(manifest))
+    body = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return struct.pack("<I", len(body)) + body + raw[4 + mlen :]
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    raw = d / "raw.jsonl"
+    raw.write_text("".join(json.dumps(r) + "\n" for r in RAW), encoding="utf-8")
+    assert run(["preprocess", "--input", str(raw), "--out", str(d / "clean.jsonl")])[0] == 0
+    return d
+
+
+@FUZZ
+@given(text=mutated_jsonl(LABELED), verb=st.sampled_from(("issue", "solution", "eval")))
+def test_training_verbs_survive_mutated_labeled_records(work, text, verb):
+    data = work / "labeled.jsonl"
+    data.write_text(text, encoding="utf-8")
+    small = ["--epochs", "1", "--encoder-dim", "16", "--data", str(data), "--out", str(work / "o")]
+    if verb == "eval":
+        assert_clean_exit(["eval"] + small)
+    else:
+        assert_clean_exit(["train", "--target", verb] + small)
+
+
+@FUZZ
+@given(text=mutated_jsonl(LINKED))
+def test_link_training_survives_mutated_link_records(work, text):
+    data = work / "links.jsonl"
+    data.write_text(text, encoding="utf-8")
+    assert_clean_exit(
+        ["train", "--target", "link", "--epochs", "1", "--link-hidden", "4",
+         "--data", str(data), "--out", str(work / "link.ckpt")]
+    )
+
+
+@FUZZ
+@given(raw=mutated_jsonl(RAW), clean=st.data())
+def test_log_verbs_survive_mutated_logs(work, raw, clean):
+    log = work / "raw_fuzz.jsonl"
+    log.write_text(raw, encoding="utf-8")
+    assert_clean_exit(["preprocess", "--input", str(log), "--out", str(work / "c.jsonl")])
+    records = [json.loads(line) for line in (work / "clean.jsonl").read_text().splitlines()]
+    log.write_text(clean.draw(mutated_jsonl(records)), encoding="utf-8")
+    assert_clean_exit(["disentangle", "--input", str(log), "--out", str(work / "d.jsonl")])
+
+
+@FUZZ
+@given(name=st.sampled_from(("issue", "solution", "link")), data=st.data())
+def test_verbs_survive_damaged_checkpoints(work, name, data):
+    ckpt = work / f"damaged_{name}.ckpt"
+    ckpt.write_bytes(data.draw(damaged_checkpoint(name)))
+    if name == "link":
+        assert_clean_exit(
+            ["disentangle", "--input", str(work / "clean.jsonl"), "--out", str(work / "d.jsonl"),
+             "--link-ckpt", str(ckpt)]
+        )
+        return
+    ckpts = {t: str(CKPT_DIR / f"{t}.ckpt") for t in ("issue", "solution")}
+    ckpts[name] = str(ckpt)
+    assert_clean_exit(
+        ["extract", "--input", str(work / "raw.jsonl"), "--out", str(work / "pairs.jsonl"),
+         "--issue-ckpt", ckpts["issue"], "--solution-ckpt", ckpts["solution"]]
+    )

@@ -114,14 +114,10 @@ def test_pair_features_reject_non_preceding_parent(two_turn_log):
 
 
 def test_all_zero_parameters_score_exactly_half(two_turn_log):
-    zeros = dis.LinkScorerParams(
-        nn.Parameter("link.W1", np.zeros((4, 77))),
-        nn.Parameter("link.b1", np.zeros(4)),
-        nn.Parameter("link.W2", np.zeros((4, 4))),
-        nn.Parameter("link.b2", np.zeros(4)),
-        nn.Parameter("link.w3", np.zeros(4)),
-        nn.Parameter("link.b3", np.zeros(())),
-    )
+    zeros = {
+        name: nn.Parameter(name, np.zeros(shape))
+        for name, shape in dis.link_param_shapes(4).items()
+    }
     f = dis.extract_link_features(two_turn_log, 1, 0)
     assert dis.score_reply_link(f, zeros) == 0.5
 
@@ -133,21 +129,21 @@ def test_tiny_scorer_hand_computed(two_turn_log):
     W1 = np.zeros((2, 77))
     W1[0, 66] = 6.0
     W1[1, 76] = 1.0
-    params = dis.LinkScorerParams(
-        nn.Parameter("link.W1", W1),
-        nn.Parameter("link.b1", np.zeros(2)),
-        nn.Parameter("link.W2", np.array([[1.0, 1.0], [2.0, 0.0]])),
-        nn.Parameter("link.b2", np.zeros(2)),
-        nn.Parameter("link.w3", np.array([1.0, 3.0])),
-        nn.Parameter("link.b3", np.array(0.5)),
-    )
+    params = {
+        "link.W1": nn.Parameter("link.W1", W1),
+        "link.b1": nn.Parameter("link.b1", np.zeros(2)),
+        "link.W2": nn.Parameter("link.W2", np.array([[1.0, 1.0], [2.0, 0.0]])),
+        "link.b2": nn.Parameter("link.b2", np.zeros(2)),
+        "link.w3": nn.Parameter("link.w3", np.array([1.0, 3.0])),
+        "link.b3": nn.Parameter("link.b3", np.array(0.5)),
+    }
     f = dis.extract_link_features(two_turn_log, 1, 0)
     got = dis.score_reply_link(f, params)
     assert got == pytest.approx(1.0 / (1.0 + math.exp(-2.5)), abs=1e-12)
 
 
 def test_make_scorer_wraps_feature_extraction(two_turn_log):
-    params = dis.LinkScorerParams.init(np.random.default_rng(0), hidden=8)
+    params = dis.init_link_params(np.random.default_rng(0), hidden=8)
     scorer = dis.make_scorer(params)
     f = dis.extract_link_features(two_turn_log, 1, 0)
     assert scorer(two_turn_log, 1, 0) == pytest.approx(dis.score_reply_link(f, params))
@@ -301,16 +297,17 @@ def test_train_link_scorer_reduces_loss():
     params, history = dis.train_link_scorer(examples, hidden=32, epochs=4, seed=0)
     assert len(history) == 4
     assert history[-1] < history[0]
-    assert params.W1.data.shape == (32, 77)
+    assert {n: p.data.shape for n, p in params.items()} == dis.link_param_shapes(32)
 
 
 def test_link_checkpoint_round_trip(tmp_path):
-    params = dis.LinkScorerParams.init(np.random.default_rng(1), hidden=8)
+    params = dis.init_link_params(np.random.default_rng(1), hidden=8)
     p = tmp_path / "link.ckpt"
-    dis.save_link_checkpoint(p, params, hidden=8)
+    dis.save_link_checkpoint(p, params)
     loaded = dis.load_link_checkpoint(p)
-    for name, tensor in params.params().items():
-        assert np.allclose(loaded.params()[name].data, tensor.data, atol=1e-6)
+    assert list(loaded) == list(params)
+    for name, tensor in params.items():
+        assert np.allclose(loaded[name].data, tensor.data, atol=1e-6)
     log = make_flat_log(3)
     f = dis.extract_link_features(log, 2, 1)
     assert dis.score_reply_link(f, loaded) == pytest.approx(

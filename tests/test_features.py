@@ -322,23 +322,29 @@ def attention_oracle(win, params):
     """Plain numpy replication of the damped attention contract."""
     n, d = win.vectors.shape
     k = (n - 1) // 2
-    hq = params.Wq.data @ win.vectors[k]
+    hq = params["attn.wq"].data @ win.vectors[k]
     live = [s for s in range(n) if win.pad_mask[s]]
     scores, vals = [], []
     for s in live:
-        hk = params.Wk.data @ win.vectors[s]
+        hk = params["attn.wk"].data @ win.vectors[s]
         g = 1.0 if s == k else math.exp(-((s - k) ** 2) / (2.0 * k * k))
         scores.append(float(hq @ hk) * g)
-        vals.append(params.Wv.data @ win.vectors[s])
+        vals.append(params["attn.wv"].data @ win.vectors[s])
     total = sum(scores)
     if total > 0.0:
         weights = [s / total for s in scores]
     else:
         weights = [1.0 / len(live)] * len(live)
-    out = np.zeros(params.Wv.data.shape[0])
+    out = np.zeros(params["attn.wv"].data.shape[0])
     for w, v in zip(weights, vals):
         out += w * v
     return out / math.sqrt(d)
+
+
+def random_attn_params(rng, input_dim, context_dim):
+    """Independent Glorot-uniform query, key and value projections."""
+    names = ("attn.wq", "attn.wk", "attn.wv")
+    return nn.init_params(rng, dict.fromkeys(names, (context_dim, input_dim)))
 
 
 def random_window(rng, k, dim):
@@ -357,13 +363,13 @@ def test_attention_matches_independent_replication():
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, 3))
         win = random_window(rng, k, dim=6)
-        params = ft.AttentionParams.init(rng, input_dim=6, context_dim=4)
+        params = random_attn_params(rng, 6, 4)
         got = ft.local_attention(win, params).data
         want = attention_oracle(win, params)
         assert np.allclose(got, want, atol=1e-12)
         # record which branch the oracle took so both get covered
         total = sum(
-            float((params.Wq.data @ win.vectors[k]) @ (params.Wk.data @ win.vectors[s]))
+            float((params["attn.wq"].data @ win.vectors[k]) @ (params["attn.wk"].data @ win.vectors[s]))
             * (1.0 if s == k else math.exp(-((s - k) ** 2) / (2.0 * k * k)))
             for s in range(2 * k + 1)
             if win.pad_mask[s]
@@ -380,7 +386,7 @@ def test_attention_gaussian_weights_closed_form():
     Wq = nn.Parameter("attn.wq", np.array([[1.0, 0.0]]))
     Wk = nn.Parameter("attn.wk", np.array([[1.0, 0.0]]))
     Wv = nn.Parameter("attn.wv", np.array([[0.0, 1.0]]))
-    params = ft.AttentionParams(Wq, Wk, Wv)
+    params = {"attn.wq": Wq, "attn.wk": Wk, "attn.wv": Wv}
     vecs = [np.array([1.0, 10.0]), np.array([1.0, 20.0]), np.array([1.0, 30.0])]
     win = build_local_window(vecs, 1, k=1)
     got = ft.local_attention(win, params).data
@@ -396,7 +402,7 @@ def test_attention_center_weight_closed_form():
     Wq = nn.Parameter("attn.wq", np.array([[1.0, 0.0]]))
     Wk = nn.Parameter("attn.wk", np.array([[1.0, 0.0]]))
     Wv = nn.Parameter("attn.wv", np.array([[0.0, 1.0]]))
-    params = ft.AttentionParams(Wq, Wk, Wv)
+    params = {"attn.wq": Wq, "attn.wk": Wk, "attn.wv": Wv}
     vecs = [np.array([1.0, 0.0]), np.array([1.0, 1.0]), np.array([1.0, 0.0])]
     win = build_local_window(vecs, 1, k=1)
     ctx = ft.local_attention(win, params).data
@@ -405,11 +411,11 @@ def test_attention_center_weight_closed_form():
 
 
 def test_attention_single_live_slot_passes_value_through():
-    params = ft.AttentionParams.init(np.random.default_rng(0), input_dim=3, context_dim=2)
+    params = random_attn_params(np.random.default_rng(0), 3, 2)
     vecs = [np.array([0.4, -0.2, 1.0])]
     win = build_local_window(vecs, 0, k=1)  # both sides padded
     got = ft.local_attention(win, params).data
-    want = (params.Wv.data @ vecs[0]) / math.sqrt(3.0)
+    want = (params["attn.wv"].data @ vecs[0]) / math.sqrt(3.0)
     assert np.allclose(got, want, atol=1e-12)
 
 
@@ -417,7 +423,7 @@ def test_attention_nonpositive_scores_fall_back_to_uniform():
     Wq = nn.Parameter("attn.wq", np.array([[1.0, 0.0]]))
     Wk = nn.Parameter("attn.wk", np.array([[-1.0, 0.0]]))
     Wv = nn.Parameter("attn.wv", np.array([[0.0, 1.0]]))
-    params = ft.AttentionParams(Wq, Wk, Wv)
+    params = {"attn.wq": Wq, "attn.wk": Wk, "attn.wv": Wv}
     vecs = [np.array([1.0, 3.0]), np.array([1.0, 6.0]), np.array([1.0, 9.0])]
     win = build_local_window(vecs, 1, k=1)
     got = ft.local_attention(win, params).data
@@ -425,18 +431,18 @@ def test_attention_nonpositive_scores_fall_back_to_uniform():
 
 
 def test_attention_zero_values_give_zero_context():
-    params = ft.AttentionParams(
-        nn.Parameter("attn.wq", np.ones((2, 3))),
-        nn.Parameter("attn.wk", np.ones((2, 3))),
-        nn.Parameter("attn.wv", np.zeros((2, 3))),
-    )
+    params = {
+        "attn.wq": nn.Parameter("attn.wq", np.ones((2, 3))),
+        "attn.wk": nn.Parameter("attn.wk", np.ones((2, 3))),
+        "attn.wv": nn.Parameter("attn.wv", np.zeros((2, 3))),
+    }
     win = build_local_window([np.ones(3)] * 3, 1, k=1)
     assert np.array_equal(ft.local_attention(win, params).data, np.zeros(2))
 
 
 def test_attention_ignores_content_outside_window():
     rng = np.random.default_rng(5)
-    params = ft.AttentionParams.init(rng, input_dim=4, context_dim=3)
+    params = random_attn_params(rng, 4, 3)
     seq_a = [rng.normal(size=4) for _ in range(4)]
     seq_b = [v.copy() for v in seq_a]
     seq_b[3] = rng.normal(size=4)  # outside the k=1 window of center 1
@@ -449,16 +455,18 @@ def test_attention_ignores_content_outside_window():
 
 def test_attention_rejects_padded_center():
     win = LocalWindow(center=1, vectors=np.zeros((3, 2)), pad_mask=(True, False, True))
-    params = ft.AttentionParams.init(np.random.default_rng(0), input_dim=2, context_dim=2)
+    params = random_attn_params(np.random.default_rng(0), 2, 2)
     with pytest.raises(ContractViolation):
         ft.local_attention(win, params)
 
 
 def test_tied_init_copies_query_into_key():
-    p = ft.AttentionParams.init(np.random.default_rng(3), input_dim=5, tied_qk=True)
-    assert np.array_equal(p.Wq.data, p.Wk.data)
-    q = ft.AttentionParams.init(np.random.default_rng(3), input_dim=5, tied_qk=False)
-    assert not np.array_equal(q.Wq.data, q.Wk.data)
+    p = ft.init_attention_params(np.random.default_rng(3), input_dim=5)
+    assert set(p) == set(ft.attention_param_shapes(5))
+    assert all(t.data.shape == (ft.CONTEXT_DIM, 5) for t in p.values())
+    assert np.array_equal(p["attn.wq"].data, p["attn.wk"].data)
+    assert p["attn.wq"].data is not p["attn.wk"].data
+    assert not np.array_equal(p["attn.wq"].data, p["attn.wv"].data)
 
 
 # -- fusion ----------------------------------------------------------------
