@@ -115,8 +115,7 @@ def _model_cfg(args, file_cfg):
 def _link_scorer(args):
     path = getattr(args, "link_ckpt", None)
     if path:
-        params = disentangle.load_link_checkpoint(path)
-        return disentangle.make_scorer(params)
+        return disentangle.link_mlp_scorer(disentangle.load_link_checkpoint(path))
     return disentangle.heuristic_link_scorer
 
 
@@ -279,6 +278,14 @@ def _positive_float(text):
     return value
 
 
+def _probability(text):
+    """argparse type: a number in [0, 1]; nan is not one."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
+    return value
+
+
 def _seed_list(text):
     return tuple(_int_at_least(0)(s) for s in text.split(","))
 
@@ -321,8 +328,8 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--community")
     p.add_argument("--link-ckpt")
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--lookback", type=int, default=50)
+    p.add_argument("--threshold", type=_probability, default=0.5)
+    p.add_argument("--lookback", type=_int_at_least(1), default=50)
     p.set_defaults(func=_cmd_disentangle)
 
     p = sub.add_parser(

@@ -8,6 +8,18 @@ a link probability. The child takes its best-scoring candidate, falling back
 to self when nothing clears the threshold. Connected components of the chosen
 links are the dialogs; within a dialog, the initiator's opening run of
 messages is the head and everything after it is the body.
+
+Scoring is batched per child. ``link_columns`` reads a log once into
+per-utterance columns (times, token counts and buckets, flags, author
+codes). ``extract_link_features(cols, child, lo)`` builds one child's
+feature block: row 0 is the self candidate and row ``j`` the parent
+``child - j``, for every parent from ``child - 1`` down to ``lo``. A scorer is
+a callable ``scorer(cols, child, lo)`` that returns one score per row of that
+block; ``heuristic_link_scorer``, ``link_mlp_scorer(params)`` and
+``synth.oracle_scorer`` all have that form. ``choose_parent`` takes the first
+maximum of the score vector, so self beats any parent it ties with and a
+nearer parent beats a farther one. Memory stays per child: no array spans
+the whole log times the lookback window.
 """
 
 import re
@@ -24,91 +36,149 @@ _TIME_BUCKETS = 25
 _DIST_BUCKETS = 15
 _COUNT_BUCKETS = 10
 _SHARED_BUCKETS = 6
+_BASE = _TIME_BUCKETS + _DIST_BUCKETS  # parent token-count one-hot starts here
+# times are int64 milliseconds; within +-2**62 every gap fits as well
+_MAX_TIME_MS = 2**62
 
 _MENTION_RE = re.compile(r"@\w+")
+# count bucket of 0..21 tokens; 21 and more share the last bucket
+_COUNT_TABLE = np.array([0, 1, 2, 3, 4, 5, 6, 6, 6, 7, 7, 7, 7, 8, 8, 8, 8, 8, 8, 8, 8, 9])
 
 
 # -- feature extraction ----------------------------------------------------
 
 
 def time_gap_bucket(gap_ms):
-    """Power-of-two seconds buckets: <1s, 1-2s, 2-4s, ... capped at ~97 days."""
-    if gap_ms < 1000:
-        return 0
-    return min(_TIME_BUCKETS - 1, 1 + int(np.log2(gap_ms // 1000)))
+    """Power-of-two seconds buckets: <1s, 1-2s, 2-4s, ... capped at ~97 days.
+    Works elementwise on an integer array; a negative gap is bucket 0."""
+    gap_ms = np.asarray(gap_ms)
+    # frexp's exponent of s >= 1 is floor(log2(s)) + 1, exactly
+    _, exp = np.frexp(np.maximum(gap_ms // 1000, 1).astype(np.float64))
+    return np.where(gap_ms < 1000, 0, np.minimum(exp, _TIME_BUCKETS - 1))
 
 
 def distance_bucket(distance):
-    return min(distance - 1, _DIST_BUCKETS - 1)
+    return np.minimum(np.asarray(distance) - 1, _DIST_BUCKETS - 1)
 
 
 def count_bucket(n):
     """Token counts 0..5 get their own bucket, then 6-8, 9-12, 13-20, 21+."""
-    if n <= 5:
-        return n
-    if n <= 8:
-        return 6
-    if n <= 12:
-        return 7
-    if n <= 20:
-        return 8
-    return 9
+    return _COUNT_TABLE[np.minimum(n, len(_COUNT_TABLE) - 1)]
 
 
 def shared_bucket(n):
-    return min(n, _SHARED_BUCKETS - 1)
+    return np.minimum(n, _SHARED_BUCKETS - 1)
 
 
-def _mentions(text, author_id):
-    if len(author_id) < 2:
-        return False
-    low = text.lower()
-    return ("@" + author_id.lower()) in low or bool(
-        re.search(r"\b" + re.escape(author_id.lower()) + r"\b", low)
+@dataclass(frozen=True)
+class LinkColumns:
+    """The per-utterance values the link features read, for one log.
+
+    ``authors`` holds an integer code per utterance; ``names[code]`` is that
+    author's lowercased id and ``patterns[code]`` its whole-word regex, or
+    None when the id is shorter than two characters and never counts as
+    mentioned."""
+
+    times: np.ndarray
+    hours: np.ndarray
+    count_buckets: np.ndarray
+    questions: np.ndarray
+    any_mention: np.ndarray
+    authors: np.ndarray
+    tokens: tuple
+    distinct_tokens: np.ndarray
+    lower_texts: tuple
+    names: tuple
+    patterns: tuple
+
+    def mentions(self, i, author):
+        """Whether utterance i's raw text names ``author`` (a code), as
+        "@name" or as a whole word, case-insensitively."""
+        pattern = self.patterns[author]
+        if pattern is None:
+            return False
+        name, text = self.names[author], self.lower_texts[i]
+        # both tests below need the name as a substring; most pairs stop here
+        return name in text and ("@" + name in text or pattern.search(text) is not None)
+
+
+def link_columns(log):
+    """Read a log once into the columns that every feature block uses."""
+    utts = log.utterances
+    try:
+        times = np.array([u.time for u in utts], dtype=np.int64)
+    except OverflowError as exc:
+        raise DataError(f"utterance time out of range ({exc})") from exc
+    if np.any((times <= -_MAX_TIME_MS) | (times >= _MAX_TIME_MS)):
+        raise DataError(f"utterance time out of range (|time| >= {_MAX_TIME_MS})")
+    codes, names, patterns = {}, [], []
+    for u in utts:
+        if u.author_id not in codes:
+            codes[u.author_id] = len(names)
+            name = u.author_id.lower()
+            names.append(name)
+            patterns.append(
+                re.compile(r"\b" + re.escape(name) + r"\b") if len(u.author_id) >= 2 else None
+            )
+    return LinkColumns(
+        times=times,
+        hours=(times // 3_600_000) % 24,
+        count_buckets=count_bucket(np.array([len(u.tokens) for u in utts], dtype=np.int64)),
+        questions=np.array([1.0 if "?" in u.clean_text else 0.0 for u in utts]),
+        any_mention=np.array([1.0 if _MENTION_RE.search(u.raw_text) else 0.0 for u in utts]),
+        authors=np.array([codes[u.author_id] for u in utts], dtype=np.int64),
+        tokens=tuple(u.tokens for u in utts),
+        distinct_tokens=np.array([len(set(u.tokens)) for u in utts], dtype=np.int64),
+        lower_texts=tuple(u.raw_text.lower() for u in utts),
+        names=tuple(names),
+        patterns=tuple(patterns),
     )
 
 
-def extract_link_features(log, child, parent):
-    """77-wide vector for the (child, parent) candidate; parent None means
-    the self candidate. Layout, in order: time-gap one-hot (25), distance
-    one-hot (15), parent token count one-hot (10), child token count one-hot
-    (10), shared-token one-hot (6), then scalar flags: Jaccard, same author,
-    child mentions parent, parent mentions child, child mentions anyone,
-    child asks a question, parent asks a question, same hour of day, self
-    candidate, parent opens the log, adjacent pair.
+def extract_link_features(cols, child, lo):
+    """The (child - lo + 1, 77) feature block of one child: row 0 is the self
+    candidate, row j the parent child - j, down to parent lo. Layout of a
+    row, in order: time-gap one-hot (25), distance one-hot (15), parent token
+    count one-hot (10), child token count one-hot (10), shared-token one-hot
+    (6), then scalar flags: Jaccard, same author, child mentions parent,
+    parent mentions child, child mentions anyone, child asks a question,
+    parent asks a question, same hour of day, self candidate, parent opens
+    the log, adjacent pair.
 
-    The self candidate keeps only child-side features and its own flag.
+    The self row keeps only child-side features and its own flag.
     """
-    utts = log.utterances
-    c = utts[child]
-    f = np.zeros(FEATURE_DIM)
-    base = _TIME_BUCKETS + _DIST_BUCKETS
-    f[base + _COUNT_BUCKETS + count_bucket(len(c.tokens))] = 1.0
-    f[71] = 1.0 if "?" in c.clean_text else 0.0
-    f[70] = 1.0 if _MENTION_RE.search(c.raw_text) else 0.0
-    if parent is None:
-        f[74] = 1.0
+    if not 0 <= lo <= child < len(cols.times):
+        raise ContractViolation(f"bad candidate window [{lo}, {child}) for child {child}")
+    parents = np.arange(child - 1, lo - 1, -1)
+    plist = parents.tolist()
+    rows = np.arange(1, len(parents) + 1)
+    f = np.zeros((len(parents) + 1, FEATURE_DIM))
+    f[:, _BASE + _COUNT_BUCKETS + cols.count_buckets[child]] = 1.0
+    f[:, 71] = cols.questions[child]
+    f[:, 70] = cols.any_mention[child]
+    f[0, 74] = 1.0
+    if not len(parents):
         return f
-    if not 0 <= parent < child:
-        raise ContractViolation(f"parent {parent} must precede child {child}")
-    p = utts[parent]
-    f[time_gap_bucket(c.time - p.time)] = 1.0
-    f[_TIME_BUCKETS + distance_bucket(child - parent)] = 1.0
-    f[base + count_bucket(len(p.tokens))] = 1.0
-    cs, ps = set(c.tokens), set(p.tokens)
-    inter = cs & ps
-    union = cs | ps
-    f[base + 2 * _COUNT_BUCKETS + shared_bucket(len(inter))] = 1.0
-    f[66] = len(inter) / len(union) if union else 0.0
-    f[67] = 1.0 if c.author_id == p.author_id else 0.0
-    f[68] = 1.0 if _mentions(c.raw_text, p.author_id) else 0.0
-    f[69] = 1.0 if _mentions(p.raw_text, c.author_id) else 0.0
-    f[72] = 1.0 if "?" in p.clean_text else 0.0
-    hour_c = (c.time // 3_600_000) % 24
-    hour_p = (p.time // 3_600_000) % 24
-    f[73] = 1.0 if hour_c == hour_p else 0.0
-    f[75] = 1.0 if parent == 0 else 0.0
-    f[76] = 1.0 if child - parent == 1 else 0.0
+    f[rows, time_gap_bucket(cols.times[child] - cols.times[parents])] = 1.0
+    f[rows, _TIME_BUCKETS + distance_bucket(rows)] = 1.0
+    f[rows, _BASE + cols.count_buckets[parents]] = 1.0
+    mine = set(cols.tokens[child])
+    shared = np.array([len(mine.intersection(cols.tokens[p])) for p in plist], dtype=np.int64)
+    f[rows, _BASE + 2 * _COUNT_BUCKETS + shared_bucket(shared)] = 1.0
+    # an empty union has nothing shared, so shared / max(union, 1) is 0 there
+    union = len(mine) + cols.distinct_tokens[parents] - shared
+    f[1:, 66] = shared / np.maximum(union, 1)
+    me, theirs = cols.authors[child], cols.authors[parents]
+    f[1:, 67] = theirs == me
+    # the window holds few authors: test the child's text once per author
+    who = theirs.tolist()
+    named = {a: cols.mentions(child, a) for a in set(who)}
+    f[1:, 68] = [named[a] for a in who]
+    f[1:, 69] = [cols.mentions(p, me) for p in plist]
+    f[1:, 72] = cols.questions[parents]
+    f[1:, 73] = cols.hours[parents] == cols.hours[child]
+    f[1:, 75] = parents == 0
+    f[1, 76] = 1.0
     return f
 
 
@@ -134,30 +204,39 @@ def init_link_params(rng, hidden):
 
 
 def link_logit(features, params):
-    """Graph-building forward pass; returns the pre-sigmoid scalar tensor."""
+    """Graph-building forward pass of one feature row, for training; returns
+    the pre-sigmoid scalar tensor."""
     x = nn.tensor(np.asarray(features))
     h1 = nn.softsign(nn.linear(x, params["link.W1"], params["link.b1"]))
     h2 = nn.softsign(nn.linear(h1, params["link.W2"], params["link.b2"]))
     return (params["link.w3"] @ h2) + params["link.b3"]
 
 
-def score_reply_link(features, params):
-    """Link probability in (0, 1). All-zero parameters give exactly 0.5."""
-    return float(nn.sigmoid(link_logit(features, params)).data)
+def _softsign(x):
+    return x / (1.0 + np.abs(x))
 
 
-def make_scorer(params):
-    """Adapt trained parameters to the (log, child, parent) interface that
-    assemble_dialogs expects."""
+def link_probabilities(features, params):
+    """Link probability of every row of a feature block, in plain numpy:
+    sigmoid(link_logit(row)) up to summation order. All-zero parameters give
+    exactly 0.5."""
+    p = {name: t.data for name, t in params.items()}
+    h1 = _softsign(features @ p["link.W1"].T + p["link.b1"])
+    h2 = _softsign(h1 @ p["link.W2"].T + p["link.b2"])
+    return 1.0 / (1.0 + np.exp(-(h2 @ p["link.w3"] + p["link.b3"])))
 
-    def scorer(log, child, parent):
-        return score_reply_link(extract_link_features(log, child, parent), params)
+
+def link_mlp_scorer(params):
+    """The trained scorer as a per-child scorer for assemble_dialogs."""
+
+    def scorer(cols, child, lo):
+        return link_probabilities(extract_link_features(cols, child, lo), params)
 
     return scorer
 
 
-# hand-set weights on the interpretable features; used when no trained
-# link checkpoint is available
+# hand-set weights on the interpretable features, summed in this order; used
+# when no trained link checkpoint is available
 _HEURISTIC_WEIGHTS = (
     (66, 2.0),  # Jaccard overlap
     (67, 0.5),  # same author
@@ -168,14 +247,17 @@ _HEURISTIC_WEIGHTS = (
 )
 
 
-def heuristic_link_scorer(log, child, parent):
-    if parent is None:
-        return 0.5
-    f = extract_link_features(log, child, parent)
-    z = -1.2 + sum(w * f[i] for i, w in _HEURISTIC_WEIGHTS)
-    z -= 0.10 * (child - parent - 1)
-    z -= 0.25 * max(0, time_gap_bucket(log.utterances[child].time - log.utterances[parent].time) - 8)
-    return float(1.0 / (1.0 + np.exp(-z)))
+def heuristic_link_scorer(cols, child, lo):
+    """A hand-set logistic score per candidate, over the columns of the
+    child's feature block; self always scores 0.5."""
+    f = extract_link_features(cols, child, lo)[1:]
+    z = 0.0
+    for i, w in _HEURISTIC_WEIGHTS:
+        z = z + w * f[:, i]
+    z = -1.2 + z
+    z = z - 0.10 * np.arange(len(f))  # distance - 1
+    z = z - 0.25 * np.maximum(0, f[:, :_TIME_BUCKETS].argmax(axis=1) - 8)
+    return np.concatenate(([0.5], 1.0 / (1.0 + np.exp(-z))))
 
 
 # -- dialog assembly -------------------------------------------------------
@@ -191,22 +273,21 @@ class Dialog:
     links: tuple
 
 
-def choose_parent(log, child, scorer, threshold=0.5, lookback=50):
-    """Best candidate for one child: the self option, then each earlier
-    utterance newest first. Ties keep the earlier-considered candidate, so
-    self beats any parent it ties with and nearer parents beat farther ones.
+def choose_parent(cols, child, scorer, threshold=0.5, lookback=50):
+    """Best candidate for one child among self and the ``lookback`` earlier
+    utterances, scored in one scorer call. The first maximum wins, so self
+    beats any parent it ties with and nearer parents beat farther ones.
     Below-threshold winners collapse to self."""
-    best_parent = None
-    best_score = scorer(log, child, None)
     lo = max(0, child - lookback)
-    for parent in range(child - 1, lo - 1, -1):
-        s = scorer(log, child, parent)
-        if s > best_score:
-            best_score = s
-            best_parent = parent
-    if best_parent is not None and best_score < threshold:
-        best_parent = None
-    return best_parent, best_score
+    scores = np.asarray(scorer(cols, child, lo))
+    if scores.shape != (child - lo + 1,):
+        raise ContractViolation(
+            f"scorer gave {scores.shape} scores for {child - lo + 1} candidates"
+        )
+    best = int(np.argmax(scores))
+    score = float(scores[best])
+    parent = child - best if best and score >= threshold else None
+    return parent, score
 
 
 def assemble_dialogs(log, scorer, threshold=0.5, lookback=50):
@@ -216,6 +297,7 @@ def assemble_dialogs(log, scorer, threshold=0.5, lookback=50):
     and the component's earliest utterance is the subject.
     """
     n = len(log.utterances)
+    cols = link_columns(log)
     parent_of = {}
     root = list(range(n))
 
@@ -226,7 +308,7 @@ def assemble_dialogs(log, scorer, threshold=0.5, lookback=50):
         return i
 
     for child in range(n):
-        parent, _ = choose_parent(log, child, scorer, threshold, lookback)
+        parent, _ = choose_parent(cols, child, scorer, threshold, lookback)
         if parent is not None:
             parent_of[child] = parent
             root[find(child)] = find(parent)
@@ -362,20 +444,23 @@ def train_link_scorer(
     rng = np.random.default_rng(seed)
     pairs = []  # (features, label)
     for log, links in examples:
-        n = len(log.utterances)
-        for child in range(n):
+        cols = link_columns(log)
+        for child in range(len(log.utterances)):
             true_parent = links.get(child)
-            pairs.append((extract_link_features(log, child, true_parent), 1.0))
-            candidates = [
-                p
-                for p in range(max(0, child - lookback), child)
-                if p != true_parent
-            ]
+            if true_parent is not None and not 0 <= true_parent < child:
+                raise ContractViolation(f"parent {true_parent} must precede child {child}")
+            lo = max(0, child - lookback)
+            candidates = [p for p in range(lo, child) if p != true_parent]
             if true_parent is not None:
                 candidates.append(None)
+                lo = min(lo, true_parent)
             rng.shuffle(candidates)
-            for p in candidates[:negatives_per_positive]:
-                pairs.append((extract_link_features(log, child, p), 0.0))
+            picked = [true_parent] + candidates[:negatives_per_positive]
+            # row 0 of the block is self, row child - p is parent p
+            rows = extract_link_features(cols, child, lo)[
+                [0 if p is None else child - p for p in picked]
+            ]
+            pairs.extend(zip(rows, [1.0] + [0.0] * (len(picked) - 1)))
     if not pairs:
         raise DataError("no link training pairs")
     params = init_link_params(rng, hidden)

@@ -27,6 +27,7 @@ from .errors import ConfigError, ContractViolation, DataError
 from .features import (
     CONTEXT_DIM,
     HEURISTIC_DIM,
+    TEXTUAL_DIM,
     ConvStackSpec,
     HeuristicStats,
     TopicStats,
@@ -473,6 +474,13 @@ def _heuristic_stats(d):
     return stats
 
 
+def _conv_spec(d):
+    spec = ConvStackSpec(tuple(d["kernel_counts"]), d["kernel_size"])
+    if spec.kernel_counts[-1] != TEXTUAL_DIM:
+        raise ValueError(f"the last stage must have {TEXTUAL_DIM} kernels")
+    return spec
+
+
 def load_model_checkpoint(path, enc_cfg, target=None):
     """Load and validate against the runtime encoder configuration and, when
     given, the expected target; a checkpoint of another target, stale
@@ -498,9 +506,7 @@ def load_model_checkpoint(path, enc_cfg, target=None):
             "checkpoint encoder fingerprint does not match runtime encoder"
             + (f" (differs in: {', '.join(mismatched)})" if mismatched else " (table contents changed)")
         )
-    spec = ck.field(
-        "conv_spec", lambda d: ConvStackSpec(tuple(d["kernel_counts"]), d["kernel_size"])
-    )
+    spec = ck.field("conv_spec", _conv_spec)
     params = ck.require(model_param_shapes(enc_cfg.dim, spec))
     stats = ck.field("heuristic_stats", _heuristic_stats)
     cfg = ck.field("model_config", lambda d: ModelConfig(**d))

@@ -187,10 +187,14 @@ def oracle_scorer(true_links):
     """Scores the true parent (or true self choice) 1.0, everything else
     0.0; recovers the exact partition through assemble_dialogs."""
 
-    def scorer(log, child, parent):
+    def scorer(cols, child, lo):
+        scores = np.zeros(child - lo + 1)
+        parent = true_links.get(child)
         if parent is None:
-            return 1.0 if child not in true_links else 0.0
-        return 1.0 if true_links.get(child) == parent else 0.0
+            scores[0] = 1.0
+        elif lo <= parent < child:
+            scores[child - parent] = 1.0
+        return scores
 
     return scorer
 

@@ -3,7 +3,9 @@ and config-file layering. Commands run in-process through main()."""
 
 import argparse
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from chatmine import cli, synth
@@ -417,8 +419,6 @@ def test_extract_with_misshapen_parameter_exits_3(tmp_path, cli_ckpts, capsys, n
 
 
 def test_disentangle_with_misshapen_link_parameter_exits_3(tmp_path, capsys):
-    import numpy as np
-
     from chatmine import disentangle
 
     good = tmp_path / "link.ckpt"
@@ -439,14 +439,64 @@ def test_disentangle_with_misshapen_link_parameter_exits_3(tmp_path, capsys):
         ["gradcheck", "--step", "0"],
         ["gradcheck", "--tol", "nan"],
         ["train", "--data", "d", "--target", "link", "--out", "o", "--link-hidden", "-1"],
+        ["disentangle", "--input", "i", "--out", "o", "--lookback", "-3"],
+        ["disentangle", "--input", "i", "--out", "o", "--lookback", "0"],
+        ["disentangle", "--input", "i", "--out", "o", "--lookback", "2.5"],
+        ["disentangle", "--input", "i", "--out", "o", "--threshold", "nan"],
+        ["disentangle", "--input", "i", "--out", "o", "--threshold", "1.5"],
+        ["disentangle", "--input", "i", "--out", "o", "--threshold", "-0.1"],
+        ["disentangle", "--input", "i", "--out", "o", "--threshold", "inf"],
     ],
-    ids=["gradcheck-seeds", "gradcheck-step", "gradcheck-tol", "link-hidden"],
+    ids=[
+        "gradcheck-seeds", "gradcheck-step", "gradcheck-tol", "link-hidden",
+        "lookback-negative", "lookback-zero", "lookback-fraction",
+        "threshold-nan", "threshold-above-one", "threshold-negative", "threshold-inf",
+    ],
 )
 def test_bad_numeric_flag_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_extract_with_other_last_conv_stage_exits_3(tmp_path, capsys):
+    # conv_spec and every parameter shape agree on 255 last-stage kernels,
+    # but the fused vector needs 256 textual features
+    from chatmine import checkpoint as ckpt_io
+
+    ckpts = Path(__file__).resolve().parent.parent / "perfbench" / "checkpoints"
+    ck = ckpt_io.load_checkpoint(ckpts / "issue.ckpt")
+    params = dict(ck.params)
+    params["conv3.w"] = params["conv3.w"][:255]
+    params["conv3.b"] = params["conv3.b"][:255]
+    params["fc1.w"] = np.delete(params["fc1.w"], 255, axis=1)
+    manifest = {k: v for k, v in ck.manifest.items() if k not in ("version", "dtype", "params")}
+    manifest["conv_spec"] = {**manifest["conv_spec"], "kernel_counts": [1024, 512, 255]}
+    bad = tmp_path / "issue.ckpt"
+    ckpt_io.save_checkpoint(bad, params, manifest)
+    rc = main(
+        [
+            "extract",
+            "--input", str(write_raw(tmp_path / "raw.jsonl")),
+            "--issue-ckpt", str(bad),
+            "--solution-ckpt", str(ckpts / "solution.ckpt"),
+            "--out", str(tmp_path / "pairs.jsonl"),
+        ]
+    )
+    assert "conv_spec" in assert_data_error(rc, capsys)
+
+
+@pytest.mark.parametrize("time", [2**62, -(2**62), 2**70])
+def test_disentangle_with_out_of_range_time_exits_3(tmp_path, capsys, time):
+    records = [
+        {"time": 1000, "id": "ann", "text": "hi", "clean_text": "hi", "tokens": ["hi"]},
+        {"time": time, "id": "bob", "text": "yo", "clean_text": "yo", "tokens": ["yo"]},
+    ]
+    clean = tmp_path / "clean.jsonl"
+    clean.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    rc = main(["disentangle", "--input", str(clean), "--out", str(tmp_path / "d.jsonl")])
+    assert "time out of range" in assert_data_error(rc, capsys)
 
 
 def test_extract_with_list_encoder_config_exits_3(tmp_path, cli_ckpts, capsys):
@@ -463,7 +513,6 @@ def test_extract_with_list_encoder_config_exits_3(tmp_path, cli_ckpts, capsys):
 def readme_commands():
     import re
     import shlex
-    from pathlib import Path
 
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     commands = []

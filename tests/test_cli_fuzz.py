@@ -48,6 +48,28 @@ LINKED = [
 RAW = synth.synth_raw_chat_records(2, n_dialogs=2)
 UTTERANCE_KEYS = ("time", "id", "text")
 
+# (valid, invalid) values of --lookback and of --threshold
+LOOKBACKS = (
+    st.integers(1, 2**70),
+    st.integers(-(2**70), 0) | st.sampled_from(("2.5", "", "x")),
+)
+THRESHOLDS = (
+    st.floats(0.0, 1.0),
+    st.floats().filter(lambda t: not 0.0 <= t <= 1.0) | st.sampled_from(("", "x", "1e400")),
+)
+
+
+@st.composite
+def disentangle_flags(draw):
+    """--lookback and --threshold, each valid three times in four, so most
+    runs still get past argument parsing."""
+
+    def value(choices):
+        valid, invalid = choices
+        return str(draw(valid if draw(st.integers(0, 3)) else invalid))
+
+    return ["--lookback", value(LOOKBACKS), "--threshold", value(THRESHOLDS)]
+
 
 def run(argv):
     """(exit code, stderr) of one in-process CLI run; a usage error's
@@ -150,25 +172,25 @@ def test_link_training_survives_mutated_link_records(work, text):
 
 
 @FUZZ
-@given(raw=mutated_jsonl(RAW), clean=st.data())
-def test_log_verbs_survive_mutated_logs(work, raw, clean):
+@given(raw=mutated_jsonl(RAW), clean=st.data(), flags=disentangle_flags())
+def test_log_verbs_survive_mutated_logs(work, raw, clean, flags):
     log = work / "raw_fuzz.jsonl"
     log.write_text(raw, encoding="utf-8")
     assert_clean_exit(["preprocess", "--input", str(log), "--out", str(work / "c.jsonl")])
     records = [json.loads(line) for line in (work / "clean.jsonl").read_text().splitlines()]
     log.write_text(clean.draw(mutated_jsonl(records)), encoding="utf-8")
-    assert_clean_exit(["disentangle", "--input", str(log), "--out", str(work / "d.jsonl")])
+    assert_clean_exit(["disentangle", "--input", str(log), "--out", str(work / "d.jsonl")] + flags)
 
 
 @FUZZ
-@given(name=st.sampled_from(("issue", "solution", "link")), data=st.data())
-def test_verbs_survive_damaged_checkpoints(work, name, data):
+@given(name=st.sampled_from(("issue", "solution", "link")), data=st.data(), flags=disentangle_flags())
+def test_verbs_survive_damaged_checkpoints(work, name, data, flags):
     ckpt = work / f"damaged_{name}.ckpt"
     ckpt.write_bytes(data.draw(damaged_checkpoint(name)))
     if name == "link":
         assert_clean_exit(
             ["disentangle", "--input", str(work / "clean.jsonl"), "--out", str(work / "d.jsonl"),
-             "--link-ckpt", str(ckpt)]
+             "--link-ckpt", str(ckpt)] + flags
         )
         return
     ckpts = {t: str(CKPT_DIR / f"{t}.ckpt") for t in ("issue", "solution")}

@@ -5,7 +5,10 @@ trained-model quality gates live in the acceptance suite.
 """
 
 import math
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from chatmine import checkpoint as ckpt_io
 from chatmine import disentangle as dis
 from chatmine import model as mdl
 from chatmine import nn
+from chatmine.corpus import PreprocessConfig, parse_chat_log, preprocess_chat_log
 from chatmine.disentangle import Dialog, assemble_dialogs, heuristic_link_scorer
 from chatmine.encoder import EncoderConfig
 from chatmine.errors import ConfigError, ContractViolation, DataError
@@ -380,6 +384,37 @@ def test_load_checkpoint_rejects_wrong_target(tmp_path, labeled_corpus):
     assert load_model_checkpoint(p, TINY_ENC, "issue").target == "issue"
     with pytest.raises(ConfigError, match="target 'issue' is not solution"):
         load_model_checkpoint(p, TINY_ENC, "solution")
+
+
+def test_float32_round_trip_keeps_gate_decisions_and_pairs(tmp_path, small_bundles, small_enc):
+    # models saved as float32 and loaded back make the same issue-gate call on
+    # every dialog of the fixture log and write the same pair file
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_fixture_corpus.py"
+    subprocess.run([sys.executable, str(script), "--out-dir", str(tmp_path)], check=True, capture_output=True)
+    raw, _ = parse_chat_log(tmp_path / "raw.jsonl")
+    log, _ = preprocess_chat_log(raw, PreprocessConfig())
+    loaded = {}
+    for target, bundle in small_bundles.items():
+        save_model_checkpoint(tmp_path / f"{target}.ckpt", bundle)
+        loaded[target] = load_model_checkpoint(tmp_path / f"{target}.ckpt", small_enc, target)
+    embedder = DialogEmbedder(log, small_enc)
+    dialogs = assemble_dialogs(log, heuristic_link_scorer)
+    threshold = small_bundles["issue"].cfg.issue_threshold
+    gates = {"memory": [], "loaded": []}
+    for d in dialogs:
+        head, _ = embedder.examples_for(d)
+        gates["memory"].append(small_bundles["issue"].proba(head) >= threshold)
+        gates["loaded"].append(loaded["issue"].proba(head) >= threshold)
+    assert gates["loaded"] == gates["memory"]
+    assert any(gates["memory"]) and not all(gates["memory"])
+
+    def pair_file(bundles):
+        return pairs_to_jsonl(
+            assemble_pairs(log, bundles["issue"], bundles["solution"], heuristic_link_scorer, enc_cfg=small_enc)
+        )
+
+    want = pair_file(small_bundles)
+    assert want and pair_file(loaded) == want
 
 
 # -- prediction gates ------------------------------------------------------
