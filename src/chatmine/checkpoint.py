@@ -129,7 +129,8 @@ def load_checkpoint(path):
         size = math.prod(shape)
         if offset + size > values.size:
             raise DataError(f"checkpoint blob too short for parameter {name!r}")
-        params[name] = (
-            values[offset : offset + size].astype(np.float64).reshape(shape)
-        )
+        data = values[offset : offset + size]
+        if not np.all(np.isfinite(data)):
+            raise DataError(f"checkpoint parameter {name!r} holds values that are not finite")
+        params[name] = data.astype(np.float64).reshape(shape)
     return Checkpoint(manifest, params)

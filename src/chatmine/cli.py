@@ -305,10 +305,10 @@ def build_parser():
     encoder_flags.add_argument("--encoder-table")
 
     model_flags = argparse.ArgumentParser(add_help=False)
-    model_flags.add_argument("--epochs", type=int)
+    model_flags.add_argument("--epochs", type=_int_at_least(0))
     model_flags.add_argument("--batch-size", type=int)
     model_flags.add_argument("--dropout", type=float)
-    model_flags.add_argument("--lr", type=float)
+    model_flags.add_argument("--lr", type=_positive_float)
     model_flags.add_argument("--patience", type=int)
     model_flags.add_argument("--issue-threshold", type=float)
     model_flags.add_argument("--solution-threshold", type=float)

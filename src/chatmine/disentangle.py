@@ -2,24 +2,26 @@
 it answers, or to itself when it starts a new dialog, then group the linked
 utterances into dialogs.
 
-Each (child, candidate parent) pair maps to a 77-wide feature vector; a small
-feedforward scorer (two softsign hidden layers, sigmoid output) turns it into
-a link probability. The child takes its best-scoring candidate, falling back
-to self when nothing clears the threshold. Connected components of the chosen
-links are the dialogs; within a dialog, the initiator's opening run of
-messages is the head and everything after it is the body.
+Each (child, candidate parent) pair maps to a 77-wide feature row. The link
+scorer turns a row into a link probability with two softsign hidden layers
+of width 64 and a sigmoid readout. ``link_logit`` is its only forward, one
+graph over a (rows, 77) block: training (``train --target link``) runs it
+on each mini-batch and inference (``disentangle --link-ckpt``) on each
+child's candidates. The child takes its best-scoring candidate, falling back
+to self when nothing clears the threshold. Connected components of the
+chosen links are the dialogs; within a dialog, the initiator's opening run
+of messages is the head and everything after it is the body.
 
-Scoring is batched per child. ``link_columns`` reads a log once into
-per-utterance columns (times, token counts and buckets, flags, author
-codes). ``extract_link_features(cols, child, lo)`` builds one child's
-feature block: row 0 is the self candidate and row ``j`` the parent
-``child - j``, for every parent from ``child - 1`` down to ``lo``. A scorer is
-a callable ``scorer(cols, child, lo)`` that returns one score per row of that
-block; ``heuristic_link_scorer``, ``link_mlp_scorer(params)`` and
-``synth.oracle_scorer`` all have that form. ``choose_parent`` takes the first
-maximum of the score vector, so self beats any parent it ties with and a
-nearer parent beats a farther one. Memory stays per child: no array spans
-the whole log times the lookback window.
+``link_columns`` reads a log once into per-utterance columns (times, token
+counts and buckets, flags, author codes). ``extract_link_features(cols,
+child, parents)`` builds the rows a caller needs: row 0 is the self
+candidate, row ``j`` the parent ``parents[j - 1]``. A scorer is a callable
+``scorer(cols, child, lo)`` that returns one score per candidate in the
+order self, ``child - 1``, ..., ``lo``; ``heuristic_link_scorer``,
+``link_mlp_scorer(params)`` and ``synth.oracle_scorer`` all have that form.
+``choose_parent`` takes the first maximum of the score vector, so self beats
+any parent it ties with and a nearer parent beats a farther one. Memory
+stays per child: no array spans the whole log times the lookback window.
 """
 
 import re
@@ -43,6 +45,8 @@ _MAX_TIME_MS = 2**62
 _MENTION_RE = re.compile(r"@\w+")
 # count bucket of 0..21 tokens; 21 and more share the last bucket
 _COUNT_TABLE = np.array([0, 1, 2, 3, 4, 5, 6, 6, 6, 7, 7, 7, 7, 8, 8, 8, 8, 8, 8, 8, 8, 9])
+# time-gap bucket k >= 1 starts at 2**(k - 1) whole seconds
+_GAP_EDGES_MS = 1000 * 2 ** np.arange(_TIME_BUCKETS - 1)
 
 
 # -- feature extraction ----------------------------------------------------
@@ -51,10 +55,7 @@ _COUNT_TABLE = np.array([0, 1, 2, 3, 4, 5, 6, 6, 6, 7, 7, 7, 7, 8, 8, 8, 8, 8, 8
 def time_gap_bucket(gap_ms):
     """Power-of-two seconds buckets: <1s, 1-2s, 2-4s, ... capped at ~97 days.
     Works elementwise on an integer array; a negative gap is bucket 0."""
-    gap_ms = np.asarray(gap_ms)
-    # frexp's exponent of s >= 1 is floor(log2(s)) + 1, exactly
-    _, exp = np.frexp(np.maximum(gap_ms // 1000, 1).astype(np.float64))
-    return np.where(gap_ms < 1000, 0, np.minimum(exp, _TIME_BUCKETS - 1))
+    return np.searchsorted(_GAP_EDGES_MS, gap_ms, side="right")
 
 
 def distance_bucket(distance):
@@ -135,10 +136,15 @@ def link_columns(log):
     )
 
 
-def extract_link_features(cols, child, lo):
-    """The (child - lo + 1, 77) feature block of one child: row 0 is the self
-    candidate, row j the parent child - j, down to parent lo. Layout of a
-    row, in order: time-gap one-hot (25), distance one-hot (15), parent token
+def candidate_parents(child, lo):
+    """The candidate parents of ``child`` down to ``lo``, nearest first."""
+    return np.arange(child - 1, lo - 1, -1)
+
+
+def extract_link_features(cols, child, parents):
+    """The (len(parents) + 1, 77) feature block of one child: row 0 is the
+    self candidate and row j the parent ``parents[j - 1]``. Layout of a row,
+    in order: time-gap one-hot (25), distance one-hot (15), parent token
     count one-hot (10), child token count one-hot (10), shared-token one-hot
     (6), then scalar flags: Jaccard, same author, child mentions parent,
     parent mentions child, child mentions anyone, child asks a question,
@@ -147,10 +153,10 @@ def extract_link_features(cols, child, lo):
 
     The self row keeps only child-side features and its own flag.
     """
-    if not 0 <= lo <= child < len(cols.times):
-        raise ContractViolation(f"bad candidate window [{lo}, {child}) for child {child}")
-    parents = np.arange(child - 1, lo - 1, -1)
+    parents = np.asarray(parents, dtype=np.int64)
     plist = parents.tolist()
+    if not 0 <= child < len(cols.times) or (plist and not 0 <= min(plist) <= max(plist) < child):
+        raise ContractViolation(f"bad candidate parents {plist} for child {child}")
     rows = np.arange(1, len(parents) + 1)
     f = np.zeros((len(parents) + 1, FEATURE_DIM))
     f[:, _BASE + _COUNT_BUCKETS + cols.count_buckets[child]] = 1.0
@@ -160,7 +166,8 @@ def extract_link_features(cols, child, lo):
     if not len(parents):
         return f
     f[rows, time_gap_bucket(cols.times[child] - cols.times[parents])] = 1.0
-    f[rows, _TIME_BUCKETS + distance_bucket(rows)] = 1.0
+    distance = child - parents
+    f[rows, _TIME_BUCKETS + distance_bucket(distance)] = 1.0
     f[rows, _BASE + cols.count_buckets[parents]] = 1.0
     mine = set(cols.tokens[child])
     shared = np.array([len(mine.intersection(cols.tokens[p])) for p in plist], dtype=np.int64)
@@ -178,7 +185,7 @@ def extract_link_features(cols, child, lo):
     f[1:, 72] = cols.questions[parents]
     f[1:, 73] = cols.hours[parents] == cols.hours[child]
     f[1:, 75] = parents == 0
-    f[1, 76] = 1.0
+    f[1:, 76] = distance == 1
     return f
 
 
@@ -204,33 +211,35 @@ def init_link_params(rng, hidden):
 
 
 def link_logit(features, params):
-    """Graph-building forward pass of one feature row, for training; returns
-    the pre-sigmoid scalar tensor."""
-    x = nn.tensor(np.asarray(features))
+    """The scorer's forward pass over a (rows, 77) feature block: the (rows,)
+    tensor of pre-sigmoid logits, as one graph."""
+    x = nn.tensor(features)
     h1 = nn.softsign(nn.linear(x, params["link.W1"], params["link.b1"]))
     h2 = nn.softsign(nn.linear(h1, params["link.W2"], params["link.b2"]))
-    return (params["link.w3"] @ h2) + params["link.b3"]
+    return (h2 @ params["link.w3"]) + params["link.b3"]
 
 
-def _softsign(x):
-    return x / (1.0 + np.abs(x))
+def link_loss(features, signs, params):
+    """Mean binary cross-entropy of a block's logits z: softplus(sign * z),
+    with sign -1 for a true link and +1 for a negative."""
+    z = link_logit(features, params)
+    return nn.softplus(nn.tensor(signs) * z).sum() * (1.0 / len(signs))
 
 
 def link_probabilities(features, params):
-    """Link probability of every row of a feature block, in plain numpy:
-    sigmoid(link_logit(row)) up to summation order. All-zero parameters give
-    exactly 0.5."""
-    p = {name: t.data for name, t in params.items()}
-    h1 = _softsign(features @ p["link.W1"].T + p["link.b1"])
-    h2 = _softsign(h1 @ p["link.W2"].T + p["link.b2"])
-    return 1.0 / (1.0 + np.exp(-(h2 @ p["link.w3"] + p["link.b3"])))
+    """Link probability of every row of a feature block. All-zero parameters
+    give exactly 0.5."""
+    return nn.sigmoid(link_logit(features, params)).data
 
 
 def link_mlp_scorer(params):
-    """The trained scorer as a per-child scorer for assemble_dialogs."""
+    """The trained scorer as a per-child scorer for assemble_dialogs, over
+    constant copies of ``params`` so that no graph is kept."""
+    params = {name: nn.tensor(p.data) for name, p in params.items()}
 
     def scorer(cols, child, lo):
-        return link_probabilities(extract_link_features(cols, child, lo), params)
+        block = extract_link_features(cols, child, candidate_parents(child, lo))
+        return link_probabilities(block, params)
 
     return scorer
 
@@ -250,7 +259,7 @@ _HEURISTIC_WEIGHTS = (
 def heuristic_link_scorer(cols, child, lo):
     """A hand-set logistic score per candidate, over the columns of the
     child's feature block; self always scores 0.5."""
-    f = extract_link_features(cols, child, lo)[1:]
+    f = extract_link_features(cols, child, candidate_parents(child, lo))[1:]
     z = 0.0
     for i, w in _HEURISTIC_WEIGHTS:
         z = z + w * f[:, i]
@@ -442,43 +451,33 @@ def train_link_scorer(
     true parent index or None for dialog starters. Negatives are sampled from
     the other in-window candidates. Returns (params, per-epoch mean loss)."""
     rng = np.random.default_rng(seed)
-    pairs = []  # (features, label)
+    blocks, signs = [], []
     for log, links in examples:
         cols = link_columns(log)
         for child in range(len(log.utterances)):
             true_parent = links.get(child)
-            if true_parent is not None and not 0 <= true_parent < child:
-                raise ContractViolation(f"parent {true_parent} must precede child {child}")
-            lo = max(0, child - lookback)
-            candidates = [p for p in range(lo, child) if p != true_parent]
+            candidates = [p for p in range(max(0, child - lookback), child) if p != true_parent]
             if true_parent is not None:
                 candidates.append(None)
-                lo = min(lo, true_parent)
             rng.shuffle(candidates)
             picked = [true_parent] + candidates[:negatives_per_positive]
-            # row 0 of the block is self, row child - p is parent p
-            rows = extract_link_features(cols, child, lo)[
-                [0 if p is None else child - p for p in picked]
-            ]
-            pairs.extend(zip(rows, [1.0] + [0.0] * (len(picked) - 1)))
-    if not pairs:
+            parents = [p for p in picked if p is not None]
+            # row 0 of the block is self, row 1 + k the k-th picked parent
+            block = extract_link_features(cols, child, parents)
+            blocks.append(block[[0 if p is None else 1 + parents.index(p) for p in picked]])
+            signs += [-1.0] + [1.0] * (len(picked) - 1)
+    if not blocks:
         raise DataError("no link training pairs")
+    features, signs = np.concatenate(blocks), np.array(signs)
     params = init_link_params(rng, hidden)
     state = nn.AdamState(lr=lr)
+
+    def batch_loss(batch):
+        return link_loss(features[batch], signs[batch], params)
+
     history = []
-    order = np.arange(len(pairs))
+    order = np.arange(len(features))
     for _ in range(epochs):
         rng.shuffle(order)
-        total = 0.0
-        for start in range(0, len(order), batch_size):
-            batch = order[start : start + batch_size]
-            losses = []
-            for j in batch:
-                feats, label = pairs[j]
-                z = link_logit(feats, params)
-                # BCE on the logit: softplus(-z) for positives, softplus(z)
-                # for negatives
-                losses.append(nn.softplus(-z) if label == 1.0 else nn.softplus(z))
-            total += nn.train_step(losses, params, state) * len(batch)
-        history.append(total / len(order))
+        history.append(nn.train_epoch(order, batch_size, batch_loss, params, state))
     return params, history

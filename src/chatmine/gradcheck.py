@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .disentangle import FEATURE_DIM, link_loss, link_param_shapes
 from .encoder import LocalWindow
 from .features import local_attention
 
@@ -137,40 +138,25 @@ def _frag_conv_pool_blocks(seed):
     return _frag_conv_pool(seed, m=nn._CONV_BLOCK + 2)
 
 
-def _frag_softsign_chain(seed):
+def _frag_link_mlp(seed, rows=5, hidden=4):
+    """The link scorer's training loss over a block of ``rows`` feature rows,
+    with true links and negatives mixed."""
+
     def build(rng):
-        x = rng.normal(size=6)
-        W1 = rng.normal(size=(5, 6)) * 0.6
-        b1 = rng.normal(size=5) * 0.2
-        W2 = rng.normal(size=(4, 5)) * 0.6
-        b2 = rng.normal(size=4) * 0.2
-        w3 = rng.normal(size=4)
-        return x, W1, b1, W2, b2, w3
+        x = rng.normal(size=(rows, FEATURE_DIM)) / math.sqrt(FEATURE_DIM)
+        shapes = link_param_shapes(hidden)
+        return x, {name: rng.normal(size=shape) * 0.6 for name, shape in shapes.items()}
 
-    def ok(x, W1, b1, W2, b2, w3):
+    def ok(x, p):
         # softsign is C1 but its curvature jumps at 0; keep preacts away
-        h1 = W1 @ x + b1
-        if np.min(np.abs(h1)) < _MARGIN:
-            return False
-        s1 = h1 / (1 + np.abs(h1))
-        h2 = W2 @ s1 + b2
-        return np.min(np.abs(h2)) >= _MARGIN
+        h1 = x @ p["link.W1"].T + p["link.b1"]
+        h2 = (h1 / (1 + np.abs(h1))) @ p["link.W2"].T + p["link.b2"]
+        return min(np.min(np.abs(h1)), np.min(np.abs(h2))) >= _MARGIN
 
-    x, W1, b1, W2, b2, w3 = _resample(seed, build, ok)
-    p = {
-        "W1": nn.Parameter("W1", W1),
-        "b1": nn.Parameter("b1", b1),
-        "W2": nn.Parameter("W2", W2),
-        "b2": nn.Parameter("b2", b2),
-        "w3": nn.Parameter("w3", w3),
-    }
-
-    def loss():
-        h1 = nn.softsign(nn.linear(nn.tensor(x), p["W1"], p["b1"]))
-        h2 = nn.softsign(nn.linear(h1, p["W2"], p["b2"]))
-        return p["w3"] @ h2
-
-    return p, loss
+    x, data = _resample(seed, build, ok)
+    params = {name: nn.Parameter(name, value) for name, value in data.items()}
+    signs = np.where(np.arange(rows) % 2, 1.0, -1.0)
+    return params, lambda: link_loss(x, signs, params)
 
 
 def _frag_softmax_ce(seed):
@@ -238,7 +224,7 @@ STANDARD_FRAGMENTS = (
     ("linear_ce", _frag_linear_ce),
     ("conv_pool", _frag_conv_pool),
     ("conv_pool_blocks", _frag_conv_pool_blocks),
-    ("softsign_chain", _frag_softsign_chain),
+    ("link_mlp", _frag_link_mlp),
     ("softmax_ce", _frag_softmax_ce),
     ("local_attention", _frag_local_attention),
     ("fc_head_413_64_2", _frag_fc_head),

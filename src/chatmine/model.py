@@ -72,6 +72,8 @@ class ModelConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ConfigError("batch_size and max_epochs must be >= 1")
+        if not 0.0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be a positive finite number, got {self.lr}")
 
 
 @dataclass(frozen=True)
@@ -409,16 +411,16 @@ def train_model(
     best_epoch = 0
     history = []
     val_examples = [examples[i] for i in val_idx]
+
+    def batch_loss(idx):
+        batch = [examples[i] for i in idx]
+        return nn.batch_mean(
+            _losses(batch, params, conv_spec, heur_stats, cfg, drop_rng, training=True)
+        )
+
     for epoch in range(1, cfg.max_epochs + 1):
         order = shuffle_rng.permutation(train_idx)
-        running = 0.0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = [examples[i] for i in order[start : start + cfg.batch_size]]
-            losses = _losses(
-                batch, params, conv_spec, heur_stats, cfg, drop_rng, training=True
-            )
-            running += nn.train_step(losses, params, state) * len(batch)
-        train_loss = running / len(order)
+        train_loss = nn.train_epoch(order, cfg.batch_size, batch_loss, params, state)
         val_loss = float(
             nn.batch_mean(_losses(val_examples, params, conv_spec, heur_stats, cfg)).data
         )

@@ -28,7 +28,7 @@ __all__ = [
     "batch_mean",
     "AdamState",
     "adam_step",
-    "train_step",
+    "train_epoch",
     "glorot_uniform",
     "init_params",
 ]
@@ -43,8 +43,9 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
-        self._parents = tuple(parents)
-        self._backward = backward_fn
+        # backward never visits a tensor that needs no gradient: keep no graph
+        self._parents = tuple(parents) if self.requires_grad else ()
+        self._backward = backward_fn if self.requires_grad else None
 
     @property
     def shape(self):
@@ -99,19 +100,6 @@ class Tensor:
         return Tensor(self.data + other.data, parents=(self, other), backward_fn=back)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        def back(g):
-            if self.requires_grad:
-                self._accumulate(-g)
-
-        return Tensor(-self.data, parents=(self,), backward_fn=back)
-
-    def __sub__(self, other):
-        return self + (-_as_tensor(other))
-
-    def __rsub__(self, other):
-        return _as_tensor(other) + (-self)
 
     def __mul__(self, other):
         other = _as_tensor(other)
@@ -204,12 +192,24 @@ def _unbroadcast(g, shape):
 
 
 def linear(x, W, b):
-    """W @ x + b with gradients for all three operands."""
-    if W.data.shape[-1] != x.data.shape[0]:
+    """W @ x + b with gradients for all three operands. A (B, d) input is a
+    batch of rows: one node computing x @ W.T + b, shape (B, out)."""
+    if W.data.shape[-1] != x.data.shape[-1]:
         raise ContractViolation(
-            f"linear: weight inner dim {W.data.shape[-1]} != input dim {x.data.shape[0]}"
+            f"linear: weight inner dim {W.data.shape[-1]} != input dim {x.data.shape[-1]}"
         )
-    return (W @ x) + b
+    if x.data.ndim == 1:
+        return (W @ x) + b
+
+    def back(g):
+        if W.requires_grad:
+            W._accumulate(g.T @ x.data)
+        if b.requires_grad:
+            b._accumulate(g.sum(axis=0))
+        if x.requires_grad:
+            x._accumulate(g @ W.data)
+
+    return Tensor(x.data @ W.data.T + b.data, parents=(x, W, b), backward_fn=back)
 
 
 def relu(x):
@@ -431,13 +431,19 @@ def adam_step(params, state):
         p.grad = None
 
 
-def train_step(losses, params, state):
-    """One optimisation step on a batch's per-example losses: backpropagate
-    their mean and update ``params`` with Adam. Returns the mean loss."""
-    loss = batch_mean(losses)
-    loss.backward()
-    adam_step(params, state)
-    return float(loss.data)
+def train_epoch(order, batch_size, batch_loss, params, state):
+    """One pass over the example indices ``order`` in mini-batches of
+    ``batch_size``: ``batch_loss(batch)`` builds a batch's scalar mean loss,
+    which is backpropagated before Adam updates ``params``. Returns the
+    example-weighted mean loss."""
+    total = 0.0
+    for start in range(0, len(order), batch_size):
+        batch = order[start : start + batch_size]
+        loss = batch_loss(batch)
+        loss.backward()
+        adam_step(params, state)
+        total += float(loss.data) * len(batch)
+    return total / len(order)
 
 
 def zero_grads(params):

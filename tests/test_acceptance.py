@@ -57,7 +57,7 @@ def test_c01_scope_and_limitations_documented():
 def test_c02_gradient_checks_all_fragments_three_seeds():
     """Central finite differences vs analytic gradients for every computation
     fragment (linear+CE, conv-pool, conv-pool over more than one kernel
-    block, softsign chain, softmax+CE, local attention, 413-64-2 head) at
+    block, batched link MLP, softmax+CE, local attention, 413-64-2 head) at
     seeds 1..3: max relative error < 1e-4 at 64-bit, total runtime under 60
     seconds."""
     t0 = time.monotonic()

@@ -432,6 +432,45 @@ def test_disentangle_with_misshapen_link_parameter_exits_3(tmp_path, capsys):
     assert "'link.W2'" in err
 
 
+def test_disentangle_with_nan_link_weight_exits_3(tmp_path, capsys):
+    from chatmine import disentangle
+
+    params = disentangle.init_link_params(np.random.default_rng(0), 8)
+    params["link.W1"].data[3, 5] = np.nan
+    bad = tmp_path / "link.ckpt"
+    disentangle.save_link_checkpoint(bad, params)
+    clean = tmp_path / "clean.jsonl"
+    assert main(["preprocess", "--input", str(write_raw(tmp_path / "raw.jsonl")), "--out", str(clean)]) == 0
+    capsys.readouterr()
+    rc = main(["disentangle", "--input", str(clean), "--out", str(tmp_path / "d.jsonl"), "--link-ckpt", str(bad)])
+    err = assert_data_error(rc, capsys)
+    assert "'link.W1'" in err and "not finite" in err
+
+
+def test_extract_with_infinite_issue_weight_exits_3(tmp_path, cli_ckpts, capsys):
+    from chatmine import checkpoint as ckpt_io
+
+    ck = ckpt_io.load_checkpoint(cli_ckpts["issue"])
+    params = dict(ck.params)
+    params["fc2.w"] = params["fc2.w"].copy()
+    params["fc2.w"][1, 0] = np.inf
+    bad = tmp_path / "issue.ckpt"
+    ckpt_io.save_checkpoint(bad, params, ck.manifest)
+    err = assert_data_error(extract_with_issue_ckpt(tmp_path, bad, cli_ckpts["solution"]), capsys)
+    assert "'fc2.w'" in err and "not finite" in err
+
+
+def test_train_with_nan_lr_in_config_exits_3(tmp_path, labeled_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("lr=nan\n", encoding="utf-8")
+    rc = main(
+        ["--config", str(cfg), "train", "--data", str(labeled_path), "--target", "issue",
+         "--out", str(tmp_path / "issue.ckpt")]
+    )
+    assert "lr" in assert_data_error(rc, capsys)
+    assert not (tmp_path / "issue.ckpt").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -439,6 +478,9 @@ def test_disentangle_with_misshapen_link_parameter_exits_3(tmp_path, capsys):
         ["gradcheck", "--step", "0"],
         ["gradcheck", "--tol", "nan"],
         ["train", "--data", "d", "--target", "link", "--out", "o", "--link-hidden", "-1"],
+        ["train", "--data", "d", "--target", "link", "--out", "o", "--epochs", "-3"],
+        ["train", "--data", "d", "--target", "issue", "--out", "o", "--lr", "nan"],
+        ["train", "--data", "d", "--target", "issue", "--out", "o", "--lr", "-1"],
         ["disentangle", "--input", "i", "--out", "o", "--lookback", "-3"],
         ["disentangle", "--input", "i", "--out", "o", "--lookback", "0"],
         ["disentangle", "--input", "i", "--out", "o", "--lookback", "2.5"],
@@ -449,6 +491,7 @@ def test_disentangle_with_misshapen_link_parameter_exits_3(tmp_path, capsys):
     ],
     ids=[
         "gradcheck-seeds", "gradcheck-step", "gradcheck-tol", "link-hidden",
+        "link-epochs-negative", "lr-nan", "lr-negative",
         "lookback-negative", "lookback-zero", "lookback-fraction",
         "threshold-nan", "threshold-above-one", "threshold-negative", "threshold-inf",
     ],

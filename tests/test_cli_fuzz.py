@@ -11,6 +11,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -123,13 +124,18 @@ def mutated_jsonl(draw, records):
 @st.composite
 def damaged_checkpoint(draw, name):
     """A benchmark checkpoint truncated, with one byte replaced (mostly in
-    the length prefix or the manifest), or with one manifest field dropped or
-    replaced by arbitrary JSON."""
+    the length prefix or the manifest), with one float32 of the blob set to
+    NaN or an infinity, or with one manifest field dropped or replaced by
+    arbitrary JSON."""
     raw = (CKPT_DIR / f"{name}.ckpt").read_bytes()
     (mlen,) = struct.unpack("<I", raw[:4])
-    kind = draw(st.sampled_from(("truncate", "byte", "field")))
+    kind = draw(st.sampled_from(("truncate", "byte", "nonfinite", "field")))
     if kind == "truncate":
         return raw[: draw(st.integers(0, len(raw) - 1))]
+    if kind == "nonfinite":
+        pos = 4 + mlen + 4 * draw(st.integers(0, (len(raw) - 4 - mlen) // 4 - 1))
+        value = struct.pack("<f", draw(st.sampled_from((math.nan, math.inf, -math.inf))))
+        return raw[:pos] + value + raw[pos + 4 :]
     if kind == "byte":
         pos = draw(st.integers(0, min(len(raw), 4 + mlen + 64) - 1))
         return raw[:pos] + bytes([draw(st.integers(0, 255))]) + raw[pos + 1 :]

@@ -57,6 +57,9 @@ def test_model_config_validation():
         ModelConfig(patience=0)
     with pytest.raises(ConfigError):
         ModelConfig(batch_size=0)
+    for lr in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            ModelConfig(lr=lr)
     cfg = ModelConfig()
     assert (cfg.batch_size, cfg.dropout, cfg.lr, cfg.beta1) == (8, 0.6, 0.001, 0.9)
     assert (cfg.max_epochs, cfg.patience) == (100, 5)

@@ -67,6 +67,22 @@ def test_linear_shape_contract():
     b = nn.tensor(np.zeros(3))
     with pytest.raises(ContractViolation):
         nn.linear(nn.tensor(np.zeros(5)), W, b)
+    with pytest.raises(ContractViolation):
+        nn.linear(nn.tensor(np.zeros((2, 5))), W, b)
+
+
+def test_batched_linear_forward_and_gradients_closed_form():
+    rng = np.random.default_rng(4)
+    X = nn.Parameter("X", rng.normal(size=(5, 4)))
+    W = nn.Parameter("W", rng.normal(size=(3, 4)))
+    b = nn.Parameter("b", rng.normal(size=3))
+    G = rng.normal(size=(5, 3))
+    out = nn.linear(X, W, b)
+    assert np.array_equal(out.data, X.data @ W.data.T + b.data)
+    (out * nn.tensor(G)).sum().backward()
+    assert np.array_equal(W.grad, G.T @ X.data)
+    assert np.array_equal(b.grad, G.sum(axis=0))
+    assert np.array_equal(X.grad, G @ W.data)
 
 
 def test_backward_requires_scalar():
