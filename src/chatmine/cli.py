@@ -170,9 +170,10 @@ def _cmd_train(args, file_cfg):
     pre_cfg = _pre_cfg(args, file_cfg)
     if args.target == "link":
         examples = disentangle.load_link_examples(args.data, pre_cfg)
-        epochs = {} if args.epochs is None else {"epochs": args.epochs}
+        given = {"epochs": args.epochs, "lr": args.lr, "batch_size": args.batch_size}
+        given = {k: v for k, v in given.items() if v is not None}
         params, history = disentangle.train_link_scorer(
-            examples, hidden=args.link_hidden, seed=args.seed, **epochs
+            examples, hidden=args.link_hidden, seed=args.seed, **given
         )
         disentangle.save_link_checkpoint(args.out, params)
         _log(f"link scorer loss: {' '.join(f'{h:.4f}' for h in history)}")
@@ -306,7 +307,7 @@ def build_parser():
 
     model_flags = argparse.ArgumentParser(add_help=False)
     model_flags.add_argument("--epochs", type=_int_at_least(0))
-    model_flags.add_argument("--batch-size", type=int)
+    model_flags.add_argument("--batch-size", type=_int_at_least(1))
     model_flags.add_argument("--dropout", type=float)
     model_flags.add_argument("--lr", type=_positive_float)
     model_flags.add_argument("--patience", type=int)

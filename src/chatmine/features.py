@@ -285,40 +285,27 @@ def init_attention_params(rng, input_dim):
 def local_attention(win, params):
     """Gaussian-damped dot-product attention over one local window.
 
-    Per non-pad slot s with center i: score(s) = (h_Q·h_K(s)) · exp(−(s−i)² /
-    (2k²)); weights are score / Σscore exactly as written, padded slots
-    excluded. When the score sum is not positive the weights fall back to
-    uniform over the non-pad slots. The context is Σ a_s·h_V(s) / sqrt(d).
+    U holds the window's L non-pad slots as columns. With center i the scores
+    are h_q·W_K·U, h_q = W_Q·u_i, each slot s damped by exp(−(s−i)² / (2k²));
+    weights are score / Σscore exactly as written, or uniform 1/L when that
+    sum is not positive. The context is (W_V·U)·weights / sqrt(d).
     ``params`` holds the projections attn.wq, attn.wk and attn.wv.
     """
     n_slots, dim = win.vectors.shape
     k = (n_slots - 1) // 2
-    center = k
-    if not win.pad_mask[center]:
+    if not win.pad_mask[k]:
         raise ContractViolation("window center is padded")
-    wq, wk, wv = params["attn.wq"], params["attn.wk"], params["attn.wv"]
-    u_i = nn.tensor(win.vectors[center])
-    h_q = wq @ u_i
-    live = [s for s in range(n_slots) if win.pad_mask[s]]
-    scores = []
-    values = []
-    for s in live:
-        u_s = nn.tensor(win.vectors[s])
-        h_k = wk @ u_s
-        gauss = 1.0 if s == center else math.exp(-((s - center) ** 2) / (2.0 * k * k))
-        scores.append((h_q @ h_k) * gauss)
-        values.append(wv @ u_s)
-    total = scores[0]
-    for s in scores[1:]:
-        total = total + s
+    live = np.flatnonzero(win.pad_mask)
+    U = nn.tensor(win.vectors[live].T)
+    gauss = np.array([1.0 if s == k else math.exp(-((s - k) ** 2) / (2.0 * k * k)) for s in live])
+    h_q = params["attn.wq"] @ nn.tensor(win.vectors[k])
+    scores = (h_q @ (params["attn.wk"] @ U)) * gauss
+    total = scores.sum()
     if float(total.data) > 0.0:
-        weights = [s / total for s in scores]
+        weights = scores / total
     else:
-        weights = [nn.tensor(1.0 / len(live)) for _ in live]
-    ctx = weights[0] * values[0]
-    for w, val in zip(weights[1:], values[1:]):
-        ctx = ctx + w * val
-    return ctx * (1.0 / math.sqrt(dim))
+        weights = nn.tensor(np.full(len(live), 1.0 / len(live)))
+    return ((params["attn.wv"] @ U) @ weights) * (1.0 / math.sqrt(dim))
 
 
 # -- fusion ----------------------------------------------------------------

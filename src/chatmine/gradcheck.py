@@ -166,9 +166,12 @@ def _frag_softmax_ce(seed):
     return {"logits": logits}, lambda: nn.softmax_cross_entropy(logits, label)
 
 
-def _frag_local_attention(seed, dim=16, context_dim=8):
+def _frag_local_attention(seed, pad_mask=(True, True, True), dim=16, context_dim=8):
+    k = len(pad_mask) // 2
+    damping = [math.exp(-((s - k) ** 2) / (2.0 * k * k)) * on for s, on in enumerate(pad_mask)]
+
     def build(rng):
-        vecs = rng.normal(size=(3, dim)) / math.sqrt(dim)
+        vecs = rng.normal(size=(len(pad_mask), dim)) / math.sqrt(dim)
         Wq = rng.normal(size=(context_dim, dim)) * 0.5
         Wk = Wq + rng.normal(size=(context_dim, dim)) * 0.1
         Wv = rng.normal(size=(context_dim, dim)) * 0.5
@@ -177,19 +180,21 @@ def _frag_local_attention(seed, dim=16, context_dim=8):
 
     def ok(vecs, Wq, Wk, Wv, r):
         # stay clear of the uniform-weights fallback at sum <= 0
-        g = math.exp(-0.5)
-        hq = Wq @ vecs[1]
-        total = sum(
-            (hq @ (Wk @ vecs[s])) * (1.0 if s == 1 else g) for s in range(3)
-        )
-        return total > 0.05
+        hq = Wq @ vecs[k]
+        return sum((hq @ (Wk @ v)) * g for v, g in zip(vecs, damping)) > 0.05
 
     vecs, Wq, Wk, Wv, r = _resample(seed, build, ok)
     params = {
         name: nn.Parameter(name, w) for name, w in (("attn.wq", Wq), ("attn.wk", Wk), ("attn.wv", Wv))
     }
-    win = LocalWindow(center=1, vectors=vecs, pad_mask=(True, True, True))
+    win = LocalWindow(center=k, vectors=vecs, pad_mask=pad_mask)
     return params, lambda: (local_attention(win, params) * nn.tensor(r)).sum()
+
+
+def _frag_local_attention_padded(seed):
+    """local_attention at k = 2 with one edge slot padded: four live rows at
+    Gaussian distances 1 and 2."""
+    return _frag_local_attention(seed, pad_mask=(False, True, True, True, True))
 
 
 def _frag_fc_head(seed, fused_dim=413, hidden=64, classes=2):
@@ -227,6 +232,7 @@ STANDARD_FRAGMENTS = (
     ("link_mlp", _frag_link_mlp),
     ("softmax_ce", _frag_softmax_ce),
     ("local_attention", _frag_local_attention),
+    ("local_attention_padded", _frag_local_attention_padded),
     ("fc_head_413_64_2", _frag_fc_head),
 )
 

@@ -192,22 +192,23 @@ def _unbroadcast(g, shape):
 
 
 def linear(x, W, b):
-    """W @ x + b with gradients for all three operands. A (B, d) input is a
-    batch of rows: one node computing x @ W.T + b, shape (B, out)."""
+    """One node computing x @ W.T + b, with gradients for all three operands.
+    ``x`` is one (d,) input or a (B, d) batch of rows; the output is (out,)
+    or (B, out)."""
     if W.data.shape[-1] != x.data.shape[-1]:
         raise ContractViolation(
             f"linear: weight inner dim {W.data.shape[-1]} != input dim {x.data.shape[-1]}"
         )
-    if x.data.ndim == 1:
-        return (W @ x) + b
+    rows = x.data.reshape(-1, x.data.shape[-1])
 
     def back(g):
+        g = g.reshape(len(rows), -1)
         if W.requires_grad:
-            W._accumulate(g.T @ x.data)
+            W._accumulate(g.T @ rows)
         if b.requires_grad:
             b._accumulate(g.sum(axis=0))
         if x.requires_grad:
-            x._accumulate(g @ W.data)
+            x._accumulate((g @ W.data).reshape(x.data.shape))
 
     return Tensor(x.data @ W.data.T + b.data, parents=(x, W, b), backward_fn=back)
 

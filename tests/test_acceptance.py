@@ -57,13 +57,13 @@ def test_c01_scope_and_limitations_documented():
 def test_c02_gradient_checks_all_fragments_three_seeds():
     """Central finite differences vs analytic gradients for every computation
     fragment (linear+CE, conv-pool, conv-pool over more than one kernel
-    block, batched link MLP, softmax+CE, local attention, 413-64-2 head) at
-    seeds 1..3: max relative error < 1e-4 at 64-bit, total runtime under 60
-    seconds."""
+    block, batched link MLP, softmax+CE, local attention over a full and a
+    padded window, 413-64-2 head) at seeds 1..3: max relative error < 1e-4
+    at 64-bit, total runtime under 60 seconds."""
     t0 = time.monotonic()
     reports = run_standard_checks(seeds=(1, 2, 3), tolerance=1e-4)
     elapsed = time.monotonic() - t0
-    assert len(reports) == 21  # 7 fragments x 3 seeds
+    assert len(reports) == 24  # 8 fragments x 3 seeds
     for r in reports:
         assert r.passed, f"{r.fragment} seed {r.seed}: {r.max_rel_error} at {r.worst_param}"
         assert r.max_rel_error < 1e-4

@@ -243,7 +243,7 @@ def test_gradcheck_verb_passes_and_reports(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     lines = [l for l in out.strip().splitlines() if l]
-    assert len(lines) == 7  # one line per fragment
+    assert len(lines) == 8  # one line per fragment
     for line in lines:
         assert line.endswith("PASS")
         assert "max_rel_error=" in line
@@ -299,6 +299,25 @@ def test_train_link_on_malformed_record_exits_3(tmp_path, capsys, utterances, li
     rc = main(["train", "--data", str(data), "--target", "link", "--out", str(tmp_path / "l.ckpt")])
     err = assert_data_error(rc, capsys)
     assert f"{data}:2: bad" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--lr", "0.5"], ["--batch-size", "3"], ["--lr", "0.5", "--batch-size", "3"]],
+    ids=["lr", "batch-size", "both"],
+)
+def test_train_link_honours_lr_and_batch_size(tmp_path, flags):
+    data = tmp_path / "links.jsonl"
+    utts = GOOD_UTTS + [{"time": 3000, "id": "ann", "text": "thanks, that fixed it"}]
+    record = {"utterances": utts, "links": [[1, 0], [2, 1]]}
+    data.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    ckpts = []
+    for extra in ([], flags):
+        out = tmp_path / f"link{len(ckpts)}.ckpt"
+        argv = ["train", "--data", str(data), "--target", "link", "--out", str(out)]
+        assert main(argv + ["--link-hidden", "4", "--epochs", "1"] + extra) == 0
+        ckpts.append(out.read_bytes())
+    assert ckpts[0] != ckpts[1]
 
 
 def extract_with_issue_ckpt(tmp_path, issue_ckpt, solution_ckpt):
@@ -479,6 +498,7 @@ def test_train_with_nan_lr_in_config_exits_3(tmp_path, labeled_path, capsys):
         ["gradcheck", "--tol", "nan"],
         ["train", "--data", "d", "--target", "link", "--out", "o", "--link-hidden", "-1"],
         ["train", "--data", "d", "--target", "link", "--out", "o", "--epochs", "-3"],
+        ["train", "--data", "d", "--target", "link", "--out", "o", "--batch-size", "0"],
         ["train", "--data", "d", "--target", "issue", "--out", "o", "--lr", "nan"],
         ["train", "--data", "d", "--target", "issue", "--out", "o", "--lr", "-1"],
         ["disentangle", "--input", "i", "--out", "o", "--lookback", "-3"],
@@ -491,7 +511,7 @@ def test_train_with_nan_lr_in_config_exits_3(tmp_path, labeled_path, capsys):
     ],
     ids=[
         "gradcheck-seeds", "gradcheck-step", "gradcheck-tol", "link-hidden",
-        "link-epochs-negative", "lr-nan", "lr-negative",
+        "link-epochs-negative", "batch-size-zero", "lr-nan", "lr-negative",
         "lookback-negative", "lookback-zero", "lookback-fraction",
         "threshold-nan", "threshold-above-one", "threshold-negative", "threshold-inf",
     ],

@@ -453,6 +453,21 @@ def test_attention_ignores_content_outside_window():
     )
 
 
+def test_full_window_attention_graph_is_one_node_per_op():
+    # 3 projections, u_center, U, gauss, 1/sqrt(d) and nine ops
+    params = random_attn_params(np.random.default_rng(2), 4, 3)
+    params["attn.wk"].data = params["attn.wq"].data.copy()  # positive scores
+    vecs = [np.array([1.0, 0.5, -0.5, 0.2]) * (i + 1) for i in range(3)]
+    ctx = ft.local_attention(build_local_window(vecs, 1, k=1), params)
+    seen, stack = set(), [ctx]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    assert len(seen) <= 16
+
+
 def test_attention_rejects_padded_center():
     win = LocalWindow(center=1, vectors=np.zeros((3, 2)), pad_mask=(True, False, True))
     params = random_attn_params(np.random.default_rng(0), 2, 2)

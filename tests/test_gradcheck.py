@@ -23,6 +23,7 @@ def test_report_carries_fragment_metadata():
     names = {r.fragment for r in reports}
     assert "conv_pool" in names
     assert "local_attention" in names
+    assert "local_attention_padded" in names
     for rep in reports:
         assert rep.seed == 2
         assert rep.param_count > 0

@@ -85,6 +85,21 @@ def test_batched_linear_forward_and_gradients_closed_form():
     assert np.array_equal(X.grad, G @ W.data)
 
 
+def test_unbatched_linear_is_one_node_with_closed_form_gradients():
+    rng = np.random.default_rng(6)
+    x = nn.Parameter("x", rng.normal(size=4))
+    W = nn.Parameter("W", rng.normal(size=(3, 4)))
+    b = nn.Parameter("b", rng.normal(size=3))
+    g = rng.normal(size=3)
+    out = nn.linear(x, W, b)
+    assert out._parents == (x, W, b)  # no intermediate W @ x node
+    assert np.array_equal(out.data, W.data @ x.data + b.data)
+    (out * nn.tensor(g)).sum().backward()
+    assert np.array_equal(W.grad, np.outer(g, x.data))
+    assert np.array_equal(b.grad, g)
+    assert np.array_equal(x.grad, W.data.T @ g)
+
+
 def test_backward_requires_scalar():
     v = nn.Parameter("v", np.array([1.0, 2.0]))
     with pytest.raises(ContractViolation):
