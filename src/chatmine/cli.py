@@ -112,6 +112,13 @@ def _model_cfg(args, file_cfg):
     return _dataclass_from(ModelConfig, file_cfg, overrides)
 
 
+def _classifier_only(key):
+    """A setting (flag dest or config key) only the issue and solution models
+    read; link training, with its fixed lr and batch size, rejects it."""
+    model_keys = {f.name for f in fields(ModelConfig)} - {"seed"}
+    return key in model_keys or key.startswith("encoder_")
+
+
 def _link_scorer(args):
     path = getattr(args, "link_ckpt", None)
     if path:
@@ -169,11 +176,13 @@ def _cmd_disentangle(args, file_cfg):
 def _cmd_train(args, file_cfg):
     pre_cfg = _pre_cfg(args, file_cfg)
     if args.target == "link":
+        keys = sorted(filter(_classifier_only, file_cfg))
+        if keys:
+            raise ConfigError(f"train --target link does not read config keys {', '.join(keys)}")
         examples = disentangle.load_link_examples(args.data, pre_cfg)
-        given = {"epochs": args.epochs, "lr": args.lr, "batch_size": args.batch_size}
-        given = {k: v for k, v in given.items() if v is not None}
+        epochs = {} if args.epochs is None else {"epochs": args.epochs}
         params, history = disentangle.train_link_scorer(
-            examples, hidden=args.link_hidden, seed=args.seed, **given
+            examples, hidden=args.link_hidden, seed=args.seed, **epochs
         )
         disentangle.save_link_checkpoint(args.out, params)
         _log(f"link scorer loss: {' '.join(f'{h:.4f}' for h in history)}")
@@ -202,24 +211,13 @@ def _cmd_extract(args, file_cfg):
     clean, _ = preprocess_chat_log(log, pre_cfg)
     issue_bundle = model_mod.load_model_checkpoint(args.issue_ckpt, enc_cfg, "issue")
     solution_bundle = model_mod.load_model_checkpoint(args.solution_ckpt, enc_cfg, "solution")
-    cfg = None
-    if args.issue_threshold is not None or args.solution_threshold is not None:
-        cfg = ModelConfig(
-            issue_threshold=args.issue_threshold
-            if args.issue_threshold is not None
-            else issue_bundle.cfg.issue_threshold,
-            solution_threshold=args.solution_threshold
-            if args.solution_threshold is not None
-            else solution_bundle.cfg.solution_threshold,
-        )
-    pairs = model_mod.assemble_pairs(
-        clean,
-        issue_bundle,
-        solution_bundle,
-        _link_scorer(args),
-        cfg,
-        enc_cfg,
+    issue_thr, sol_thr = args.issue_threshold, args.solution_threshold
+    cfg = ModelConfig(
+        issue_threshold=issue_bundle.cfg.issue_threshold if issue_thr is None else issue_thr,
+        solution_threshold=solution_bundle.cfg.solution_threshold if sol_thr is None else sol_thr,
     )
+    scorer = _link_scorer(args)
+    pairs = model_mod.assemble_pairs(clean, issue_bundle, solution_bundle, scorer, cfg, enc_cfg)
     Path(args.out).write_text(model_mod.pairs_to_jsonl(pairs), encoding="utf-8")
     _log(f"extracted {len(pairs)} issue-solution pairs")
     return 0
@@ -313,7 +311,7 @@ def build_parser():
     model_flags.add_argument("--patience", type=int)
     model_flags.add_argument("--issue-threshold", type=float)
     model_flags.add_argument("--solution-threshold", type=float)
-    model_flags.add_argument("--balance", action="store_true")
+    model_flags.add_argument("--balance", action="store_true", default=None)
 
     p = sub.add_parser("preprocess", help="normalize and repair a raw chat log")
     p.add_argument("--input", required=True)
@@ -373,6 +371,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "target", None) == "link":
+        given = ["--" + k.replace("_", "-") for k, v in vars(args).items()
+                 if v is not None and _classifier_only(k)]
+        if given:
+            parser.error(f"train --target link takes no {', '.join(given)} (classifier settings)")
     try:
         file_cfg = _parse_config_file(args.config) if args.config else {}
         return args.func(args, file_cfg)

@@ -301,23 +301,48 @@ def test_train_link_on_malformed_record_exits_3(tmp_path, capsys, utterances, li
     assert f"{data}:2: bad" in err
 
 
-@pytest.mark.parametrize(
-    "flags",
-    [["--lr", "0.5"], ["--batch-size", "3"], ["--lr", "0.5", "--batch-size", "3"]],
-    ids=["lr", "batch-size", "both"],
-)
-def test_train_link_honours_lr_and_batch_size(tmp_path, flags):
+def write_link_data(tmp_path):
     data = tmp_path / "links.jsonl"
     utts = GOOD_UTTS + [{"time": 3000, "id": "ann", "text": "thanks, that fixed it"}]
     record = {"utterances": utts, "links": [[1, 0], [2, 1]]}
     data.write_text(json.dumps(record) + "\n", encoding="utf-8")
-    ckpts = []
-    for extra in ([], flags):
-        out = tmp_path / f"link{len(ckpts)}.ckpt"
-        argv = ["train", "--data", str(data), "--target", "link", "--out", str(out)]
-        assert main(argv + ["--link-hidden", "4", "--epochs", "1"] + extra) == 0
-        ckpts.append(out.read_bytes())
-    assert ckpts[0] != ckpts[1]
+    return data
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--lr", "0.5"], ["--batch-size", "3"], ["--dropout", "0"], ["--balance"],
+     ["--encoder-dim", "16"], ["--lr", "0.5", "--batch-size", "3"]],
+    ids=["lr", "batch-size", "dropout-zero", "balance", "encoder-dim", "both"],
+)
+def test_train_link_rejects_classifier_flags(tmp_path, flags, capsys):
+    # link training has its own fixed lr and batch size; a classifier flag
+    # it would not read is a usage error, not silently ignored
+    out = tmp_path / "link.ckpt"
+    argv = ["train", "--data", str(write_link_data(tmp_path)), "--target", "link",
+            "--out", str(out), "--link-hidden", "4", "--epochs", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flags)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and flags[0] in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["lr=0.5", "batch_size=3", "max_epochs=1", "encoder_dim=16"])
+def test_train_link_rejects_classifier_config_keys(tmp_path, line, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("merge_time_gap_max_ms=1000\n" + line + "\n", encoding="utf-8")
+    out = tmp_path / "link.ckpt"
+    argv = ["train", "--data", str(write_link_data(tmp_path)), "--target", "link",
+            "--out", str(out), "--link-hidden", "4", "--epochs", "1"]
+    err = assert_data_error(main(["--config", str(cfg)] + argv), capsys)
+    assert line.split("=")[0] in err
+    assert not out.exists()
+    # preprocessing keys alone are read, as before
+    cfg.write_text("merge_time_gap_max_ms=1000\n", encoding="utf-8")
+    assert main(["--config", str(cfg)] + argv) == 0
+    assert out.exists()
 
 
 def extract_with_issue_ckpt(tmp_path, issue_ckpt, solution_ckpt):
@@ -498,7 +523,7 @@ def test_train_with_nan_lr_in_config_exits_3(tmp_path, labeled_path, capsys):
         ["gradcheck", "--tol", "nan"],
         ["train", "--data", "d", "--target", "link", "--out", "o", "--link-hidden", "-1"],
         ["train", "--data", "d", "--target", "link", "--out", "o", "--epochs", "-3"],
-        ["train", "--data", "d", "--target", "link", "--out", "o", "--batch-size", "0"],
+        ["train", "--data", "d", "--target", "issue", "--out", "o", "--batch-size", "0"],
         ["train", "--data", "d", "--target", "issue", "--out", "o", "--lr", "nan"],
         ["train", "--data", "d", "--target", "issue", "--out", "o", "--lr", "-1"],
         ["disentangle", "--input", "i", "--out", "o", "--lookback", "-3"],
