@@ -4,6 +4,8 @@ Verbs: preprocess, disentangle, train, extract, eval, gradcheck. Global
 flags --seed / --config apply everywhere; a config file holds
 key=value lines mirroring the PreprocessConfig, ModelConfig, and encoder
 fields (encoder keys prefixed encoder_), and explicit CLI flags win over it.
+The seed is --seed, else the config file's seed, else 0; train and eval
+read it.
 Diagnostics go to standard error only; outputs are files. Exit codes: 0
 success, 2 usage, 3 data/config problems, 4 internal invariant breaches,
 each with one machine-parsable "error: code=N reason=..." line.
@@ -96,9 +98,19 @@ def _enc_cfg(args, file_cfg):
     return _dataclass_from(enc.EncoderConfig, file_cfg, overrides, prefix="encoder_")
 
 
+def _seed(args, file_cfg):
+    """The run's seed: --seed, else the config file's seed key, else 0."""
+    if args.seed is not None:
+        return args.seed
+    seed = _coerce(file_cfg.get("seed", 0), int)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _model_cfg(args, file_cfg):
     overrides = {
-        "seed": args.seed,
+        "seed": _seed(args, file_cfg),
         "batch_size": getattr(args, "batch_size", None),
         "dropout": getattr(args, "dropout", None),
         "lr": getattr(args, "lr", None),
@@ -182,7 +194,7 @@ def _cmd_train(args, file_cfg):
         examples = disentangle.load_link_examples(args.data, pre_cfg)
         epochs = {} if args.epochs is None else {"epochs": args.epochs}
         params, history = disentangle.train_link_scorer(
-            examples, hidden=args.link_hidden, seed=args.seed, **epochs
+            examples, hidden=args.link_hidden, seed=_seed(args, file_cfg), **epochs
         )
         disentangle.save_link_checkpoint(args.out, params)
         _log(f"link scorer loss: {' '.join(f'{h:.4f}' for h in history)}")
@@ -294,7 +306,7 @@ def build_parser():
         prog="chatmine",
         description="Mine issue-solution pairs from developer chat logs.",
     )
-    parser.add_argument("--seed", type=_int_at_least(0), default=0, help="global random seed")
+    parser.add_argument("--seed", type=_int_at_least(0), help="global random seed")
     parser.add_argument("--config", help="key=value config file")
     sub = parser.add_subparsers(dest="verb", required=True)
 

@@ -41,17 +41,25 @@ class RawMessage:
     text: str
 
 
+def _whole_number(value):
+    """Whether a parsed JSON value is an int or a float with no fractional
+    part (a bool is neither)."""
+    return type(value) is int or (type(value) is float and value.is_integer())
+
+
 def raw_message(record, where):
     """A training-file utterance record ``{time, id, text}`` as a RawMessage;
     a DataError naming ``where`` (file:line) when a field is missing or of
-    the wrong type."""
+    the wrong type, or the time is not a whole number."""
     try:
-        raw = RawMessage(int(record["time"]), record["id"], record["text"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        time, author_id, text = record["time"], record["id"], record["text"]
+    except (KeyError, TypeError) as exc:
         raise DataError(f"{where}: bad utterance ({exc})") from exc
-    if not isinstance(raw.author_id, str) or not isinstance(raw.text, str):
+    if not _whole_number(time):
+        raise DataError(f"{where}: bad utterance (time {time!r} is not a whole number)")
+    if not isinstance(author_id, str) or not isinstance(text, str):
         raise DataError(f"{where}: bad utterance (id and text must be strings)")
-    return raw
+    return RawMessage(int(time), author_id, text)
 
 
 @dataclass(frozen=True)
@@ -206,9 +214,7 @@ def parse_chat_log(path, community_id=None):
             skipped.append(SkippedLine(line_no, "missing field: " + missing[0]))
             continue
         t = obj["time"]
-        if isinstance(t, bool) or not isinstance(t, (int, float)) or (
-            isinstance(t, float) and not t.is_integer()
-        ):
+        if not _whole_number(t):
             skipped.append(SkippedLine(line_no, "bad time"))
             continue
         t = int(t)

@@ -424,10 +424,10 @@ def load_link_examples(path, pre_cfg):
         utts = [preprocess_utterance(raw, pre_cfg, index=i) for i, raw in enumerate(raws)]
         links = {}
         for pair in link_pairs:
-            try:
-                child, parent = (int(x) for x in pair)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise DataError(f"{where}: bad link {pair!r} ({exc})") from exc
+            # indices are JSON integers: no bools, no floats to truncate
+            if not (isinstance(pair, list) and len(pair) == 2 and all(type(x) is int for x in pair)):
+                raise DataError(f"{where}: bad link {pair!r} (want [child, parent] integers)")
+            child, parent = pair
             if not 0 <= parent < child < len(utts):
                 raise DataError(f"{where}: bad link {pair}")
             links[child] = parent

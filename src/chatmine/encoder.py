@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation
+from .errors import ConfigError
 
 _PROVIDERS = ("hash", "table")
 # the EncoderConfig fields that change the produced vectors
@@ -42,16 +42,6 @@ class EncoderConfig:
             raise ConfigError("table provider needs table_path")
         if self.buckets_per_token < 1:
             raise ConfigError("buckets_per_token must be >= 1")
-
-
-@dataclass(frozen=True)
-class LocalWindow:
-    """2k+1 utterance vectors centered on one position. pad_mask[s] is True
-    for real neighbors, False for zero padding."""
-
-    center: int
-    vectors: np.ndarray
-    pad_mask: tuple
 
 
 @dataclass(frozen=True)
@@ -151,24 +141,14 @@ def encode_tokens(tokens, cfg, table=None):
     return acc / norm if norm > 0 else acc
 
 
-def build_local_window(vectors, center, k, dim=None):
-    """Stack positions center-k .. center+k from a sequence of equal-width
-    vectors, zero padding outside the sequence."""
-    n = len(vectors)
-    if not 0 <= center < n:
-        raise ContractViolation(f"window center {center} outside sequence of {n}")
-    if dim is None:
-        dim = len(vectors[center])
-    slots = np.zeros((2 * k + 1, dim))
-    mask = []
-    for s, pos in enumerate(range(center - k, center + k + 1)):
-        inside = 0 <= pos < n
-        mask.append(inside)
-        if inside:
-            v = np.asarray(vectors[pos])
-            if v.shape != (dim,):
-                raise ContractViolation(
-                    f"window vector at {pos} has shape {v.shape}, expected ({dim},)"
-                )
-            slots[s] = v
-    return LocalWindow(center=center, vectors=slots, pad_mask=tuple(mask))
+def local_windows(vectors, k):
+    """The window of 2k+1 neighboring rows around every row of an (n, d)
+    array, zero padded past both ends: an (n, 2k+1, d) array and the
+    (n, 2k+1) mask that is True on real rows."""
+    n, dim = vectors.shape
+    padded = np.zeros((n + 2 * k, dim))  # np.pad takes three times as long
+    padded[k : k + n] = vectors
+    live = np.zeros(n + 2 * k, dtype=bool)
+    live[k : k + n] = True
+    view = np.lib.stride_tricks.sliding_window_view
+    return view(padded, 2 * k + 1, axis=0).transpose(0, 2, 1), view(live, 2 * k + 1)

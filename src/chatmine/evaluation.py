@@ -82,17 +82,15 @@ def cross_project_split(projects):
 
 
 def confusion_from_examples(examples, bundle, threshold):
-    c = ConfusionCounts()
-    for ex in examples:
-        pred = bundle.proba(ex) >= threshold
-        gold = ex.label == 1
-        c = c + ConfusionCounts(
-            tp=int(pred and gold),
-            fp=int(pred and not gold),
-            fn=int(not pred and gold),
-            tn=int(not pred and not gold),
-        )
-    return c
+    """Thresholded predictions against gold labels, from one forward."""
+    pred = bundle.proba(examples) >= threshold
+    gold = np.array([ex.label == 1 for ex in examples], dtype=bool)
+    return ConfusionCounts(
+        tp=int(np.sum(pred & gold)),
+        fp=int(np.sum(pred & ~gold)),
+        fn=int(np.sum(~pred & gold)),
+        tn=int(np.sum(~pred & ~gold)),
+    )
 
 
 def _subset(corpus, projects):

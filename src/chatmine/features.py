@@ -72,14 +72,16 @@ def init_conv_params(rng, spec, input_len):
     return nn.init_params(rng, conv_param_shapes(spec))
 
 
-def textual_features(vec, spec, params, dropout=0.0, rng=None):
-    """Run the utterance vector, read as a sequence of scalars, through the
-    convolution-pooling stack. Returns the final pooled tensor. A positive
-    ``dropout`` rate applies dropout, drawn from ``rng``, after each stage."""
-    x = vec if isinstance(vec, nn.Tensor) else nn.tensor(np.asarray(vec))
+def textual_features(vecs, spec, params, dropout=0.0, uniforms=()):
+    """Run a (B, d) batch of utterance vectors, each read as a sequence of
+    scalars, through the convolution-pooling stack; returns the (B, m) tensor
+    of the last stage. With ``uniforms``, one (B, m_i) array of U[0, 1) draws
+    per stage, dropout at rate ``dropout`` follows each stage."""
+    x = nn.tensor(vecs)
     for i in range(1, len(spec.kernel_counts) + 1):
         x = nn.conv1d_maxpool(x, params[f"conv{i}.w"], params[f"conv{i}.b"])
-        x = nn.dropout(x, dropout, rng)
+        if uniforms:
+            x = nn.dropout(x, dropout, uniforms[i - 1])
     return x
 
 
@@ -282,45 +284,52 @@ def init_attention_params(rng, input_dim):
     return params
 
 
-def local_attention(win, params):
-    """Gaussian-damped dot-product attention over one local window.
+def local_attention(windows, pad_mask, params):
+    """Gaussian-damped dot-product attention over a batch of local windows.
 
-    U holds the window's L non-pad slots as columns. With center i the scores
-    are h_q·W_K·U, h_q = W_Q·u_i, each slot s damped by exp(−(s−i)² / (2k²));
-    weights are score / Σscore exactly as written, or uniform 1/L when that
-    sum is not positive. The context is (W_V·U)·weights / sqrt(d).
-    ``params`` holds the projections attn.wq, attn.wk and attn.wv.
+    ``windows`` is (B, 2k+1, d), zero at the slots ``pad_mask`` marks False.
+    Per row, with center k, slot s scores h_q·W_K·u_s, h_q = W_Q·u_k, damped
+    by exp(−(s−k)² / (2k²)); weights are score / Σscore over the L live slots
+    exactly as written, or uniform 1/L when that sum is not positive. The
+    (B, 128) context is Σ_s weight_s·W_V·u_s / sqrt(d). ``params`` holds the
+    projections attn.wq, attn.wk and attn.wv.
     """
-    n_slots, dim = win.vectors.shape
-    k = (n_slots - 1) // 2
-    if not win.pad_mask[k]:
+    rows, n_slots, dim = windows.shape
+    k = n_slots // 2
+    if not pad_mask[:, k].all():
         raise ContractViolation("window center is padded")
-    live = np.flatnonzero(win.pad_mask)
-    U = nn.tensor(win.vectors[live].T)
-    gauss = np.array([1.0 if s == k else math.exp(-((s - k) ** 2) / (2.0 * k * k)) for s in live])
-    h_q = params["attn.wq"] @ nn.tensor(win.vectors[k])
-    scores = (h_q @ (params["attn.wk"] @ U)) * gauss
-    total = scores.sum()
-    if float(total.data) > 0.0:
-        weights = scores / total
-    else:
-        weights = nn.tensor(np.full(len(live), 1.0 / len(live)))
-    return ((params["attn.wv"] @ U) @ weights) * (1.0 / math.sqrt(dim))
+    # slot-major columns: column s*B + b is slot s of row b
+    slots = nn.tensor(windows.transpose(2, 1, 0).reshape(dim, n_slots * rows))
+    h_q = params["attn.wq"] @ nn.tensor(windows[:, k].T)  # (c, B)
+    keys = (params["attn.wk"] @ slots).reshape(-1, n_slots, rows)
+    raw = (keys * h_q.reshape(-1, 1, rows)).sum(axis=0)  # (2k+1, B)
+    gauss = np.array(
+        [1.0 if s == k else math.exp(-((s - k) ** 2) / (2.0 * k * k)) for s in range(n_slots)]
+    )
+    live = pad_mask.T
+    damp = gauss[:, None] * live
+    positive = (raw.data * damp).sum(axis=0) > 0.0
+    # a row whose damped scores do not sum above zero scores 1 on each live
+    # slot instead, which normalizes to the uniform weights
+    scores = raw * (damp * positive) + live * ~positive
+    weights = scores / scores.sum(axis=0)
+    values = (params["attn.wv"] @ slots).reshape(-1, n_slots, rows)
+    return (values * weights).sum(axis=1).T * (1.0 / math.sqrt(dim))
 
 
 # -- fusion ----------------------------------------------------------------
 
 
 def fuse_features(textual, heuristic, context, stats=None):
-    """256 ⊕ 29 ⊕ 128 in that order; the attribute block is standardized
-    with training statistics when provided."""
-    textual = textual if isinstance(textual, nn.Tensor) else nn.tensor(np.asarray(textual))
-    context = context if isinstance(context, nn.Tensor) else nn.tensor(np.asarray(context))
+    """Per row 256 ⊕ 29 ⊕ 128 in that order, from two tensors and a (B, 29)
+    array; the attribute block is standardized with training statistics when
+    provided."""
     heur = standardize_heuristics(heuristic, stats)
-    if textual.data.shape != (TEXTUAL_DIM,):
-        raise ContractViolation(f"textual block is {textual.data.shape}, want ({TEXTUAL_DIM},)")
-    if heur.shape != (HEURISTIC_DIM,):
-        raise ContractViolation(f"heuristic block is {heur.shape}, want ({HEURISTIC_DIM},)")
-    if context.data.shape != (CONTEXT_DIM,):
-        raise ContractViolation(f"context block is {context.data.shape}, want ({CONTEXT_DIM},)")
+    for name, block, width in (
+        ("textual", textual.data, TEXTUAL_DIM),
+        ("heuristic", heur, HEURISTIC_DIM),
+        ("context", context.data, CONTEXT_DIM),
+    ):
+        if block.shape != (len(textual.data), width):
+            raise ContractViolation(f"{name} block is {block.shape}, want (B, {width})")
     return nn.concat([textual, nn.tensor(heur), context])

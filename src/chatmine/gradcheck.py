@@ -14,7 +14,6 @@ import numpy as np
 
 from . import nn
 from .disentangle import FEATURE_DIM, link_loss, link_param_shapes
-from .encoder import LocalWindow
 from .features import local_attention
 
 DEFAULT_STEP = 1e-5
@@ -96,35 +95,31 @@ def _resample(seed, build, ok, tries=200):
 # -- fragments -------------------------------------------------------------
 
 
-def _frag_linear_ce(seed):
+def _frag_linear_ce(seed, rows=3):
+    """linear then softmax CE over a batch of ``rows`` labelled rows."""
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=8)
+    x = rng.normal(size=(rows, 8))
     W = nn.Parameter("W", rng.normal(size=(4, 8)) * 0.5)
     b = nn.Parameter("b", rng.normal(size=4) * 0.1)
-    label = int(rng.integers(4))
+    labels = rng.integers(4, size=rows)
     params = {"W": W, "b": b}
-    return params, lambda: nn.softmax_cross_entropy(nn.linear(nn.tensor(x), W, b), label)
+    return params, lambda: nn.softmax_cross_entropy(nn.linear(nn.tensor(x), W, b), labels)
 
 
-def _frag_conv_pool(seed, m=4):
+def _frag_conv_pool(seed, m=4, rows=2):
+    """conv_pool over a batch of ``rows`` sequences."""
     def build(rng):
-        x = rng.normal(size=10)
+        x = rng.normal(size=(rows, 10))
         k = rng.normal(size=(m, 3)) * 0.7
         b = rng.normal(size=m) * 0.3
-        r = rng.normal(size=m)
+        r = rng.normal(size=(rows, m))
         return x, k, b, r
 
     def ok(x, k, b, r):
-        windows = np.lib.stride_tricks.sliding_window_view(x, 3)
-        pre = windows @ k.T + b
-        if np.min(np.abs(pre)) < _MARGIN:
-            return False
-        act = np.maximum(pre, 0.0)
-        for col in range(act.shape[1]):
-            top2 = np.sort(act[:, col])[-2:]
-            if top2[1] > 0 and top2[1] - top2[0] < _MARGIN:
-                return False
-        return True
+        pre = np.lib.stride_tricks.sliding_window_view(x, 3, axis=1) @ k.T + b  # (rows, t, m)
+        top2 = np.sort(np.maximum(pre, 0.0), axis=1)[:, -2:]
+        clear_max = (top2[:, 1] == 0.0) | (top2[:, 1] - top2[:, 0] >= _MARGIN)
+        return np.min(np.abs(pre)) >= _MARGIN and clear_max.all()
 
     x, k, b, r = _resample(seed, build, ok)
     kp = nn.Parameter("kernels", k)
@@ -159,58 +154,71 @@ def _frag_link_mlp(seed, rows=5, hidden=4):
     return params, lambda: link_loss(x, signs, params)
 
 
-def _frag_softmax_ce(seed):
+def _frag_softmax_ce(seed, rows=3):
     rng = np.random.default_rng(seed)
-    logits = nn.Parameter("logits", rng.normal(size=5))
-    label = int(rng.integers(5))
-    return {"logits": logits}, lambda: nn.softmax_cross_entropy(logits, label)
+    logits = nn.Parameter("logits", rng.normal(size=(rows, 5)))
+    labels = rng.integers(5, size=rows)
+    return {"logits": logits}, lambda: nn.softmax_cross_entropy(logits, labels)
 
 
-def _frag_local_attention(seed, pad_mask=(True, True, True), dim=16, context_dim=8):
-    k = len(pad_mask) // 2
-    damping = [math.exp(-((s - k) ** 2) / (2.0 * k * k)) * on for s, on in enumerate(pad_mask)]
+def _frag_local_attention(
+    seed, masks=((True,) * 3, (False, True, True), (True,) * 3), fallback=(2,), dim=16, context_dim=8
+):
+    """local_attention over a batch of windows with the given pad masks; the
+    rows in ``fallback`` sit on the uniform-weights branch, the others on
+    score / sum."""
+    masks = np.array(masks)
+    rows, n_slots = masks.shape
+    k = n_slots // 2
+    gauss = [1.0 if s == k else math.exp(-((s - k) ** 2) / (2.0 * k * k)) for s in range(n_slots)]
+    damping = np.array(gauss) * masks
+    on_fallback = np.isin(np.arange(rows), fallback)
 
     def build(rng):
-        vecs = rng.normal(size=(len(pad_mask), dim)) / math.sqrt(dim)
+        vecs = rng.normal(size=(rows, n_slots, dim)) / math.sqrt(dim)
+        # neighbors pointing away from the center give a negative sum
+        vecs[on_fallback] -= 2.0 * vecs[on_fallback, k, None] * (np.arange(n_slots) != k)[:, None]
+        vecs *= masks[:, :, None]
         Wq = rng.normal(size=(context_dim, dim)) * 0.5
         Wk = Wq + rng.normal(size=(context_dim, dim)) * 0.1
         Wv = rng.normal(size=(context_dim, dim)) * 0.5
-        r = rng.normal(size=context_dim)
+        r = rng.normal(size=(rows, context_dim))
         return vecs, Wq, Wk, Wv, r
 
     def ok(vecs, Wq, Wk, Wv, r):
-        # stay clear of the uniform-weights fallback at sum <= 0
-        hq = Wq @ vecs[k]
-        return sum((hq @ (Wk @ v)) * g for v, g in zip(vecs, damping)) > 0.05
+        # each row's damped score sum stays clear of the fallback switch at 0
+        totals = np.einsum("bc,cd,bsd,bs->b", vecs[:, k] @ Wq.T, Wk, vecs, damping)
+        return np.all(np.where(on_fallback, totals <= -_MARGIN, totals >= 0.05))
 
     vecs, Wq, Wk, Wv, r = _resample(seed, build, ok)
     params = {
         name: nn.Parameter(name, w) for name, w in (("attn.wq", Wq), ("attn.wk", Wk), ("attn.wv", Wv))
     }
-    win = LocalWindow(center=k, vectors=vecs, pad_mask=pad_mask)
-    return params, lambda: (local_attention(win, params) * nn.tensor(r)).sum()
+    return params, lambda: (local_attention(vecs, masks, params) * nn.tensor(r)).sum()
 
 
 def _frag_local_attention_padded(seed):
-    """local_attention at k = 2 with one edge slot padded: four live rows at
-    Gaussian distances 1 and 2."""
-    return _frag_local_attention(seed, pad_mask=(False, True, True, True, True))
+    """local_attention at k = 2: one row with an edge slot padded, at
+    Gaussian distances 1 and 2, and one with two slots padded on the
+    uniform-weights branch."""
+    masks = ((False, True, True, True, True), (True, True, True, False, False))
+    return _frag_local_attention(seed, masks, fallback=(1,))
 
 
-def _frag_fc_head(seed, fused_dim=413, hidden=64, classes=2):
+def _frag_fc_head(seed, fused_dim=413, hidden=64, classes=2, rows=2):
     def build(rng):
-        x = rng.normal(size=fused_dim) / math.sqrt(fused_dim)
+        x = rng.normal(size=(rows, fused_dim)) / math.sqrt(fused_dim)
         W1 = rng.normal(size=(hidden, fused_dim)) * (1.0 / math.sqrt(fused_dim))
         b1 = rng.normal(size=hidden) * 0.05
         W2 = rng.normal(size=(classes, hidden)) * (1.0 / math.sqrt(hidden))
         b2 = rng.normal(size=classes) * 0.05
-        label = int(rng.integers(classes))
-        return x, W1, b1, W2, b2, label
+        labels = rng.integers(classes, size=rows)
+        return x, W1, b1, W2, b2, labels
 
-    def ok(x, W1, b1, W2, b2, label):
-        return np.min(np.abs(W1 @ x + b1)) >= _MARGIN
+    def ok(x, W1, b1, W2, b2, labels):
+        return np.min(np.abs(x @ W1.T + b1)) >= _MARGIN
 
-    x, W1, b1, W2, b2, label = _resample(seed, build, ok)
+    x, W1, b1, W2, b2, labels = _resample(seed, build, ok)
     p = {
         "fc1.w": nn.Parameter("fc1.w", W1),
         "fc1.b": nn.Parameter("fc1.b", b1),
@@ -220,7 +228,7 @@ def _frag_fc_head(seed, fused_dim=413, hidden=64, classes=2):
 
     def loss():
         h = nn.relu(nn.linear(nn.tensor(x), p["fc1.w"], p["fc1.b"]))
-        return nn.softmax_cross_entropy(nn.linear(h, p["fc2.w"], p["fc2.b"]), label)
+        return nn.softmax_cross_entropy(nn.linear(h, p["fc2.w"], p["fc2.b"]), labels)
 
     return p, loss
 

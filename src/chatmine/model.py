@@ -7,6 +7,9 @@ followed by 413→64→2 fully connected layers with softmax. The issue model
 reads the dialog head through the window [pad, head, first body utterance];
 the solution model reads each body utterance through its radius-1 window.
 
+One batched forward serves training, evaluation and extraction: each
+mini-batch, validation split, test fold or dialog's replies is one graph.
+
 Training uses Adam on mini-batches of 8 examples with dropout 0.6 after each
 conv stage and the first FC layer, a seeded 10% validation split, and early
 stopping with patience 5 within at most 100 epochs. Everything is a pure
@@ -117,20 +120,21 @@ def load_labeled_dialogs(path, pre_cfg):
         try:
             community = obj["community_id"]
             raw_utts = obj["utterances"]
-            y_issue = int(obj["y_issue"])
-            raw_ys = obj.get("y_solution", [])
-            y_solution = tuple(int(y) for y in raw_ys)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            y_issue = obj["y_issue"]
+            y_solution = obj.get("y_solution", [])
+        except (KeyError, TypeError) as exc:
             raise DataError(f"{p}:{line_no}: bad record ({exc})") from exc
         if not (
-            isinstance(community, str) and isinstance(raw_utts, list) and isinstance(raw_ys, list)
+            isinstance(community, str) and isinstance(raw_utts, list) and isinstance(y_solution, list)
         ):
             raise DataError(
                 f"{p}:{line_no}: bad record (community_id must be a string, "
                 "utterances and y_solution lists)"
             )
-        if y_issue not in (0, 1):
-            raise DataError(f"{p}:{line_no}: y_issue must be 0 or 1")
+        # labels are JSON integers: no bools, no floats to truncate
+        if any(type(y) is not int or y not in (0, 1) for y in [y_issue, *y_solution]):
+            raise DataError(f"{p}:{line_no}: bad record (labels must be the integers 0 or 1)")
+        y_solution = tuple(y_solution)
         if not raw_utts:
             raise DataError(f"{p}:{line_no}: dialog has no utterances")
         log = logs.setdefault(community, ChatLog(community, []))
@@ -148,8 +152,6 @@ def load_labeled_dialogs(path, pre_cfg):
                     f"{p}:{line_no}: y_solution length {len(y_solution)} != "
                     f"body length {len(parts.body_indices)}"
                 )
-            if any(y not in (0, 1) for y in y_solution):
-                raise DataError(f"{p}:{line_no}: y_solution entries must be 0 or 1")
         elif y_solution:
             raise DataError(f"{p}:{line_no}: y_solution given for a non-issue dialog")
         dialogs.append(LabeledDialog(community, dialog, y_issue, y_solution))
@@ -163,10 +165,12 @@ def load_labeled_dialogs(path, pre_cfg):
 
 @dataclass
 class EmbeddedExample:
-    """Everything static about one classification input: the local window,
-    the raw heuristic vector, and (for training) the label."""
+    """Everything static about one classification input: the local window
+    of 2k+1 vectors and its pad mask (True on real ones), the raw heuristic
+    vector, and (for training) the label."""
 
-    window: object
+    window: np.ndarray
+    pad_mask: np.ndarray
     heur: np.ndarray
     label: int = -1
     utt_index: int = -1
@@ -205,41 +209,21 @@ class DialogEmbedder:
             parts = split_head_body(dialog, self.chat)
         if not parts.head_indices:
             raise ContractViolation("dialog head is empty")
-        head_utt = self._head_utterance(dialog, parts)
         if len(parts.head_indices) == 1:  # its tokens are that utterance's
             head_vec = self.vecs[parts.head_indices[0]]
         else:
             head_vec = enc.encode_tokens(parts.head_tokens, self.enc_cfg)
-        seq = [head_vec] + [self.vecs[i] for i in parts.body_indices]
-        k = self.enc_cfg.window_k
+        seq = np.stack([head_vec] + [self.vecs[i] for i in parts.body_indices])
+        windows, pad_mask = enc.local_windows(seq, self.enc_cfg.window_k)
+        utts = [self._head_utterance(dialog, parts)]
+        utts += [self.chat.utterances[i] for i in parts.body_indices]
+        labels = [y_issue, *y_solution] + [-1] * (len(utts) - 1 - len(y_solution))
         head_key = ("head", self.chat.community_id, dialog.subject)
-        head_ex = EmbeddedExample(
-            window=enc.build_local_window(seq, 0, k, self.enc_cfg.dim),
-            heur=heuristic_attributes(
-                head_utt, dialog, self.chat, self.lex, parts, self.stats, head_key
-            ),
-            label=y_issue,
-            utt_index=dialog.subject,
-        )
-        body_exs = []
-        for j, i in enumerate(parts.body_indices):
-            body_exs.append(
-                EmbeddedExample(
-                    window=enc.build_local_window(seq, j + 1, k, self.enc_cfg.dim),
-                    heur=heuristic_attributes(
-                        self.chat.utterances[i],
-                        dialog,
-                        self.chat,
-                        self.lex,
-                        parts,
-                        self.stats,
-                        head_key,
-                    ),
-                    label=y_solution[j] if j < len(y_solution) else -1,
-                    utt_index=i,
-                )
-            )
-        return head_ex, body_exs
+        examples = []
+        for window, mask, u, label in zip(windows, pad_mask, utts, labels):
+            heur = heuristic_attributes(u, dialog, self.chat, self.lex, parts, self.stats, head_key)
+            examples.append(EmbeddedExample(window, mask, heur, label, u.index))
+        return examples[0], examples[1:]
 
 
 # -- parameters and forward pass ------------------------------------------
@@ -270,24 +254,26 @@ def init_model_params(rng, enc_dim, conv_spec):
     return params
 
 
-def forward_logits(example, params, conv_spec, heur_stats, cfg, rng=None, training=False):
-    """Fused embedding then the two FC layers; returns the 2-logit tensor.
-    In training mode dropout with rate cfg.dropout, drawn from ``rng``,
-    follows each conv stage and the first FC layer."""
-    p_drop = cfg.dropout if training else 0.0
-    k = (len(example.window.pad_mask) - 1) // 2
-    x = textual_features(example.window.vectors[k], conv_spec, params, p_drop, rng)
-    ctx = local_attention(example.window, params)
-    fused = fuse_features(x, example.heur, ctx, heur_stats)
+def forward_logits(examples, params, conv_spec, heur_stats, cfg, rng=None, training=False):
+    """Fused embedding then the two FC layers over a list of examples, as one
+    graph; returns the (B, 2) logits. In training mode dropout at rate
+    cfg.dropout follows each conv stage and the first FC layer, its masks cut
+    by column from one (B, sum of widths) draw of ``rng``: row i gets the
+    draws of a one-row forward after i rows' worth."""
+    windows = np.stack([ex.window for ex in examples])
+    pad_mask = np.stack([ex.pad_mask for ex in examples])
+    ends = np.cumsum([*conv_spec.kernel_counts, FC_HIDDEN])
+    drops = []
+    if training and cfg.dropout > 0.0:
+        drops = np.split(rng.random((len(examples), ends[-1])), ends[:-1], axis=1)
+    k = windows.shape[1] // 2
+    x = textual_features(windows[:, k], conv_spec, params, cfg.dropout, drops[:-1])
+    ctx = local_attention(windows, pad_mask, params)
+    fused = fuse_features(x, np.stack([ex.heur for ex in examples]), ctx, heur_stats)
     h = nn.relu(nn.linear(fused, params["fc1.w"], params["fc1.b"]))
-    h = nn.dropout(h, p_drop, rng)
+    if drops:
+        h = nn.dropout(h, cfg.dropout, drops[-1])
     return nn.linear(h, params["fc2.w"], params["fc2.b"])
-
-
-def predict_proba(example, params, conv_spec, heur_stats, cfg):
-    """Probability of the positive class."""
-    logits = forward_logits(example, params, conv_spec, heur_stats, cfg)
-    return float(nn.softmax(logits).data[1])
 
 
 # -- training --------------------------------------------------------------
@@ -324,8 +310,12 @@ class ModelBundle:
     cfg: ModelConfig
     conv_spec: ConvStackSpec
 
-    def proba(self, example):
-        return predict_proba(example, self.params, self.conv_spec, self.heur_stats, self.cfg)
+    def proba(self, examples):
+        """Each example's positive-class probability, from one forward."""
+        if not examples:
+            return np.empty(0)
+        logits = forward_logits(examples, self.params, self.conv_spec, self.heur_stats, self.cfg)
+        return nn.softmax(logits).data[:, 1]
 
 
 @dataclass
@@ -353,15 +343,6 @@ def build_examples(corpus, target, enc_cfg):
         elif ld.y_issue == 1:
             examples.extend(body_exs)
     return examples
-
-
-def _losses(examples, params, conv_spec, heur_stats, cfg, rng=None, training=False):
-    return [
-        nn.softmax_cross_entropy(
-            forward_logits(ex, params, conv_spec, heur_stats, cfg, rng, training), ex.label
-        )
-        for ex in examples
-    ]
 
 
 def train_model(
@@ -414,16 +395,14 @@ def train_model(
 
     def batch_loss(idx):
         batch = [examples[i] for i in idx]
-        return nn.batch_mean(
-            _losses(batch, params, conv_spec, heur_stats, cfg, drop_rng, training=True)
-        )
+        logits = forward_logits(batch, params, conv_spec, heur_stats, cfg, drop_rng, training=True)
+        return nn.softmax_cross_entropy(logits, [ex.label for ex in batch])
 
     for epoch in range(1, cfg.max_epochs + 1):
         order = shuffle_rng.permutation(train_idx)
         train_loss = nn.train_epoch(order, cfg.batch_size, batch_loss, params, state)
-        val_loss = float(
-            nn.batch_mean(_losses(val_examples, params, conv_spec, heur_stats, cfg)).data
-        )
+        val_logits = forward_logits(val_examples, params, conv_spec, heur_stats, cfg)
+        val_loss = float(nn.softmax_cross_entropy(val_logits, [ex.label for ex in val_examples]).data)
         history.append((train_loss, val_loss))
         if stopper.update(val_loss):
             best_params = {k: p.data.copy() for k, p in params.items()}
@@ -538,12 +517,11 @@ def extract_pairs_for_dialog(dialog, embedder, issue_bundle, solution_bundle, cf
     chat = embedder.chat
     parts = split_head_body(dialog, chat)
     head_ex, body_exs = embedder.examples_for(dialog, parts=parts)
-    p_issue = issue_bundle.proba(head_ex)
+    p_issue = float(issue_bundle.proba([head_ex])[0])
     if p_issue < issue_thr:
         return None
     solutions = []
-    for ex in body_exs:
-        p = solution_bundle.proba(ex)
+    for ex, p in zip(body_exs, solution_bundle.proba(body_exs).tolist()):
         if p >= sol_thr:
             u = chat.utterances[ex.utt_index]
             solutions.append(

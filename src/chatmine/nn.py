@@ -4,7 +4,9 @@ Tensors wrap float64 numpy arrays and record a backward closure per op; calling
 ``backward()`` on a scalar loss walks the graph in reverse topological order.
 Only the ops the models need are provided: linear algebra, a fused
 conv1d+max-pool, the usual activations, dropout, fused softmax cross-entropy,
-and Adam. Everything is deterministic given (input, params, seed).
+and Adam. The layers take a leading batch axis, so a whole mini-batch is one
+graph with one node per layer. Everything is deterministic given (input,
+params, seed); dropout takes its uniform draws from the caller.
 """
 
 import numpy as np
@@ -25,7 +27,6 @@ __all__ = [
     "concat",
     "conv1d_maxpool",
     "softmax_cross_entropy",
-    "batch_mean",
     "AdamState",
     "adam_step",
     "train_epoch",
@@ -128,31 +129,42 @@ class Tensor:
         return Tensor(self.data / other.data, parents=(self, other), backward_fn=back)
 
     def __matmul__(self, other):
+        """matrix @ matrix or matrix @ vector."""
         other = _as_tensor(other)
         a, b = self.data, other.data
+        if a.ndim != 2 or b.ndim not in (1, 2):
+            raise ContractViolation(f"matmul takes 2-D @ 1-D or 2-D, got {a.shape} @ {b.shape}")
 
         def back(g):
-            if a.ndim == 1 and b.ndim == 1:  # dot -> scalar
-                ga, gb = g * b, g * a
-            elif a.ndim == 2 and b.ndim == 1:  # matrix @ vector
-                ga, gb = np.outer(g, b), a.T @ g
-            elif a.ndim == 1 and b.ndim == 2:  # vector @ matrix
-                ga, gb = b @ g, np.outer(a, g)
-            else:  # matrix @ matrix
-                ga, gb = g @ b.T, a.T @ g
             if self.requires_grad:
-                self._accumulate(ga)
+                self._accumulate(np.outer(g, b) if b.ndim == 1 else g @ b.T)
             if other.requires_grad:
-                other._accumulate(gb)
+                other._accumulate(a.T @ g)
 
         return Tensor(a @ b, parents=(self, other), backward_fn=back)
 
-    def sum(self):
+    def sum(self, axis=None):
         def back(g):
             if self.requires_grad:
-                self._accumulate(np.full_like(self.data, g))
+                g = g if axis is None else np.expand_dims(g, axis)
+                self._accumulate(np.broadcast_to(g, self.data.shape))
 
-        return Tensor(self.data.sum(), parents=(self,), backward_fn=back)
+        return Tensor(self.data.sum(axis=axis), parents=(self,), backward_fn=back)
+
+    def reshape(self, *shape):
+        def back(g):
+            if self.requires_grad:
+                self._accumulate(g.reshape(self.data.shape))
+
+        return Tensor(self.data.reshape(*shape), parents=(self,), backward_fn=back)
+
+    @property
+    def T(self):
+        def back(g):
+            if self.requires_grad:
+                self._accumulate(g.T)
+
+        return Tensor(self.data.T, parents=(self,), backward_fn=back)
 
 
 class Parameter(Tensor):
@@ -275,18 +287,13 @@ def softmax(x):
     return Tensor(y, parents=(x,), backward_fn=back)
 
 
-def dropout(x, p, rng, training=True):
-    """Inverted dropout: zero with probability p, scale survivors by 1/(1-p).
-
-    Identity when not training or p == 0. The mask comes from ``rng`` so a
-    seeded generator makes the whole training run reproducible.
-    """
+def dropout(x, p, uniforms):
+    """Inverted dropout: zero each entry whose U[0, 1) draw in ``uniforms``
+    (the caller's, shaped like x) is below p; scale survivors by 1/(1-p)."""
     if not 0.0 <= p < 1.0:
         raise ContractViolation(f"dropout probability must be in [0, 1), got {p}")
     x = _as_tensor(x)
-    if not training or p == 0.0:
-        return x
-    mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
+    mask = (uniforms >= p) / (1.0 - p)
 
     def back(g):
         if x.requires_grad:
@@ -296,17 +303,19 @@ def dropout(x, p, rng, training=True):
 
 
 def concat(parts):
-    """Concatenate 1-D tensors; gradient slices back into each part."""
+    """Concatenate along the last axis; gradient slices back into each part."""
     parts = [_as_tensor(p) for p in parts]
-    sizes = [p.data.shape[0] for p in parts]
+    sizes = [p.data.shape[-1] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
     def back(g):
         for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if part.requires_grad:
-                part._accumulate(g[lo:hi])
+                part._accumulate(g[..., lo:hi])
 
-    return Tensor(np.concatenate([p.data for p in parts]), parents=tuple(parts), backward_fn=back)
+    return Tensor(
+        np.concatenate([p.data for p in parts], axis=-1), parents=tuple(parts), backward_fn=back
+    )
 
 
 # Kernel rows per matmul block in conv1d_maxpool, so each (block, n-h+1)
@@ -319,47 +328,54 @@ _CONV_BLOCK = 64
 def conv1d_maxpool(x, kernels, bias):
     """One convolution-pooling stage: ReLU(w . x[t:t+h]) then max over t.
 
-    ``x`` is a length-n sequence of scalars, ``kernels`` an (m, h) matrix and
-    ``bias`` an (m,) vector; the output is the (m,) vector of per-kernel
-    pooled maxima. Ties at the max go to the first maximal position.
+    ``x`` is a (B, n) batch of length-n sequences of scalars, ``kernels`` an
+    (m, h) matrix and ``bias`` an (m,) vector; the output is the (B, m) batch
+    of per-kernel pooled maxima. Ties at the max go to the first maximal
+    position.
 
+    The batch is one node that runs row by row, so each (block, n-h+1)
+    product stays in cache (one product over all rows' windows was slower).
     The forward pass keeps only the pooled maxima; backward recomputes the
     pre-activations block by block to find each kernel's winning window.
     Rounding is monotone, so max_t fl(pre_t + b) == fl(max_t pre_t + b), and
     ReLU commutes with max: pooling first gives max_t ReLU(pre_t + b) exactly.
     """
     x, kernels, bias = _as_tensor(x), _as_tensor(kernels), _as_tensor(bias)
-    n = x.data.shape[0]
+    rows, n = x.data.shape
     m, h = kernels.data.shape
     if n < h:
         raise ContractViolation(f"conv1d_maxpool: sequence length {n} < kernel size {h}")
-    wt = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(x.data, h).T)  # (h, n-h+1)
+    windows = np.lib.stride_tricks.sliding_window_view(x.data, h, axis=1)  # (B, n-h+1, h)
+    wts = [np.ascontiguousarray(w.T) for w in windows]
     K, b = kernels.data, bias.data
     blocks = [slice(lo, lo + _CONV_BLOCK) for lo in range(0, m, _CONV_BLOCK)]
-    peak = np.empty(m)
-    for blk in blocks:
-        np.max(K[blk] @ wt, axis=1, out=peak[blk])
+    peak = np.empty((rows, m))
+    for r, wt in enumerate(wts):
+        for blk in blocks:
+            np.max(K[blk] @ wt, axis=1, out=peak[r, blk])
     out = np.maximum(peak + b, 0.0)
 
     def back(g):
-        win_idx = np.empty(m, dtype=np.intp)
-        for blk in blocks:
-            pre = K[blk] @ wt
-            pre += b[blk, None]
-            win_idx[blk] = pre.argmax(axis=1)
         gate = out > 0.0
-        # a dead kernel's ReLU row is all zeros: its first maximum is window 0
-        win_idx[~gate] = 0
-        gk = g * gate  # (m,)
+        gk = g * gate  # (B, m)
+        gK = np.zeros_like(K)
+        gx = np.zeros((rows, n))
+        win_idx = np.empty(m, dtype=np.intp)
+        for r, wt in enumerate(wts):
+            for blk in blocks:
+                pre = K[blk] @ wt
+                pre += b[blk, None]
+                win_idx[blk] = pre.argmax(axis=1)
+            # a dead kernel's ReLU row is all zeros: its first maximum is window 0
+            win_idx[~gate[r]] = 0
+            gK += gk[r, :, None] * wt.T[win_idx]
+            if x.requires_grad:
+                np.add.at(gx[r], win_idx[:, None] + np.arange(h), gk[r, :, None] * K)
         if kernels.requires_grad:
-            kernels._accumulate(gk[:, None] * wt.T[win_idx])
+            kernels._accumulate(gK)
         if bias.requires_grad:
-            bias._accumulate(gk)
+            bias._accumulate(gk.sum(axis=0))
         if x.requires_grad:
-            gx = np.zeros(n)
-            contrib = gk[:, None] * K  # (m, h)
-            starts = win_idx[:, None] + np.arange(h)[None, :]
-            np.add.at(gx, starts, contrib)
             x._accumulate(gx)
 
     return Tensor(out, parents=(x, kernels, bias), backward_fn=back)
@@ -370,29 +386,25 @@ def conv1d_maxpool(x, kernels, bias):
 _CE_CLAMP = 1e-12
 
 
-def softmax_cross_entropy(logits, label):
-    """Fused softmax + cross-entropy; gradient on logits is (p - onehot)."""
+def softmax_cross_entropy(logits, labels):
+    """Fused softmax + cross-entropy of (B, C) logits against B labels: the
+    mean of the row losses, summed left to right; row i's gradient is
+    (p_i - onehot_i) / B."""
     logits = _as_tensor(logits)
-    shifted = logits.data - logits.data.max()
+    rows = np.arange(logits.data.shape[0])
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    p = e / e.sum()
-    loss = -np.log(max(float(p[label]), _CE_CLAMP))
+    p = e / e.sum(axis=1, keepdims=True)
+    losses = -np.log(np.maximum(p[rows, labels], _CE_CLAMP))
+    scale = 1.0 / len(rows)
 
     def back(g):
         if logits.requires_grad:
             grad = p.copy()
-            grad[label] -= 1.0
-            logits._accumulate(g * grad)
+            grad[rows, labels] -= 1.0
+            logits._accumulate((g * scale) * grad)
 
-    return Tensor(loss, parents=(logits,), backward_fn=back)
-
-
-def batch_mean(losses):
-    """Mean of scalar loss tensors, summed left to right."""
-    total = losses[0]
-    for loss in losses[1:]:
-        total = total + loss
-    return total * (1.0 / len(losses))
+    return Tensor(np.cumsum(losses)[-1] * scale, parents=(logits,), backward_fn=back)
 
 
 # -- optimisation --------------------------------------------------------

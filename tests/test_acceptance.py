@@ -22,7 +22,7 @@ from chatmine.disentangle import (
     heuristic_link_scorer,
     split_head_body,
 )
-from chatmine.encoder import EncoderConfig, build_local_window
+from chatmine.encoder import EncoderConfig, local_windows
 from chatmine.evaluation import (
     ConfusionCounts,
     compute_prf,
@@ -35,11 +35,17 @@ from chatmine.model import (
     ModelConfig,
     assemble_pairs,
     build_examples,
-    predict_proba,
     train_model,
 )
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _window(seq, center, k):
+    """The window around ``center`` of a sequence of vectors, as a one-row
+    batch of (windows, pad mask)."""
+    windows, mask = local_windows(np.stack(seq), k)
+    return windows[center : center + 1], mask[center : center + 1]
 
 
 def test_c01_scope_and_limitations_documented():
@@ -56,10 +62,11 @@ def test_c01_scope_and_limitations_documented():
 
 def test_c02_gradient_checks_all_fragments_three_seeds():
     """Central finite differences vs analytic gradients for every computation
-    fragment (linear+CE, conv-pool, conv-pool over more than one kernel
-    block, batched link MLP, softmax+CE, local attention over a full and a
-    padded window, 413-64-2 head) at seeds 1..3: max relative error < 1e-4
-    at 64-bit, total runtime under 60 seconds."""
+    fragment (linear+CE over a batch, conv-pool over two rows, conv-pool over
+    more than one kernel block, batched link MLP, softmax+CE over a batch,
+    local attention over batches with padded windows and a row on the
+    uniform fallback, 413-64-2 head) at seeds 1..3: max relative error
+    < 1e-4 at 64-bit, total runtime under 60 seconds."""
     t0 = time.monotonic()
     reports = run_standard_checks(seeds=(1, 2, 3), tolerance=1e-4)
     elapsed = time.monotonic() - t0
@@ -80,19 +87,19 @@ def test_c03_block_widths_and_attention_weight_normalization():
     spec = ft.ConvStackSpec()
     assert spec.kernel_counts == (1024, 512, 256)
     conv = ft.init_conv_params(rng, spec, 800)
-    textual = ft.textual_features(rng.normal(size=800), spec, conv)
-    assert textual.data.shape == (ft.TEXTUAL_DIM,) == (256,)
+    textual = ft.textual_features(rng.normal(size=(1, 800)), spec, conv)
+    assert textual.data.shape == (1, ft.TEXTUAL_DIM) == (1, 256)
 
-    heur = np.zeros(ft.HEURISTIC_DIM)
-    assert heur.shape == (29,)
+    heur = np.zeros((1, ft.HEURISTIC_DIM))
+    assert heur.shape == (1, 29)
 
     att = ft.init_attention_params(rng, input_dim=800)
-    win = build_local_window([rng.normal(size=800) for _ in range(3)], 1, k=1)
-    ctx = ft.local_attention(win, att)
-    assert ctx.data.shape == (ft.CONTEXT_DIM,) == (128,)
+    win = _window([rng.normal(size=800) for _ in range(3)], 1, k=1)
+    ctx = ft.local_attention(*win, att)
+    assert ctx.data.shape == (1, ft.CONTEXT_DIM) == (1, 128)
 
     fused = ft.fuse_features(textual, heur, ctx)
-    assert fused.data.shape == (ft.FUSED_DIM,) == (413,)
+    assert fused.data.shape == (1, ft.FUSED_DIM) == (1, 413)
 
     # weight normalization, recovered through the public output: with
     # Wv = I the context times sqrt(d) is the weighted sum of the slot
@@ -111,11 +118,11 @@ def test_c03_block_widths_and_attention_weight_normalization():
         n = crng.integers(1, 2 * k + 2)  # short sequences exercise padding
         seq = [crng.normal(size=dim) for _ in range(n)]
         center = int(crng.integers(n))
-        win = build_local_window(seq, center, k, dim)
-        ctx = ft.local_attention(win, params)
-        live = [win.vectors[s] for s in range(2 * k + 1) if win.pad_mask[s]]
+        vectors, pad_mask = _window(seq, center, k)
+        ctx = ft.local_attention(vectors, pad_mask, params)
+        live = [vectors[0, s] for s in range(2 * k + 1) if pad_mask[0, s]]
         weights, *_ = np.linalg.lstsq(
-            np.stack(live, axis=1), ctx.data * math.sqrt(dim), rcond=None
+            np.stack(live, axis=1), ctx.data[0] * math.sqrt(dim), rcond=None
         )
         assert abs(weights.sum() - 1.0) <= 1e-9
 
@@ -126,9 +133,8 @@ def test_c03_block_widths_and_attention_weight_normalization():
         "attn.wv": eye,
     }
     v = rng.normal(size=dim)
-    win = build_local_window([v], 0, k=1, dim=dim)
-    ctx = ft.local_attention(win, params)
-    assert np.array_equal(ctx.data, v * (1.0 / math.sqrt(dim)))
+    ctx = ft.local_attention(*_window([v], 0, k=1), params)
+    assert np.array_equal(ctx.data[0], v * (1.0 / math.sqrt(dim)))
     assert math.exp(-0.0) == 1.0
 
 
@@ -149,9 +155,8 @@ def _equal_dot_weights():
         np.array([1.0, 0.0, 1.0, 0.0]),
         np.array([1.0, 0.0, 0.0, 1.0]),
     ]
-    win = build_local_window(vecs, 1, k=1)
-    ctx = ft.local_attention(win, params)
-    return ctx.data * math.sqrt(4.0)  # undo the 1/sqrt(input width) scale
+    ctx = ft.local_attention(*_window(vecs, 1, k=1), params)
+    return ctx.data[0] * math.sqrt(4.0)  # undo the 1/sqrt(input width) scale
 
 
 def test_c04_center_weight_closed_form():
@@ -351,18 +356,14 @@ def test_c07_issue_gate_blocks_solutions_and_thresholds_are_monotone(small_bundl
         assert set(by_subject) <= {d.subject for d in dialogs}
         for d in dialogs:
             head_ex, body_exs = embedder.examples_for(d)
-            p_issue = predict_proba(
-                head_ex, issue_b.params, issue_b.conv_spec, issue_b.heur_stats, issue_b.cfg
-            )
+            p_issue = issue_b.proba([head_ex])[0]
             positive = p_issue >= issue_b.cfg.issue_threshold
             assert (d.subject in by_subject) == positive
             if not positive:
                 continue
             pair = by_subject[d.subject]
-            body_p = [
-                (ex.utt_index, predict_proba(ex, sol_b.params, sol_b.conv_spec, sol_b.heur_stats, sol_b.cfg))
-                for ex in body_exs
-            ]
+            # one-row forwards, while extraction scores the replies as one batch
+            body_p = [(ex.utt_index, float(sol_b.proba([ex])[0])) for ex in body_exs]
             want = [(j, p) for j, p in body_p if p >= sol_b.cfg.solution_threshold]
             body_times = [log.utterances[j].time for j in split_head_body(d, log).body_indices]
             assert len(pair.solutions) == len(want)

@@ -128,6 +128,43 @@ def test_cli_flags_override_config_file_values():
     assert cfg.batch_size == 8  # untouched default
 
 
+def train_argv(tmp_path, labeled_path, target, out):
+    """A brief training run of ``target`` writing ``out``."""
+    if target == "link":
+        data, flags = write_link_data(tmp_path), ["--link-hidden", "4"]
+    else:
+        data, flags = labeled_path, ["--encoder-dim", "16"]
+    return ["train", "--data", str(data), "--target", target, "--out", str(out), "--epochs", "1",
+            *flags]
+
+
+@pytest.mark.parametrize("target", ["issue", "solution", "link"])
+def test_config_seed_is_read_and_the_seed_flag_wins(tmp_path, labeled_path, target):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("seed=5\n", encoding="utf-8")
+
+    def train(name, *global_flags):
+        out = tmp_path / f"{name}.ckpt"
+        assert main([*global_flags, *train_argv(tmp_path, labeled_path, target, out)]) == 0
+        return out.read_bytes()
+
+    from_config = train("config", "--config", str(cfg))
+    assert from_config == train("flag", "--seed", "5")
+    seed0 = train("default")
+    assert from_config != seed0
+    assert train("both", "--config", str(cfg), "--seed", "0") == seed0
+
+
+@pytest.mark.parametrize("target", ["issue", "link"])
+def test_negative_config_seed_exits_3(tmp_path, labeled_path, target, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("seed=-1\n", encoding="utf-8")
+    out = tmp_path / "neg.ckpt"
+    rc = main(["--config", str(cfg), *train_argv(tmp_path, labeled_path, target, out)])
+    assert "seed" in assert_data_error(rc, capsys)
+    assert not out.exists()
+
+
 def test_encoder_config_uses_prefixed_keys():
     file_cfg = {"encoder_dim": "32", "encoder_seed": "4"}
     args = argparse.Namespace(encoder_dim=None, encoder_provider=None, encoder_table=None)
@@ -289,8 +326,12 @@ GOOD_UTTS = [
         ([{"time": 1000, "id": "ann", "text": 5}], []),
         (GOOD_UTTS, [[1]]),
         (GOOD_UTTS, [["x", 0]]),
+        (GOOD_UTTS, [[1.5, 0]]),
+        (GOOD_UTTS, [[1, False]]),
+        ([GOOD_UTTS[0], {**GOOD_UTTS[1], "time": 2000.5}], [[1, 0]]),
     ],
-    ids=["no-time", "no-id", "no-text", "text-not-string", "short-link", "bad-link-index"],
+    ids=["no-time", "no-id", "no-text", "text-not-string", "short-link", "bad-link-index",
+         "fractional-link-index", "bool-link-index", "fractional-time"],
 )
 def test_train_link_on_malformed_record_exits_3(tmp_path, capsys, utterances, links):
     data = tmp_path / "links.jsonl"
@@ -414,6 +455,22 @@ def test_train_on_malformed_labeled_record_exits_3(tmp_path, capsys, edit):
     rc = main(["train", "--data", str(data), "--target", "issue", "--out", str(tmp_path / "i.ckpt")])
     err = assert_data_error(rc, capsys)
     assert f"{data}:1: bad record" in err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [{"y_issue": 1.9}, {"y_issue": True}, {"y_solution": [0.9]}, {"y_solution": [True]},
+     {"utterances": [GOOD_UTTS[0], {**GOOD_UTTS[1], "time": 2.7}]}],
+    ids=["fractional-y-issue", "bool-y-issue", "fractional-y-solution", "bool-y-solution",
+         "fractional-time"],
+)
+def test_train_rejects_labels_and_times_it_would_truncate(tmp_path, capsys, edit):
+    good = {"community_id": "c", "utterances": GOOD_UTTS, "y_issue": 0}
+    record = {"community_id": "c", "utterances": GOOD_UTTS, "y_issue": 1, "y_solution": [1]}
+    data = tmp_path / "labeled.jsonl"
+    data.write_text(json.dumps(good) + "\n" + json.dumps({**record, **edit}) + "\n", encoding="utf-8")
+    rc = main(["train", "--data", str(data), "--target", "issue", "--out", str(tmp_path / "i.ckpt")])
+    assert f"{data}:2: bad" in assert_data_error(rc, capsys)
 
 
 def rewrite_manifest(src, dst, edit):
@@ -585,6 +642,18 @@ def test_disentangle_with_out_of_range_time_exits_3(tmp_path, capsys, time):
     clean.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     rc = main(["disentangle", "--input", str(clean), "--out", str(tmp_path / "d.jsonl")])
     assert "time out of range" in assert_data_error(rc, capsys)
+
+
+@pytest.mark.parametrize("time", [2000.5, True, "2000"], ids=["fractional", "bool", "string"])
+def test_disentangle_rejects_a_clean_time_that_is_not_a_whole_number(tmp_path, capsys, time):
+    records = [
+        {"time": 1000, "id": "ann", "text": "hi", "clean_text": "hi", "tokens": ["hi"]},
+        {"time": time, "id": "bob", "text": "yo", "clean_text": "yo", "tokens": ["yo"]},
+    ]
+    clean = tmp_path / "clean.jsonl"
+    clean.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    rc = main(["disentangle", "--input", str(clean), "--out", str(tmp_path / "d.jsonl")])
+    assert f"{clean}:2: bad utterance" in assert_data_error(rc, capsys)
 
 
 def test_extract_with_list_encoder_config_exits_3(tmp_path, cli_ckpts, capsys):

@@ -338,7 +338,8 @@ def ref_mlp(params):
         x = nn.tensor(ref_features(log, child, parent))
         h1 = nn.softsign(nn.linear(x, params["link.W1"], params["link.b1"]))
         h2 = nn.softsign(nn.linear(h1, params["link.W2"], params["link.b2"]))
-        return float(nn.sigmoid((params["link.w3"] @ h2) + params["link.b3"]).data)
+        z = params["link.w3"].data @ h2.data + params["link.b3"].data
+        return float(nn.sigmoid(nn.tensor(z)).data)
 
     return score
 
@@ -491,7 +492,7 @@ def ref_link_logit(features, params):
     x = nn.tensor(features)
     h1 = nn.softsign(nn.linear(x, params["link.W1"], params["link.b1"]))
     h2 = nn.softsign(nn.linear(h1, params["link.W2"], params["link.b2"]))
-    return (params["link.w3"] @ h2) + params["link.b3"]
+    return (h2 * params["link.w3"]).sum() + params["link.b3"]
 
 
 def ref_train_link_scorer(examples, hidden, epochs, seed, lookback=50):
@@ -521,7 +522,7 @@ def ref_train_link_scorer(examples, hidden, epochs, seed, lookback=50):
             for j in batch:
                 z = ref_link_logit(pairs[j][0], params)
                 losses.append(nn.softplus(z * -1.0 if pairs[j][1] == 1.0 else z))
-            loss = nn.batch_mean(losses)
+            loss = sum(losses[1:], losses[0]) * (1.0 / len(losses))
             loss.backward()
             nn.adam_step(params, state)
             total += float(loss.data) * len(batch)

@@ -7,12 +7,12 @@ import pytest
 from chatmine import encoder as enc
 from chatmine.encoder import (
     EncoderConfig,
-    build_local_window,
     config_fingerprint,
     encode_tokens,
     load_embedding_table,
+    local_windows,
 )
-from chatmine.errors import ConfigError, ContractViolation
+from chatmine.errors import ConfigError
 
 CFG = EncoderConfig(dim=800)
 
@@ -123,38 +123,29 @@ def test_table_bad_float_and_missing_file(tmp_path):
 
 
 def test_window_zero_pads_sequence_edges():
-    vecs = [np.full(4, i + 1.0) for i in range(3)]
-    w = build_local_window(vecs, 0, k=1)
-    assert w.vectors.shape == (3, 4)
-    assert np.array_equal(w.vectors[0], np.zeros(4))  # before the start
-    assert np.array_equal(w.vectors[1], vecs[0])
-    assert np.array_equal(w.vectors[2], vecs[1])
-    assert w.pad_mask == (False, True, True)
+    vecs = np.stack([np.full(4, i + 1.0) for i in range(3)])
+    windows, mask = local_windows(vecs, k=1)
+    assert windows.shape == (3, 3, 4)
+    w = windows[0]
+    assert np.array_equal(w[0], np.zeros(4))  # before the start
+    assert np.array_equal(w[1], vecs[0])
+    assert np.array_equal(w[2], vecs[1])
+    assert mask[0].tolist() == [False, True, True]
+    assert np.array_equal(windows[2][2], np.zeros(4))  # past the end
+    assert mask[2].tolist() == [True, True, False]
 
 
 def test_window_interior_has_no_padding():
-    vecs = [np.full(2, float(i)) for i in range(5)]
-    w = build_local_window(vecs, 2, k=1)
-    assert w.pad_mask == (True, True, True)
-    assert np.array_equal(w.vectors, np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]))
+    vecs = np.stack([np.full(2, float(i)) for i in range(5)])
+    windows, mask = local_windows(vecs, k=1)
+    assert mask[2].tolist() == [True, True, True]
+    assert np.array_equal(windows[2], np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]))
 
 
 def test_window_k_zero_is_just_the_center():
-    w = build_local_window([np.ones(2)], 0, k=0)
-    assert w.vectors.shape == (1, 2)
-    assert w.pad_mask == (True,)
-
-
-def test_window_center_out_of_range_rejected():
-    with pytest.raises(ContractViolation):
-        build_local_window([np.ones(2)], 1, k=1)
-    with pytest.raises(ContractViolation):
-        build_local_window([np.ones(2)], -1, k=1)
-
-
-def test_window_ragged_vectors_rejected():
-    with pytest.raises(ContractViolation):
-        build_local_window([np.ones(2), np.ones(3)], 0, k=1)
+    windows, mask = local_windows(np.ones((1, 2)), k=0)
+    assert windows.shape == (1, 1, 2)
+    assert mask.tolist() == [[True]]
 
 
 # -- fingerprints ----------------------------------------------------------

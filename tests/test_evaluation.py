@@ -151,7 +151,9 @@ def test_confusion_from_examples_uses_threshold(labeled_corpus, small_bundles, s
     examples = build_examples(labeled_corpus, "issue", small_enc)[:6]
     probs = iter([0.9, 0.6, 0.4, 0.3, 0.5, 0.1])
     fixed = {id(ex): p for ex, p in zip(examples, [0.9, 0.6, 0.4, 0.3, 0.5, 0.1])}
-    monkeypatch.setattr(mdl, "predict_proba", lambda ex, *a, **k: fixed[id(ex)])
+    monkeypatch.setattr(
+        mdl.ModelBundle, "proba", lambda self, exs: np.array([fixed[id(ex)] for ex in exs])
+    )
     c = confusion_from_examples(examples, small_bundles["issue"], threshold=0.5)
     # 0.9, 0.6, 0.5 clear the bar; gold labels decide tp vs fp
     picked = [ex for ex in examples if fixed[id(ex)] >= 0.5]

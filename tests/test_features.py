@@ -15,7 +15,7 @@ from chatmine import features as ft
 from chatmine import nn
 from chatmine.corpus import ChatLog, Utterance
 from chatmine.disentangle import Dialog
-from chatmine.encoder import LocalWindow, build_local_window
+from chatmine.encoder import local_windows
 from chatmine.errors import ConfigError, ContractViolation
 
 
@@ -70,23 +70,23 @@ def test_textual_features_match_bruteforce():
         rng = np.random.default_rng(seed)
         params = ft.init_conv_params(rng, spec, input_len=8)
         x = rng.normal(size=8)
-        got = ft.textual_features(x, spec, params).data
-        assert got.shape == (6,)
-        assert np.allclose(got, stack_oracle(x, spec, params), atol=1e-12)
+        got = ft.textual_features(x[None], spec, params).data
+        assert got.shape == (1, 6)
+        assert np.allclose(got[0], stack_oracle(x, spec, params), atol=1e-12)
 
 
 def test_textual_features_zero_input_zero_bias_is_zero():
     spec = ft.ConvStackSpec(kernel_counts=(3, 3), kernel_size=2)
     params = ft.init_conv_params(np.random.default_rng(0), spec, input_len=5)
-    out = ft.textual_features(np.zeros(5), spec, params).data
-    assert np.array_equal(out, np.zeros(3))
+    out = ft.textual_features(np.zeros((2, 5)), spec, params).data
+    assert np.array_equal(out, np.zeros((2, 3)))
 
 
 def test_textual_features_full_width_shape():
     spec = ft.ConvStackSpec()
     params = ft.init_conv_params(np.random.default_rng(1), spec, input_len=800)
-    out = ft.textual_features(np.random.default_rng(2).normal(size=800), spec, params)
-    assert out.data.shape == (ft.TEXTUAL_DIM,)
+    out = ft.textual_features(np.random.default_rng(2).normal(size=(3, 800)), spec, params)
+    assert out.data.shape == (3, ft.TEXTUAL_DIM)
 
 
 # -- heuristic attributes --------------------------------------------------
@@ -318,18 +318,19 @@ def test_fit_heuristic_stats_rejects_wrong_width():
 # -- local attention -------------------------------------------------------
 
 
-def attention_oracle(win, params):
-    """Plain numpy replication of the damped attention contract."""
-    n, d = win.vectors.shape
+def attention_oracle(vectors, pad_mask, params):
+    """Plain numpy replication of the damped attention contract for one
+    window."""
+    n, d = vectors.shape
     k = (n - 1) // 2
-    hq = params["attn.wq"].data @ win.vectors[k]
-    live = [s for s in range(n) if win.pad_mask[s]]
+    hq = params["attn.wq"].data @ vectors[k]
+    live = [s for s in range(n) if pad_mask[s]]
     scores, vals = [], []
     for s in live:
-        hk = params["attn.wk"].data @ win.vectors[s]
+        hk = params["attn.wk"].data @ vectors[s]
         g = 1.0 if s == k else math.exp(-((s - k) ** 2) / (2.0 * k * k))
         scores.append(float(hq @ hk) * g)
-        vals.append(params["attn.wv"].data @ win.vectors[s])
+        vals.append(params["attn.wv"].data @ vectors[s])
     total = sum(scores)
     if total > 0.0:
         weights = [s / total for s in scores]
@@ -349,33 +350,43 @@ def random_attn_params(rng, input_dim, context_dim):
 
 def random_window(rng, k, dim):
     n = 2 * k + 1
-    mask = [bool(rng.random() < 0.8) for _ in range(n)]
+    mask = rng.random(n) < 0.8
     mask[k] = True
-    vecs = np.where(
-        np.array(mask)[:, None], rng.normal(size=(n, dim)), np.zeros((n, dim))
-    )
-    return LocalWindow(center=k, vectors=vecs, pad_mask=tuple(mask))
+    return np.where(mask[:, None], rng.normal(size=(n, dim)), 0.0), mask
+
+
+def window(seq, center, k):
+    """The window around ``center`` of a sequence of vectors, as a one-row
+    batch of (windows, pad mask)."""
+    windows, mask = local_windows(np.stack(seq), k)
+    return windows[center : center + 1], mask[center : center + 1]
+
+
+def attend(win, params):
+    return ft.local_attention(*win, params).data[0]
 
 
 def test_attention_matches_independent_replication():
     hit_fallback = hit_normal = False
-    for seed in range(30):
-        rng = np.random.default_rng(seed)
-        k = int(rng.integers(1, 3))
-        win = random_window(rng, k, dim=6)
+    for k in (1, 2):
+        rng = np.random.default_rng(k)
         params = random_attn_params(rng, 6, 4)
-        got = ft.local_attention(win, params).data
-        want = attention_oracle(win, params)
-        assert np.allclose(got, want, atol=1e-12)
-        # record which branch the oracle took so both get covered
-        total = sum(
-            float((params["attn.wq"].data @ win.vectors[k]) @ (params["attn.wk"].data @ win.vectors[s]))
-            * (1.0 if s == k else math.exp(-((s - k) ** 2) / (2.0 * k * k)))
-            for s in range(2 * k + 1)
-            if win.pad_mask[s]
-        )
-        hit_fallback |= total <= 0.0
-        hit_normal |= total > 0.0
+        wins = [random_window(rng, k, dim=6) for _ in range(15)]
+        vecs = np.stack([v for v, _ in wins])
+        masks = np.stack([m for _, m in wins])
+        got = ft.local_attention(vecs, masks, params).data  # one batch per k
+        assert got.shape == (15, 4)
+        for row, (v, m) in zip(got, wins):
+            assert np.allclose(row, attention_oracle(v, m, params), atol=1e-12)
+            # record which branch the oracle took so both get covered
+            total = sum(
+                float((params["attn.wq"].data @ v[k]) @ (params["attn.wk"].data @ v[s]))
+                * (1.0 if s == k else math.exp(-((s - k) ** 2) / (2.0 * k * k)))
+                for s in range(2 * k + 1)
+                if m[s]
+            )
+            hit_fallback |= total <= 0.0
+            hit_normal |= total > 0.0
     assert hit_fallback and hit_normal
 
 
@@ -388,8 +399,7 @@ def test_attention_gaussian_weights_closed_form():
     Wv = nn.Parameter("attn.wv", np.array([[0.0, 1.0]]))
     params = {"attn.wq": Wq, "attn.wk": Wk, "attn.wv": Wv}
     vecs = [np.array([1.0, 10.0]), np.array([1.0, 20.0]), np.array([1.0, 30.0])]
-    win = build_local_window(vecs, 1, k=1)
-    got = ft.local_attention(win, params).data
+    got = attend(window(vecs, 1, k=1), params)
     g = math.exp(-0.5)
     want = ((10.0 * g + 20.0 + 30.0 * g) / (1.0 + 2.0 * g)) / math.sqrt(2.0)
     assert got.shape == (1,)
@@ -404,8 +414,7 @@ def test_attention_center_weight_closed_form():
     Wv = nn.Parameter("attn.wv", np.array([[0.0, 1.0]]))
     params = {"attn.wq": Wq, "attn.wk": Wk, "attn.wv": Wv}
     vecs = [np.array([1.0, 0.0]), np.array([1.0, 1.0]), np.array([1.0, 0.0])]
-    win = build_local_window(vecs, 1, k=1)
-    ctx = ft.local_attention(win, params).data
+    ctx = attend(window(vecs, 1, k=1), params)
     a_center = float(ctx[0]) * math.sqrt(2.0)
     assert a_center == pytest.approx(1.0 / (1.0 + 2.0 * math.exp(-0.5)), abs=1e-9)
 
@@ -413,10 +422,11 @@ def test_attention_center_weight_closed_form():
 def test_attention_single_live_slot_passes_value_through():
     params = random_attn_params(np.random.default_rng(0), 3, 2)
     vecs = [np.array([0.4, -0.2, 1.0])]
-    win = build_local_window(vecs, 0, k=1)  # both sides padded
-    got = ft.local_attention(win, params).data
+    got = attend(window(vecs, 0, k=1), params)  # both sides padded
     want = (params["attn.wv"].data @ vecs[0]) / math.sqrt(3.0)
     assert np.allclose(got, want, atol=1e-12)
+    # at k = 0 the window is the center alone
+    assert np.allclose(attend(window(vecs, 0, k=0), params), want, atol=1e-12)
 
 
 def test_attention_nonpositive_scores_fall_back_to_uniform():
@@ -425,8 +435,7 @@ def test_attention_nonpositive_scores_fall_back_to_uniform():
     Wv = nn.Parameter("attn.wv", np.array([[0.0, 1.0]]))
     params = {"attn.wq": Wq, "attn.wk": Wk, "attn.wv": Wv}
     vecs = [np.array([1.0, 3.0]), np.array([1.0, 6.0]), np.array([1.0, 9.0])]
-    win = build_local_window(vecs, 1, k=1)
-    got = ft.local_attention(win, params).data
+    got = attend(window(vecs, 1, k=1), params)
     assert float(got[0]) == pytest.approx((6.0 / math.sqrt(2.0)), abs=1e-12)
 
 
@@ -436,8 +445,7 @@ def test_attention_zero_values_give_zero_context():
         "attn.wk": nn.Parameter("attn.wk", np.ones((2, 3))),
         "attn.wv": nn.Parameter("attn.wv", np.zeros((2, 3))),
     }
-    win = build_local_window([np.ones(3)] * 3, 1, k=1)
-    assert np.array_equal(ft.local_attention(win, params).data, np.zeros(2))
+    assert np.array_equal(attend(window([np.ones(3)] * 3, 1, k=1), params), np.zeros(2))
 
 
 def test_attention_ignores_content_outside_window():
@@ -446,33 +454,39 @@ def test_attention_ignores_content_outside_window():
     seq_a = [rng.normal(size=4) for _ in range(4)]
     seq_b = [v.copy() for v in seq_a]
     seq_b[3] = rng.normal(size=4)  # outside the k=1 window of center 1
-    wa = build_local_window(seq_a, 1, k=1)
-    wb = build_local_window(seq_b, 1, k=1)
-    assert np.array_equal(
-        ft.local_attention(wa, params).data, ft.local_attention(wb, params).data
-    )
+    wa = window(seq_a, 1, k=1)
+    wb = window(seq_b, 1, k=1)
+    assert np.array_equal(attend(wa, params), attend(wb, params))
 
 
-def test_full_window_attention_graph_is_one_node_per_op():
-    # 3 projections, u_center, U, gauss, 1/sqrt(d) and nine ops
+def attention_graph_size(rows, k):
     params = random_attn_params(np.random.default_rng(2), 4, 3)
     params["attn.wk"].data = params["attn.wq"].data.copy()  # positive scores
-    vecs = [np.array([1.0, 0.5, -0.5, 0.2]) * (i + 1) for i in range(3)]
-    ctx = ft.local_attention(build_local_window(vecs, 1, k=1), params)
+    vecs = [np.array([1.0, 0.5, -0.5, 0.2]) * (i + 1) for i in range(2 * k + 1)]
+    windows, mask = window(vecs, k, k)
+    ctx = ft.local_attention(np.repeat(windows, rows, 0), np.repeat(mask, rows, 0), params)
     seen, stack = set(), [ctx]
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen.add(id(node))
             stack.extend(node._parents)
-    assert len(seen) <= 16
+    return len(seen)
+
+
+def test_full_window_attention_graph_is_one_node_per_op():
+    # 3 projections, the slot and center constants, the damping and
+    # fallback masks, 1/sqrt(d) and sixteen ops, whatever the batch size
+    # and window radius
+    assert attention_graph_size(1, 1) == attention_graph_size(8, 1) == attention_graph_size(8, 2)
+    assert attention_graph_size(8, 1) <= 24
 
 
 def test_attention_rejects_padded_center():
-    win = LocalWindow(center=1, vectors=np.zeros((3, 2)), pad_mask=(True, False, True))
     params = random_attn_params(np.random.default_rng(0), 2, 2)
+    mask = np.array([[True, True, True], [True, False, True]])
     with pytest.raises(ContractViolation):
-        ft.local_attention(win, params)
+        ft.local_attention(np.zeros((2, 3, 2)), mask, params)
 
 
 def test_tied_init_copies_query_into_key():
@@ -489,36 +503,38 @@ def test_tied_init_copies_query_into_key():
 
 def test_fuse_concatenates_in_order():
     rng = np.random.default_rng(0)
-    t = rng.normal(size=ft.TEXTUAL_DIM)
-    h = rng.normal(size=ft.HEURISTIC_DIM)
-    c = rng.normal(size=ft.CONTEXT_DIM)
-    out = ft.fuse_features(t, h, c).data
-    assert out.shape == (ft.FUSED_DIM,)
+    t = rng.normal(size=(2, ft.TEXTUAL_DIM))
+    h = rng.normal(size=(2, ft.HEURISTIC_DIM))
+    c = rng.normal(size=(2, ft.CONTEXT_DIM))
+    out = ft.fuse_features(nn.tensor(t), h, nn.tensor(c)).data
+    assert out.shape == (2, ft.FUSED_DIM)
     assert ft.FUSED_DIM == 413
-    assert np.array_equal(out[:256], t)
-    assert np.array_equal(out[256:285], h)
-    assert np.array_equal(out[285:], c)
+    assert np.array_equal(out[:, :256], t)
+    assert np.array_equal(out[:, 256:285], h)
+    assert np.array_equal(out[:, 285:], c)
 
 
 def test_fuse_standardizes_only_the_heuristic_block():
     rng = np.random.default_rng(1)
-    t = rng.normal(size=ft.TEXTUAL_DIM)
-    h = rng.normal(size=ft.HEURISTIC_DIM)
-    c = rng.normal(size=ft.CONTEXT_DIM)
+    t = rng.normal(size=(1, ft.TEXTUAL_DIM))
+    h = rng.normal(size=(1, ft.HEURISTIC_DIM))
+    c = rng.normal(size=(1, ft.CONTEXT_DIM))
     stats = ft.HeuristicStats(mean=tuple([1.0] * 29), std=tuple([2.0] * 29))
-    out = ft.fuse_features(t, h, c, stats).data
-    assert np.array_equal(out[:256], t)
-    assert np.allclose(out[256:285], (h - 1.0) / 2.0, atol=1e-15)
-    assert np.array_equal(out[285:], c)
+    out = ft.fuse_features(nn.tensor(t), h, nn.tensor(c), stats).data
+    assert np.array_equal(out[:, :256], t)
+    assert np.allclose(out[:, 256:285], (h - 1.0) / 2.0, atol=1e-15)
+    assert np.array_equal(out[:, 285:], c)
 
 
 def test_fuse_rejects_wrong_widths():
-    t = np.zeros(ft.TEXTUAL_DIM)
-    h = np.zeros(ft.HEURISTIC_DIM)
-    c = np.zeros(ft.CONTEXT_DIM)
+    t = nn.tensor(np.zeros((1, ft.TEXTUAL_DIM)))
+    h = np.zeros((1, ft.HEURISTIC_DIM))
+    c = nn.tensor(np.zeros((1, ft.CONTEXT_DIM)))
     with pytest.raises(ContractViolation):
-        ft.fuse_features(np.zeros(10), h, c)
+        ft.fuse_features(nn.tensor(np.zeros((1, 10))), h, c)
     with pytest.raises(ContractViolation):
-        ft.fuse_features(t, np.zeros(10), c)
+        ft.fuse_features(t, np.zeros((1, 10)), c)
     with pytest.raises(ContractViolation):
-        ft.fuse_features(t, h, np.zeros(10))
+        ft.fuse_features(t, h, nn.tensor(np.zeros((1, 10))))
+    with pytest.raises(ContractViolation):  # rows that do not line up
+        ft.fuse_features(t, np.zeros((2, ft.HEURISTIC_DIM)), c)

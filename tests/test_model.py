@@ -34,7 +34,6 @@ from chatmine.model import (
     load_labeled_dialogs,
     load_model_checkpoint,
     pairs_to_jsonl,
-    predict_proba,
     save_model_checkpoint,
     train_model,
 )
@@ -163,8 +162,8 @@ def test_embedder_emits_head_plus_body_examples(labeled_corpus, small_enc):
     assert head_ex.label == 1
     assert head_ex.utt_index == ld.dialog.subject
     # the head sits at sequence start, so the left window slot is padding
-    assert head_ex.window.pad_mask[0] is False or len(ld.dialog.members) == 1
-    assert head_ex.window.vectors.shape == (3, small_enc.dim)
+    assert not head_ex.pad_mask[0] or len(ld.dialog.members) == 1
+    assert head_ex.window.shape == (3, small_enc.dim)
     assert len(body_exs) == len(ld.y_solution)
     for ex, y in zip(body_exs, ld.y_solution):
         assert ex.label == y
@@ -197,16 +196,20 @@ def tiny_example(labeled_corpus):
     return head_ex
 
 
+def tiny_bundle(params, stats=None, cfg=None):
+    return mdl.ModelBundle(params, stats, "issue", cfg or ModelConfig(), TINY_SPEC)
+
+
 def test_loss_equals_neg_log_predicted_probability(labeled_corpus):
     ex = tiny_example(labeled_corpus)
     params = tiny_params()
     stats = None
     cfg = ModelConfig()
-    logits = forward_logits(ex, params, TINY_SPEC, stats, cfg)
-    loss1 = float(nn.softmax_cross_entropy(logits, 1).data)
-    p1 = predict_proba(ex, params, TINY_SPEC, stats, cfg)
+    logits = forward_logits([ex], params, TINY_SPEC, stats, cfg)
+    loss1 = float(nn.softmax_cross_entropy(logits, [1]).data)
+    p1 = tiny_bundle(params, stats, cfg).proba([ex])[0]
     assert loss1 == pytest.approx(-math.log(p1), abs=1e-9)
-    loss0 = float(nn.softmax_cross_entropy(forward_logits(ex, params, TINY_SPEC, stats, cfg), 0).data)
+    loss0 = float(nn.softmax_cross_entropy(forward_logits([ex], params, TINY_SPEC, stats, cfg), [0]).data)
     assert loss0 == pytest.approx(-math.log(1.0 - p1), abs=1e-9)
 
 
@@ -214,9 +217,20 @@ def test_forward_is_deterministic_outside_training(labeled_corpus):
     ex = tiny_example(labeled_corpus)
     params = tiny_params()
     cfg = ModelConfig()
-    a = forward_logits(ex, params, TINY_SPEC, None, cfg).data
-    b = forward_logits(ex, params, TINY_SPEC, None, cfg).data
+    a = forward_logits([ex], params, TINY_SPEC, None, cfg).data
+    b = forward_logits([ex], params, TINY_SPEC, None, cfg).data
     assert np.array_equal(a, b)
+
+
+def test_forward_outside_training_applies_no_dropout_and_draws_nothing(labeled_corpus):
+    ex = tiny_example(labeled_corpus)
+    params = tiny_params()
+    cfg = ModelConfig()
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    a = forward_logits([ex], params, TINY_SPEC, None, cfg, rng, training=False).data
+    assert rng.bit_generator.state == state
+    assert np.array_equal(a, forward_logits([ex], params, TINY_SPEC, None, cfg).data)
 
 
 def test_training_mode_dropout_changes_activations(labeled_corpus):
@@ -224,9 +238,93 @@ def test_training_mode_dropout_changes_activations(labeled_corpus):
     params = tiny_params()
     cfg = ModelConfig()
     rng = np.random.default_rng(0)
-    a = forward_logits(ex, params, TINY_SPEC, None, cfg, rng, training=True).data
-    b = forward_logits(ex, params, TINY_SPEC, None, cfg, rng, training=True).data
+    a = forward_logits([ex], params, TINY_SPEC, None, cfg, rng, training=True).data
+    b = forward_logits([ex], params, TINY_SPEC, None, cfg, rng, training=True).data
     assert not np.array_equal(a, b)
+
+
+def varied_examples(labeled_corpus, k):
+    """Heads and bodies from several dialogs: padded window edges, rows on
+    both attention branches (score / sum and the uniform fallback)."""
+    enc_cfg = EncoderConfig(dim=16, window_k=k)
+    emb = DialogEmbedder(labeled_corpus.logs["alpha"], enc_cfg)
+    out = []
+    for ld in [d for d in labeled_corpus.dialogs if d.community_id == "alpha"][:4]:
+        head, body = emb.examples_for(ld.dialog, ld.y_issue, ld.y_solution)
+        out += [head] + body
+    return out
+
+
+def attention_total(ex, params):
+    """The damped score sum that picks the attention branch of one row."""
+    k = len(ex.pad_mask) // 2
+    hq = params["attn.wq"].data @ ex.window[k]
+    return sum(
+        (hq @ (params["attn.wk"].data @ ex.window[s]))
+        * (1.0 if s == k else math.exp(-((s - k) ** 2) / (2.0 * k * k)))
+        for s in range(len(ex.pad_mask))
+        if ex.pad_mask[s]
+    )
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_batched_forward_equals_one_row_forwards(labeled_corpus, k):
+    params = tiny_params()
+    exs = varied_examples(labeled_corpus, k)
+    if k:
+        assert any(not ex.pad_mask.all() for ex in exs)
+        # a sign flip of the key projection puts rows on the fallback branch
+        params["attn.wk"].data[: 64] *= -1.0
+        totals = [attention_total(ex, params) for ex in exs]
+        assert min(totals) <= 0.0 < max(totals)
+    stats = mdl.fit_heuristic_stats([ex.heur for ex in exs])
+    cfg = ModelConfig()
+    batched = forward_logits(exs, params, TINY_SPEC, stats, cfg).data
+    assert batched.shape == (len(exs), 2)
+    for row, ex in zip(batched, exs):
+        one = forward_logits([ex], params, TINY_SPEC, stats, cfg).data[0]
+        assert np.allclose(row, one, rtol=0.0, atol=1e-12)
+    bundle = tiny_bundle(params, stats, cfg)
+    probs = bundle.proba(exs)
+    assert probs.shape == (len(exs),)
+    assert np.allclose(probs, [bundle.proba([ex])[0] for ex in exs], rtol=0.0, atol=1e-12)
+
+
+def test_proba_of_no_examples_is_empty():
+    out = tiny_bundle(tiny_params()).proba([])
+    assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+
+def test_training_batch_row_draws_what_a_one_row_forward_would(labeled_corpus):
+    # row i of a training batch sees the masks of a one-row forward whose
+    # rng has first skipped i * (sum of conv widths + FC width) draws
+    params = tiny_params()
+    exs = varied_examples(labeled_corpus, 1)[:5]
+    cfg = ModelConfig()
+    per_row = sum(TINY_SPEC.kernel_counts) + mdl.FC_HIDDEN
+    batched = forward_logits(exs, params, TINY_SPEC, None, cfg, np.random.default_rng(4), training=True)
+    for i, ex in enumerate(exs):
+        rng = np.random.default_rng(4)
+        rng.random(i * per_row)
+        one = forward_logits([ex], params, TINY_SPEC, None, cfg, rng, training=True).data[0]
+        assert np.allclose(batched.data[i], one, rtol=0.0, atol=1e-12)
+
+
+def test_batch_loss_graph_has_one_conv_node_per_stage(labeled_corpus):
+    exs = varied_examples(labeled_corpus, 1)[:8]
+    assert len(exs) == 8
+    logits = forward_logits(
+        exs, tiny_params(), TINY_SPEC, None, ModelConfig(), np.random.default_rng(0), training=True
+    )
+    loss = nn.softmax_cross_entropy(logits, [ex.label % 2 for ex in exs])
+    seen, stack, conv_nodes = set(), [loss], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+            conv_nodes += node._backward is not None and "conv1d_maxpool" in node._backward.__qualname__
+    assert conv_nodes == len(TINY_SPEC.kernel_counts)
 
 
 def test_init_model_params_names_and_shapes():
@@ -339,8 +437,8 @@ def test_checkpoint_round_trip_preserves_predictions(tmp_path, labeled_corpus):
     assert bundle.target == "issue"
     assert bundle.conv_spec == TINY_SPEC
     ex = tiny_example(labeled_corpus)
-    before = predict_proba(ex, res.params, TINY_SPEC, res.heur_stats, res.cfg)
-    after = predict_proba(ex, bundle.params, bundle.conv_spec, bundle.heur_stats, bundle.cfg)
+    before = res.proba([ex])[0]
+    after = bundle.proba([ex])[0]
     # weights pass through float32 storage once
     assert after == pytest.approx(before, abs=1e-5)
 
@@ -406,8 +504,8 @@ def test_float32_round_trip_keeps_gate_decisions_and_pairs(tmp_path, small_bundl
     gates = {"memory": [], "loaded": []}
     for d in dialogs:
         head, _ = embedder.examples_for(d)
-        gates["memory"].append(small_bundles["issue"].proba(head) >= threshold)
-        gates["loaded"].append(loaded["issue"].proba(head) >= threshold)
+        gates["memory"].append(small_bundles["issue"].proba([head])[0] >= threshold)
+        gates["loaded"].append(loaded["issue"].proba([head])[0] >= threshold)
     assert gates["loaded"] == gates["memory"]
     assert any(gates["memory"]) and not all(gates["memory"])
 
@@ -430,14 +528,21 @@ def any_dialog(corpus, issue=True):
     raise AssertionError
 
 
+def stub_proba(monkeypatch, p):
+    """Make every bundle score each example ``p(example)``."""
+    monkeypatch.setattr(
+        mdl.ModelBundle, "proba", lambda self, exs: np.array([p(ex) for ex in exs], dtype=float)
+    )
+
+
 def test_issue_gate_threshold_is_inclusive(labeled_corpus, small_bundles, small_embedders, monkeypatch):
     ld = any_dialog(labeled_corpus)
     emb = small_embedders[ld.community_id]
     cfg = ModelConfig(issue_threshold=0.5)
-    monkeypatch.setattr(mdl, "predict_proba", lambda *a, **k: 0.5)
+    stub_proba(monkeypatch, lambda ex: 0.5)
     pair = extract_pairs_for_dialog(ld.dialog, emb, small_bundles["issue"], small_bundles["solution"], cfg)
     assert pair is not None and pair.p_issue == 0.5
-    monkeypatch.setattr(mdl, "predict_proba", lambda *a, **k: 0.4999)
+    stub_proba(monkeypatch, lambda ex: 0.4999)
     pair = extract_pairs_for_dialog(ld.dialog, emb, small_bundles["issue"], small_bundles["solution"], cfg)
     assert pair is None
 
@@ -451,7 +556,7 @@ def test_extract_pair_solutions_filter_and_keep_order(labeled_corpus, small_bund
     for ex, p in zip(parts_body, [0.9, 0.41, 0.1] + [0.0] * len(parts_body)):
         probs[ex.utt_index] = p
 
-    monkeypatch.setattr(mdl, "predict_proba", lambda ex, *a, **k: probs[ex.utt_index])
+    stub_proba(monkeypatch, lambda ex: probs[ex.utt_index])
     cfg = ModelConfig(solution_threshold=0.4)
     pair = extract_pairs_for_dialog(ld.dialog, emb, small_bundles["issue"], small_bundles["solution"], cfg)
     want = [log.utterances[ex.utt_index] for ex in parts_body[:2]]
@@ -464,7 +569,7 @@ def test_single_message_dialog_has_no_solution_candidates(labeled_corpus, small_
     cid = "alpha"
     emb = small_embedders[cid]
     d = Dialog(subject=0, members=(0,), links=())
-    monkeypatch.setattr(mdl, "predict_proba", lambda *a, **k: 1.0)
+    stub_proba(monkeypatch, lambda ex: 1.0)
     pair = extract_pairs_for_dialog(d, emb, small_bundles["issue"], small_bundles["solution"])
     assert pair.solutions == ()
     assert pair.status == "unresolved"
@@ -473,7 +578,7 @@ def test_single_message_dialog_has_no_solution_candidates(labeled_corpus, small_
 def test_extract_pair_gated_by_issue_model(labeled_corpus, small_bundles, small_embedders, monkeypatch):
     ld = any_dialog(labeled_corpus)
     emb = small_embedders[ld.community_id]
-    monkeypatch.setattr(mdl, "predict_proba", lambda *a, **k: 0.0)
+    stub_proba(monkeypatch, lambda ex: 0.0)
     out = extract_pairs_for_dialog(ld.dialog, emb, small_bundles["issue"], small_bundles["solution"])
     assert out is None
 
@@ -485,10 +590,10 @@ def test_extract_pair_fields_and_status(labeled_corpus, small_bundles, small_emb
     body = emb.examples_for(ld.dialog)[1]
     first_body = body[0].utt_index
 
-    def fake_proba(ex, *a, **k):
+    def fake_proba(ex):
         return 0.8 if ex.utt_index in (ld.dialog.subject, first_body) else 0.1
 
-    monkeypatch.setattr(mdl, "predict_proba", fake_proba)
+    stub_proba(monkeypatch, fake_proba)
     pair = extract_pairs_for_dialog(ld.dialog, emb, small_bundles["issue"], small_bundles["solution"])
     assert pair.status == "answered"
     assert pair.subject_id == ld.dialog.subject
@@ -505,10 +610,10 @@ def test_extract_pair_fields_and_status(labeled_corpus, small_bundles, small_emb
     assert pair.issue_text == want_head
 
     # no solution clears the bar -> unresolved
-    def issue_only(ex, *a, **k):
+    def issue_only(ex):
         return 0.8 if ex.utt_index == ld.dialog.subject else 0.1
 
-    monkeypatch.setattr(mdl, "predict_proba", issue_only)
+    stub_proba(monkeypatch, issue_only)
     pair2 = extract_pairs_for_dialog(ld.dialog, emb, small_bundles["issue"], small_bundles["solution"])
     assert pair2.status == "unresolved"
     assert pair2.solutions == ()
@@ -536,7 +641,7 @@ def test_extraction_splits_and_embeds_each_dialog_once(labeled_corpus, small_bun
         DialogEmbedder, "examples_for", counted("examples_for", DialogEmbedder.examples_for)
     )
     # every dialog passes the gate, so its body is scored too
-    monkeypatch.setattr(mdl, "predict_proba", lambda *a, **k: 0.9)
+    stub_proba(monkeypatch, lambda ex: 0.9)
     pairs = assemble_pairs(
         log, small_bundles["issue"], small_bundles["solution"], heuristic_link_scorer,
         enc_cfg=small_enc,
@@ -560,7 +665,7 @@ def test_extraction_encodes_only_multi_utterance_heads_again(labeled_corpus, sma
         return encode(*a, **k)
 
     monkeypatch.setattr(enc, "encode_tokens", counted)
-    monkeypatch.setattr(mdl, "predict_proba", lambda *a, **k: 0.9)
+    stub_proba(monkeypatch, lambda ex: 0.9)
     assemble_pairs(
         log, small_bundles["issue"], small_bundles["solution"], heuristic_link_scorer,
         enc_cfg=small_enc,
@@ -617,24 +722,11 @@ def test_trained_solution_model_separates_identical_text_by_context(
 ):
     bundle = trained_full["solution"]
     exs = followup_examples(labeled_corpus, EncoderConfig())
-    correct = 0
-    for ex in exs:
-        p = predict_proba(ex, bundle.params, bundle.conv_spec, bundle.heur_stats, bundle.cfg)
-        picked = p >= bundle.cfg.solution_threshold
-        correct += int(picked == bool(ex.label))
+    picked = bundle.proba(exs) >= bundle.cfg.solution_threshold
+    correct = sum(int(pick == bool(ex.label)) for pick, ex in zip(picked, exs))
     # identical text, different labels: anything above the majority-label
     # rate requires using the surrounding window, not the text
     assert correct / len(exs) >= 0.75
-    got_positive = any(
-        predict_proba(ex, bundle.params, bundle.conv_spec, bundle.heur_stats, bundle.cfg)
-        >= bundle.cfg.solution_threshold
-        for ex in exs
-        if ex.label == 1
-    )
-    got_negative = any(
-        predict_proba(ex, bundle.params, bundle.conv_spec, bundle.heur_stats, bundle.cfg)
-        < bundle.cfg.solution_threshold
-        for ex in exs
-        if ex.label == 0
-    )
+    got_positive = any(pick for pick, ex in zip(picked, exs) if ex.label == 1)
+    got_negative = any(not pick for pick, ex in zip(picked, exs) if ex.label == 0)
     assert got_positive and got_negative

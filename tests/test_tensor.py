@@ -27,6 +27,22 @@ def test_matmul_forward_and_backward_hand_case():
     assert np.array_equal(B.grad, np.array([[4.0, 4.0], [6.0, 6.0]]))
 
 
+def test_matmul_takes_a_matrix_on_the_left():
+    v, M = nn.tensor(np.ones(2)), nn.tensor(np.ones((2, 2)))
+    for bad in ((v, M), (v, v), (M, nn.tensor(np.ones((2, 2, 2))))):
+        with pytest.raises(ContractViolation):
+            bad[0] @ bad[1]
+
+
+def test_sum_reshape_and_transpose_route_gradients_back():
+    x = nn.Parameter("x", np.arange(6.0).reshape(2, 3))
+    out = (x.T.reshape(3, 2, 1) * nn.tensor(np.array([1.0, 10.0])[:, None])).sum(axis=1)
+    assert out.data.shape == (3, 1)
+    assert np.array_equal(out.data[:, 0], [30.0, 41.0, 52.0])  # x[0, j] + 10 x[1, j]
+    out.sum().backward()
+    assert np.array_equal(x.grad, [[1.0, 1.0, 1.0], [10.0, 10.0, 10.0]])
+
+
 def test_add_broadcast_backward():
     a = nn.Parameter("a", np.zeros((2, 3)))
     b = nn.Parameter("b", np.zeros(3))
@@ -127,24 +143,38 @@ def conv_pool_oracle(x, kernels, bias):
 def test_conv_pool_hand_case():
     # x=[1,2,3], kernel [1,1], bias 0: window sums are [3,5] -> pooled 5.
     # Gradient flows only through the winning window [2,3].
-    x = nn.Parameter("x", np.array([1.0, 2.0, 3.0]))
+    x = nn.Parameter("x", np.array([[1.0, 2.0, 3.0]]))
     k = nn.Parameter("k", np.array([[1.0, 1.0]]))
     b = nn.Parameter("b", np.zeros(1))
     out = nn.conv1d_maxpool(x, k, b)
-    assert np.array_equal(out.data, [5.0])
+    assert np.array_equal(out.data, [[5.0]])
     out.sum().backward()
     assert np.array_equal(k.grad, [[2.0, 3.0]])
-    assert np.array_equal(x.grad, [0.0, 1.0, 1.0])
+    assert np.array_equal(x.grad, [[0.0, 1.0, 1.0]])
     assert np.array_equal(b.grad, [1.0])
 
 
+def test_conv_pool_batch_rows_are_independent_and_grads_add():
+    # rows [1,2,3] and [3,2,1] win at windows 1 and 0; the kernel gradient
+    # is the sum of the rows' winning windows
+    x = nn.Parameter("x", np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]]))
+    k = nn.Parameter("k", np.array([[1.0, 1.0]]))
+    b = nn.Parameter("b", np.zeros(1))
+    out = nn.conv1d_maxpool(x, k, b)
+    assert np.array_equal(out.data, [[5.0], [5.0]])
+    out.sum().backward()
+    assert np.array_equal(k.grad, [[5.0, 5.0]])
+    assert np.array_equal(x.grad, [[0.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+    assert np.array_equal(b.grad, [2.0])
+
+
 def test_conv_pool_tie_goes_to_first_window():
-    x = nn.Parameter("x", np.array([1.0, 0.0, 1.0]))
+    x = nn.Parameter("x", np.array([[1.0, 0.0, 1.0]]))
     k = nn.Parameter("k", np.array([[1.0]]))
     out = nn.conv1d_maxpool(x, k, nn.tensor(np.zeros(1)))
-    assert np.array_equal(out.data, [1.0])
+    assert np.array_equal(out.data, [[1.0]])
     out.sum().backward()
-    assert np.array_equal(x.grad, [1.0, 0.0, 0.0])
+    assert np.array_equal(x.grad, [[1.0, 0.0, 0.0]])
 
 
 def test_conv_pool_matches_bruteforce_on_random_cases():
@@ -156,13 +186,13 @@ def test_conv_pool_matches_bruteforce_on_random_cases():
         x = rng.normal(size=n)
         k = rng.normal(size=(m, h))
         b = rng.normal(size=m)
-        got = nn.conv1d_maxpool(nn.tensor(x), nn.tensor(k), nn.tensor(b)).data
-        assert np.allclose(got, conv_pool_oracle(x, k, b), atol=1e-12)
+        got = nn.conv1d_maxpool(nn.tensor(x[None]), nn.tensor(k), nn.tensor(b)).data
+        assert np.allclose(got[0], conv_pool_oracle(x, k, b), atol=1e-12)
 
 
 def test_conv_pool_rejects_short_sequence():
     with pytest.raises(ContractViolation):
-        nn.conv1d_maxpool(nn.tensor(np.zeros(2)), nn.tensor(np.zeros((1, 3))), nn.tensor(np.zeros(1)))
+        nn.conv1d_maxpool(nn.tensor(np.zeros((1, 2))), nn.tensor(np.zeros((1, 3))), nn.tensor(np.zeros(1)))
 
 
 def window_major_conv_pool(x, kernels, bias, g):
@@ -184,10 +214,11 @@ def window_major_conv_pool(x, kernels, bias, g):
 
 
 def conv_pool_with_grads(x, kernels, bias, g):
-    xp, kp, bp = nn.Parameter("x", x), nn.Parameter("k", kernels), nn.Parameter("b", bias)
+    """Output and gradients of the op run on ``x`` as a one-row batch."""
+    xp, kp, bp = nn.Parameter("x", x[None]), nn.Parameter("k", kernels), nn.Parameter("b", bias)
     out = nn.conv1d_maxpool(xp, kp, bp)
-    (out * nn.tensor(g)).sum().backward()
-    return out.data, kp.grad, bp.grad, xp.grad
+    (out * nn.tensor(g[None])).sum().backward()
+    return out.data[0], kp.grad, bp.grad, xp.grad[0]
 
 
 def assert_matches_window_major(x, kernels, bias, g):
@@ -253,7 +284,7 @@ def test_conv_pool_graph_holds_no_window_by_kernel_array():
     import tracemalloc
 
     rng = np.random.default_rng(7)
-    x = nn.tensor(rng.normal(size=800))
+    x = nn.tensor(rng.normal(size=(8, 800)))
     k = nn.Parameter("k", rng.normal(size=(1024, 3)))
     b = nn.Parameter("b", rng.normal(size=1024))
     tracemalloc.start()
@@ -263,7 +294,7 @@ def test_conv_pool_graph_holds_no_window_by_kernel_array():
     finally:
         tracemalloc.stop()
     assert out.requires_grad
-    # the (798, 1024) pre-activations alone would be 6.5 MB
+    # one row's (798, 1024) pre-activations alone would be 6.5 MB
     assert held < 1_000_000, held
 
 
@@ -274,37 +305,35 @@ def test_fused_softmax_ce_matches_composition():
     rng = np.random.default_rng(1)
     for label in (0, 1):
         z = rng.normal(size=2) * 5
-        fused = nn.softmax_cross_entropy(nn.tensor(z), label)
+        fused = nn.softmax_cross_entropy(nn.tensor(z[None]), [label])
         e = np.exp(z - z.max())
         want = -math.log(e[label] / e.sum())
         assert float(fused.data) == pytest.approx(want, abs=1e-12)
 
 
 def test_fused_softmax_ce_gradient_is_p_minus_onehot():
-    z = nn.Parameter("z", np.array([0.2, -1.3, 0.7]))
-    loss = nn.softmax_cross_entropy(z, 2)
+    # a batch of two rows: the loss is the rows' mean, so each row's
+    # gradient is (p - onehot) / 2
+    z = nn.Parameter("z", np.array([[0.2, -1.3, 0.7], [1.1, 0.4, -0.6]]))
+    loss = nn.softmax_cross_entropy(z, [2, 0])
     loss.backward()
-    e = np.exp(z.data - z.data.max())
-    p = e / e.sum()
+    e = np.exp(z.data - z.data.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
     want = p.copy()
-    want[2] -= 1.0
-    assert np.allclose(z.grad, want, atol=1e-12)
+    want[0, 2] -= 1.0
+    want[1, 0] -= 1.0
+    assert np.allclose(z.grad, want / 2.0, atol=1e-12)
+    assert float(loss.data) == pytest.approx(-(math.log(p[0, 2]) + math.log(p[1, 0])) / 2.0)
 
 
 # -- dropout ---------------------------------------------------------------
-
-
-def test_dropout_identity_when_not_training():
-    x = nn.tensor(np.arange(5.0))
-    out = nn.dropout(x, 0.6, np.random.default_rng(0), training=False)
-    assert out is x
 
 
 def test_dropout_preserves_expectation():
     # inverted scaling: E[mask * x / (1-p)] == x
     rng = np.random.default_rng(11)
     n = 400_000
-    out = nn.dropout(nn.tensor(np.ones(n)), 0.6, rng, training=True)
+    out = nn.dropout(nn.tensor(np.ones(n)), 0.6, rng.random(n))
     assert float(out.data.mean()) == pytest.approx(1.0, abs=0.01)
     kept = out.data[out.data != 0.0]
     assert np.allclose(kept, 1.0 / 0.4)
@@ -312,7 +341,7 @@ def test_dropout_preserves_expectation():
 
 def test_dropout_backward_uses_same_mask():
     x = nn.Parameter("x", np.ones(1000))
-    out = nn.dropout(x, 0.5, np.random.default_rng(2), training=True)
+    out = nn.dropout(x, 0.5, np.random.default_rng(2).random(1000))
     out.sum().backward()
     assert np.array_equal(x.grad, out.data)  # both are the scaled mask
 
@@ -321,7 +350,7 @@ def test_dropout_probability_contract():
     rng = np.random.default_rng(0)
     for bad in (1.0, 1.5, -0.1):
         with pytest.raises(ContractViolation):
-            nn.dropout(nn.tensor(np.ones(3)), bad, rng)
+            nn.dropout(nn.tensor(np.ones(3)), bad, rng.random(3))
 
 
 # -- optimiser -------------------------------------------------------------
