@@ -50,13 +50,15 @@ def _whole_number(value):
 def raw_message(record, where):
     """A training-file utterance record ``{time, id, text}`` as a RawMessage;
     a DataError naming ``where`` (file:line) when a field is missing or of
-    the wrong type, or the time is not a whole number."""
+    the wrong type, or the time is not a whole number or is negative."""
     try:
         time, author_id, text = record["time"], record["id"], record["text"]
     except (KeyError, TypeError) as exc:
         raise DataError(f"{where}: bad utterance ({exc})") from exc
     if not _whole_number(time):
         raise DataError(f"{where}: bad utterance (time {time!r} is not a whole number)")
+    if time < 0:
+        raise DataError(f"{where}: bad utterance (negative time {time})")
     if not isinstance(author_id, str) or not isinstance(text, str):
         raise DataError(f"{where}: bad utterance (id and text must be strings)")
     return RawMessage(int(time), author_id, text)

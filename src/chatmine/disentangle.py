@@ -339,7 +339,6 @@ class HeadBody:
     order, is the body (including anything the initiator says later)."""
 
     initiator: str
-    time: int
     head_indices: tuple
     body_indices: tuple
     head_text: str
@@ -360,7 +359,6 @@ def split_head_body(dialog, log):
     head_tokens = tuple(t for i in head for t in utts[i].tokens)
     return HeadBody(
         initiator=initiator,
-        time=utts[dialog.subject].time,
         head_indices=tuple(head),
         body_indices=tuple(rest),
         head_text=head_text,

@@ -24,14 +24,6 @@ class ConfusionCounts:
         if min(self.tp, self.fp, self.fn, self.tn) < 0:
             raise ContractViolation("confusion counts must be nonnegative")
 
-    def __add__(self, other):
-        return ConfusionCounts(
-            self.tp + other.tp,
-            self.fp + other.fp,
-            self.fn + other.fn,
-            self.tn + other.tn,
-        )
-
 
 def compute_prf(c):
     """(precision, recall, F1), with 0/0 collapsing to 0 by convention."""
@@ -41,12 +33,10 @@ def compute_prf(c):
     return p, r, f1
 
 
-def bootstrap_balance(items, seed, label=None):
-    """Resample the minority class with replacement (seeded) until the class
-    counts match. All originals are retained; order is originals first, then
-    the resampled extras."""
-    if label is None:
-        label = lambda d: d.y_issue
+def bootstrap_balance(items, seed, label):
+    """Resample the minority class, by ``label(item)``, with replacement
+    (seeded) until the class counts match. All originals are retained; order
+    is originals first, then the resampled extras."""
     pos = [it for it in items if label(it) == 1]
     neg = [it for it in items if label(it) != 1]
     if not pos or not neg:
@@ -59,23 +49,15 @@ def bootstrap_balance(items, seed, label=None):
     return list(items) + extras
 
 
-@dataclass(frozen=True)
-class CrossProjectSplit:
-    folds: tuple  # of (test_project, train_projects)
-
-
 def cross_project_split(projects):
-    """One fold per project, testing on it and training on all others.
-    Accepts a dict keyed by project or an iterable of project ids."""
-    ids = list(projects.keys()) if isinstance(projects, dict) else list(projects)
+    """One (test_project, train_projects) fold per project, testing on it and
+    training on all others; ``projects`` iterates over the project ids."""
+    ids = list(projects)
     if len(set(ids)) != len(ids):
         raise DataError("duplicate project ids")
     if len(ids) < 2:
         raise DataError(f"cross-project split needs >= 2 projects, got {len(ids)}")
-    folds = tuple(
-        (test, tuple(p for p in ids if p != test)) for test in ids
-    )
-    return CrossProjectSplit(folds)
+    return tuple((test, tuple(p for p in ids if p != test)) for test in ids)
 
 
 # -- model evaluation ------------------------------------------------------
@@ -134,9 +116,8 @@ def evaluate_fold(corpus, test_project, train_projects, cfg, enc_cfg=None, conv_
 def cross_project_evaluate(corpus, cfg, enc_cfg=None, conv_spec=None):
     """The full leave-one-project-out report: per-fold P/R/F1 plus the
     macro average over folds, per target."""
-    split = cross_project_split(corpus.logs)
     per_fold = {}
-    for test_project, train_projects in split.folds:
+    for test_project, train_projects in cross_project_split(corpus.logs):
         per_fold[test_project] = evaluate_fold(
             corpus, test_project, train_projects, cfg, enc_cfg, conv_spec
         )

@@ -1,13 +1,14 @@
-"""Per-utterance dialog embedding: a convolutional textual extractor, 29
-hand-crafted attributes, and a Gaussian-damped local attention context,
-concatenated into one 413-wide fused vector (256 + 29 + 128).
+"""Dialog embedding: a convolutional textual extractor, 29 hand-crafted
+attributes, and a Gaussian-damped local attention context, concatenated per
+utterance into one 413-wide fused vector (256 + 29 + 128).
 
-The attribute block packs, in order: question-word flags (what why when who
-which how), "?" and "!" flags, greeting and disapproval flags, similarity
-mentions ("simi"-prefixed words, whole word "same"), token counts (total,
-unique, unique stems), dialog position (absolute, relative), topic deviations
-(chat vs head, head vs utterance), three sentiment score slots, sentiment
-word counts, sentiment emoji counts, and the initiator flag.
+The attributes are built once per dialog, one row for the head and one per
+body utterance. Each row packs, in order: question-word flags (what why when
+who which how), "?" and "!" flags, greeting and disapproval flags,
+similarity mentions ("simi"-prefixed words, whole word "same"), token counts
+(total, unique, unique stems), dialog position (absolute, relative), topic
+deviations (chat vs head, head vs utterance), three sentiment score slots,
+sentiment word counts, sentiment emoji counts, and the initiator flag.
 """
 
 import math
@@ -117,16 +118,16 @@ def _phrase_flag(text, phrases):
 
 @dataclass(frozen=True)
 class TopicProfile:
-    """A scope's ten strongest terms by TF-IDF, weight-descending with
-    lexicographic tie-break, weights zero-filled to length 10."""
+    """A scope's TF-IDF weights, term -> weight, and its ten strongest terms,
+    weight-descending with lexicographic tie-break."""
 
+    weights: dict
     terms: tuple
-    weights: tuple
 
 
 class TopicStats:
-    """Chat-level document statistics: IDF over utterances-as-documents plus
-    the whole-chat term frequencies."""
+    """Chat-level document statistics: IDF over utterances-as-documents, and
+    the profile of the whole chat as one scope."""
 
     def __init__(self, chat):
         docs = [u.tokens for u in chat.utterances]
@@ -137,107 +138,74 @@ class TopicStats:
         self.idf = {
             t: math.log((1 + self.n_docs) / (1 + c)) + 1.0 for t, c in df.items()
         }
-        self.chat_tokens = tuple(t for d in docs for t in d)
-        self._tfidf_cache = {}
-        self._profile_cache = {}
+        self.chat = self.profile(tuple(t for d in docs for t in d))
 
-    def tfidf(self, tokens, cache_key=None):
+    def tfidf(self, tokens):
         """Term -> TF-IDF weight within the given scope. Unseen terms carry
         the max-rarity IDF."""
-        if cache_key is not None and cache_key in self._tfidf_cache:
-            return self._tfidf_cache[cache_key]
         if not tokens:
             return {}
         counts = Counter(tokens)
         total = len(tokens)
         default = math.log(1 + self.n_docs) + 1.0
-        out = {t: (c / total) * self.idf.get(t, default) for t, c in counts.items()}
-        if cache_key is not None:
-            self._tfidf_cache[cache_key] = out
-        return out
+        return {t: (c / total) * self.idf.get(t, default) for t, c in counts.items()}
 
-    def profile(self, tokens, cache_key=None):
-        if cache_key is not None and cache_key in self._profile_cache:
-            return self._profile_cache[cache_key]
-        weights = self.tfidf(tokens, cache_key)
+    def profile(self, tokens):
+        weights = self.tfidf(tokens)
         top = sorted(weights.items(), key=lambda kv: (-kv[1], kv[0]))[:_TOP_TERMS]
-        terms = tuple(t for t, _ in top)
-        vals = tuple(w for _, w in top) + (0.0,) * (_TOP_TERMS - len(top))
-        prof = TopicProfile(terms, vals)
-        if cache_key is not None:
-            self._profile_cache[cache_key] = prof
-        return prof
+        return TopicProfile(weights, tuple(t for t, _ in top))
 
 
-def _aligned_distance(stats, profile_a, tokens_a, profile_b, tokens_b, key_a=None, key_b=None):
-    """Euclidean distance after evaluating both scopes' TF-IDF at the union
-    of the two top-10 term lists."""
-    union = sorted(set(profile_a.terms) | set(profile_b.terms))
-    wa = stats.tfidf(tokens_a, key_a)
-    wb = stats.tfidf(tokens_b, key_b)
-    return math.sqrt(sum((wa.get(t, 0.0) - wb.get(t, 0.0)) ** 2 for t in union))
+def topic_deviation(a, b):
+    """Euclidean distance between two scopes' TF-IDF weights at the union of
+    their top-10 term lists, so positions align."""
+    union = sorted(set(a.terms) | set(b.terms))
+    return math.sqrt(sum((a.weights.get(t, 0.0) - b.weights.get(t, 0.0)) ** 2 for t in union))
 
 
-def topic_deviation(chat, head_tokens, utt_tokens, stats=None, head_key=None):
-    """(chat-vs-head, head-vs-utterance) topic distances. Each scope's terms
-    are its own top 10 by TF-IDF; distances are computed over the union of
-    the operands' term lists so positions align. ``head_key`` lets callers
-    reuse the head-scope computation across a dialog's utterances."""
-    if stats is None:
-        stats = TopicStats(chat)
-    chat_prof = stats.profile(stats.chat_tokens, cache_key="__chat__")
-    head_prof = stats.profile(head_tokens, cache_key=head_key)
-    utt_prof = stats.profile(utt_tokens)
-    tdh = _aligned_distance(
-        stats, chat_prof, stats.chat_tokens, head_prof, head_tokens, "__chat__", head_key
-    )
-    tdu = _aligned_distance(stats, head_prof, head_tokens, utt_prof, utt_tokens, head_key)
-    return tdh, tdu
+def heuristic_attributes(dialog, parts, chat, stats, lex):
+    """The (1 + len(body), 29) attribute rows of one dialog.
 
-
-def heuristic_attributes(utt, dialog, chat, lex, parts=None, stats=None, head_key=None):
-    """The 29-wide attribute vector for one utterance of one dialog.
-
-    ``parts`` is the dialog's head/body split (recomputed if omitted);
-    ``stats`` the chat-level topic statistics. Flags look at clean_text,
-    counts at the token stream.
+    Row 0 is the head: its joined text and tokens, position 1 and the
+    initiator flag. Then comes one row per body utterance. ``parts`` is the
+    dialog's head/body split, ``stats`` the chat-level topic statistics.
+    Flags look at clean text, counts at the token stream.
     """
-    from .disentangle import split_head_body
-
-    if parts is None:
-        parts = split_head_body(dialog, chat)
-    if stats is None:
-        stats = TopicStats(chat)
-    text = utt.clean_text
-    v = np.zeros(HEURISTIC_DIM)
-    for i, w in enumerate(_QUESTION_WORDS):
-        v[i] = 1.0 if re.search(r"\b" + w + r"\b", text) else 0.0
-    v[6] = 1.0 if "?" in text else 0.0
-    v[7] = 1.0 if "!" in text else 0.0
-    v[8] = _phrase_flag(text, lex.greetings)
-    v[9] = _phrase_flag(text, lex.disapproval)
-    v[10] = 1.0 if re.search(r"\bsimi\w*", text) else 0.0
-    v[11] = 1.0 if re.search(r"\bsame\b", text) else 0.0
-    nt = len(utt.tokens)
-    v[12] = nt
-    v[13] = len(set(utt.tokens))
-    v[14] = len({lexicons.porter_stem(t) if t.isalpha() else t for t in utt.tokens})
-    ap = dialog.members.index(utt.index) + 1
-    v[15] = ap
-    v[16] = ap / len(dialog.members)
-    tdh, tdu = topic_deviation(chat, parts.head_tokens, utt.tokens, stats, head_key)
-    v[17] = tdh
-    v[18] = tdu
-    word_counts = Counter(lex.word_class.get(t) for t in utt.tokens)
-    emoji_counts = Counter(lex.emoji_class.get(t) for t in utt.tokens)
-    for j, cls in enumerate(("pos", "neu", "neg")):
-        sw = word_counts.get(cls, 0)
-        se = emoji_counts.get(cls, 0)
-        v[19 + j] = min(1.0, (sw + se) / nt) if nt else 0.0
-        v[22 + j] = sw
-        v[25 + j] = se
-    v[28] = 1.0 if utt.author_id == parts.initiator else 0.0
-    return v
+    head = stats.profile(parts.head_tokens)
+    rows = [(parts.head_text, parts.head_tokens, 1, head, parts.initiator)]
+    # the head is the members' opening run, so the body follows it in order
+    for ap, i in enumerate(parts.body_indices, len(parts.head_indices) + 1):
+        u = chat.utterances[i]
+        rows.append((u.clean_text, u.tokens, ap, stats.profile(u.tokens), u.author_id))
+    chat_vs_head = topic_deviation(stats.chat, head)
+    out = np.zeros((len(rows), HEURISTIC_DIM))
+    for v, (text, tokens, ap, topic, author) in zip(out, rows):
+        for i, w in enumerate(_QUESTION_WORDS):
+            v[i] = 1.0 if re.search(r"\b" + w + r"\b", text) else 0.0
+        v[6] = 1.0 if "?" in text else 0.0
+        v[7] = 1.0 if "!" in text else 0.0
+        v[8] = _phrase_flag(text, lex.greetings)
+        v[9] = _phrase_flag(text, lex.disapproval)
+        v[10] = 1.0 if re.search(r"\bsimi\w*", text) else 0.0
+        v[11] = 1.0 if re.search(r"\bsame\b", text) else 0.0
+        nt = len(tokens)
+        v[12] = nt
+        v[13] = len(set(tokens))
+        v[14] = len({lexicons.porter_stem(t) if t.isalpha() else t for t in tokens})
+        v[15] = ap
+        v[16] = ap / len(dialog.members)
+        v[17] = chat_vs_head
+        v[18] = topic_deviation(head, topic)
+        word_counts = Counter(lex.word_class.get(t) for t in tokens)
+        emoji_counts = Counter(lex.emoji_class.get(t) for t in tokens)
+        for j, cls in enumerate(("pos", "neu", "neg")):
+            sw = word_counts.get(cls, 0)
+            se = emoji_counts.get(cls, 0)
+            v[19 + j] = min(1.0, (sw + se) / nt) if nt else 0.0
+            v[22 + j] = sw
+            v[25 + j] = se
+        v[28] = 1.0 if author == parts.initiator else 0.0
+    return out
 
 
 @dataclass(frozen=True)

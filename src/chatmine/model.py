@@ -24,8 +24,8 @@ import numpy as np
 from . import checkpoint as ckpt_io
 from . import encoder as enc
 from . import nn
-from .corpus import ChatLog, Utterance, preprocess_utterance, raw_message
-from .disentangle import Dialog, split_head_body
+from .corpus import ChatLog, preprocess_utterance, raw_message
+from .disentangle import Dialog, HeadBody, split_head_body
 from .errors import ConfigError, ContractViolation, DataError
 from .features import (
     CONTEXT_DIM,
@@ -81,12 +81,13 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class LabeledDialog:
-    """One annotated dialog: indices into its community's log, the head
-    issue label, and per-body-utterance solution labels (only when the head
-    is an issue)."""
+    """One annotated dialog: indices into its community's log, its head/body
+    split, the head issue label, and per-body-utterance solution labels (only
+    when the head is an issue)."""
 
     community_id: str
     dialog: Dialog
+    parts: HeadBody
     y_issue: int
     y_solution: tuple = ()
 
@@ -154,7 +155,7 @@ def load_labeled_dialogs(path, pre_cfg):
                 )
         elif y_solution:
             raise DataError(f"{p}:{line_no}: y_solution given for a non-issue dialog")
-        dialogs.append(LabeledDialog(community, dialog, y_issue, y_solution))
+        dialogs.append(LabeledDialog(community, dialog, parts, y_issue, y_solution))
     if not dialogs:
         raise DataError(f"no labeled dialogs in {p}")
     return LabeledCorpus(logs, dialogs)
@@ -188,25 +189,9 @@ class DialogEmbedder:
         self.stats = TopicStats(chat)
         self.vecs = {u.index: enc.encode_tokens(u.tokens, enc_cfg) for u in chat.utterances}
 
-    def _head_utterance(self, dialog, parts):
-        subject = self.chat.utterances[dialog.subject]
-        return Utterance(
-            index=dialog.subject,
-            time=parts.time,
-            author_id=parts.initiator,
-            raw_text=" ".join(
-                self.chat.utterances[i].raw_text for i in parts.head_indices
-            ),
-            clean_text=parts.head_text,
-            tokens=parts.head_tokens,
-            placeholders=dict(subject.placeholders),
-        )
-
-    def examples_for(self, dialog, y_issue=-1, y_solution=(), parts=None):
-        """(head example, body examples) of one dialog; ``parts`` is its
-        head/body split when the caller already has it."""
-        if parts is None:
-            parts = split_head_body(dialog, self.chat)
+    def examples_for(self, dialog, parts, y_issue=-1, y_solution=()):
+        """(head example, body examples) of one dialog, given its head/body
+        split ``parts``."""
         if not parts.head_indices:
             raise ContractViolation("dialog head is empty")
         if len(parts.head_indices) == 1:  # its tokens are that utterance's
@@ -215,14 +200,13 @@ class DialogEmbedder:
             head_vec = enc.encode_tokens(parts.head_tokens, self.enc_cfg)
         seq = np.stack([head_vec] + [self.vecs[i] for i in parts.body_indices])
         windows, pad_mask = enc.local_windows(seq, self.enc_cfg.window_k)
-        utts = [self._head_utterance(dialog, parts)]
-        utts += [self.chat.utterances[i] for i in parts.body_indices]
-        labels = [y_issue, *y_solution] + [-1] * (len(utts) - 1 - len(y_solution))
-        head_key = ("head", self.chat.community_id, dialog.subject)
-        examples = []
-        for window, mask, u, label in zip(windows, pad_mask, utts, labels):
-            heur = heuristic_attributes(u, dialog, self.chat, self.lex, parts, self.stats, head_key)
-            examples.append(EmbeddedExample(window, mask, heur, label, u.index))
+        heur = heuristic_attributes(dialog, parts, self.chat, self.stats, self.lex)
+        indices = [dialog.subject, *parts.body_indices]
+        labels = [y_issue, *y_solution] + [-1] * (len(indices) - 1 - len(y_solution))
+        examples = [
+            EmbeddedExample(window, mask, row, label, i)
+            for window, mask, row, label, i in zip(windows, pad_mask, heur, labels, indices)
+        ]
         return examples[0], examples[1:]
 
 
@@ -337,7 +321,7 @@ def build_examples(corpus, target, enc_cfg):
     examples = []
     for ld in corpus.dialogs:
         emb = embedders[ld.community_id]
-        head_ex, body_exs = emb.examples_for(ld.dialog, ld.y_issue, ld.y_solution)
+        head_ex, body_exs = emb.examples_for(ld.dialog, ld.parts, ld.y_issue, ld.y_solution)
         if target == "issue":
             examples.append(head_ex)
         elif ld.y_issue == 1:
@@ -516,7 +500,7 @@ def extract_pairs_for_dialog(dialog, embedder, issue_bundle, solution_bundle, cf
     sol_thr = (cfg or solution_bundle.cfg).solution_threshold
     chat = embedder.chat
     parts = split_head_body(dialog, chat)
-    head_ex, body_exs = embedder.examples_for(dialog, parts=parts)
+    head_ex, body_exs = embedder.examples_for(dialog, parts)
     p_issue = float(issue_bundle.proba([head_ex])[0])
     if p_issue < issue_thr:
         return None

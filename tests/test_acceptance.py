@@ -289,13 +289,17 @@ def test_c05_attribute_fixture_matches_hand_expectations():
     chat_tokens = [t for d in docs for t in d]
     w_chat = _tfidf_oracle(chat_tokens, docs)
 
+    stats = ft.TopicStats(log)
+    rows = {}
     for dialog in dialogs:
         parts = split_head_body(dialog, log)
+        assert parts.head_indices == (dialog.subject,)  # one-utterance heads only
         w_head = _tfidf_oracle(list(parts.head_tokens), docs)
-        for i in dialog.members:
-            got = ft.heuristic_attributes(log.utterances[i], dialog, log, _LEX)
+        block = ft.heuristic_attributes(dialog, parts, log, stats, _LEX)
+        assert block.shape == (len(dialog.members), 29)
+        rows[dialog.subject] = dict(zip(dialog.members, block))
+        for i, got in rows[dialog.subject].items():
             want = _EXPECTED[i]
-            assert got.shape == (29,)
             for slot, expect in enumerate(want):
                 if expect is None:
                     continue
@@ -305,7 +309,7 @@ def test_c05_attribute_fixture_matches_hand_expectations():
             assert abs(got[18] - _deviation_oracle(w_head, w_utt)) <= 1e-9
 
     # the worked example: second arrival in a ten-member dialog
-    row = ft.heuristic_attributes(log.utterances[1], dialogs[0], log, _LEX)
+    row = rows[dialogs[0].subject][1]
     assert row[15] == 2 and row[16] == 0.20
 
 
@@ -355,7 +359,7 @@ def test_c07_issue_gate_blocks_solutions_and_thresholds_are_monotone(small_bundl
         dialogs = assemble_dialogs(log, heuristic_link_scorer)
         assert set(by_subject) <= {d.subject for d in dialogs}
         for d in dialogs:
-            head_ex, body_exs = embedder.examples_for(d)
+            head_ex, body_exs = embedder.examples_for(d, split_head_body(d, log))
             p_issue = issue_b.proba([head_ex])[0]
             positive = p_issue >= issue_b.cfg.issue_threshold
             assert (d.subject in by_subject) == positive
@@ -436,7 +440,7 @@ def test_c09_metrics_match_rational_oracle_and_folds_leave_one_out():
         assert got_f1 == pytest.approx(float(f), abs=1e-12)
 
     projects = tuple(f"proj{i}" for i in range(8))
-    folds = cross_project_split(projects).folds
+    folds = cross_project_split(projects)
     assert len(folds) == 8
     assert {test for test, _ in folds} == set(projects)
     for test, train in folds:

@@ -641,7 +641,21 @@ def test_disentangle_with_out_of_range_time_exits_3(tmp_path, capsys, time):
     clean = tmp_path / "clean.jsonl"
     clean.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     rc = main(["disentangle", "--input", str(clean), "--out", str(tmp_path / "d.jsonl")])
-    assert "time out of range" in assert_data_error(rc, capsys)
+    want = f"{clean}:2: bad utterance (negative time" if time < 0 else "time out of range"
+    assert want in assert_data_error(rc, capsys)
+
+
+@pytest.mark.parametrize("target", ["issue", "link"])
+def test_train_rejects_a_negative_utterance_time(tmp_path, capsys, target):
+    utts = [GOOD_UTTS[0], {**GOOD_UTTS[1], "time": -5}, {"time": -3, "id": "ann", "text": "thanks"}]
+    if target == "link":
+        record = {"utterances": utts, "links": [[1, 0], [2, 1]]}
+    else:
+        record = {"community_id": "c", "utterances": utts, "y_issue": 0}
+    data = tmp_path / "data.jsonl"
+    data.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    rc = main(["train", "--data", str(data), "--target", target, "--out", str(tmp_path / "m.ckpt")])
+    assert f"{data}:1: bad utterance (negative time -5)" in assert_data_error(rc, capsys)
 
 
 @pytest.mark.parametrize("time", [2000.5, True, "2000"], ids=["fractional", "bool", "string"])

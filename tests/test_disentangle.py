@@ -567,7 +567,6 @@ def test_split_head_body_opening_run():
     assert parts.body_indices == (2, 3)  # the initiator's return goes to the body
     assert parts.head_text == "my build broke with error five"
     assert parts.head_tokens == ("build", "broke", "error", "five")
-    assert parts.time == 0
 
 
 def test_split_head_body_single_message_dialog():

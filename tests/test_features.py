@@ -5,6 +5,7 @@ All expected numbers come from closed forms or from independent
 re-implementations written here with plain loops.
 """
 
+import copy
 import math
 from collections import Counter
 
@@ -14,7 +15,7 @@ import pytest
 from chatmine import features as ft
 from chatmine import nn
 from chatmine.corpus import ChatLog, Utterance
-from chatmine.disentangle import Dialog
+from chatmine.disentangle import Dialog, split_head_body
 from chatmine.encoder import local_windows
 from chatmine.errors import ConfigError, ContractViolation
 
@@ -101,16 +102,19 @@ def toy_lexicons():
     )
 
 
-def one_dialog_chat(utts):
+def dialog_rows(utts, lex=None):
+    """The attribute block of the one dialog of all ``utts``, as rows keyed
+    by utterance index (the head row by the subject's)."""
     chat = ChatLog("c", utts)
     dialog = Dialog(subject=0, members=tuple(u.index for u in utts), links=())
-    return chat, dialog
+    parts = split_head_body(dialog, chat)
+    block = ft.heuristic_attributes(dialog, parts, chat, ft.TopicStats(chat), lex or toy_lexicons())
+    assert block.shape == (1 + len(parts.body_indices), 29)
+    return dict(zip([dialog.subject, *parts.body_indices], block))
 
 
 def test_question_word_and_punctuation_flags():
-    u = utt(0, "a", "how can i fix this ?", ("how", "fix", "?"))
-    chat, dialog = one_dialog_chat([u])
-    v = ft.heuristic_attributes(u, dialog, chat, toy_lexicons())
+    v = dialog_rows([utt(0, "a", "how can i fix this ?", ("how", "fix", "?"))])[0]
     assert v.shape == (29,)
     assert v[5] == 1.0  # "how"
     assert np.array_equal(v[0:5], np.zeros(5))
@@ -122,21 +126,14 @@ def test_phrase_flags_and_topic_words():
     u0 = utt(0, "a", "hello there team", ("hello", "team"))
     u1 = utt(1, "b", "this does not work and mine is similar", ("work", "similar"))
     u2 = utt(2, "c", "same here !", ("same", "here", "!"))
-    chat = ChatLog("c", [u0, u1, u2])
-    dialog = Dialog(0, (0, 1, 2), ())
-    lex = toy_lexicons()
-    v0 = ft.heuristic_attributes(u0, dialog, chat, lex)
-    v1 = ft.heuristic_attributes(u1, dialog, chat, lex)
-    v2 = ft.heuristic_attributes(u2, dialog, chat, lex)
-    assert v0[8] == 1.0 and v1[8] == 0.0
-    assert v1[9] == 1.0 and v1[10] == 1.0
-    assert v2[11] == 1.0 and v2[7] == 1.0
+    rows = dialog_rows([u0, u1, u2])
+    assert rows[0][8] == 1.0 and rows[1][8] == 0.0
+    assert rows[1][9] == 1.0 and rows[1][10] == 1.0
+    assert rows[2][11] == 1.0 and rows[2][7] == 1.0
 
 
 def test_token_count_attributes():
-    u = utt(0, "a", "run runs running run", ("run", "runs", "running", "run"))
-    chat, dialog = one_dialog_chat([u])
-    v = ft.heuristic_attributes(u, dialog, chat, toy_lexicons())
+    v = dialog_rows([utt(0, "a", "run runs running run", ("run", "runs", "running", "run"))])[0]
     assert v[12] == 4.0  # tokens
     assert v[13] == 3.0  # unique tokens
     assert v[14] == 1.0  # every form stems to "run"
@@ -144,21 +141,16 @@ def test_token_count_attributes():
 
 def test_position_attributes_absolute_and_relative():
     utts = [utt(i, "a" if i == 0 else f"u{i}", f"m{i}", (f"m{i}",)) for i in range(10)]
-    chat = ChatLog("c", utts)
-    dialog = Dialog(0, tuple(range(10)), ())
-    v = ft.heuristic_attributes(utts[1], dialog, chat, toy_lexicons())
-    assert v[15] == 2.0
-    assert v[16] == pytest.approx(0.2)
-    v_last = ft.heuristic_attributes(utts[9], dialog, chat, toy_lexicons())
-    assert v_last[15] == 10.0 and v_last[16] == pytest.approx(1.0)
+    rows = dialog_rows(utts)
+    assert rows[0][15] == 1.0 and rows[0][16] == pytest.approx(0.1)
+    assert rows[1][15] == 2.0
+    assert rows[1][16] == pytest.approx(0.2)
+    assert rows[9][15] == 10.0 and rows[9][16] == pytest.approx(1.0)
 
 
 def test_sentiment_attributes_counts_and_share():
     u = utt(1, "b", "great broken fail [EMOJI_NEG]", ("great", "broken", "fail", "[EMOJI_NEG]"))
-    head = utt(0, "a", "hello", ("hello",))
-    chat = ChatLog("c", [head, u])
-    dialog = Dialog(0, (0, 1), ())
-    v = ft.heuristic_attributes(u, dialog, chat, toy_lexicons())
+    v = dialog_rows([utt(0, "a", "hello", ("hello",)), u])[1]
     assert tuple(v[22:25]) == (1.0, 0.0, 2.0)  # word pos/neu/neg
     assert tuple(v[25:28]) == (0.0, 0.0, 1.0)  # emoji pos/neu/neg
     assert v[19] == pytest.approx(1.0 / 4.0)
@@ -168,35 +160,54 @@ def test_sentiment_attributes_counts_and_share():
 
 def test_sentiment_share_capped_at_one_and_empty_safe():
     u = utt(0, "a", "great great", ("great", "great"))
-    chat, dialog = one_dialog_chat([u])
-    lex = toy_lexicons()
-    v = ft.heuristic_attributes(u, dialog, chat, lex)
-    assert v[19] == 1.0
-    empty = utt(1, "a", "", ())
-    chat2 = ChatLog("c", [u, empty])
-    v2 = ft.heuristic_attributes(empty, Dialog(0, (0, 1), ()), chat2, lex)
+    assert dialog_rows([u])[0][19] == 1.0
+    v2 = dialog_rows([u, utt(1, "b", "", ())])[1]
     assert tuple(v2[19:22]) == (0.0, 0.0, 0.0)
 
 
 def test_initiator_flag():
     u0 = utt(0, "alice", "hi", ("hi",))
     u1 = utt(1, "bob", "yo", ("yo",))
-    chat = ChatLog("c", [u0, u1])
-    dialog = Dialog(0, (0, 1), ())
-    lex = toy_lexicons()
-    assert ft.heuristic_attributes(u0, dialog, chat, lex)[28] == 1.0
-    assert ft.heuristic_attributes(u1, dialog, chat, lex)[28] == 0.0
+    u2 = utt(2, "alice", "ok", ("ok",))  # the initiator again, in the body
+    rows = dialog_rows([u0, u1, u2])
+    assert [rows[i][28] for i in (0, 1, 2)] == [1.0, 0.0, 1.0]
 
 
 def test_flags_invariant_under_duplication_counts_double():
-    u = utt(0, "a", "how to fix ?", ("how", "fix", "?"))
-    chat, dialog = one_dialog_chat([u])
-    v = ft.heuristic_attributes(u, dialog, chat, toy_lexicons())
+    v = dialog_rows([utt(0, "a", "how to fix ?", ("how", "fix", "?"))])[0]
     double = utt(0, "a", "how to fix ? how to fix ?", ("how", "fix", "?", "how", "fix", "?"))
-    chat2, dialog2 = one_dialog_chat([double])
-    w = ft.heuristic_attributes(double, dialog2, chat2, toy_lexicons())
+    w = dialog_rows([double])[0]
     assert np.array_equal(v[0:12], w[0:12])
     assert w[12] == 2 * v[12]
+
+
+def test_multi_utterance_head_is_one_row_of_the_joined_head():
+    utts = [
+        utt(0, "alice", "how do i fix this", ("fix",)),
+        utt(1, "alice", "it is broken ?", ("broken", "?")),
+        utt(2, "bob", "same here !", ("same", "here", "!")),
+        utt(3, "alice", "thanks", ("thanks",)),
+    ]
+    rows = dialog_rows(utts)
+    assert list(rows) == [0, 2, 3]
+    head = rows[0]
+    # flags from the joined text: "how" is in the first utterance, "?" in the second
+    assert head[5] == 1.0 and head[6] == 1.0
+    # counts from the summed tokens
+    assert (head[12], head[13]) == (3.0, 3.0)
+    assert tuple(head[22:25]) == (0.0, 0.0, 1.0) and head[21] == pytest.approx(1.0 / 3.0)
+    assert (head[15], head[16], head[28]) == (1.0, 0.25, 1.0)
+    assert head[18] == 0.0
+    docs = [u.tokens for u in utts]
+    chat_w = tfidf_oracle([t for d in docs for t in d], docs)
+    head_w = tfidf_oracle(("fix", "broken", "?"), docs)
+    want_tdh = math.sqrt(sum((chat_w[t] - head_w.get(t, 0.0)) ** 2 for t in chat_w))
+    assert head[17] == pytest.approx(want_tdh, abs=1e-12)
+    # the body's positions count both head members
+    assert (rows[2][15], rows[2][16], rows[2][28]) == (3.0, 0.75, 0.0)
+    assert (rows[3][15], rows[3][16], rows[3][28]) == (4.0, 1.0, 1.0)
+    assert rows[2][11] == 1.0 and rows[2][7] == 1.0 and rows[2][5] == 0.0
+    assert rows[2][17] == head[17]
 
 
 # -- topic statistics ------------------------------------------------------
@@ -218,6 +229,7 @@ def tfidf_oracle(tokens, docs):
 
 
 THREE_DOCS = [("build", "fail"), ("build", "pass"), ("lunch",)]
+CHAT_TOKENS = tuple(t for d in THREE_DOCS for t in d)
 
 
 def three_doc_chat():
@@ -237,14 +249,21 @@ def test_tfidf_matches_hand_oracle():
 
 def test_profile_orders_by_weight_then_term():
     stats = ft.TopicStats(three_doc_chat())
-    prof = stats.profile(stats.chat_tokens)
+    prof = stats.chat
+    assert prof == stats.profile(CHAT_TOKENS)
     # build: tf 2/5 idf ln(4/3)+1; the three singletons tie at tf 1/5
     # idf ln(2)+1 and fall back to lexicographic order
     assert prof.terms == ("build", "fail", "lunch", "pass")
-    assert len(prof.weights) == 10
-    assert prof.weights[4:] == (0.0,) * 6
-    assert prof.weights[0] == pytest.approx((2 / 5) * (math.log(4 / 3) + 1), abs=1e-12)
-    assert prof.weights[1] == pytest.approx((1 / 5) * (math.log(2) + 1), abs=1e-12)
+    assert len(prof.weights) == 4
+    assert prof.weights["build"] == pytest.approx((2 / 5) * (math.log(4 / 3) + 1), abs=1e-12)
+    assert prof.weights["fail"] == pytest.approx((1 / 5) * (math.log(2) + 1), abs=1e-12)
+
+
+def test_profile_keeps_the_ten_strongest_terms():
+    tokens = tuple(f"t{i:02d}" for i in range(12)) + ("t11",)
+    prof = ft.TopicStats(three_doc_chat()).profile(tokens)
+    assert prof.terms == ("t11",) + tuple(f"t{i:02d}" for i in range(9))
+    assert len(prof.weights) == 12
 
 
 def test_topic_deviation_hand_case():
@@ -252,9 +271,10 @@ def test_topic_deviation_hand_case():
     stats = ft.TopicStats(chat)
     head = THREE_DOCS[0]
     u = THREE_DOCS[2]
-    tdh, tdu = ft.topic_deviation(chat, head, u, stats)
+    tdh = ft.topic_deviation(stats.chat, stats.profile(head))
+    tdu = ft.topic_deviation(stats.profile(head), stats.profile(u))
 
-    chat_w = tfidf_oracle(stats.chat_tokens, THREE_DOCS)
+    chat_w = tfidf_oracle(CHAT_TOKENS, THREE_DOCS)
     head_w = tfidf_oracle(head, THREE_DOCS)
     utt_w = tfidf_oracle(u, THREE_DOCS)
     union_ch = set(chat_w) | set(head_w)  # both profiles fit in 10 terms
@@ -270,17 +290,16 @@ def test_topic_deviation_hand_case():
 
 
 def test_topic_deviation_zero_when_head_is_whole_chat():
-    chat = ChatLog("c", [utt(0, "a", "build fail", ("build", "fail"))])
-    tdh, tdu = ft.topic_deviation(chat, ("build", "fail"), ("build", "fail"))
-    assert tdh == pytest.approx(0.0, abs=1e-12)
-    assert tdu == pytest.approx(0.0, abs=1e-12)
+    stats = ft.TopicStats(ChatLog("c", [utt(0, "a", "build fail", ("build", "fail"))]))
+    head = stats.profile(("build", "fail"))
+    assert ft.topic_deviation(stats.chat, head) == pytest.approx(0.0, abs=1e-12)
+    assert ft.topic_deviation(head, stats.profile(("build", "fail"))) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_topic_deviation_empty_utterance_is_head_norm():
-    chat = three_doc_chat()
-    stats = ft.TopicStats(chat)
+    stats = ft.TopicStats(three_doc_chat())
     head = THREE_DOCS[0]
-    _, tdu = ft.topic_deviation(chat, head, (), stats)
+    tdu = ft.topic_deviation(stats.profile(head), stats.profile(()))
     head_w = tfidf_oracle(head, THREE_DOCS)
     assert tdu == pytest.approx(math.sqrt(sum(w * w for w in head_w.values())), abs=1e-12)
 
@@ -289,10 +308,20 @@ def test_aligned_distance_is_symmetric():
     stats = ft.TopicStats(three_doc_chat())
     pa = stats.profile(THREE_DOCS[0])
     pb = stats.profile(THREE_DOCS[1])
-    d_ab = ft._aligned_distance(stats, pa, THREE_DOCS[0], pb, THREE_DOCS[1])
-    d_ba = ft._aligned_distance(stats, pb, THREE_DOCS[1], pa, THREE_DOCS[0])
+    d_ab = ft.topic_deviation(pa, pb)
+    d_ba = ft.topic_deviation(pb, pa)
     assert d_ab == pytest.approx(d_ba, abs=1e-15)
     assert d_ab > 0.0
+
+
+def test_topic_stats_keep_no_per_dialog_state():
+    chat = three_doc_chat()
+    stats = ft.TopicStats(chat)
+    before = copy.deepcopy(vars(stats))
+    for members in ((0, 1), (1, 2), (0, 1, 2)):
+        dialog = Dialog(members[0], members, ())
+        ft.heuristic_attributes(dialog, split_head_body(dialog, chat), chat, stats, toy_lexicons())
+    assert vars(stats) == before
 
 
 # -- standardization -------------------------------------------------------

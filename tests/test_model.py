@@ -78,11 +78,9 @@ def test_fixture_corpus_loads_balanced(labeled_corpus):
 
 def test_solution_labels_align_with_bodies(labeled_corpus):
     for ld in labeled_corpus.dialogs:
-        from chatmine.disentangle import split_head_body
-
-        parts = split_head_body(ld.dialog, labeled_corpus.logs[ld.community_id])
+        assert ld.parts == dis.split_head_body(ld.dialog, labeled_corpus.logs[ld.community_id])
         if ld.y_issue:
-            assert len(ld.y_solution) == len(parts.body_indices)
+            assert len(ld.y_solution) == len(ld.parts.body_indices)
         else:
             assert ld.y_solution == ()
 
@@ -158,7 +156,7 @@ def issue_dialog_with_body(corpus, min_body=3):
 def test_embedder_emits_head_plus_body_examples(labeled_corpus, small_enc):
     ld = issue_dialog_with_body(labeled_corpus)
     emb = DialogEmbedder(labeled_corpus.logs[ld.community_id], small_enc)
-    head_ex, body_exs = emb.examples_for(ld.dialog, ld.y_issue, ld.y_solution)
+    head_ex, body_exs = emb.examples_for(ld.dialog, ld.parts, ld.y_issue, ld.y_solution)
     assert head_ex.label == 1
     assert head_ex.utt_index == ld.dialog.subject
     # the head sits at sequence start, so the left window slot is padding
@@ -192,7 +190,7 @@ def tiny_params(seed=0):
 def tiny_example(labeled_corpus):
     emb = DialogEmbedder(labeled_corpus.logs["alpha"], TINY_ENC)
     ld = [d for d in labeled_corpus.dialogs if d.community_id == "alpha"][0]
-    head_ex, _ = emb.examples_for(ld.dialog, ld.y_issue, ld.y_solution)
+    head_ex, _ = emb.examples_for(ld.dialog, ld.parts, ld.y_issue, ld.y_solution)
     return head_ex
 
 
@@ -250,7 +248,7 @@ def varied_examples(labeled_corpus, k):
     emb = DialogEmbedder(labeled_corpus.logs["alpha"], enc_cfg)
     out = []
     for ld in [d for d in labeled_corpus.dialogs if d.community_id == "alpha"][:4]:
-        head, body = emb.examples_for(ld.dialog, ld.y_issue, ld.y_solution)
+        head, body = emb.examples_for(ld.dialog, ld.parts, ld.y_issue, ld.y_solution)
         out += [head] + body
     return out
 
@@ -503,7 +501,7 @@ def test_float32_round_trip_keeps_gate_decisions_and_pairs(tmp_path, small_bundl
     threshold = small_bundles["issue"].cfg.issue_threshold
     gates = {"memory": [], "loaded": []}
     for d in dialogs:
-        head, _ = embedder.examples_for(d)
+        head, _ = embedder.examples_for(d, dis.split_head_body(d, log))
         gates["memory"].append(small_bundles["issue"].proba([head])[0] >= threshold)
         gates["loaded"].append(loaded["issue"].proba([head])[0] >= threshold)
     assert gates["loaded"] == gates["memory"]
@@ -551,7 +549,7 @@ def test_extract_pair_solutions_filter_and_keep_order(labeled_corpus, small_bund
     ld = issue_dialog_with_body(labeled_corpus, min_body=3)
     emb = small_embedders[ld.community_id]
     log = labeled_corpus.logs[ld.community_id]
-    parts_body = emb.examples_for(ld.dialog)[1]
+    parts_body = emb.examples_for(ld.dialog, ld.parts)[1]
     probs = {ld.dialog.subject: 0.9}
     for ex, p in zip(parts_body, [0.9, 0.41, 0.1] + [0.0] * len(parts_body)):
         probs[ex.utt_index] = p
@@ -587,7 +585,7 @@ def test_extract_pair_fields_and_status(labeled_corpus, small_bundles, small_emb
     ld = issue_dialog_with_body(labeled_corpus, min_body=2)
     emb = small_embedders[ld.community_id]
     log = labeled_corpus.logs[ld.community_id]
-    body = emb.examples_for(ld.dialog)[1]
+    body = emb.examples_for(ld.dialog, ld.parts)[1]
     first_body = body[0].utt_index
 
     def fake_proba(ex):
@@ -650,6 +648,22 @@ def test_extraction_splits_and_embeds_each_dialog_once(labeled_corpus, small_bun
     assert calls == {"split_head_body": n_dialogs, "examples_for": n_dialogs}
 
 
+def test_training_splits_each_dialog_once(labeled_path, pre_cfg, small_enc, monkeypatch):
+    calls = Counter()
+    split = dis.split_head_body
+
+    def counted(*a, **k):
+        calls["split_head_body"] += 1
+        return split(*a, **k)
+
+    monkeypatch.setattr(mdl, "split_head_body", counted)
+    monkeypatch.setattr(dis, "split_head_body", counted)
+    corpus = load_labeled_dialogs(labeled_path, pre_cfg)
+    for target in ("issue", "solution"):
+        assert build_examples(corpus, target, small_enc)
+    assert calls["split_head_body"] == len(corpus.dialogs)
+
+
 def test_extraction_encodes_only_multi_utterance_heads_again(labeled_corpus, small_bundles, small_enc, monkeypatch):
     from chatmine import encoder as enc
 
@@ -703,7 +717,7 @@ def followup_examples(labeled_corpus, enc_cfg):
             continue
         log = labeled_corpus.logs[ld.community_id]
         emb = DialogEmbedder(log, enc_cfg)
-        _, body = emb.examples_for(ld.dialog, ld.y_issue, ld.y_solution)
+        _, body = emb.examples_for(ld.dialog, ld.parts, ld.y_issue, ld.y_solution)
         for ex in body:
             if "restart the service afterwards" in log.utterances[ex.utt_index].raw_text:
                 out.append(ex)
