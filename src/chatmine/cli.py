@@ -3,7 +3,8 @@
 Verbs: preprocess, disentangle, train, extract, eval, gradcheck. Global
 flags --seed / --config apply everywhere; a config file holds
 key=value lines mirroring the PreprocessConfig, ModelConfig, and encoder
-fields (encoder keys prefixed encoder_), and explicit CLI flags win over it.
+fields (encoder keys prefixed encoder_), and explicit CLI flags win over it;
+any other key exits 3.
 The seed is --seed, else the config file's seed, else 0; train and eval
 read it.
 Diagnostics go to standard error only; outputs are files. Exit codes: 0
@@ -30,6 +31,13 @@ from .errors import ConfigError, ContractViolation, DataError
 from .evaluation import cross_project_evaluate
 from .gradcheck import run_standard_checks
 from .model import ModelConfig
+
+
+# every key a config file may set: the preprocessing and model fields, and
+# the encoder fields prefixed encoder_
+_CONFIG_KEYS = {f.name for cls in (PreprocessConfig, ModelConfig) for f in fields(cls)} | {
+    "encoder_" + f.name for f in fields(enc.EncoderConfig)
+}
 
 
 def _log(msg):
@@ -203,7 +211,7 @@ def _cmd_train(args, file_cfg):
     enc_cfg = _enc_cfg(args, file_cfg)
     corpus = model_mod.load_labeled_dialogs(args.data, pre_cfg)
     result = model_mod.train_model(
-        corpus,
+        model_mod.build_examples(corpus, enc_cfg)[args.target],
         args.target,
         cfg,
         enc_cfg,
@@ -390,6 +398,9 @@ def main(argv=None):
             parser.error(f"train --target link takes no {', '.join(given)} (classifier settings)")
     try:
         file_cfg = _parse_config_file(args.config) if args.config else {}
+        unknown = sorted(set(file_cfg) - _CONFIG_KEYS)
+        if unknown:
+            raise ConfigError(f"{args.config}: unknown config keys {', '.join(unknown)}")
         return args.func(args, file_cfg)
     except ContractViolation as exc:
         reason = " ".join(str(exc).split())

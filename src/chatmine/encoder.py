@@ -78,9 +78,9 @@ def _token_hash_vector(token, cfg):
 
 
 def load_embedding_table(path, cfg):
-    """Rows are ``token v1 .. v_dim`` whitespace separated. Later duplicate
-    tokens win; the unknown-token vector is the mean row. Dimension must
-    match the config."""
+    """Rows are ``token v1 .. v_dim`` whitespace separated, every value a
+    finite number. Later duplicate tokens win; the unknown-token vector is
+    the mean row. Dimension must match the config."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"embedding table not found: {p}")
@@ -106,6 +106,8 @@ def load_embedding_table(path, cfg):
             vectors[token] = np.array([float(x) for x in vals])
         except ValueError as exc:
             raise ConfigError(f"{p}:{line_no}: bad float ({exc})") from exc
+        if not np.all(np.isfinite(vectors[token])):
+            raise ConfigError(f"{p}:{line_no}: row holds values that are not finite")
     if not vectors:
         raise ConfigError(f"embedding table is empty: {p}")
     if dim != cfg.dim:

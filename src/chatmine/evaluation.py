@@ -1,4 +1,4 @@
-"""Dataset balancing, cross-project splits, and precision/recall/F1.
+"""Cross-project splits and evaluation, and precision/recall/F1.
 
 Issue metrics count dialogs; solution metrics pool every body utterance of
 the gold issue dialogs within a community. Cross-project evaluation holds
@@ -10,7 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .errors import ContractViolation, DataError
+from .features import ConvStackSpec
 
 
 @dataclass(frozen=True)
@@ -31,22 +33,6 @@ def compute_prf(c):
     r = c.tp / (c.tp + c.fn) if c.tp + c.fn else 0.0
     f1 = 2 * p * r / (p + r) if p + r else 0.0
     return p, r, f1
-
-
-def bootstrap_balance(items, seed, label):
-    """Resample the minority class, by ``label(item)``, with replacement
-    (seeded) until the class counts match. All originals are retained; order
-    is originals first, then the resampled extras."""
-    pos = [it for it in items if label(it) == 1]
-    neg = [it for it in items if label(it) != 1]
-    if not pos or not neg:
-        raise DataError("bootstrap balancing needs both classes present")
-    if len(pos) == len(neg):
-        return list(items)
-    minority, gap = (pos, len(neg) - len(pos)) if len(pos) < len(neg) else (neg, len(pos) - len(neg))
-    rng = np.random.default_rng(seed)
-    extras = [minority[i] for i in rng.integers(0, len(minority), size=gap)]
-    return list(items) + extras
 
 
 def cross_project_split(projects):
@@ -75,54 +61,30 @@ def confusion_from_examples(examples, bundle, threshold):
     )
 
 
-def _subset(corpus, projects):
-    from .model import LabeledCorpus
-
-    keep = set(projects)
-    return LabeledCorpus(
-        logs={cid: log for cid, log in corpus.logs.items() if cid in keep},
-        dialogs=[d for d in corpus.dialogs if d.community_id in keep],
-    )
-
-
-def evaluate_fold(corpus, test_project, train_projects, cfg, enc_cfg=None, conv_spec=None):
-    """Train both models on the training projects, measure on the held-out
-    one. Balancing (when enabled in cfg) touches training data only."""
-    from . import encoder as enc
-    from .features import ConvStackSpec
-    from .model import build_examples, train_model
-
-    enc_cfg = enc_cfg if enc_cfg is not None else enc.EncoderConfig()
-    conv_spec = conv_spec if conv_spec is not None else ConvStackSpec()
-    train_corpus = _subset(corpus, train_projects)
-    test_corpus = _subset(corpus, [test_project])
-    results = {}
-    for target, threshold_name in (("issue", "issue_threshold"), ("solution", "solution_threshold")):
-        bundle = train_model(train_corpus, target, cfg, enc_cfg, conv_spec)
-        examples = build_examples(test_corpus, target, enc_cfg)
-        counts = confusion_from_examples(
-            examples, bundle, getattr(cfg, threshold_name)
-        )
-        p, r, f1 = compute_prf(counts)
-        results[target] = {
-            "P": p,
-            "R": r,
-            "F1": f1,
-            "counts": {"tp": counts.tp, "fp": counts.fp, "fn": counts.fn, "tn": counts.tn},
-        }
-    return results
-
-
-def cross_project_evaluate(corpus, cfg, enc_cfg=None, conv_spec=None):
+def cross_project_evaluate(corpus, cfg, enc_cfg, conv_spec=ConvStackSpec()):
     """The full leave-one-project-out report: per-fold P/R/F1 plus the
-    macro average over folds, per target."""
+    macro average over folds, per target. The corpus is embedded once; each
+    fold trains both models on its training projects' examples and measures
+    them on the held-out project's. Balancing (when enabled in cfg) touches
+    training data only."""
+    examples = model.build_examples(corpus, enc_cfg)
     per_fold = {}
     for test_project, train_projects in cross_project_split(corpus.logs):
-        per_fold[test_project] = evaluate_fold(
-            corpus, test_project, train_projects, cfg, enc_cfg, conv_spec
-        )
+        results = per_fold[test_project] = {}
+        for target in model.TARGETS:
+            train = [ex for ex in examples[target] if ex.community_id in train_projects]
+            test = [ex for ex in examples[target] if ex.community_id == test_project]
+            bundle = model.train_model(train, target, cfg, enc_cfg, conv_spec)
+            counts = confusion_from_examples(test, bundle, getattr(cfg, f"{target}_threshold"))
+            p, r, f1 = compute_prf(counts)
+            results[target] = {
+                "P": p,
+                "R": r,
+                "F1": f1,
+                "counts": {"tp": counts.tp, "fp": counts.fp, "fn": counts.fn, "tn": counts.tn},
+            }
     macro = {}
-    for target in ("issue", "solution"):
+    for target in model.TARGETS:
         for metric in ("P", "R", "F1"):
             vals = [per_fold[p][target][metric] for p in per_fold]
             macro.setdefault(target, {})[metric] = float(np.mean(vals))

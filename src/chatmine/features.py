@@ -28,6 +28,7 @@ CONTEXT_DIM = 128
 FUSED_DIM = TEXTUAL_DIM + HEURISTIC_DIM + CONTEXT_DIM
 
 _QUESTION_WORDS = ("what", "why", "when", "who", "which", "how")
+_QUESTION_RE = re.compile(r"\b(" + "|".join(_QUESTION_WORDS) + r")\b")
 _TOP_TERMS = 10
 
 
@@ -109,11 +110,14 @@ def load_heuristic_lexicons():
     )
 
 
+@lru_cache(maxsize=None)
+def _phrase_pattern(phrases):
+    """One whole-word alternation over a lexicon's phrases."""
+    return re.compile(r"\b(?:" + "|".join(map(re.escape, phrases)) + r")\b")
+
+
 def _phrase_flag(text, phrases):
-    for phrase in phrases:
-        if re.search(r"\b" + re.escape(phrase) + r"\b", text):
-            return 1.0
-    return 0.0
+    return 1.0 if phrases and _phrase_pattern(phrases).search(text) else 0.0
 
 
 @dataclass(frozen=True)
@@ -180,8 +184,8 @@ def heuristic_attributes(dialog, parts, chat, stats, lex):
     chat_vs_head = topic_deviation(stats.chat, head)
     out = np.zeros((len(rows), HEURISTIC_DIM))
     for v, (text, tokens, ap, topic, author) in zip(out, rows):
-        for i, w in enumerate(_QUESTION_WORDS):
-            v[i] = 1.0 if re.search(r"\b" + w + r"\b", text) else 0.0
+        asked = set(_QUESTION_RE.findall(text))
+        v[:6] = [w in asked for w in _QUESTION_WORDS]
         v[6] = 1.0 if "?" in text else 0.0
         v[7] = 1.0 if "!" in text else 0.0
         v[8] = _phrase_flag(text, lex.greetings)

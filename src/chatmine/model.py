@@ -175,6 +175,7 @@ class EmbeddedExample:
     heur: np.ndarray
     label: int = -1
     utt_index: int = -1
+    community_id: str = ""
 
 
 class DialogEmbedder:
@@ -204,7 +205,7 @@ class DialogEmbedder:
         indices = [dialog.subject, *parts.body_indices]
         labels = [y_issue, *y_solution] + [-1] * (len(indices) - 1 - len(y_solution))
         examples = [
-            EmbeddedExample(window, mask, row, label, i)
+            EmbeddedExample(window, mask, row, label, i, self.chat.community_id)
             for window, mask, row, label, i in zip(windows, pad_mask, heur, labels, indices)
         ]
         return examples[0], examples[1:]
@@ -311,40 +312,45 @@ class TrainResult(ModelBundle):
     best_epoch: int = 0
 
 
-def build_examples(corpus, target, enc_cfg):
-    """Flatten the labeled corpus into classifier examples. Issue: one per
-    dialog, labeled with y_issue. Solution: one per body utterance of
-    issue-positive dialogs, labeled with y_solution."""
-    if target not in TARGETS:
-        raise ConfigError(f"unknown target {target!r}")
+def build_examples(corpus, enc_cfg):
+    """Embed every labeled dialog once, with one embedder per community, and
+    flatten the corpus into both targets' classifier examples, in file order.
+    Issue: one per dialog, labeled with y_issue. Solution: one per body
+    utterance of issue-positive dialogs, labeled with y_solution."""
     embedders = {cid: DialogEmbedder(log, enc_cfg) for cid, log in corpus.logs.items()}
-    examples = []
+    examples = {target: [] for target in TARGETS}
     for ld in corpus.dialogs:
         emb = embedders[ld.community_id]
         head_ex, body_exs = emb.examples_for(ld.dialog, ld.parts, ld.y_issue, ld.y_solution)
-        if target == "issue":
-            examples.append(head_ex)
-        elif ld.y_issue == 1:
-            examples.extend(body_exs)
+        examples["issue"].append(head_ex)
+        if ld.y_issue == 1:
+            examples["solution"].extend(body_exs)
     return examples
 
 
-def train_model(
-    corpus,
-    target,
-    cfg,
-    enc_cfg=None,
-    conv_spec=None,
-    log_fn=None,
-):
-    """Fit one model; bit-reproducible given (corpus, target, cfg). Raises a
-    data error when the training examples are single-class, or when the
-    validation split would leave them single-class."""
-    from .evaluation import bootstrap_balance
+def bootstrap_balance(items, seed, label):
+    """Resample the minority class, by ``label(item)``, with replacement
+    (seeded) until the class counts match. All originals are retained; order
+    is originals first, then the resampled extras."""
+    pos = [it for it in items if label(it) == 1]
+    neg = [it for it in items if label(it) != 1]
+    if not pos or not neg:
+        raise DataError("bootstrap balancing needs both classes present")
+    if len(pos) == len(neg):
+        return list(items)
+    minority, gap = (pos, len(neg) - len(pos)) if len(pos) < len(neg) else (neg, len(pos) - len(neg))
+    rng = np.random.default_rng(seed)
+    extras = [minority[i] for i in rng.integers(0, len(minority), size=gap)]
+    return list(items) + extras
 
-    enc_cfg = enc_cfg if enc_cfg is not None else enc.EncoderConfig()
-    conv_spec = conv_spec if conv_spec is not None else ConvStackSpec()
-    examples = build_examples(corpus, target, enc_cfg)
+
+def train_model(examples, target, cfg, enc_cfg, conv_spec=ConvStackSpec(), log_fn=None):
+    """Fit one model on ``target``'s examples, built with ``enc_cfg``;
+    bit-reproducible given (examples, target, cfg). Raises a data error when
+    the examples are single-class, or when the validation split would leave
+    them single-class."""
+    if target not in TARGETS:
+        raise ConfigError(f"unknown target {target!r}")
     if not examples:
         raise DataError(f"no {target} training examples")
     labels = {ex.label for ex in examples}

@@ -317,13 +317,11 @@ def test_c06_models_overfit_fixture_corpus(labeled_corpus, trained_full):
     """Both full-width models reach training-set F1 >= 0.95 on the balanced
     40-dialog fixture corpus within the configured epoch budget and under
     ten minutes each, and training is bit-reproducible for a fixed seed."""
-    enc_cfg = EncoderConfig()
+    examples = build_examples(labeled_corpus, EncoderConfig())
     for target, threshold in (("issue", 0.5), ("solution", 0.4)):
         res = trained_full[target]
         assert len(res.history) <= ModelConfig().max_epochs
-        counts = confusion_from_examples(
-            build_examples(labeled_corpus, target, enc_cfg), res, threshold
-        )
+        counts = confusion_from_examples(examples[target], res, threshold)
         _, _, f1 = compute_prf(counts)
         assert f1 >= 0.95, f"{target} training F1 {f1:.3f} ({counts})"
         assert trained_full["seconds"][target] < 600.0
@@ -332,10 +330,8 @@ def test_c06_models_overfit_fixture_corpus(labeled_corpus, trained_full):
     cfg = ModelConfig(max_epochs=2, patience=2, seed=3)
     enc16 = EncoderConfig(dim=16)
     spec = ft.ConvStackSpec(kernel_counts=(4, 4, 256))
-    runs = [
-        train_model(labeled_corpus, "issue", cfg, enc_cfg=enc16, conv_spec=spec)
-        for _ in range(2)
-    ]
+    issue_exs = build_examples(labeled_corpus, enc16)["issue"]
+    runs = [train_model(issue_exs, "issue", cfg, enc16, spec) for _ in range(2)]
     assert runs[0].history == runs[1].history
     for name in runs[0].params:
         assert runs[0].params[name].data.tobytes() == runs[1].params[name].data.tobytes()

@@ -572,6 +572,33 @@ def test_train_with_nan_lr_in_config_exits_3(tmp_path, labeled_path, capsys):
     assert not (tmp_path / "issue.ckpt").exists()
 
 
+def test_misspelled_config_key_exits_3(tmp_path, labeled_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("bacth_size=3\n", encoding="utf-8")
+    out = tmp_path / "issue.ckpt"
+    rc = main(["--config", str(cfg), "train", "--data", str(labeled_path), "--target", "issue",
+               "--out", str(out), "--epochs", "1", "--encoder-dim", "16"])
+    err = assert_data_error(rc, capsys)
+    assert str(cfg) in err and "bacth_size" in err
+    assert not out.exists()
+    raw = write_raw(tmp_path / "raw.jsonl")
+    rc = main(["--config", str(cfg), "preprocess", "--input", str(raw), "--out", str(tmp_path / "c")])
+    assert "bacth_size" in assert_data_error(rc, capsys)
+    assert not (tmp_path / "c").exists()
+
+
+def test_train_with_non_finite_table_value_exits_3(tmp_path, labeled_path, capsys):
+    table = tmp_path / "emb.txt"
+    table.write_text("hello 1 0 0 0\nrestart nan 1 2 3\n", encoding="utf-8")
+    out = tmp_path / "issue.ckpt"
+    rc = main(["train", "--data", str(labeled_path), "--target", "issue", "--out", str(out),
+               "--epochs", "1", "--encoder-dim", "4", "--encoder-provider", "table",
+               "--encoder-table", str(table)])
+    err = assert_data_error(rc, capsys)
+    assert f"{table}:2" in err and "not finite" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

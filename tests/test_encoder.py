@@ -119,6 +119,14 @@ def test_table_bad_float_and_missing_file(tmp_path):
         load_embedding_table(tmp_path / "nope.txt", EncoderConfig(dim=2, provider="table", table_path="nope"))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_table_rejects_values_that_are_not_finite(tmp_path, value):
+    p = tmp_path / "emb.txt"
+    write_table(p, ["x 1 0", f"restart {value} 1"])
+    with pytest.raises(ConfigError, match=f"{p}:2: .*not finite"):
+        load_embedding_table(p, EncoderConfig(dim=2, provider="table", table_path=str(p)))
+
+
 # -- local windows ---------------------------------------------------------
 
 

@@ -1,20 +1,29 @@
 """Metric arithmetic against an exact-rational oracle, balancing, splits,
 and a small end-to-end fold evaluation."""
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from chatmine import model as mdl
+from chatmine import synth
+from chatmine.encoder import EncoderConfig
 from chatmine.errors import ContractViolation, DataError
 from chatmine.evaluation import (
     ConfusionCounts,
-    bootstrap_balance,
     compute_prf,
     confusion_from_examples,
     cross_project_evaluate,
     cross_project_split,
 )
+from chatmine.features import ConvStackSpec
+from chatmine.model import DialogEmbedder, ModelConfig, bootstrap_balance, build_examples
+
+COMMUNITIES = ("alpha", "beta", "gamma")
+TINY_ENC = EncoderConfig(dim=16)
+TINY_SPEC = ConvStackSpec(kernel_counts=(4, 4, 256))
 
 
 # -- precision / recall / F1 ----------------------------------------------
@@ -145,11 +154,7 @@ def test_cross_project_split_rejects_bad_input():
 
 
 def test_confusion_from_examples_uses_threshold(labeled_corpus, small_bundles, small_enc, monkeypatch):
-    from chatmine import evaluation as ev
-    from chatmine import model as mdl
-    from chatmine.model import build_examples
-
-    examples = build_examples(labeled_corpus, "issue", small_enc)[:6]
+    examples = build_examples(labeled_corpus, small_enc)["issue"][:6]
     probs = iter([0.9, 0.6, 0.4, 0.3, 0.5, 0.1])
     fixed = {id(ex): p for ex, p in zip(examples, [0.9, 0.6, 0.4, 0.3, 0.5, 0.1])}
     monkeypatch.setattr(
@@ -165,10 +170,6 @@ def test_confusion_from_examples_uses_threshold(labeled_corpus, small_bundles, s
 
 
 def test_cross_project_evaluate_report_shape(labeled_corpus):
-    from chatmine.encoder import EncoderConfig
-    from chatmine.features import ConvStackSpec
-    from chatmine.model import ModelConfig
-
     report = cross_project_evaluate(
         labeled_corpus,
         ModelConfig(max_epochs=2, patience=2, seed=0),
@@ -188,3 +189,67 @@ def test_cross_project_evaluate_report_shape(labeled_corpus):
         got = report["macro_average"][target]["F1"]
         want = np.mean([report["per_fold"][p][target]["F1"] for p in ("alpha", "beta")])
         assert got == pytest.approx(float(want))
+
+
+@pytest.fixture(scope="module")
+def three_communities(tmp_path_factory, pre_cfg):
+    """30 labeled dialogs over three communities, ten each."""
+    path = tmp_path_factory.mktemp("three") / "labeled.jsonl"
+    synth.write_labeled_jsonl(synth.synth_labeled_records(30, 3, communities=COMMUNITIES), path)
+    return mdl.load_labeled_dialogs(path, pre_cfg)
+
+
+def test_cross_project_evaluate_embeds_each_dialog_once(three_communities, monkeypatch):
+    calls = Counter()
+    init, examples_for = DialogEmbedder.__init__, DialogEmbedder.examples_for
+
+    def counted_init(self, chat, enc_cfg):
+        calls["init", chat.community_id] += 1
+        init(self, chat, enc_cfg)
+
+    def counted_examples_for(self, *a, **k):
+        calls["examples_for"] += 1
+        return examples_for(self, *a, **k)
+
+    monkeypatch.setattr(DialogEmbedder, "__init__", counted_init)
+    monkeypatch.setattr(DialogEmbedder, "examples_for", counted_examples_for)
+    report = cross_project_evaluate(
+        three_communities, ModelConfig(max_epochs=1, patience=1), TINY_ENC, TINY_SPEC
+    )
+    assert set(report["per_fold"]) == set(COMMUNITIES)
+    assert calls == {
+        **{("init", c): 1 for c in COMMUNITIES},
+        "examples_for": len(three_communities.dialogs),
+    }
+
+
+def test_each_fold_trains_on_its_training_projects_and_tests_on_its_own(three_communities, monkeypatch):
+    calls = []
+
+    def rows(examples):
+        return [(ex.community_id, ex.utt_index, ex.label) for ex in examples]
+
+    class StubBundle:
+        def proba(self, examples):
+            calls.append(("test", rows(examples)))
+            return np.zeros(len(examples))
+
+    def stub_train(examples, target, cfg, enc_cfg, conv_spec):
+        calls.append((target, rows(examples)))
+        return StubBundle()
+
+    monkeypatch.setattr(mdl, "train_model", stub_train)
+    cross_project_evaluate(three_communities, ModelConfig(), TINY_ENC, TINY_SPEC)
+
+    # the reference lists, in file order, read straight off the labeled dialogs
+    want = {"issue": [], "solution": []}
+    for ld in three_communities.dialogs:
+        want["issue"].append((ld.community_id, ld.dialog.subject, ld.y_issue))
+        body = zip(ld.parts.body_indices, ld.y_solution)
+        want["solution"] += [(ld.community_id, i, y) for i, y in body]
+    expected = []
+    for test_project, train_projects in cross_project_split(COMMUNITIES):
+        for target in ("issue", "solution"):
+            expected.append((target, [r for r in want[target] if r[0] in train_projects]))
+            expected.append(("test", [r for r in want[target] if r[0] == test_project]))
+    assert calls == expected

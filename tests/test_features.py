@@ -7,6 +7,7 @@ re-implementations written here with plain loops.
 
 import copy
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -130,6 +131,34 @@ def test_phrase_flags_and_topic_words():
     assert rows[0][8] == 1.0 and rows[1][8] == 0.0
     assert rows[1][9] == 1.0 and rows[1][10] == 1.0
     assert rows[2][11] == 1.0 and rows[2][7] == 1.0
+
+
+def _phrase_flag_reference(text, phrases):
+    """One whole-word search per phrase."""
+    return float(any(re.search(r"\b" + re.escape(ph) + r"\b", text) for ph in phrases))
+
+
+def test_phrase_flag_matches_a_per_phrase_search():
+    lex = ft.load_heuristic_lexicons()
+    lexicons = [lex.greetings, lex.disapproval, ("don't", "can't do", "it's", ":)"), ()]
+    texts = [
+        "", "hello", "hello there", "othello", "hi!", "say hi", "this doesn't work",
+        "don't", "dont", "i can't do it", "can't", "it's fine", "its", "well :)", "a:)b",
+        "hey , thanks", "not working at all", "that is wrong", "wrongly", "good morning all",
+    ]
+    for phrases in lexicons:
+        for text in texts:
+            assert ft._phrase_flag(text, phrases) == _phrase_flag_reference(text, phrases), (
+                text, phrases[:3])
+    assert all(ft._phrase_flag(text, ()) == 0.0 for text in texts)
+
+
+def test_question_word_flags_match_per_word_searches():
+    texts = ["what why", "whatever happened", "how now who", "which ?", "somehow when", ""]
+    for text in texts:
+        v = dialog_rows([utt(0, "a", text, tuple(text.split()) or ("x",))])[0]
+        want = [float(bool(re.search(rf"\b{w}\b", text))) for w in ft._QUESTION_WORDS]
+        assert list(v[:6]) == want, text
 
 
 def test_token_count_attributes():

@@ -169,15 +169,20 @@ def test_embedder_emits_head_plus_body_examples(labeled_corpus, small_enc):
 
 
 def test_build_examples_counts(labeled_corpus, small_enc):
-    issue_exs = build_examples(labeled_corpus, "issue", small_enc)
+    examples = build_examples(labeled_corpus, small_enc)
+    assert set(examples) == {"issue", "solution"}
+    issue_exs = examples["issue"]
     assert len(issue_exs) == 40
     assert {e.label for e in issue_exs} == {0, 1}
-    sol_exs = build_examples(labeled_corpus, "solution", small_enc)
+    # one head example per dialog, in file order, tagged with its community
+    assert [e.utt_index for e in issue_exs] == [d.dialog.subject for d in labeled_corpus.dialogs]
+    assert [e.community_id for e in issue_exs] == [d.community_id for d in labeled_corpus.dialogs]
+    sol_exs = examples["solution"]
     want = sum(len(d.y_solution) for d in labeled_corpus.dialogs if d.y_issue)
     assert len(sol_exs) == want
     assert {e.label for e in sol_exs} == {0, 1}
-    with pytest.raises(ConfigError):
-        build_examples(labeled_corpus, "reply", small_enc)
+    with pytest.raises(ConfigError, match="unknown target 'reply'"):
+        train_model(issue_exs, "reply", ModelConfig(), small_enc)
 
 
 # -- forward pass ----------------------------------------------------------
@@ -370,23 +375,28 @@ def test_early_stopper_improvement_resets_counter():
 # -- training --------------------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def tiny_examples(labeled_corpus):
+    return build_examples(labeled_corpus, TINY_ENC)
+
+
 def tiny_cfg(**kw):
     base = dict(max_epochs=2, patience=2, seed=0)
     base.update(kw)
     return ModelConfig(**base)
 
 
-def test_training_is_bit_reproducible(labeled_corpus):
-    a = train_model(labeled_corpus, "issue", tiny_cfg(), enc_cfg=TINY_ENC, conv_spec=TINY_SPEC)
-    b = train_model(labeled_corpus, "issue", tiny_cfg(), enc_cfg=TINY_ENC, conv_spec=TINY_SPEC)
+def test_training_is_bit_reproducible(tiny_examples):
+    a = train_model(tiny_examples["issue"], "issue", tiny_cfg(), TINY_ENC, TINY_SPEC)
+    b = train_model(tiny_examples["issue"], "issue", tiny_cfg(), TINY_ENC, TINY_SPEC)
     assert a.history == b.history
     for name in a.params:
         assert np.array_equal(a.params[name].data, b.params[name].data), name
 
 
-def test_training_seed_changes_the_run(labeled_corpus):
-    a = train_model(labeled_corpus, "issue", tiny_cfg(), enc_cfg=TINY_ENC, conv_spec=TINY_SPEC)
-    b = train_model(labeled_corpus, "issue", tiny_cfg(seed=1), enc_cfg=TINY_ENC, conv_spec=TINY_SPEC)
+def test_training_seed_changes_the_run(tiny_examples):
+    a = train_model(tiny_examples["issue"], "issue", tiny_cfg(), TINY_ENC, TINY_SPEC)
+    b = train_model(tiny_examples["issue"], "issue", tiny_cfg(seed=1), TINY_ENC, TINY_SPEC)
     assert any(
         not np.array_equal(a.params[n].data, b.params[n].data) for n in a.params
     )
@@ -411,13 +421,11 @@ def test_training_rejects_single_class_data(tmp_path, pre_cfg):
     )
     corpus = load_labeled_dialogs(p, pre_cfg)
     with pytest.raises(DataError, match="single-class"):
-        train_model(corpus, "issue", tiny_cfg(), enc_cfg=TINY_ENC, conv_spec=TINY_SPEC)
+        train_model(build_examples(corpus, TINY_ENC)["issue"], "issue", tiny_cfg(), TINY_ENC, TINY_SPEC)
 
 
-def test_training_history_and_best_epoch(labeled_corpus):
-    res = train_model(
-        labeled_corpus, "issue", tiny_cfg(max_epochs=3), enc_cfg=TINY_ENC, conv_spec=TINY_SPEC
-    )
+def test_training_history_and_best_epoch(tiny_examples):
+    res = train_model(tiny_examples["issue"], "issue", tiny_cfg(max_epochs=3), TINY_ENC, TINY_SPEC)
     assert 1 <= len(res.history) <= 3
     assert 1 <= res.best_epoch <= len(res.history)
     best_val = min(v for _, v in res.history)
@@ -427,8 +435,8 @@ def test_training_history_and_best_epoch(labeled_corpus):
 # -- checkpoints -----------------------------------------------------------
 
 
-def test_checkpoint_round_trip_preserves_predictions(tmp_path, labeled_corpus):
-    res = train_model(labeled_corpus, "issue", tiny_cfg(), enc_cfg=TINY_ENC, conv_spec=TINY_SPEC)
+def test_checkpoint_round_trip_preserves_predictions(tmp_path, labeled_corpus, tiny_examples):
+    res = train_model(tiny_examples["issue"], "issue", tiny_cfg(), TINY_ENC, TINY_SPEC)
     p = tmp_path / "issue.ckpt"
     save_model_checkpoint(p, res)
     bundle = load_model_checkpoint(p, TINY_ENC)
@@ -441,8 +449,8 @@ def test_checkpoint_round_trip_preserves_predictions(tmp_path, labeled_corpus):
     assert after == pytest.approx(before, abs=1e-5)
 
 
-def test_checkpoint_bytes_stable_across_saves(tmp_path, labeled_corpus):
-    res = train_model(labeled_corpus, "issue", tiny_cfg(), enc_cfg=TINY_ENC, conv_spec=TINY_SPEC)
+def test_checkpoint_bytes_stable_across_saves(tmp_path, tiny_examples):
+    res = train_model(tiny_examples["issue"], "issue", tiny_cfg(), TINY_ENC, TINY_SPEC)
     p1 = tmp_path / "a.ckpt"
     p2 = tmp_path / "b.ckpt"
     save_model_checkpoint(p1, res)
@@ -450,8 +458,8 @@ def test_checkpoint_bytes_stable_across_saves(tmp_path, labeled_corpus):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_checkpoint_rejects_wrong_runtime_encoder(tmp_path, labeled_corpus):
-    res = train_model(labeled_corpus, "issue", tiny_cfg(), enc_cfg=TINY_ENC, conv_spec=TINY_SPEC)
+def test_checkpoint_rejects_wrong_runtime_encoder(tmp_path, tiny_examples):
+    res = train_model(tiny_examples["issue"], "issue", tiny_cfg(), TINY_ENC, TINY_SPEC)
     p = tmp_path / "issue.ckpt"
     save_model_checkpoint(p, res)
     with pytest.raises(ConfigError, match="dim"):
@@ -460,8 +468,8 @@ def test_checkpoint_rejects_wrong_runtime_encoder(tmp_path, labeled_corpus):
         load_model_checkpoint(p, EncoderConfig(dim=16, seed=9))
 
 
-def test_checkpoint_missing_parameter_reported_by_name(tmp_path, labeled_corpus):
-    res = train_model(labeled_corpus, "issue", tiny_cfg(), enc_cfg=TINY_ENC, conv_spec=TINY_SPEC)
+def test_checkpoint_missing_parameter_reported_by_name(tmp_path, tiny_examples):
+    res = train_model(tiny_examples["issue"], "issue", tiny_cfg(), TINY_ENC, TINY_SPEC)
     good = tmp_path / "good.ckpt"
     save_model_checkpoint(good, res)
     ck = ckpt_io.load_checkpoint(good)
@@ -476,8 +484,8 @@ def test_checkpoint_missing_parameter_reported_by_name(tmp_path, labeled_corpus)
         load_model_checkpoint(bad, TINY_ENC)
 
 
-def test_load_checkpoint_rejects_wrong_target(tmp_path, labeled_corpus):
-    res = train_model(labeled_corpus, "issue", tiny_cfg(), enc_cfg=TINY_ENC, conv_spec=TINY_SPEC)
+def test_load_checkpoint_rejects_wrong_target(tmp_path, tiny_examples):
+    res = train_model(tiny_examples["issue"], "issue", tiny_cfg(), TINY_ENC, TINY_SPEC)
     p = tmp_path / "issue.ckpt"
     save_model_checkpoint(p, res)
     assert load_model_checkpoint(p, TINY_ENC, "issue").target == "issue"
@@ -659,8 +667,9 @@ def test_training_splits_each_dialog_once(labeled_path, pre_cfg, small_enc, monk
     monkeypatch.setattr(mdl, "split_head_body", counted)
     monkeypatch.setattr(dis, "split_head_body", counted)
     corpus = load_labeled_dialogs(labeled_path, pre_cfg)
+    examples = build_examples(corpus, small_enc)
     for target in ("issue", "solution"):
-        assert build_examples(corpus, target, small_enc)
+        assert examples[target]
     assert calls["split_head_body"] == len(corpus.dialogs)
 
 
