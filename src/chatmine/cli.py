@@ -149,6 +149,12 @@ def _link_scorer(args):
 # -- verbs -----------------------------------------------------------------
 
 
+def _require_utterances(log, path):
+    """An empty log, or one whose every line was skipped, is a data error."""
+    if not log.utterances:
+        raise DataError(f"{path}: no utterances")
+
+
 def _cmd_preprocess(args, file_cfg):
     cfg = _pre_cfg(args, file_cfg)
     log, skipped = parse_chat_log(args.input, args.community)
@@ -156,6 +162,7 @@ def _cmd_preprocess(args, file_cfg):
         _log(f"skipped line {s.line_no}: {s.reason}")
     before = len(log.utterances)
     clean, _ = preprocess_chat_log(log, cfg)
+    _require_utterances(clean, args.input)
     write_clean_jsonl(clean, args.out)
     _log(
         f"preprocessed {before} -> {len(clean.utterances)} utterances "
@@ -166,6 +173,7 @@ def _cmd_preprocess(args, file_cfg):
 
 def _cmd_disentangle(args, file_cfg):
     log = read_clean_jsonl(args.input, args.community)
+    _require_utterances(log, args.input)
     scorer = _link_scorer(args)
     dialogs = disentangle.assemble_dialogs(
         log, scorer, threshold=args.threshold, lookback=args.lookback
@@ -225,10 +233,6 @@ def _cmd_train(args, file_cfg):
 def _cmd_extract(args, file_cfg):
     pre_cfg = _pre_cfg(args, file_cfg)
     enc_cfg = _enc_cfg(args, file_cfg)
-    log, skipped = parse_chat_log(args.input, args.community)
-    for s in skipped:
-        _log(f"skipped line {s.line_no}: {s.reason}")
-    clean, _ = preprocess_chat_log(log, pre_cfg)
     issue_bundle = model_mod.load_model_checkpoint(args.issue_ckpt, enc_cfg, "issue")
     solution_bundle = model_mod.load_model_checkpoint(args.solution_ckpt, enc_cfg, "solution")
     issue_thr, sol_thr = args.issue_threshold, args.solution_threshold
@@ -237,7 +241,13 @@ def _cmd_extract(args, file_cfg):
         solution_threshold=solution_bundle.cfg.solution_threshold if sol_thr is None else sol_thr,
     )
     scorer = _link_scorer(args)
-    pairs = model_mod.assemble_pairs(clean, issue_bundle, solution_bundle, scorer, cfg, enc_cfg)
+    log, skipped = parse_chat_log(args.input, args.community)
+    for s in skipped:
+        _log(f"skipped line {s.line_no}: {s.reason}")
+    clean, _ = preprocess_chat_log(log, pre_cfg)
+    _require_utterances(clean, args.input)
+    dialogs = disentangle.assemble_dialogs(clean, scorer)
+    pairs = model_mod.extract_pairs(clean, dialogs, issue_bundle, solution_bundle, cfg, enc_cfg)
     Path(args.out).write_text(model_mod.pairs_to_jsonl(pairs), encoding="utf-8")
     _log(f"extracted {len(pairs)} issue-solution pairs")
     return 0

@@ -24,13 +24,17 @@ any parent it ties with and a nearer parent beats a farther one. Memory
 stays per child: no array spans the whole log times the lookback window.
 """
 
+import json
 import re
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from . import checkpoint as ckpt_io
 from . import nn
-from .errors import ContractViolation, DataError
+from .corpus import ChatLog, preprocess_utterance, raw_message
+from .errors import ConfigError, ContractViolation, DataError
 
 FEATURE_DIM = 77
 LINK_HIDDEN = 64
@@ -367,8 +371,6 @@ def split_head_body(dialog, log):
 
 
 def save_link_checkpoint(path, params):
-    from . import checkpoint as ckpt_io
-
     hidden = params["link.W1"].shape[0]
     ckpt_io.save_checkpoint(
         path, params, {"target": "link", "hidden": hidden, "feature_dim": FEATURE_DIM}
@@ -379,8 +381,6 @@ def load_link_checkpoint(path):
     """The scorer's name -> Parameter dict; a checkpoint of another target, or
     with parameters missing or of other shapes than its hidden width needs,
     is a data error."""
-    from . import checkpoint as ckpt_io
-
     ck = ckpt_io.load_checkpoint(path)
     if ck.manifest.get("target") != "link":
         raise DataError(
@@ -397,11 +397,6 @@ def load_link_examples(path, pre_cfg):
     {utterances: [{time,id,text}], links: [[child, parent], ...]} where
     omitted children are dialog starters. Utterances are normalized one by
     one (no merging) so the link indices stay valid."""
-    import json
-    from pathlib import Path
-
-    from .corpus import ChatLog, preprocess_utterance, raw_message
-
     p = Path(path)
     if not p.is_file():
         raise DataError(f"link training data not found: {p}")
@@ -448,6 +443,8 @@ def train_link_scorer(
     """Fit the scorer on (log, links) pairs, links mapping child index to its
     true parent index or None for dialog starters. Negatives are sampled from
     the other in-window candidates. Returns (params, per-epoch mean loss)."""
+    if epochs < 1:
+        raise ConfigError(f"epochs must be >= 1, got {epochs}")
     rng = np.random.default_rng(seed)
     blocks, signs = [], []
     for log, links in examples:

@@ -18,6 +18,7 @@ function of (data, config, seed).
 
 import json
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -77,6 +78,8 @@ class ModelConfig:
             raise ConfigError("batch_size and max_epochs must be >= 1")
         if not 0.0 < self.lr < np.inf:
             raise ConfigError(f"lr must be a positive finite number, got {self.lr}")
+        if not 0.0 <= self.beta1 < 1.0:
+            raise ConfigError(f"beta1 must be in [0, 1), got {self.beta1}")
 
 
 @dataclass(frozen=True)
@@ -104,8 +107,6 @@ def load_labeled_dialogs(path, pre_cfg):
     empty-token records) so solution labels stay aligned. The community log
     is the concatenation of that community's dialogs, in file order; it
     provides the chat scope for topic statistics."""
-    from pathlib import Path
-
     p = Path(path)
     if not p.is_file():
         raise DataError(f"labeled dialogs not found: {p}")
@@ -179,27 +180,25 @@ class EmbeddedExample:
 
 
 class DialogEmbedder:
-    """Precomputes per-chat utterance vectors and topic statistics, then
-    yields (head example, body examples) per dialog. Pure and reusable
-    across dialogs of the same chat."""
+    """Holds one chat's topic statistics and yields (head example, body
+    examples) per dialog, encoding each utterance when its dialog is embedded:
+    no per-chat vectors. Pure and reusable across dialogs of the same chat."""
 
     def __init__(self, chat, enc_cfg):
         self.chat = chat
         self.enc_cfg = enc_cfg
         self.lex = load_heuristic_lexicons()
         self.stats = TopicStats(chat)
-        self.vecs = {u.index: enc.encode_tokens(u.tokens, enc_cfg) for u in chat.utterances}
 
     def examples_for(self, dialog, parts, y_issue=-1, y_solution=()):
         """(head example, body examples) of one dialog, given its head/body
-        split ``parts``."""
+        split ``parts``: the head encoded from its joined tokens, each body
+        utterance from its own."""
         if not parts.head_indices:
             raise ContractViolation("dialog head is empty")
-        if len(parts.head_indices) == 1:  # its tokens are that utterance's
-            head_vec = self.vecs[parts.head_indices[0]]
-        else:
-            head_vec = enc.encode_tokens(parts.head_tokens, self.enc_cfg)
-        seq = np.stack([head_vec] + [self.vecs[i] for i in parts.body_indices])
+        utts = self.chat.utterances
+        tokens = [parts.head_tokens, *(utts[i].tokens for i in parts.body_indices)]
+        seq = np.stack([enc.encode_tokens(t, self.enc_cfg) for t in tokens])
         windows, pad_mask = enc.local_windows(seq, self.enc_cfg.window_k)
         heur = heuristic_attributes(dialog, parts, self.chat, self.stats, self.lex)
         indices = [dialog.subject, *parts.body_indices]
@@ -497,48 +496,37 @@ class IssueSolutionPair:
     p_issue: float
 
 
-def extract_pairs_for_dialog(dialog, embedder, issue_bundle, solution_bundle, cfg=None):
-    """None when the issue gate rejects the dialog's head; otherwise the
-    pair with the body utterances whose solution probability reaches the
-    threshold, in chronological order. Thresholds come from ``cfg`` when
-    given, else from each bundle's own config; both gates are inclusive."""
-    issue_thr = (cfg or issue_bundle.cfg).issue_threshold
-    sol_thr = (cfg or solution_bundle.cfg).solution_threshold
-    chat = embedder.chat
-    parts = split_head_body(dialog, chat)
-    head_ex, body_exs = embedder.examples_for(dialog, parts)
-    p_issue = float(issue_bundle.proba([head_ex])[0])
-    if p_issue < issue_thr:
-        return None
-    solutions = []
-    for ex, p in zip(body_exs, solution_bundle.proba(body_exs).tolist()):
-        if p >= sol_thr:
-            u = chat.utterances[ex.utt_index]
-            solutions.append(
-                {"text": u.raw_text, "author": u.author_id, "time": u.time, "p": round(p, 6)}
-            )
-    return IssueSolutionPair(
-        community_id=chat.community_id,
-        subject_id=dialog.subject,
-        issue_text="\n".join(chat.utterances[i].raw_text for i in parts.head_indices),
-        solutions=tuple(solutions),
-        status="answered" if solutions else "unresolved",
-        p_issue=round(p_issue, 6),
-    )
-
-
-def assemble_pairs(log, issue_bundle, solution_bundle, scorer, cfg=None, enc_cfg=None):
-    """Full pipeline: disentangle, split, gate on the issue model, extract
-    solutions. Dialog order follows the subject utterance."""
-    from .disentangle import assemble_dialogs
-
-    enc_cfg = enc_cfg if enc_cfg is not None else enc.EncoderConfig()
+def extract_pairs(log, dialogs, issue_bundle, solution_bundle, cfg, enc_cfg):
+    """The pairs of ``log``'s dialogs, in dialog order: one per dialog whose
+    head reaches cfg.issue_threshold (one forward), holding the body
+    utterances that reach cfg.solution_threshold (one more), in order."""
     embedder = DialogEmbedder(log, enc_cfg)
-    pairs = (
-        extract_pairs_for_dialog(d, embedder, issue_bundle, solution_bundle, cfg)
-        for d in assemble_dialogs(log, scorer)
-    )
-    return [p for p in pairs if p is not None]
+    utts = log.utterances
+    pairs = []
+    for dialog in dialogs:
+        parts = split_head_body(dialog, log)
+        head_ex, body_exs = embedder.examples_for(dialog, parts)
+        p_issue = float(issue_bundle.proba([head_ex])[0])
+        if p_issue < cfg.issue_threshold:
+            continue
+        solutions = []
+        for ex, p in zip(body_exs, solution_bundle.proba(body_exs).tolist()):
+            if p >= cfg.solution_threshold:
+                u = utts[ex.utt_index]
+                solutions.append(
+                    {"text": u.raw_text, "author": u.author_id, "time": u.time, "p": round(p, 6)}
+                )
+        pairs.append(
+            IssueSolutionPair(
+                community_id=log.community_id,
+                subject_id=dialog.subject,
+                issue_text="\n".join(utts[i].raw_text for i in parts.head_indices),
+                solutions=tuple(solutions),
+                status="answered" if solutions else "unresolved",
+                p_issue=round(p_issue, 6),
+            )
+        )
+    return pairs
 
 
 def pairs_to_jsonl(pairs):

@@ -33,8 +33,8 @@ from chatmine.gradcheck import run_standard_checks
 from chatmine.model import (
     DialogEmbedder,
     ModelConfig,
-    assemble_pairs,
     build_examples,
+    extract_pairs,
     train_model,
 )
 
@@ -343,16 +343,20 @@ def test_c07_issue_gate_blocks_solutions_and_thresholds_are_monotone(small_bundl
     agrees with an independent re-prediction, and raising either threshold
     never adds output."""
     issue_b, sol_b = small_bundles["issue"], small_bundles["solution"]
+    own = ModelConfig(
+        issue_threshold=issue_b.cfg.issue_threshold,
+        solution_threshold=sol_b.cfg.solution_threshold,
+    )
     total_pairs = 0
     for i in range(1000):
         log, _, _ = synth.synth_interleaved(seed=20_000 + i, n_dialogs=1 + i % 3)
-        pairs = assemble_pairs(log, issue_b, sol_b, heuristic_link_scorer, enc_cfg=small_enc)
+        dialogs = assemble_dialogs(log, heuristic_link_scorer)
+        pairs = extract_pairs(log, dialogs, issue_b, sol_b, own, small_enc)
         total_pairs += len(pairs)
         by_subject = {p.subject_id: p for p in pairs}
         assert len(by_subject) == len(pairs)
 
         embedder = DialogEmbedder(log, small_enc)
-        dialogs = assemble_dialogs(log, heuristic_link_scorer)
         assert set(by_subject) <= {d.subject for d in dialogs}
         for d in dialogs:
             head_ex, body_exs = embedder.examples_for(d, split_head_body(d, log))
@@ -380,10 +384,9 @@ def test_c07_issue_gate_blocks_solutions_and_thresholds_are_monotone(small_bundl
     hard_sol = ModelConfig(issue_threshold=0.5, solution_threshold=0.5)
     for i in range(100):
         log, _, _ = synth.synth_interleaved(seed=21_000 + i, n_dialogs=2)
+        dialogs = assemble_dialogs(log, heuristic_link_scorer)
         got = {
-            name: assemble_pairs(
-                log, issue_b, sol_b, heuristic_link_scorer, cfg=c, enc_cfg=small_enc
-            )
+            name: extract_pairs(log, dialogs, issue_b, sol_b, c, small_enc)
             for name, c in (("base", base), ("issue", hard_issue), ("sol", hard_sol))
         }
         subjects = {name: {p.subject_id for p in ps} for name, ps in got.items()}

@@ -433,6 +433,36 @@ def test_extract_with_swapped_checkpoints_exits_3(tmp_path, cli_ckpts, capsys):
     assert "target" in err
 
 
+@pytest.mark.parametrize("verb", ["preprocess", "extract"])
+@pytest.mark.parametrize(
+    "text, n_skipped",
+    [("", 0), ('not json\n{"id": "ann", "text": "no time"}\n', 2)],
+    ids=["empty", "all-skipped"],
+)
+def test_raw_log_with_no_utterances_exits_3(tmp_path, cli_ckpts, capsys, verb, text, n_skipped):
+    log, out = tmp_path / "raw.jsonl", tmp_path / "out.jsonl"
+    log.write_text(text, encoding="utf-8")
+    argv = [verb, "--input", str(log), "--out", str(out)]
+    if verb == "extract":
+        argv += ["--issue-ckpt", str(cli_ckpts["issue"]),
+                 "--solution-ckpt", str(cli_ckpts["solution"]), "--encoder-dim", "16"]
+    err = assert_data_error(main(argv), capsys)
+    lines = err.strip().splitlines()
+    # the skipped-line notes come first, then the one error line
+    assert lines[-1] == f"error: code=3 reason={log}: no utterances"
+    assert [line.startswith("skipped line ") for line in lines[-1 - n_skipped:-1]] == [True] * n_skipped
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank-lines"])
+def test_disentangle_on_a_clean_log_with_no_utterances_exits_3(tmp_path, capsys, text):
+    log, out = tmp_path / "clean.jsonl", tmp_path / "dialogs.jsonl"
+    log.write_text(text, encoding="utf-8")
+    err = assert_data_error(main(["disentangle", "--input", str(log), "--out", str(out)]), capsys)
+    assert err.strip().splitlines()[-1] == f"error: code=3 reason={log}: no utterances"
+    assert not out.exists()
+
+
 def test_train_on_non_list_utterances_exits_3(tmp_path, capsys):
     data = tmp_path / "labeled.jsonl"
     data.write_text(
@@ -570,6 +600,26 @@ def test_train_with_nan_lr_in_config_exits_3(tmp_path, labeled_path, capsys):
     )
     assert "lr" in assert_data_error(rc, capsys)
     assert not (tmp_path / "issue.ckpt").exists()
+
+
+@pytest.mark.parametrize("beta1", ["1.0", "nan", "-0.5"])
+def test_train_with_beta1_outside_the_unit_interval_exits_3(tmp_path, labeled_path, capsys, beta1):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"beta1={beta1}\n", encoding="utf-8")
+    out = tmp_path / "issue.ckpt"
+    rc = main(["--config", str(cfg), "train", "--data", str(labeled_path), "--target", "issue",
+               "--out", str(out), "--epochs", "1", "--encoder-dim", "16"])
+    assert "beta1" in assert_data_error(rc, capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["issue", "solution", "link"])
+def test_train_with_zero_epochs_exits_3(tmp_path, labeled_path, capsys, target):
+    data = write_link_data(tmp_path) if target == "link" else labeled_path
+    out = tmp_path / f"{target}.ckpt"
+    rc = main(["train", "--data", str(data), "--target", target, "--out", str(out), "--epochs", "0"])
+    assert "epochs must be >= 1" in assert_data_error(rc, capsys)
+    assert not out.exists()
 
 
 def test_misspelled_config_key_exits_3(tmp_path, labeled_path, capsys):

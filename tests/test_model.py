@@ -15,20 +15,20 @@ import pytest
 
 from chatmine import checkpoint as ckpt_io
 from chatmine import disentangle as dis
+from chatmine import encoder as enc
 from chatmine import model as mdl
 from chatmine import nn
 from chatmine.corpus import PreprocessConfig, parse_chat_log, preprocess_chat_log
 from chatmine.disentangle import Dialog, assemble_dialogs, heuristic_link_scorer
-from chatmine.encoder import EncoderConfig
+from chatmine.encoder import EncoderConfig, encode_tokens
 from chatmine.errors import ConfigError, ContractViolation, DataError
 from chatmine.features import ConvStackSpec
 from chatmine.model import (
     DialogEmbedder,
     EarlyStopper,
     ModelConfig,
-    assemble_pairs,
     build_examples,
-    extract_pairs_for_dialog,
+    extract_pairs,
     forward_logits,
     init_model_params,
     load_labeled_dialogs,
@@ -516,8 +516,9 @@ def test_float32_round_trip_keeps_gate_decisions_and_pairs(tmp_path, small_bundl
     assert any(gates["memory"]) and not all(gates["memory"])
 
     def pair_file(bundles):
+        cfg = bundle_thresholds(bundles)
         return pairs_to_jsonl(
-            assemble_pairs(log, bundles["issue"], bundles["solution"], heuristic_link_scorer, enc_cfg=small_enc)
+            extract_pairs(log, dialogs, bundles["issue"], bundles["solution"], cfg, small_enc)
         )
 
     want = pair_file(small_bundles)
@@ -534,6 +535,19 @@ def any_dialog(corpus, issue=True):
     raise AssertionError
 
 
+def bundle_thresholds(bundles):
+    """The issue and solution thresholds each bundle was trained with."""
+    return ModelConfig(
+        issue_threshold=bundles["issue"].cfg.issue_threshold,
+        solution_threshold=bundles["solution"].cfg.solution_threshold,
+    )
+
+
+def extract_one(log, dialog, bundles, cfg, enc_cfg):
+    """extract_pairs over the one dialog ``dialog`` of ``log``."""
+    return extract_pairs(log, [dialog], bundles["issue"], bundles["solution"], cfg, enc_cfg)
+
+
 def stub_proba(monkeypatch, p):
     """Make every bundle score each example ``p(example)``."""
     monkeypatch.setattr(
@@ -541,19 +555,19 @@ def stub_proba(monkeypatch, p):
     )
 
 
-def test_issue_gate_threshold_is_inclusive(labeled_corpus, small_bundles, small_embedders, monkeypatch):
+def test_issue_gate_threshold_is_inclusive(labeled_corpus, small_bundles, small_enc, monkeypatch):
     ld = any_dialog(labeled_corpus)
-    emb = small_embedders[ld.community_id]
+    log = labeled_corpus.logs[ld.community_id]
     cfg = ModelConfig(issue_threshold=0.5)
     stub_proba(monkeypatch, lambda ex: 0.5)
-    pair = extract_pairs_for_dialog(ld.dialog, emb, small_bundles["issue"], small_bundles["solution"], cfg)
-    assert pair is not None and pair.p_issue == 0.5
+    pairs = extract_one(log, ld.dialog, small_bundles, cfg, small_enc)
+    assert len(pairs) == 1 and pairs[0].p_issue == 0.5
     stub_proba(monkeypatch, lambda ex: 0.4999)
-    pair = extract_pairs_for_dialog(ld.dialog, emb, small_bundles["issue"], small_bundles["solution"], cfg)
-    assert pair is None
+    pairs = extract_one(log, ld.dialog, small_bundles, cfg, small_enc)
+    assert pairs == []
 
 
-def test_extract_pair_solutions_filter_and_keep_order(labeled_corpus, small_bundles, small_embedders, monkeypatch):
+def test_extract_pair_solutions_filter_and_keep_order(labeled_corpus, small_bundles, small_embedders, small_enc, monkeypatch):
     ld = issue_dialog_with_body(labeled_corpus, min_body=3)
     emb = small_embedders[ld.community_id]
     log = labeled_corpus.logs[ld.community_id]
@@ -564,35 +578,35 @@ def test_extract_pair_solutions_filter_and_keep_order(labeled_corpus, small_bund
 
     stub_proba(monkeypatch, lambda ex: probs[ex.utt_index])
     cfg = ModelConfig(solution_threshold=0.4)
-    pair = extract_pairs_for_dialog(ld.dialog, emb, small_bundles["issue"], small_bundles["solution"], cfg)
+    [pair] = extract_one(log, ld.dialog, small_bundles, cfg, small_enc)
     want = [log.utterances[ex.utt_index] for ex in parts_body[:2]]
     assert [s["time"] for s in pair.solutions] == [u.time for u in want]
     assert [s["text"] for s in pair.solutions] == [u.raw_text for u in want]
     assert [s["p"] for s in pair.solutions] == [0.9, 0.41]
 
 
-def test_single_message_dialog_has_no_solution_candidates(labeled_corpus, small_bundles, small_embedders, monkeypatch):
-    cid = "alpha"
-    emb = small_embedders[cid]
+def test_single_message_dialog_has_no_solution_candidates(labeled_corpus, small_bundles, small_enc, monkeypatch):
+    log = labeled_corpus.logs["alpha"]
     d = Dialog(subject=0, members=(0,), links=())
     stub_proba(monkeypatch, lambda ex: 1.0)
-    pair = extract_pairs_for_dialog(d, emb, small_bundles["issue"], small_bundles["solution"])
+    [pair] = extract_one(log, d, small_bundles, bundle_thresholds(small_bundles), small_enc)
     assert pair.solutions == ()
     assert pair.status == "unresolved"
 
 
-def test_extract_pair_gated_by_issue_model(labeled_corpus, small_bundles, small_embedders, monkeypatch):
+def test_extract_pair_gated_by_issue_model(labeled_corpus, small_bundles, small_enc, monkeypatch):
     ld = any_dialog(labeled_corpus)
-    emb = small_embedders[ld.community_id]
+    log = labeled_corpus.logs[ld.community_id]
     stub_proba(monkeypatch, lambda ex: 0.0)
-    out = extract_pairs_for_dialog(ld.dialog, emb, small_bundles["issue"], small_bundles["solution"])
-    assert out is None
+    out = extract_one(log, ld.dialog, small_bundles, bundle_thresholds(small_bundles), small_enc)
+    assert out == []
 
 
-def test_extract_pair_fields_and_status(labeled_corpus, small_bundles, small_embedders, monkeypatch):
+def test_extract_pair_fields_and_status(labeled_corpus, small_bundles, small_embedders, small_enc, monkeypatch):
     ld = issue_dialog_with_body(labeled_corpus, min_body=2)
     emb = small_embedders[ld.community_id]
     log = labeled_corpus.logs[ld.community_id]
+    cfg = bundle_thresholds(small_bundles)
     body = emb.examples_for(ld.dialog, ld.parts)[1]
     first_body = body[0].utt_index
 
@@ -600,7 +614,7 @@ def test_extract_pair_fields_and_status(labeled_corpus, small_bundles, small_emb
         return 0.8 if ex.utt_index in (ld.dialog.subject, first_body) else 0.1
 
     stub_proba(monkeypatch, fake_proba)
-    pair = extract_pairs_for_dialog(ld.dialog, emb, small_bundles["issue"], small_bundles["solution"])
+    [pair] = extract_one(log, ld.dialog, small_bundles, cfg, small_enc)
     assert pair.status == "answered"
     assert pair.subject_id == ld.dialog.subject
     assert pair.p_issue == pytest.approx(0.8)
@@ -609,9 +623,7 @@ def test_extract_pair_fields_and_status(labeled_corpus, small_bundles, small_emb
     assert sol["text"] == log.utterances[first_body].raw_text
     assert sol["author"] == log.utterances[first_body].author_id
     assert sol["p"] == pytest.approx(0.8)
-    from chatmine.disentangle import split_head_body
-
-    parts = split_head_body(ld.dialog, log)
+    parts = dis.split_head_body(ld.dialog, log)
     want_head = "\n".join(log.utterances[i].raw_text for i in parts.head_indices)
     assert pair.issue_text == want_head
 
@@ -620,7 +632,7 @@ def test_extract_pair_fields_and_status(labeled_corpus, small_bundles, small_emb
         return 0.8 if ex.utt_index == ld.dialog.subject else 0.1
 
     stub_proba(monkeypatch, issue_only)
-    pair2 = extract_pairs_for_dialog(ld.dialog, emb, small_bundles["issue"], small_bundles["solution"])
+    [pair2] = extract_one(log, ld.dialog, small_bundles, cfg, small_enc)
     assert pair2.status == "unresolved"
     assert pair2.solutions == ()
 
@@ -630,7 +642,8 @@ def test_extract_pair_fields_and_status(labeled_corpus, small_bundles, small_emb
 
 def test_extraction_splits_and_embeds_each_dialog_once(labeled_corpus, small_bundles, small_enc, monkeypatch):
     log = labeled_corpus.logs["alpha"]
-    n_dialogs = len(assemble_dialogs(log, heuristic_link_scorer))
+    dialogs = assemble_dialogs(log, heuristic_link_scorer)
+    n_dialogs = len(dialogs)
     calls = Counter()
 
     def counted(name, fn):
@@ -648,9 +661,9 @@ def test_extraction_splits_and_embeds_each_dialog_once(labeled_corpus, small_bun
     )
     # every dialog passes the gate, so its body is scored too
     stub_proba(monkeypatch, lambda ex: 0.9)
-    pairs = assemble_pairs(
-        log, small_bundles["issue"], small_bundles["solution"], heuristic_link_scorer,
-        enc_cfg=small_enc,
+    pairs = extract_pairs(
+        log, dialogs, small_bundles["issue"], small_bundles["solution"],
+        bundle_thresholds(small_bundles), small_enc,
     )
     assert len(pairs) == n_dialogs
     assert calls == {"split_head_body": n_dialogs, "examples_for": n_dialogs}
@@ -673,12 +686,13 @@ def test_training_splits_each_dialog_once(labeled_path, pre_cfg, small_enc, monk
     assert calls["split_head_body"] == len(corpus.dialogs)
 
 
-def test_extraction_encodes_only_multi_utterance_heads_again(labeled_corpus, small_bundles, small_enc, monkeypatch):
-    from chatmine import encoder as enc
-
+def test_extraction_encodes_each_head_and_body_utterance_once(labeled_corpus, small_bundles, small_enc, monkeypatch):
+    # one encoding per dialog head, whatever its length, and one per reply;
+    # no whole-log vectors up front
     log = labeled_corpus.logs["alpha"]
     dialogs = assemble_dialogs(log, heuristic_link_scorer)
-    multi_heads = sum(len(dis.split_head_body(d, log).head_indices) > 1 for d in dialogs)
+    splits = [dis.split_head_body(d, log) for d in dialogs]
+    multi_heads = sum(len(parts.head_indices) > 1 for parts in splits)
     assert 0 < multi_heads < len(dialogs)
     calls = Counter()
     encode = enc.encode_tokens
@@ -689,20 +703,40 @@ def test_extraction_encodes_only_multi_utterance_heads_again(labeled_corpus, sma
 
     monkeypatch.setattr(enc, "encode_tokens", counted)
     stub_proba(monkeypatch, lambda ex: 0.9)
-    assemble_pairs(
-        log, small_bundles["issue"], small_bundles["solution"], heuristic_link_scorer,
-        enc_cfg=small_enc,
+    extract_pairs(
+        log, dialogs, small_bundles["issue"], small_bundles["solution"],
+        bundle_thresholds(small_bundles), small_enc,
     )
-    assert calls["encode"] == len(log.utterances) + multi_heads
+    assert calls["encode"] == len(dialogs) + sum(len(parts.body_indices) for parts in splits)
+
+
+def test_examples_encode_the_joined_head_and_each_reply(labeled_corpus, small_enc):
+    # the center row of each window is the head's joined tokens, encoded
+    # once, then each body utterance's own tokens, for one- and
+    # multi-utterance heads alike
+    log = labeled_corpus.logs["alpha"]
+    embedder = DialogEmbedder(log, small_enc)
+    k = small_enc.window_k
+    multi_head = set()
+    for d in assemble_dialogs(log, heuristic_link_scorer):
+        parts = dis.split_head_body(d, log)
+        head_ex, body_exs = embedder.examples_for(d, parts)
+        multi_head.add(len(parts.head_indices) > 1)
+        assert np.array_equal(head_ex.window[k], encode_tokens(parts.head_tokens, small_enc))
+        assert len(body_exs) == len(parts.body_indices)
+        for ex, i in zip(body_exs, parts.body_indices):
+            assert ex.utt_index == i
+            assert np.array_equal(ex.window[k], encode_tokens(log.utterances[i].tokens, small_enc))
+    assert multi_head == {False, True}
 
 
 def test_pairs_to_jsonl_round_trips_as_json(labeled_corpus, small_bundles, small_enc):
     import json
 
     log = labeled_corpus.logs["beta"]
-    pairs = assemble_pairs(
-        log, small_bundles["issue"], small_bundles["solution"], heuristic_link_scorer,
-        enc_cfg=small_enc,
+    pairs = extract_pairs(
+        log, assemble_dialogs(log, heuristic_link_scorer), small_bundles["issue"],
+        small_bundles["solution"], bundle_thresholds(small_bundles), small_enc,
     )
     text = pairs_to_jsonl(pairs)
     if pairs:
