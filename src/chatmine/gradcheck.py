@@ -106,13 +106,18 @@ def _frag_linear_ce(seed, rows=3):
     return params, lambda: nn.softmax_cross_entropy(nn.linear(nn.tensor(x), W, b), labels)
 
 
-def _frag_conv_pool(seed, m=4, rows=2):
-    """conv_pool over a batch of ``rows`` sequences."""
+def _frag_conv_pool(seed, m=4, rows=2, support=None):
+    """conv_pool over a batch of ``rows`` sequences, with the input checked
+    as well as the kernels and bias. A (rows, 10) bool ``support`` zeroes x
+    off it; the biases are then negative, because an alive kernel would tie
+    across the windows of zeros and leave its x gradient undefined."""
     def build(rng):
         x = rng.normal(size=(rows, 10))
         k = rng.normal(size=(m, 3)) * 0.7
         b = rng.normal(size=m) * 0.3
         r = rng.normal(size=(rows, m))
+        if support is not None:
+            x, b = x * support, -np.abs(b)
         return x, k, b, r
 
     def ok(x, k, b, r):
@@ -122,15 +127,31 @@ def _frag_conv_pool(seed, m=4, rows=2):
         return np.min(np.abs(pre)) >= _MARGIN and clear_max.all()
 
     x, k, b, r = _resample(seed, build, ok)
+    xp = nn.Parameter("x", x)
     kp = nn.Parameter("kernels", k)
     bp = nn.Parameter("bias", b)
-    params = {"kernels": kp, "bias": bp}
-    return params, lambda: (nn.conv1d_maxpool(nn.tensor(x), kp, bp) * nn.tensor(r)).sum()
+    params = {"x": xp, "kernels": kp, "bias": bp}
+    return params, lambda: (nn.conv1d_maxpool(xp, kp, bp) * nn.tensor(r)).sum()
 
 
 def _frag_conv_pool_blocks(seed):
     """conv_pool with more kernels than one matmul block holds."""
     return _frag_conv_pool(seed, m=nn._CONV_BLOCK + 2)
+
+
+def _frag_conv_pool_sparse(seed):
+    """conv_pool over sparse rows, where only some windows are candidates: a
+    zero run between nonzeros at both edges, nonzeros at the edges only, and
+    a row of zeros."""
+    support = np.array(
+        [
+            [1, 1, 0, 0, 0, 0, 0, 1, 1, 1],
+            [1, 0, 0, 0, 0, 0, 0, 0, 0, 1],
+            [0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        ],
+        dtype=bool,
+    )
+    return _frag_conv_pool(seed, rows=3, support=support)
 
 
 def _frag_link_mlp(seed, rows=5, hidden=4):
@@ -237,6 +258,7 @@ STANDARD_FRAGMENTS = (
     ("linear_ce", _frag_linear_ce),
     ("conv_pool", _frag_conv_pool),
     ("conv_pool_blocks", _frag_conv_pool_blocks),
+    ("conv_pool_sparse", _frag_conv_pool_sparse),
     ("link_mlp", _frag_link_mlp),
     ("softmax_ce", _frag_softmax_ce),
     ("local_attention", _frag_local_attention),

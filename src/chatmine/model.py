@@ -243,7 +243,10 @@ def forward_logits(examples, params, conv_spec, heur_stats, cfg, rng=None, train
     graph; returns the (B, 2) logits. In training mode dropout at rate
     cfg.dropout follows each conv stage and the first FC layer, its masks cut
     by column from one (B, sum of widths) draw of ``rng``: row i gets the
-    draws of a one-row forward after i rows' worth."""
+    draws of a one-row forward after i rows' worth. Outside training the
+    params are read as constants, so the forward builds no graph."""
+    if not training:
+        params = {k: nn.tensor(p.data) for k, p in params.items()}
     windows = np.stack([ex.window for ex in examples])
     pad_mask = np.stack([ex.pad_mask for ex in examples])
     ends = np.cumsum([*conv_spec.kernel_counts, FC_HIDDEN])

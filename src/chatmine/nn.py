@@ -5,8 +5,11 @@ Tensors wrap float64 numpy arrays and record a backward closure per op; calling
 Only the ops the models need are provided: linear algebra, a fused
 conv1d+max-pool, the usual activations, dropout, fused softmax cross-entropy,
 and Adam. The layers take a leading batch axis, so a whole mini-batch is one
-graph with one node per layer. Everything is deterministic given (input,
-params, seed); dropout takes its uniform draws from the caller.
+graph with one node per layer. The conv-pool scores only the windows that
+can win, few on a sparse hashed vector, and when a gradient is needed keeps
+each kernel's winning window, so its backward runs no matrix product.
+Everything is deterministic given (input, params, seed); dropout takes its
+uniform draws from the caller.
 """
 
 import numpy as np
@@ -318,10 +321,10 @@ def concat(parts):
     )
 
 
-# Kernel rows per matmul block in conv1d_maxpool, so each (block, n-h+1)
+# Kernel rows per matmul block in conv1d_maxpool, so each (block, windows)
 # product stays in cache. On the 800-d 1024/512/256 stack (Xeon, one BLAS
-# thread) blocks of 64 or 128 took 1.36 ms per example, 32 took 1.58 ms and
-# 256 to 1024 took 2.0-2.4 ms.
+# thread), scoring every window of a dense row, blocks of 64 or 128 took
+# 1.36 ms per example, 32 took 1.58 ms and 256 to 1024 took 2.0-2.4 ms.
 _CONV_BLOCK = 64
 
 
@@ -333,49 +336,67 @@ def conv1d_maxpool(x, kernels, bias):
     of per-kernel pooled maxima. Ties at the max go to the first maximal
     position.
 
-    The batch is one node that runs row by row, so each (block, n-h+1)
-    product stays in cache (one product over all rows' windows was slower).
-    The forward pass keeps only the pooled maxima; backward recomputes the
-    pre-activations block by block to find each kernel's winning window.
-    Rounding is monotone, so max_t fl(pre_t + b) == fl(max_t pre_t + b), and
-    ReLU commutes with max: pooling first gives max_t ReLU(pre_t + b) exactly.
+    Only candidate windows are scored. A window of zeros scores exactly 0
+    before the bias, the same as every other window of zeros, so a row's
+    candidate starts are those whose window holds a nonzero plus the first
+    all-zero window, in ascending order: a hashed vector keeps a few dozen
+    of its n-h+1 windows, a dense row keeps them all, and an all-zero row
+    keeps one. The batch is one node that runs row by row, so each
+    (block, candidates) product stays in cache.
+
+    Without a gradient the forward keeps only each block's maxima. When an
+    input needs a gradient it adds the bias per block and keeps each
+    kernel's winning start, the first argmax, so backward only gathers the
+    winning windows and runs no matrix product. Rounding is monotone, so
+    max_t fl(pre_t + b) == fl(max_t pre_t + b) and both forms give the same
+    bits, and ReLU commutes with max: pooling first gives max_t
+    ReLU(pre_t + b) exactly.
     """
     x, kernels, bias = _as_tensor(x), _as_tensor(kernels), _as_tensor(bias)
     rows, n = x.data.shape
     m, h = kernels.data.shape
     if n < h:
         raise ContractViolation(f"conv1d_maxpool: sequence length {n} < kernel size {h}")
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, h, axis=1)  # (B, n-h+1, h)
-    wts = [np.ascontiguousarray(w.T) for w in windows]
-    K, b = kernels.data, bias.data
+    xd, K, b = x.data, kernels.data, bias.data
+    offsets = np.arange(h)
+    # (B, n-h+1): the windows holding a nonzero, plus each row's first window
+    # of zeros (argmin finds it; a row with none marks a live start again)
+    cand = np.lib.stride_tricks.sliding_window_view(xd != 0.0, h, axis=1).any(axis=2)
+    cand[np.arange(rows), cand.argmin(axis=1)] = True
     blocks = [slice(lo, lo + _CONV_BLOCK) for lo in range(0, m, _CONV_BLOCK)]
+    keep = x.requires_grad or kernels.requires_grad or bias.requires_grad
     peak = np.empty((rows, m))
-    for r, wt in enumerate(wts):
+    win = np.empty((rows, m), dtype=np.intp)
+    lanes = np.arange(_CONV_BLOCK)
+    for r in range(rows):
+        starts = np.flatnonzero(cand[r])
+        wt = xd[r, offsets[:, None] + starts]  # (h, candidates)
         for blk in blocks:
-            np.max(K[blk] @ wt, axis=1, out=peak[r, blk])
-    out = np.maximum(peak + b, 0.0)
+            pre = K[blk] @ wt
+            if keep:
+                pre += b[blk, None]
+                j = pre.argmax(axis=1)
+                win[r, blk] = starts[j]
+                peak[r, blk] = pre[lanes[: len(j)], j]
+            else:
+                np.max(pre, axis=1, out=peak[r, blk])
+    out = np.maximum(peak if keep else peak + b, 0.0)
 
     def back(g):
         gate = out > 0.0
         gk = g * gate  # (B, m)
-        gK = np.zeros_like(K)
-        gx = np.zeros((rows, n))
-        win_idx = np.empty(m, dtype=np.intp)
-        for r, wt in enumerate(wts):
-            for blk in blocks:
-                pre = K[blk] @ wt
-                pre += b[blk, None]
-                win_idx[blk] = pre.argmax(axis=1)
-            # a dead kernel's ReLU row is all zeros: its first maximum is window 0
-            win_idx[~gate[r]] = 0
-            gK += gk[r, :, None] * wt.T[win_idx]
-            if x.requires_grad:
-                np.add.at(gx[r], win_idx[:, None] + np.arange(h), gk[r, :, None] * K)
+        # a dead kernel's ReLU row is all zeros: its first maximum is window 0
+        idx = np.where(gate, win, 0)[:, :, None] + offsets  # (B, m, h)
         if kernels.requires_grad:
+            gK = np.zeros_like(K)
+            for r in range(rows):
+                gK += gk[r, :, None] * xd[r, idx[r]]
             kernels._accumulate(gK)
         if bias.requires_grad:
             bias._accumulate(gk.sum(axis=0))
         if x.requires_grad:
+            gx = np.zeros((rows, n))
+            np.add.at(gx, (np.arange(rows)[:, None, None], idx), gk[:, :, None] * K)
             x._accumulate(gx)
 
     return Tensor(out, parents=(x, kernels, bias), backward_fn=back)

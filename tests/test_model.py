@@ -236,6 +236,17 @@ def test_forward_outside_training_applies_no_dropout_and_draws_nothing(labeled_c
     assert np.array_equal(a, forward_logits([ex], params, TINY_SPEC, None, cfg).data)
 
 
+def test_forward_outside_training_builds_no_graph(labeled_corpus):
+    # the params are Parameters, as after loading a checkpoint or during
+    # validation, but only a training forward needs their gradients
+    exs = varied_examples(labeled_corpus, 1)[:4]
+    params = tiny_params()
+    assert all(isinstance(p, nn.Parameter) for p in params.values())
+    logits = forward_logits(exs, params, TINY_SPEC, None, ModelConfig())
+    assert not logits.requires_grad
+    assert logits._parents == () and logits._backward is None
+
+
 def test_training_mode_dropout_changes_activations(labeled_corpus):
     ex = tiny_example(labeled_corpus)
     params = tiny_params()

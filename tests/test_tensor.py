@@ -229,6 +229,87 @@ def assert_matches_window_major(x, kernels, bias, g):
     return got
 
 
+def window_major_batch(x, kernels, bias, g):
+    """The window-major reference over a (B, n) batch, row by row: the (B, m)
+    output, the kernel and bias gradients summed over the rows in order, and
+    the (B, n) x gradient."""
+    per_row = [window_major_conv_pool(row, kernels, bias, g_row) for row, g_row in zip(x, g)]
+    gK, gb = np.zeros_like(kernels), np.zeros(len(bias))
+    for _, gk_row, gb_row, _ in per_row:
+        gK += gk_row
+        gb += gb_row
+    return np.stack([r[0] for r in per_row]), gK, gb, np.stack([r[3] for r in per_row])
+
+
+def sparse_case_rows(n=40):
+    """Named (n,) rows for the candidate-window tests. With kernel 0 all ones:
+    in "tie_earlier" the window at 0 scores exactly 0, as do the windows of
+    zeros from 2 on and the one at n-3; in "tie_later" only windows of zeros
+    and the one at n-3 do."""
+    rng = np.random.default_rng(11)
+    zero_run = rng.normal(size=n)
+    zero_run[8:25] = 0.0
+    edges = np.zeros(n)
+    edges[[0, n // 2, n - 1]] = rng.normal(size=3)
+    tie_earlier = np.zeros(n)
+    tie_earlier[[0, 1, n - 2, n - 1]] = [1.0, -1.0, -1.0, 1.0]
+    tie_later = np.zeros(n)
+    tie_later[[n - 2, n - 1]] = [-1.0, 1.0]
+    return {
+        "zero_run": zero_run,
+        "edges": edges,
+        "all_zero": np.zeros(n),
+        "tie_earlier": tie_earlier,
+        "tie_later": tie_later,
+        "dense": rng.normal(size=n),
+    }
+
+
+def conv_pool_batch(x, kernels, bias, g, mode):
+    """The op's output and (kernel, bias, x) gradients on a (B, n) batch. In
+    "no_grad" every operand is a constant and there are no gradients; in
+    "const_x" the kernels and bias are Parameters; in "param_x" x is too."""
+    if mode == "no_grad":
+        out = nn.conv1d_maxpool(nn.tensor(x), nn.tensor(kernels), nn.tensor(bias))
+        assert not out.requires_grad
+        return (out.data,)
+    xp = nn.Parameter("x", x) if mode == "param_x" else nn.tensor(x)
+    kp, bp = nn.Parameter("k", kernels), nn.Parameter("b", bias)
+    out = nn.conv1d_maxpool(xp, kp, bp)
+    (out * nn.tensor(g)).sum().backward()
+    return (out.data, kp.grad, bp.grad) + ((xp.grad,) if mode == "param_x" else ())
+
+
+@pytest.mark.parametrize("mode", ["no_grad", "const_x", "param_x"])
+@pytest.mark.parametrize("case", [*sparse_case_rows(), "mixed"])
+def test_conv_pool_candidate_windows_match_window_major(case, mode):
+    rows = sparse_case_rows()
+    x = np.stack(list(rows.values()) if case == "mixed" else [rows[case]])
+    rng = np.random.default_rng(12)
+    m = 2 * nn._CONV_BLOCK + 5
+    k, b = rng.normal(size=(m, 3)), rng.normal(size=m)  # some kernels dead
+    k[0], b[0] = 1.0, 0.5  # alive at a score of 0: the tie rows tie
+    g = rng.normal(size=(len(x), m))
+    got = conv_pool_batch(x, k, b, g, mode)
+    want = window_major_batch(x, k, b, g)
+    for name, a, w in zip(("out", "kernel grad", "bias grad", "x grad"), got, want):
+        assert np.array_equal(a, w), name
+
+
+def test_conv_pool_zero_window_tie_goes_to_the_earlier_start():
+    rows = sparse_case_rows()
+    x = nn.Parameter("x", np.stack([rows["tie_earlier"], rows["tie_later"]]))
+    k = nn.Parameter("k", np.ones((1, 3)))
+    out = nn.conv1d_maxpool(x, k, nn.tensor([0.5]))
+    assert np.array_equal(out.data, [[0.5], [0.5]])
+    out.sum().backward()
+    # the nonzero window at 0 beats the windows of zeros; in the second row
+    # the first window of zeros, at 0, beats the nonzero one at n-3
+    assert np.array_equal(k.grad, [[1.0, -1.0, 0.0]])
+    assert np.array_equal(np.flatnonzero(x.grad[0]), [0, 1, 2])
+    assert np.array_equal(np.flatnonzero(x.grad[1]), [0, 1, 2])
+
+
 @pytest.mark.parametrize("h", [1, 2, 3])
 @pytest.mark.parametrize("n", [40, 800])
 def test_conv_pool_is_bit_identical_to_window_major_across_blocks(h, n):
@@ -280,22 +361,69 @@ def test_conv_pool_matches_window_major_on_a_trained_stack():
         x, *_ = assert_matches_window_major(x, k, b, rng.normal(size=m))
 
 
+def test_extract_pairs_are_the_same_with_the_window_major_conv(tmp_path, monkeypatch):
+    import importlib.util
+    from pathlib import Path
+
+    from chatmine import model
+    from chatmine.corpus import PreprocessConfig, parse_chat_log, preprocess_chat_log
+    from chatmine.disentangle import assemble_dialogs, heuristic_link_scorer
+    from chatmine.encoder import EncoderConfig
+
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    spec = importlib.util.spec_from_file_location("bench_gen", bench / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    raw = tmp_path / "raw.jsonl"
+    gen.write_raw(gen.chained_log(1, 40, 3), raw)
+    clean, _ = preprocess_chat_log(parse_chat_log(raw)[0], PreprocessConfig())
+    dialogs = assemble_dialogs(clean, heuristic_link_scorer)
+    enc_cfg = EncoderConfig()
+    issue = model.load_model_checkpoint(bench / "checkpoints" / "issue.ckpt", enc_cfg, "issue")
+    solution = model.load_model_checkpoint(bench / "checkpoints" / "solution.ckpt", enc_cfg, "solution")
+    cfg = model.ModelConfig(
+        issue_threshold=issue.cfg.issue_threshold, solution_threshold=solution.cfg.solution_threshold
+    )
+
+    def extract():
+        return model.extract_pairs(clean, dialogs, issue, solution, cfg, enc_cfg)
+
+    got = extract()
+    calls = []
+
+    def reference(x, kernels, bias):
+        # inference builds no graph: constants in, a constant (B, m) out
+        assert not (x.requires_grad or kernels.requires_grad or bias.requires_grad)
+        calls.append(len(x.data))
+        g = np.zeros(len(bias.data))
+        rows = [window_major_conv_pool(r, kernels.data, bias.data, g)[0] for r in x.data]
+        return nn.tensor(np.stack(rows))
+
+    monkeypatch.setattr(nn, "conv1d_maxpool", reference)
+    want = extract()
+    assert calls
+    assert any(pair.solutions for pair in got)
+    assert got == want
+
+
 def test_conv_pool_graph_holds_no_window_by_kernel_array():
     import tracemalloc
 
     rng = np.random.default_rng(7)
-    x = nn.tensor(rng.normal(size=(8, 800)))
+    data = rng.normal(size=(8, 800))
     k = nn.Parameter("k", rng.normal(size=(1024, 3)))
     b = nn.Parameter("b", rng.normal(size=1024))
-    tracemalloc.start()
-    try:
-        out = nn.conv1d_maxpool(x, k, b)
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert out.requires_grad
-    # one row's (798, 1024) pre-activations alone would be 6.5 MB
-    assert held < 1_000_000, held
+    for x in (nn.tensor(data), nn.Parameter("x", data)):
+        tracemalloc.start()
+        try:
+            out = nn.conv1d_maxpool(x, k, b)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        # one row's (798, 1024) pre-activations alone would be 6.5 MB; the
+        # graph keeps the (8, 1024) winning starts, 64 KB
+        assert held < 1_000_000, (x, held)
 
 
 # -- losses ----------------------------------------------------------------
