@@ -7,26 +7,34 @@ scorer turns a row into a link probability with two softsign hidden layers
 of width 64 and a sigmoid readout. ``link_logit`` is its only forward, one
 graph over a (rows, 77) block: training (``train --target link``) runs it
 on each mini-batch and inference (``disentangle --link-ckpt``) on each
-child's candidates. The child takes its best-scoring candidate, falling back
+chunk of children. A child takes its best-scoring candidate, falling back
 to self when nothing clears the threshold. Connected components of the
 chosen links are the dialogs; within a dialog, the initiator's opening run
 of messages is the head and everything after it is the body.
 
 ``link_columns`` reads a log once into per-utterance columns (times, token
-counts and buckets, flags, author codes). ``extract_link_features(cols,
-child, parents)`` builds the rows a caller needs: row 0 is the self
-candidate, row ``j`` the parent ``parents[j - 1]``. A scorer is a callable
-``scorer(cols, child, lo)`` that returns one score per candidate in the
-order self, ``child - 1``, ..., ``lo``; ``heuristic_link_scorer``,
-``link_mlp_scorer(params)`` and ``synth.oracle_scorer`` all have that form.
-``choose_parent`` takes the first maximum of the score vector, so self beats
-any parent it ties with and a nearer parent beats a farther one. Memory
-stays per child: no array spans the whole log times the lookback window.
+counts and buckets, flags, author codes). ``link_chunks`` cuts the children
+into runs of consecutive utterances, and ``extract_link_features(cols,
+first, stop, lookback)`` builds one ``LinkBlock`` per run: the stacked
+(rows, 77) features of every child, each child's rows in the order self,
+``child - 1``, ..., ``max(0, child - lookback)``, plus each row's child and
+parent (-1 on the self row) and each child's first row. A scorer is a
+callable ``scorer(block)`` that returns one score per row;
+``heuristic_link_scorer``, ``link_mlp_scorer(params)`` and
+``synth.oracle_scorer`` all have that form. ``choose_parents`` takes the
+first maximum of each child's rows, so self beats any parent it ties with
+and a nearer parent beats a farther one. Memory stays per chunk: a block
+holds at most ``_LINK_CELLS`` rows (one child's rows when a single window
+is larger), whatever the lookback, and no array spans the whole log times
+the window.
 """
 
+import bisect
 import json
+import math
 import re
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -140,57 +148,129 @@ def link_columns(log):
     )
 
 
-def candidate_parents(child, lo):
-    """The candidate parents of ``child`` down to ``lo``, nearest first."""
-    return np.arange(child - 1, lo - 1, -1)
+# Cells of a chunk's shared-token product, (children, children + lookback).
+# They hold every feature row of the chunk, so this also bounds a block's
+# rows of 77 floats, at any lookback. On the bench's `disentangle` input
+# (1.4k utterances, lookback 50; 2-core Xeon, one BLAS thread) 1024 and 2048
+# ran fastest: link-scorer items/s read about 6300 at 512, 7400-9000 at
+# 1024, 7800-8800 at 2048 and 7500-7700 at 4096, where larger temporaries
+# in the scorer's forward start to cost page faults.
+_LINK_CELLS = 2048
 
 
-def extract_link_features(cols, child, parents):
-    """The (len(parents) + 1, 77) feature block of one child: row 0 is the
-    self candidate and row j the parent ``parents[j - 1]``. Layout of a row,
-    in order: time-gap one-hot (25), distance one-hot (15), parent token
-    count one-hot (10), child token count one-hot (10), shared-token one-hot
-    (6), then scalar flags: Jaccard, same author, child mentions parent,
-    parent mentions child, child mentions anyone, child asks a question,
-    parent asks a question, same hour of day, self candidate, parent opens
-    the log, adjacent pair.
+def link_chunks(n, lookback):
+    """(first, stop) runs of consecutive children covering 0..n-1: k children
+    each, k the largest with k * (k + lookback) <= _LINK_CELLS, at least 1."""
+    lookback = min(lookback, n)  # no window reaches past utterance 0
+    k = max(1, (math.isqrt(lookback * lookback + 4 * _LINK_CELLS) - lookback) // 2)
+    return [(first, min(first + k, n)) for first in range(0, n, k)]
 
-    The self row keeps only child-side features and its own flag.
+
+@dataclass(frozen=True)
+class LinkBlock:
+    """The feature rows of the children ``first`` .. ``stop - 1``, child by
+    child. ``features`` is (rows, 77); ``child[r]`` and ``parent[r]`` are
+    row r's child and candidate parent, -1 on a self row; ``starts[k]`` is
+    the first row of child ``first + k``, its self row."""
+
+    features: np.ndarray
+    child: np.ndarray
+    parent: np.ndarray
+    starts: np.ndarray
+
+
+def extract_link_features(cols, first, stop, lookback):
+    """The stacked feature block of the children ``first`` .. ``stop - 1``.
+    Each child's rows are self, then the parents ``child - 1`` down to
+    ``max(0, child - lookback)``. Layout of a row, in order: time-gap one-hot
+    (25), distance one-hot (15), parent token count one-hot (10), child
+    token count one-hot (10), shared-token one-hot (6), then scalar flags:
+    Jaccard, same author, child mentions parent, parent mentions child,
+    child mentions anyone, child asks a question, parent asks a question,
+    same hour of day, self candidate, parent opens the log, adjacent pair.
+
+    A self row keeps only child-side features and its own flag. Each column
+    is computed once for the whole block.
     """
-    parents = np.asarray(parents, dtype=np.int64)
-    plist = parents.tolist()
-    if not 0 <= child < len(cols.times) or (plist and not 0 <= min(plist) <= max(plist) < child):
-        raise ContractViolation(f"bad candidate parents {plist} for child {child}")
-    rows = np.arange(1, len(parents) + 1)
-    f = np.zeros((len(parents) + 1, FEATURE_DIM))
-    f[:, _BASE + _COUNT_BUCKETS + cols.count_buckets[child]] = 1.0
-    f[:, 71] = cols.questions[child]
-    f[:, 70] = cols.any_mention[child]
-    f[0, 74] = 1.0
-    if not len(parents):
-        return f
-    f[rows, time_gap_bucket(cols.times[child] - cols.times[parents])] = 1.0
-    distance = child - parents
-    f[rows, _TIME_BUCKETS + distance_bucket(distance)] = 1.0
-    f[rows, _BASE + cols.count_buckets[parents]] = 1.0
-    mine = set(cols.tokens[child])
-    shared = np.array([len(mine.intersection(cols.tokens[p])) for p in plist], dtype=np.int64)
-    f[rows, _BASE + 2 * _COUNT_BUCKETS + shared_bucket(shared)] = 1.0
+    if not 0 <= first < stop <= len(cols.times) or lookback < 0:
+        raise ContractViolation(
+            f"bad children {first}..{stop - 1} of {len(cols.times)} at lookback {lookback}"
+        )
+    lookback = min(lookback, stop)  # no window reaches past utterance 0
+    lo = max(0, first - lookback)
+    children = np.arange(first, stop)
+    width = 1 + np.minimum(children, lookback)
+    starts = np.cumsum(width) - width
+    child = np.repeat(children, width)
+    step = np.arange(len(child)) - np.repeat(starts, width)  # 0 on self, else distance
+    parent = np.where(step > 0, child - step, -1)
+    rows = np.flatnonzero(step)
+    c, p, distance = child[rows], parent[rows], step[rows]
+    shared = _shared_tokens(cols, lo, first, stop, c, p)
+    me, theirs = cols.authors[c], cols.authors[p]
+    named = _mentioned(cols, lo, stop, np.concatenate((c, p)), np.concatenate((theirs, me)))
+    f = np.zeros((len(child), FEATURE_DIM))
+    # the one-hot columns, as flat indices into the block
+    at = rows * FEATURE_DIM
+    hot = (
+        at + time_gap_bucket(cols.times[c] - cols.times[p]),
+        at + _TIME_BUCKETS + distance_bucket(distance),
+        at + _BASE + cols.count_buckets[p],
+        np.arange(len(child)) * FEATURE_DIM + _BASE + _COUNT_BUCKETS + cols.count_buckets[child],
+        at + _BASE + 2 * _COUNT_BUCKETS + shared_bucket(shared),
+    )
+    f.reshape(-1)[np.concatenate(hot)] = 1.0
+    # the scalar columns 66 .. 76, one contiguous row of ``flags`` each
+    flags = np.zeros((FEATURE_DIM - 66, len(child)))
     # an empty union has nothing shared, so shared / max(union, 1) is 0 there
-    union = len(mine) + cols.distinct_tokens[parents] - shared
-    f[1:, 66] = shared / np.maximum(union, 1)
-    me, theirs = cols.authors[child], cols.authors[parents]
-    f[1:, 67] = theirs == me
-    # the window holds few authors: test the child's text once per author
-    who = theirs.tolist()
-    named = {a: cols.mentions(child, a) for a in set(who)}
-    f[1:, 68] = [named[a] for a in who]
-    f[1:, 69] = [cols.mentions(p, me) for p in plist]
-    f[1:, 72] = cols.questions[parents]
-    f[1:, 73] = cols.hours[parents] == cols.hours[child]
-    f[1:, 75] = parents == 0
-    f[1:, 76] = distance == 1
-    return f
+    union = cols.distinct_tokens[c] + cols.distinct_tokens[p] - shared
+    flags[0, rows] = shared / np.maximum(union, 1)
+    flags[1, rows] = theirs == me
+    flags[2, rows] = named[: len(rows)]
+    flags[3, rows] = named[len(rows) :]
+    flags[4] = cols.any_mention[child]
+    flags[5] = cols.questions[child]
+    flags[6, rows] = cols.questions[p]
+    flags[7, rows] = cols.hours[p] == cols.hours[c]
+    flags[8, starts] = 1.0
+    flags[9, rows] = p == 0
+    flags[10, rows] = distance == 1
+    f[:, 66:] = flags.T
+    return LinkBlock(features=f, child=child, parent=parent, starts=starts)
+
+
+def _shared_tokens(cols, lo, first, stop, c, p):
+    """Distinct tokens shared by each (c, p) pair, c among the children
+    ``first`` .. ``stop - 1`` and p from ``lo`` on: one product of 0/1
+    token incidence matrices over the children's vocabulary, the children's
+    rows against every utterance's from ``lo`` to ``stop - 1``."""
+    vocab = {t: k for k, t in enumerate(set(chain.from_iterable(cols.tokens[first:stop])))}
+    ids = [[vocab[t] for t in toks if t in vocab] for toks in cols.tokens[lo:stop]]
+    inc = np.zeros((stop - lo, len(vocab)))
+    inc[np.repeat(np.arange(stop - lo), [len(x) for x in ids]), list(chain.from_iterable(ids))] = 1.0
+    # sums of 0/1 products in float64 are exact integers
+    common = inc[first - lo :] @ inc.T
+    return common[c - first, p - lo].astype(np.int64)
+
+
+def _mentioned(cols, lo, stop, utts, authors):
+    """cols.mentions(utts[j], authors[j]) for every j, all utterances in
+    ``lo`` .. ``stop - 1``. Each author's name is searched for in the joined
+    texts, and only the utterances that hold it get the exact test."""
+    texts = cols.lower_texts[lo:stop]
+    joined = "\n".join(texts)
+    starts = [0, *accumulate(len(t) + 1 for t in texts)]
+    named = []
+    for a in set(cols.authors[lo:stop].tolist()):
+        name = cols.names[a]
+        at = joined.find(name) if cols.patterns[a] is not None else -1
+        while at >= 0:
+            # a hit that runs past its text's end is tested and fails
+            i = bisect.bisect_right(starts, at) - 1
+            if cols.mentions(lo + i, a):
+                named.append((lo + i) * len(cols.names) + a)
+            at = joined.find(name, starts[i + 1]) if i + 1 < len(texts) else -1
+    return np.isin(utts * len(cols.names) + authors, named)
 
 
 # -- the scorer network ----------------------------------------------------
@@ -237,13 +317,13 @@ def link_probabilities(features, params):
 
 
 def link_mlp_scorer(params):
-    """The trained scorer as a per-child scorer for assemble_dialogs, over
-    constant copies of ``params`` so that no graph is kept."""
+    """The trained scorer as a block scorer for assemble_dialogs: one
+    forward per block, over constant copies of ``params`` so that no graph
+    is kept."""
     params = {name: nn.tensor(p.data) for name, p in params.items()}
 
-    def scorer(cols, child, lo):
-        block = extract_link_features(cols, child, candidate_parents(child, lo))
-        return link_probabilities(block, params)
+    def scorer(block):
+        return link_probabilities(block.features, params)
 
     return scorer
 
@@ -260,17 +340,18 @@ _HEURISTIC_WEIGHTS = (
 )
 
 
-def heuristic_link_scorer(cols, child, lo):
-    """A hand-set logistic score per candidate, over the columns of the
-    child's feature block; self always scores 0.5."""
-    f = extract_link_features(cols, child, candidate_parents(child, lo))[1:]
+def heuristic_link_scorer(block):
+    """A hand-set logistic score per row of a block, over its interpretable
+    columns; a self row always scores 0.5."""
+    f = block.features
+    is_self = block.parent < 0
     z = 0.0
     for i, w in _HEURISTIC_WEIGHTS:
         z = z + w * f[:, i]
     z = -1.2 + z
-    z = z - 0.10 * np.arange(len(f))  # distance - 1
+    z = z - 0.10 * np.where(is_self, 0, block.child - block.parent - 1)
     z = z - 0.25 * np.maximum(0, f[:, :_TIME_BUCKETS].argmax(axis=1) - 8)
-    return np.concatenate(([0.5], 1.0 / (1.0 + np.exp(-z))))
+    return np.where(is_self, 0.5, 1.0 / (1.0 + np.exp(-z)))
 
 
 # -- dialog assembly -------------------------------------------------------
@@ -286,25 +367,27 @@ class Dialog:
     links: tuple
 
 
-def choose_parent(cols, child, scorer, threshold=0.5, lookback=50):
-    """Best candidate for one child among self and the ``lookback`` earlier
-    utterances, scored in one scorer call. The first maximum wins, so self
-    beats any parent it ties with and nearer parents beat farther ones.
-    Below-threshold winners collapse to self."""
-    lo = max(0, child - lookback)
-    scores = np.asarray(scorer(cols, child, lo))
-    if scores.shape != (child - lo + 1,):
+def choose_parents(block, scores, threshold=0.5):
+    """Each child's best candidate in a scored block, as (parents, scores)
+    per child, parent -1 for self. A child's first maximum wins, so self
+    beats any parent it ties with and nearer parents beat farther ones, as
+    with np.argmax a NaN counts as the maximum. Below-threshold winners
+    collapse to self."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != block.parent.shape:
         raise ContractViolation(
-            f"scorer gave {scores.shape} scores for {child - lo + 1} candidates"
+            f"scorer gave {scores.shape} scores for {len(block.parent)} candidates"
         )
-    best = int(np.argmax(scores))
-    score = float(scores[best])
-    parent = child - best if best and score >= threshold else None
-    return parent, score
+    peak = np.maximum.reduceat(scores, block.starts)
+    top = (scores == peak[block.child - block.child[0]]) | np.isnan(scores)
+    best = np.minimum.reduceat(np.where(top, np.arange(len(scores)), len(scores)), block.starts)
+    parents = np.where(scores[best] >= threshold, block.parent[best], -1)
+    return parents, scores[best]
 
 
 def assemble_dialogs(log, scorer, threshold=0.5, lookback=50):
-    """Greedy parent choice per utterance, then connected components.
+    """Greedy parent choice per utterance, one scorer call per chunk of
+    children, then connected components.
 
     Every utterance lands in exactly one dialog; members are index-sorted
     and the component's earliest utterance is the subject.
@@ -320,11 +403,14 @@ def assemble_dialogs(log, scorer, threshold=0.5, lookback=50):
             i = root[i]
         return i
 
-    for child in range(n):
-        parent, _ = choose_parent(cols, child, scorer, threshold, lookback)
-        if parent is not None:
-            parent_of[child] = parent
-            root[find(child)] = find(parent)
+    for first, stop in link_chunks(n, lookback):
+        block = extract_link_features(cols, first, stop, lookback)
+        parents, _ = choose_parents(block, scorer(block), threshold)
+        del block  # so that two blocks are never alive at once
+        for child, parent in enumerate(parents.tolist(), first):
+            if parent >= 0:
+                parent_of[child] = parent
+                root[find(child)] = find(parent)
     groups = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
@@ -449,18 +535,23 @@ def train_link_scorer(
     blocks, signs = [], []
     for log, links in examples:
         cols = link_columns(log)
-        for child in range(len(log.utterances)):
-            true_parent = links.get(child)
-            candidates = [p for p in range(max(0, child - lookback), child) if p != true_parent]
-            if true_parent is not None:
-                candidates.append(None)
-            rng.shuffle(candidates)
-            picked = [true_parent] + candidates[:negatives_per_positive]
-            parents = [p for p in picked if p is not None]
-            # row 0 of the block is self, row 1 + k the k-th picked parent
-            block = extract_link_features(cols, child, parents)
-            blocks.append(block[[0 if p is None else 1 + parents.index(p) for p in picked]])
-            signs += [-1.0] + [1.0] * (len(picked) - 1)
+        # a window wide enough that every true parent has a row
+        reach = max([lookback] + [c - p for c, p in links.items()])
+        for first, stop in link_chunks(len(log.utterances), reach):
+            block = extract_link_features(cols, first, stop, reach)
+            rows = []
+            for child in range(first, stop):
+                true_parent = links.get(child)
+                candidates = [p for p in range(max(0, child - lookback), child) if p != true_parent]
+                if true_parent is not None:
+                    candidates.append(None)
+                rng.shuffle(candidates)
+                picked = [true_parent] + candidates[:negatives_per_positive]
+                # the child's rows are self, then child - 1 down the window
+                start = block.starts[child - first]
+                rows += [start if p is None else start + child - p for p in picked]
+                signs += [-1.0] + [1.0] * (len(picked) - 1)
+            blocks.append(block.features[rows])
     if not blocks:
         raise DataError("no link training pairs")
     features, signs = np.concatenate(blocks), np.array(signs)

@@ -379,7 +379,7 @@ def conv1d_maxpool(x, kernels, bias):
                 win[r, blk] = starts[j]
                 peak[r, blk] = pre[lanes[: len(j)], j]
             else:
-                np.max(pre, axis=1, out=peak[r, blk])
+                np.maximum.reduce(pre, axis=1, out=peak[r, blk])
     out = np.maximum(peak if keep else peak + b, 0.0)
 
     def back(g):
@@ -445,7 +445,8 @@ class AdamState:
 
 
 def adam_step(params, state):
-    """Bias-corrected Adam update over named parameters; zeroes grads after."""
+    """Bias-corrected Adam update over named parameters; zeroes grads after.
+    The moments and ``p.data`` are updated in place."""
     state.step += 1
     t = state.step
     for p in params.values():
@@ -453,15 +454,26 @@ def adam_step(params, state):
         m = state.m.get(p.name)
         v = state.v.get(p.name)
         if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        state.m[p.name] = m
-        state.v[p.name] = v
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+            m = state.m[p.name] = np.zeros_like(p.data)
+            v = state.v[p.name] = np.zeros_like(p.data)
+        # the same operations in the same order as m = beta1 * m + (1 -
+        # beta1) * g, v = beta2 * v + (1 - beta2) * g**2 and p -= lr * m_hat
+        # / (sqrt(v_hat) + eps), through two scratch arrays
+        tmp, step = np.empty_like(m), np.empty_like(m)
+        np.multiply(g, 1.0 - state.beta1, out=tmp)
+        m *= state.beta1
+        m += tmp
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - state.beta2
+        v *= state.beta2
+        v += tmp
+        np.divide(m, 1.0 - state.beta1**t, out=step)
+        step *= state.lr
+        np.divide(v, 1.0 - state.beta2**t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += state.epsilon
+        step /= tmp
+        p.data -= step
         p.grad = None
 
 

@@ -187,14 +187,9 @@ def oracle_scorer(true_links):
     """Scores the true parent (or true self choice) 1.0, everything else
     0.0; recovers the exact partition through assemble_dialogs."""
 
-    def scorer(cols, child, lo):
-        scores = np.zeros(child - lo + 1)
-        parent = true_links.get(child)
-        if parent is None:
-            scores[0] = 1.0
-        elif lo <= parent < child:
-            scores[child - parent] = 1.0
-        return scores
+    def scorer(block):
+        want = np.array([true_links.get(c, -1) for c in block.child.tolist()])
+        return (block.parent == want).astype(np.float64)
 
     return scorer
 

@@ -1,9 +1,11 @@
 """Reply-link features, the link scorer, and dialog assembly.
 
 The feature-layout test pins every index by hand; the 2-2-1 scorer case is
-worked out by hand in the comments. The batched per-child path is checked
-against a per-pair reference written in this file: one feature vector, one
-scorer call and one comparison per (child, candidate) pair.
+worked out by hand in the comments. The chunked path, one feature block and
+one scorer call per chunk of children, is checked against two references
+written in this file: the per-child block function it replaced, and a
+per-pair path with one feature vector, one scorer call and one comparison
+per (child, candidate) pair.
 """
 
 import math
@@ -73,7 +75,8 @@ def test_distance_and_count_buckets():
 
 
 def block(log, child, lo=0):
-    return dis.extract_link_features(dis.link_columns(log), child, dis.candidate_parents(child, lo))
+    """The feature rows of one child, self first, then child - 1 down to lo."""
+    return dis.extract_link_features(dis.link_columns(log), child, child + 1, child - lo).features
 
 
 def test_pair_features_every_index_pinned(two_turn_log):
@@ -113,14 +116,13 @@ def test_self_candidate_keeps_only_child_side_features(two_turn_log):
 
 def test_pair_features_reject_non_preceding_parent(two_turn_log):
     cols = dis.link_columns(two_turn_log)
-    with pytest.raises(ContractViolation):
-        dis.extract_link_features(cols, 0, [0])
-    with pytest.raises(ContractViolation):
-        dis.extract_link_features(cols, 1, [-1])
-    with pytest.raises(ContractViolation):
-        dis.extract_link_features(cols, 1, [1])
-    with pytest.raises(ContractViolation):
-        dis.extract_link_features(cols, 2, [1])
+    b = dis.extract_link_features(cols, 0, 2, 5)
+    assert b.child.tolist() == [0, 1, 1]
+    assert b.parent.tolist() == [-1, -1, 0]  # a parent row always precedes its child
+    assert b.starts.tolist() == [0, 1]
+    for first, stop, lookback in ((0, 0, 5), (-1, 1, 5), (1, 3, 5), (2, 3, 5), (0, 1, -1)):
+        with pytest.raises(ContractViolation):
+            dis.extract_link_features(cols, first, stop, lookback)
 
 
 # -- scorer network --------------------------------------------------------
@@ -157,9 +159,10 @@ def test_tiny_scorer_hand_computed(two_turn_log):
 def test_link_mlp_scorer_wraps_feature_extraction(two_turn_log):
     params = dis.init_link_params(np.random.default_rng(0), hidden=8)
     scorer = dis.link_mlp_scorer(params)
-    cols = dis.link_columns(two_turn_log)
-    want = dis.link_probabilities(dis.extract_link_features(cols, 1, [0]), params)
-    assert np.array_equal(scorer(cols, 1, 0), want)
+    b = dis.extract_link_features(dis.link_columns(two_turn_log), 0, 2, 1)
+    want = dis.link_probabilities(b.features, params)
+    assert want.shape == (3,)
+    assert np.array_equal(scorer(b), want)
 
 
 # -- parent choice ---------------------------------------------------------
@@ -175,56 +178,73 @@ def candidates(child, lo):
     return [None, *range(child - 1, lo - 1, -1)]
 
 
-def table_scorer(score_of):
-    """A per-child scorer from a per-candidate function."""
+def pairs_of(b):
+    """(child, parent) of every row of a block, parent None on self rows."""
+    return [(c, None if p < 0 else p) for c, p in zip(b.child.tolist(), b.parent.tolist())]
 
-    def scorer(_cols, child, lo):
-        return np.array([score_of(p) for p in candidates(child, lo)])
+
+def table_scorer(score_of):
+    """A block scorer from a per-candidate function."""
+
+    def scorer(b):
+        return np.array([score_of(p) for _, p in pairs_of(b)])
 
     return scorer
 
 
+def choose_parent(log, child, scorer, threshold=0.5, lookback=50):
+    """The choice for one child, from a block of that child alone."""
+    b = dis.extract_link_features(dis.link_columns(log), child, child + 1, lookback)
+    parents, scores = dis.choose_parents(b, scorer(b), threshold)
+    return (None if parents[0] < 0 else int(parents[0])), float(scores[0])
+
+
 def test_choose_parent_takes_best_scoring_candidate():
-    cols = dis.link_columns(make_flat_log(5))
     table = {None: 0.3, 3: 0.9, 1: 0.8}
-    parent, score = dis.choose_parent(cols, 4, table_scorer(lambda p: table.get(p, 0.1)))
+    parent, score = choose_parent(make_flat_log(5), 4, table_scorer(lambda p: table.get(p, 0.1)))
     assert (parent, score) == (3, 0.9)
 
 
 def test_choose_parent_tie_prefers_self_then_nearest():
-    cols = dis.link_columns(make_flat_log(4))
-    parent, _ = dis.choose_parent(cols, 3, table_scorer(lambda _p: 0.7))
+    log = make_flat_log(4)
+    parent, _ = choose_parent(log, 3, table_scorer(lambda _p: 0.7))
     assert parent is None  # everything tied: self was considered first
     scores = {2: 0.8, 1: 0.8}
-    parent, _ = dis.choose_parent(cols, 3, table_scorer(lambda p: scores.get(p, 0.2)))
+    parent, _ = choose_parent(log, 3, table_scorer(lambda p: scores.get(p, 0.2)))
     assert parent == 2  # newest-first order keeps the nearer of the tie
 
 
 def test_choose_parent_threshold_collapses_to_self():
-    cols = dis.link_columns(make_flat_log(3))
-    parent, score = dis.choose_parent(
-        cols, 2, table_scorer(lambda p: 0.45 if p is not None else 0.1), threshold=0.5
+    parent, score = choose_parent(
+        make_flat_log(3), 2, table_scorer(lambda p: 0.45 if p is not None else 0.1), threshold=0.5
     )
     assert parent is None
     assert score == pytest.approx(0.45)
 
 
 def test_choose_parent_respects_lookback():
-    cols = dis.link_columns(make_flat_log(10))
     seen = []
 
-    def scorer(_cols, child, lo):
-        seen.extend(candidates(child, lo))
-        return np.zeros(child - lo + 1)
+    def scorer(b):
+        seen.extend(p for _, p in pairs_of(b))
+        return np.zeros(len(b.parent))
 
-    dis.choose_parent(cols, 9, scorer, lookback=3)
+    choose_parent(make_flat_log(10), 9, scorer, lookback=3)
     assert seen == [None, 8, 7, 6]
 
 
 def test_choose_parent_rejects_a_score_vector_of_another_length():
-    cols = dis.link_columns(make_flat_log(4))
     with pytest.raises(ContractViolation):
-        dis.choose_parent(cols, 3, lambda _c, _child, _lo: np.zeros(2))
+        choose_parent(make_flat_log(4), 3, lambda _b: np.zeros(2))
+
+
+def test_choose_parents_picks_within_each_child_and_treats_nan_like_argmax():
+    b = dis.extract_link_features(dis.link_columns(make_flat_log(4)), 1, 4, 2)
+    # rows: 1 -> self, 0 | 2 -> self, 1, 0 | 3 -> self, 2, 1
+    scores = np.array([0.2, 0.9, 0.1, np.nan, 0.99, 0.3, 0.8, 0.8])
+    parents, best = dis.choose_parents(b, scores)
+    assert parents.tolist() == [0, -1, 2]  # NaN wins child 2, then falls back to self
+    assert best[0] == 0.9 and np.isnan(best[1]) and best[2] == 0.8
 
 
 # -- dialog assembly -------------------------------------------------------
@@ -235,8 +255,8 @@ def hash_scorer(salt):
         p = -1 if parent is None else parent
         return np.random.default_rng((salt, child, p + 1)).random()
 
-    def scorer(_cols, child, lo):
-        return np.array([score_of(child, p) for p in candidates(child, lo)])
+    def scorer(b):
+        return np.array([score_of(c, p) for c, p in pairs_of(b)])
 
     return scorer
 
@@ -275,11 +295,12 @@ def test_heuristic_scorer_prefers_plausible_replies():
             utt(2, 4_000_000, "carol", "lunch anyone", ("lunch", "anyone")),
         ],
     )
-    cols = dis.link_columns(log)
-    good = dis.heuristic_link_scorer(cols, 1, 0)[1]
-    stale = dis.heuristic_link_scorer(cols, 2, 0)[2]
+    b = dis.extract_link_features(dis.link_columns(log), 0, 3, 2)
+    scores = dis.heuristic_link_scorer(b)
+    assert pairs_of(b)[2] == (1, 0) and pairs_of(b)[5] == (2, 0)
+    good, stale = scores[2], scores[5]
     assert good > 0.5 > stale
-    assert dis.heuristic_link_scorer(cols, 1, 0)[0] == 0.5
+    assert scores[1] == 0.5  # child 1's self row
 
 
 # -- parity with the per-pair reference ----------------------------------
@@ -394,36 +415,104 @@ def strong_params(seed, hidden=64, scale=3.0):
     return params
 
 
+def ref_child_block(cols, child, parents):
+    """The per-child feature function the chunked one replaced: row 0 is the
+    self candidate and row j the parent ``parents[j - 1]``."""
+    parents = np.asarray(parents, dtype=np.int64)
+    plist = parents.tolist()
+    rows = np.arange(1, len(parents) + 1)
+    f = np.zeros((len(parents) + 1, 77))
+    f[:, 50 + cols.count_buckets[child]] = 1.0
+    f[:, 71] = cols.questions[child]
+    f[:, 70] = cols.any_mention[child]
+    f[0, 74] = 1.0
+    if not len(parents):
+        return f
+    f[rows, dis.time_gap_bucket(cols.times[child] - cols.times[parents])] = 1.0
+    distance = child - parents
+    f[rows, 25 + dis.distance_bucket(distance)] = 1.0
+    f[rows, 40 + cols.count_buckets[parents]] = 1.0
+    mine = set(cols.tokens[child])
+    shared = np.array([len(mine.intersection(cols.tokens[p])) for p in plist], dtype=np.int64)
+    f[rows, 60 + dis.shared_bucket(shared)] = 1.0
+    union = len(mine) + cols.distinct_tokens[parents] - shared
+    f[1:, 66] = shared / np.maximum(union, 1)
+    me, theirs = cols.authors[child], cols.authors[parents]
+    f[1:, 67] = theirs == me
+    who = theirs.tolist()
+    named = {a: cols.mentions(child, a) for a in set(who)}
+    f[1:, 68] = [named[a] for a in who]
+    f[1:, 69] = [cols.mentions(p, me) for p in plist]
+    f[1:, 72] = cols.questions[parents]
+    f[1:, 73] = cols.hours[parents] == cols.hours[child]
+    f[1:, 75] = parents == 0
+    f[1:, 76] = distance == 1
+    return f
+
+
+def chunk_budgets(n, lookback):
+    """Product cells per chunk: the minimum (one child per chunk), a value
+    that cuts the log in half, and the default."""
+    half = max(1, n // 2)
+    return 1, half * (half + lookback), dis._LINK_CELLS
+
+
 def assert_parity(log, params, lookback=50, threshold=0.5):
-    """Feature blocks, scores, chosen parents and dialogs of the batched
-    path against the per-pair reference, for every child of the log."""
+    """Feature rows, scores, chosen parents and dialogs of the chunked path
+    against the per-child and per-pair references, for every child of the
+    log, at three chunk budgets."""
     cols = dis.link_columns(log)
     n = len(log.utterances)
-    batched = {"heuristic": dis.heuristic_link_scorer, "mlp": dis.link_mlp_scorer(params)}
+    chunked = {"heuristic": dis.heuristic_link_scorer, "mlp": dis.link_mlp_scorer(params)}
     reference = {"heuristic": ref_heuristic, "mlp": ref_mlp(params)}
+    rows, scores, parents = [], {k: [] for k in chunked}, {k: [] for k in chunked}
     for child in range(n):
         lo = max(0, child - lookback)
         want = np.array([ref_features(log, child, p) for p in candidates(child, lo)])
-        got = dis.extract_link_features(cols, child, dis.candidate_parents(child, lo))
-        assert np.array_equal(got, want), child
-        for kind in batched:
-            got = batched[kind](cols, child, lo)
-            ref = np.array([reference[kind](log, child, p) for p in candidates(child, lo)])
-            if kind == "heuristic":
-                assert np.array_equal(got, ref), child
-            else:
-                assert np.max(np.abs(got - ref)) <= 1e-12, child
-    for kind in batched:
-        parent_of = {}
-        for child in range(n):
-            parent, _ = dis.choose_parent(cols, child, batched[kind], threshold, lookback)
-            want = ref_choose_parent(log, child, reference[kind], threshold, lookback)
-            assert parent == want, (kind, child)
-            if parent is not None:
-                parent_of[child] = parent
-        dialogs = dis.assemble_dialogs(log, batched[kind], threshold, lookback)
-        assert {frozenset(d.members) for d in dialogs} == ref_partition(n, parent_of)
-        assert dict(link for d in dialogs for link in d.links) == parent_of
+        assert np.array_equal(ref_child_block(cols, child, range(child - 1, lo - 1, -1)), want)
+        rows.append(want)
+        for kind in chunked:
+            scores[kind] += [reference[kind](log, child, p) for p in candidates(child, lo)]
+            parent = ref_choose_parent(log, child, reference[kind], threshold, lookback)
+            parents[kind].append(-1 if parent is None else parent)
+    rows = np.concatenate(rows)
+    for cells in chunk_budgets(n, lookback):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dis, "_LINK_CELLS", cells)
+            chunks = dis.link_chunks(n, lookback)
+            if cells == 1:
+                assert len(chunks) == n
+            blocks = [dis.extract_link_features(cols, a, b, lookback) for a, b in chunks]
+            assert np.array_equal(np.concatenate([b.features for b in blocks]), rows), cells
+            for kind in chunked:
+                got = [chunked[kind](b) for b in blocks]
+                if kind == "heuristic":
+                    assert np.array_equal(np.concatenate(got), scores[kind]), cells
+                else:
+                    assert np.max(np.abs(np.concatenate(got) - scores[kind])) <= 1e-12, cells
+                chosen = [dis.choose_parents(b, g, threshold)[0] for b, g in zip(blocks, got)]
+                assert np.concatenate(chosen).tolist() == parents[kind], (kind, cells)
+                parent_of = {c: p for c, p in enumerate(parents[kind]) if p >= 0}
+                dialogs = dis.assemble_dialogs(log, chunked[kind], threshold, lookback)
+                assert {frozenset(d.members) for d in dialogs} == ref_partition(n, parent_of)
+                assert dict(link for d in dialogs for link in d.links) == parent_of
+
+
+def test_chunks_cover_the_log_and_bound_the_product_and_the_rows():
+    cols = dis.link_columns(make_flat_log(100))
+    for lookback in (0, 1, 7, 50, 99, 5000, 2**63):
+        for cells in (1, 60, 700, dis._LINK_CELLS):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dis, "_LINK_CELLS", cells)
+                chunks = dis.link_chunks(100, lookback)
+            assert [a for a, _ in chunks] == [0, *(b for _, b in chunks[:-1])]
+            assert chunks[-1][1] == 100
+            k, window = chunks[0][1], min(lookback, 100)  # no window reaches past 0
+            assert k == 1 or k * (k + window) <= cells
+            assert len(chunks) == 1 or cells < (k + 1) * (k + 1 + window)
+            for a, b in chunks:
+                rows = len(dis.extract_link_features(cols, a, b, lookback).child)
+                assert rows <= max(cells, window + 1), (lookback, cells)
 
 
 @pytest.mark.parametrize("seed, n_dialogs", [(0, 3), (1, 8), (2, 20), (3, 30)])
@@ -432,7 +521,7 @@ def test_batched_path_matches_per_pair_reference(seed, n_dialogs):
     assert_parity(log, strong_params(seed))
 
 
-@pytest.mark.parametrize("lookback", [1, 2, 7, 1000])
+@pytest.mark.parametrize("lookback", [1, 2, 7, 50, 1000])
 def test_batched_path_matches_reference_at_any_lookback(lookback):
     log, _, _ = synth.synth_interleaved(seed=5, n_dialogs=6)
     assert lookback != 1000 or lookback > len(log.utterances)
@@ -461,8 +550,7 @@ def test_batched_path_matches_reference_on_odd_times_and_authors():
         for i, (t, text) in enumerate(zip(times, texts))
     ]
     log = ChatLog("odd", utts)
-    cols = dis.link_columns(log)
-    assert dis.extract_link_features(cols, 1, [0])[1, 0] == 1.0  # gap -40 s, bucket 0
+    assert block(log, 1)[1, 0] == 1.0  # gap -40 s, bucket 0
     assert_parity(log, strong_params(7, hidden=8), lookback=4)
     assert_parity(log, strong_params(8, hidden=8))
 
@@ -479,11 +567,13 @@ def test_saturated_distance_ties_go_to_the_nearer_parent():
     params["link.W2"].data[0, 0] = 8.0
     params["link.w3"].data[0] = 8.0
     scorer = dis.link_mlp_scorer(params)
-    scores = scorer(cols, 39, 39 - 30)
+    b = dis.extract_link_features(cols, 0, 40, 30)  # every child in one block
+    all_scores = scorer(b)
+    scores = all_scores[b.starts[39] :]  # child 39: self, then 38 down to 9
     assert len(set(scores[15:].tolist())) == 1
     assert scores[15] == scores.max() > scores[:15].max()
-    parent, _ = dis.choose_parent(cols, 39, scorer, lookback=30)
-    assert parent == 39 - 15
+    parents, _ = dis.choose_parents(b, all_scores)
+    assert parents[39] == 39 - 15
     assert_parity(log, params, lookback=30)
 
 
