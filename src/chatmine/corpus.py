@@ -21,7 +21,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from . import lexicons
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 # Tags inserted by normalization; everything else in clean text is lowercase.
 PLACEHOLDER_TOKEN_RE = re.compile(r"\[(?:URL|EMAIL|HTML|CODE|ID|EMOJI_[A-Z]+)\]")
@@ -96,6 +96,17 @@ class PreprocessConfig:
     vocab_min_count: int = 2
     perplexity_threshold: float = 40.0
     merge_time_gap_max_ms: int = 60_000
+
+    def __post_init__(self):
+        checks = (
+            ("typo_min_len", ">= 1", self.typo_min_len >= 1),
+            ("vocab_min_count", ">= 1", self.vocab_min_count >= 1),
+            ("perplexity_threshold", "> 0", self.perplexity_threshold > 0.0),  # NaN fails
+            ("merge_time_gap_max_ms", ">= 0", self.merge_time_gap_max_ms >= 0),
+        )
+        for name, rule, ok in checks:
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 @dataclass

@@ -7,7 +7,10 @@ conv1d+max-pool, the usual activations, dropout, fused softmax cross-entropy,
 and Adam. The layers take a leading batch axis, so a whole mini-batch is one
 graph with one node per layer. The conv-pool scores only the windows that
 can win, few on a sparse hashed vector, and when a gradient is needed keeps
-each kernel's winning window, so its backward runs no matrix product.
+each kernel's winning window, so its backward runs no matrix product; that
+path folds the bias into the kernel product. Backward stores a fresh
+gradient without a copy, and Adam updates in place through scratch kept
+across steps.
 Everything is deterministic given (input, params, seed); dropout takes its
 uniform draws from the caller.
 """
@@ -86,7 +89,11 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
+            # a fresh float64 array that owns its memory is no other tensor's
+            # grad or data, so it is kept as it is; views and other input
+            # are copied
+            owned = type(g) is np.ndarray and g.dtype == np.float64 and g.base is None
+            self.grad = g if owned else np.array(g, dtype=np.float64)
         else:
             self.grad = self.grad + g
 
@@ -344,13 +351,21 @@ def conv1d_maxpool(x, kernels, bias):
     keeps one. The batch is one node that runs row by row, so each
     (block, candidates) product stays in cache.
 
-    Without a gradient the forward keeps only each block's maxima. When an
-    input needs a gradient it adds the bias per block and keeps each
+    Without a gradient the forward keeps only each block's maxima and adds
+    the bias after pooling. When an input needs a gradient it keeps each
     kernel's winning start, the first argmax, so backward only gathers the
-    winning windows and runs no matrix product. Rounding is monotone, so
-    max_t fl(pre_t + b) == fl(max_t pre_t + b) and both forms give the same
-    bits, and ReLU commutes with max: pooling first gives max_t
-    ReLU(pre_t + b) exactly.
+    winning windows and runs no matrix product. That path folds the bias
+    into the product: kernels [K | b], (m, h+1), against each row's
+    windows closed by a row of ones, (h+1, candidates), so one product per
+    block holds fl(w . x + b) and one argmax reads the peak there. The term
+    b * 1 is exact, so this is fl(fl(w . x) + b), bit-equal to adding b
+    after the product, as long as BLAS adds the last column's term last;
+    the window-major tests catch a BLAS that does not. numpy's
+    matrix-vector kernel need not, so a stage with a one-row kernel block,
+    or with n == h, adds b after the product. Rounding is monotone, so
+    max_t fl(pre_t + b) == fl(max_t pre_t + b) and the two paths give the
+    same bits, and ReLU commutes with max: pooling first gives max_t
+    ReLU(pre_t + b) exactly. Backward uses the (m, h) kernels.
     """
     x, kernels, bias = _as_tensor(x), _as_tensor(kernels), _as_tensor(bias)
     rows, n = x.data.shape
@@ -365,16 +380,28 @@ def conv1d_maxpool(x, kernels, bias):
     cand[np.arange(rows), cand.argmin(axis=1)] = True
     blocks = [slice(lo, lo + _CONV_BLOCK) for lo in range(0, m, _CONV_BLOCK)]
     keep = x.requires_grad or kernels.requires_grad or bias.requires_grad
+    # no matrix-vector products (see above): with n > h only an all-zero row
+    # has a single window, and its sum is b in any order
+    fold = keep and n > h and m % _CONV_BLOCK != 1
+    if fold:
+        # [K | b] against windows closed by a row of ones: gathering x at
+        # n + start, past the row's end, reads a one for every start
+        Kp = np.concatenate((K, b[:, None]), axis=1)
+        xp = np.concatenate((xd, np.ones((rows, n - h + 1))), axis=1)
+        taps = np.append(offsets, n)
+    else:
+        Kp, xp, taps = K, xd, offsets
     peak = np.empty((rows, m))
     win = np.empty((rows, m), dtype=np.intp)
     lanes = np.arange(_CONV_BLOCK)
     for r in range(rows):
         starts = np.flatnonzero(cand[r])
-        wt = xd[r, offsets[:, None] + starts]  # (h, candidates)
+        wt = xp[r, taps[:, None] + starts]  # (h, candidates), or (h+1, ...)
         for blk in blocks:
-            pre = K[blk] @ wt
+            pre = Kp[blk] @ wt
             if keep:
-                pre += b[blk, None]
+                if not fold:
+                    pre += b[blk, None]
                 j = pre.argmax(axis=1)
                 win[r, blk] = starts[j]
                 peak[r, blk] = pre[lanes[: len(j)], j]
@@ -432,7 +459,10 @@ def softmax_cross_entropy(logits, labels):
 
 
 class AdamState:
-    """Per-parameter Adam moments plus the shared step counter."""
+    """Per-parameter Adam moments, the shared step counter, and two scratch
+    buffers kept across steps. The buffers are flat and grow to the largest
+    parameter an update has seen, so a step after the first allocates
+    nothing."""
 
     def __init__(self, lr=0.001, beta1=0.9, beta2=0.999, epsilon=1e-8):
         self.lr = lr
@@ -442,6 +472,7 @@ class AdamState:
         self.step = 0
         self.m = {}
         self.v = {}
+        self.scratch = (np.empty(0), np.empty(0))
 
 
 def adam_step(params, state):
@@ -449,6 +480,9 @@ def adam_step(params, state):
     The moments and ``p.data`` are updated in place."""
     state.step += 1
     t = state.step
+    size = max((p.data.size for p in params.values()), default=0)
+    if state.scratch[0].size < size:
+        state.scratch = (np.empty(size), np.empty(size))
     for p in params.values():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         m = state.m.get(p.name)
@@ -458,8 +492,8 @@ def adam_step(params, state):
             v = state.v[p.name] = np.zeros_like(p.data)
         # the same operations in the same order as m = beta1 * m + (1 -
         # beta1) * g, v = beta2 * v + (1 - beta2) * g**2 and p -= lr * m_hat
-        # / (sqrt(v_hat) + eps), through two scratch arrays
-        tmp, step = np.empty_like(m), np.empty_like(m)
+        # / (sqrt(v_hat) + eps), through the two scratch buffers
+        tmp, step = (buf[: m.size].reshape(m.shape) for buf in state.scratch)
         np.multiply(g, 1.0 - state.beta1, out=tmp)
         m *= state.beta1
         m += tmp

@@ -622,6 +622,41 @@ def test_train_with_zero_epochs_exits_3(tmp_path, labeled_path, capsys, target):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, config, name",
+    [
+        (["--perplexity-threshold", "nan"], None, "perplexity_threshold"),
+        (["--perplexity-threshold", "0"], None, "perplexity_threshold"),
+        (["--merge-gap-ms", "-100"], None, "merge_time_gap_max_ms"),
+        ([], "vocab_min_count=-3", "vocab_min_count"),
+        ([], "typo_min_len=0", "typo_min_len"),
+        ([], "perplexity_threshold=nan", "perplexity_threshold"),
+    ],
+    ids=["nan-perplexity-flag", "zero-perplexity-flag", "negative-merge-gap-flag",
+         "negative-vocab-min-count", "zero-typo-min-len", "nan-perplexity-key"],
+)
+def test_preprocess_setting_out_of_range_exits_3(tmp_path, capsys, flags, config, name):
+    raw = write_raw(tmp_path / "raw.jsonl")
+    out = tmp_path / "clean.jsonl"
+    argv = ["preprocess", "--input", str(raw), "--out", str(out), *flags]
+    if config is not None:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(config + "\n", encoding="utf-8")
+        argv = ["--config", str(cfg), *argv]
+    assert f"{name} must be" in assert_data_error(main(argv), capsys)
+    assert not out.exists()
+
+
+def test_preprocess_settings_at_their_bounds_are_accepted(tmp_path):
+    raw = write_raw(tmp_path / "raw.jsonl")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("vocab_min_count=1\ntypo_min_len=1\n", encoding="utf-8")
+    out = tmp_path / "clean.jsonl"
+    rc = main(["--config", str(cfg), "preprocess", "--input", str(raw), "--out", str(out),
+               "--merge-gap-ms", "0", "--perplexity-threshold", "1e-300"])
+    assert rc == 0 and out.read_text(encoding="utf-8")
+
+
 def test_misspelled_config_key_exits_3(tmp_path, labeled_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("bacth_size=3\n", encoding="utf-8")

@@ -361,6 +361,50 @@ def test_conv_pool_matches_window_major_on_a_trained_stack():
         x, *_ = assert_matches_window_major(x, k, b, rng.normal(size=m))
 
 
+def test_conv_pool_gradient_path_gives_the_no_grad_bits_on_a_trained_stack():
+    # the gradient path adds the bias inside the kernel product, the no-grad
+    # path after pooling: every stage's output must carry the same bits,
+    # signs of zero included, on hashed, dense and all-zero rows
+    from pathlib import Path
+
+    from chatmine.checkpoint import load_checkpoint
+    from chatmine.encoder import EncoderConfig, encode_tokens
+
+    ckpt = Path(__file__).resolve().parent.parent / "perfbench" / "checkpoints" / "issue.ckpt"
+    params = load_checkpoint(ckpt).params
+    hashed = [
+        encode_tokens(tokens, EncoderConfig(), None)
+        for tokens in (("build", "fails", "after", "the", "upgrade"), ("pip", "install", "error"))
+    ]
+    dense = np.random.default_rng(13).normal(size=800)
+    x = np.stack([hashed[0], dense, np.zeros(800), hashed[1]])
+    const, grad = nn.tensor(x), nn.Parameter("x", x)
+    for i in (1, 2, 3):
+        k, b = params[f"conv{i}.w"], params[f"conv{i}.b"]
+        const = nn.conv1d_maxpool(const, nn.tensor(k), nn.tensor(b))
+        grad = nn.conv1d_maxpool(grad, nn.Parameter("k", k), nn.Parameter("b", b))
+        assert not const.requires_grad and grad.requires_grad
+        assert np.array_equal(grad.data, const.data), i
+        assert np.array_equal(np.signbit(grad.data), np.signbit(const.data)), i
+        assert np.count_nonzero(const.data[2]) > 0  # the all-zero row still sees the biases
+
+
+@pytest.mark.parametrize(
+    "m, n", [(1, 40), (nn._CONV_BLOCK + 1, 40), (2 * nn._CONV_BLOCK + 5, 3)],
+    ids=["one-kernel", "one-row-tail-block", "one-window"],
+)
+def test_conv_pool_gradient_path_keeps_the_bits_near_matrix_vector_products(m, n):
+    # numpy sends a one-row or one-column product to a matrix-vector kernel,
+    # whose sum order differs from the matrix-matrix one
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(200, n))
+    x[1] = 0.0
+    k, b = rng.normal(size=(m, 3)), rng.normal(size=m) + 3.0  # kernels alive
+    want = conv_pool_batch(x, k, b, None, "no_grad")[0]
+    got = nn.conv1d_maxpool(nn.Parameter("x", x), nn.Parameter("k", k), nn.Parameter("b", b))
+    assert np.array_equal(got.data, want)
+
+
 def test_extract_pairs_are_the_same_with_the_window_major_conv(tmp_path, monkeypatch):
     import importlib.util
     from pathlib import Path
@@ -515,6 +559,45 @@ def test_adam_moments_tracked_per_parameter_name():
     assert state.m["b"].shape == (3,)
 
 
+def adam_reference(params, moments, t, lr, beta1, beta2=0.999, eps=1e-8):
+    """Adam in plain expressions, every intermediate a fresh array:
+    name -> (m, v) in ``moments`` is replaced, the new data returned."""
+    out = {}
+    for name, (data, grad) in params.items():
+        g = grad if grad is not None else np.zeros_like(data)
+        m, v = moments.get(name, (np.zeros_like(data), np.zeros_like(data)))
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g**2
+        moments[name] = (m, v)
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        out[name] = data - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return out
+
+
+def test_adam_with_kept_scratch_matches_fresh_array_adam_bit_for_bit():
+    rng = np.random.default_rng(21)
+    shapes = {"s": (), "v": (3,), "big": (300, 400), "w": (4, 5)}
+    params = {n: nn.Parameter(n, rng.normal(size=shape)) for n, shape in shapes.items()}
+    state = nn.AdamState(lr=0.01, beta1=0.8)
+    want = {n: p.data.copy() for n, p in params.items()}
+    moments = {}
+    for t in range(1, 6):
+        for n, p in params.items():
+            # "w" has no gradient on odd steps
+            p.grad = None if n == "w" and t % 2 else rng.normal(size=shapes[n]) * 10.0**-t
+        fed = {n: (want[n], p.grad) for n, p in params.items()}
+        want = adam_reference(fed, moments, t, lr=0.01, beta1=0.8)
+        nn.adam_step(params, state)
+        for n, p in params.items():
+            assert p.grad is None
+            assert np.array_equal(p.data, want[n]), (t, n)
+            assert np.array_equal(state.m[n], moments[n][0]), (t, n)
+            assert np.array_equal(state.v[n], moments[n][1]), (t, n)
+    # the scratch is sized once, to the largest parameter
+    assert all(buf.size == 300 * 400 for buf in state.scratch)
+
+
 def test_glorot_uniform_bounds():
     rng = np.random.default_rng(0)
     w = nn.glorot_uniform(rng, (200, 300), fan_in=300, fan_out=200)
@@ -531,6 +614,48 @@ def test_gradient_accumulates_over_reused_tensor():
     y = x * x  # dy/dx = 2x through two paths
     y.backward()
     assert float(x.grad) == pytest.approx(6.0)
+
+
+def graph_tensors(root):
+    """Every tensor reachable from ``root`` through the graph, root included."""
+    seen, stack = {}, [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(t._parents)
+    return list(seen.values())
+
+
+def test_parameter_grads_share_no_memory_with_the_graph():
+    rng = np.random.default_rng(22)
+    a = nn.Parameter("a", rng.normal(size=(2, 3)))
+    b = nn.Parameter("b", rng.normal(size=3))
+    c = nn.Parameter("c", rng.normal(size=(3, 2)))
+    W = nn.Parameter("W", rng.normal(size=(4, 6)))
+    bias = nn.Parameter("bias", rng.normal(size=4))
+    # a is reused; c and a reach the concat through .T and reshape only, and
+    # b through a broadcast add
+    h = nn.concat([c.T, a.reshape(2, 3), a * b + b])  # (2, 9)
+    y = nn.linear(nn.concat([c.T, a]), W, bias)  # (2, 4)
+    loss = (y * y).sum() + h.sum() + a.reshape(6).sum()
+    loss.backward()
+    tensors = graph_tensors(loss)
+    params = [t for t in tensors if isinstance(t, nn.Parameter)]
+    assert {p.name for p in params} == {"a", "b", "c", "W", "bias"}
+    for p in params:
+        assert p.grad is not None and p.grad.shape == p.data.shape, p.name
+        for t in tensors:
+            arrays = [t.data] + ([t.grad] if t is not p and t.grad is not None else [])
+            for arr in arrays:
+                assert not np.shares_memory(p.grad, arr), (p.name, t)
+    # a fresh float64 gradient is kept as it is; a view is copied
+    kept, copied = nn.Parameter("kept", np.zeros(4)), nn.Parameter("copied", np.zeros(2))
+    g = np.arange(4.0)
+    kept._accumulate(g)
+    assert kept.grad is g
+    copied._accumulate(g[:2])
+    assert np.array_equal(copied.grad, [0.0, 1.0]) and not np.shares_memory(copied.grad, g)
 
 
 def test_concat_routes_gradients_to_parts():
