@@ -16,6 +16,7 @@ import numpy as np
 
 from . import nn
 from .errors import DataError
+from .fileio import write_file
 
 FORMAT_VERSION = 1
 
@@ -41,11 +42,7 @@ def save_checkpoint(path, params, extra):
     manifest["dtype"] = "float32"
     manifest["params"] = entries
     body = _canonical(manifest)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<I", len(body)))
-        fh.write(body)
-        for b in blobs:
-            fh.write(b)
+    write_file(path, struct.pack("<I", len(body)), body, *blobs)
 
 
 class Checkpoint:

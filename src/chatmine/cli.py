@@ -29,6 +29,7 @@ from .corpus import (
 )
 from .errors import ConfigError, ContractViolation, DataError
 from .evaluation import cross_project_evaluate
+from .fileio import check_writable, read_lines, write_file
 from .gradcheck import run_standard_checks
 from .model import ModelConfig
 
@@ -49,7 +50,7 @@ def _parse_config_file(path):
     if not p.is_file():
         raise DataError(f"config file not found: {p}")
     out = {}
-    for line_no, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(read_lines(p), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -196,7 +197,7 @@ def _cmd_disentangle(args, file_cfg):
                 ensure_ascii=False,
             )
         )
-    Path(args.out).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_file(args.out, "\n".join(lines) + ("\n" if lines else ""))
     _log(f"{len(log.utterances)} utterances -> {len(dialogs)} dialogs")
     return 0
 
@@ -248,7 +249,7 @@ def _cmd_extract(args, file_cfg):
     _require_utterances(clean, args.input)
     dialogs = disentangle.assemble_dialogs(clean, scorer)
     pairs = model_mod.extract_pairs(clean, dialogs, issue_bundle, solution_bundle, cfg, enc_cfg)
-    Path(args.out).write_text(model_mod.pairs_to_jsonl(pairs), encoding="utf-8")
+    write_file(args.out, model_mod.pairs_to_jsonl(pairs))
     _log(f"extracted {len(pairs)} issue-solution pairs")
     return 0
 
@@ -259,9 +260,7 @@ def _cmd_eval(args, file_cfg):
     enc_cfg = _enc_cfg(args, file_cfg)
     corpus = model_mod.load_labeled_dialogs(args.data, pre_cfg)
     report = cross_project_evaluate(corpus, cfg, enc_cfg)
-    Path(args.out).write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_file(args.out, json.dumps(report, sort_keys=True, indent=2) + "\n")
     macro = report["macro_average"]
     for target in ("issue", "solution"):
         m = macro[target]
@@ -407,6 +406,8 @@ def main(argv=None):
         if given:
             parser.error(f"train --target link takes no {', '.join(given)} (classifier settings)")
     try:
+        if getattr(args, "out", None) is not None:
+            check_writable(args.out)
         file_cfg = _parse_config_file(args.config) if args.config else {}
         unknown = sorted(set(file_cfg) - _CONFIG_KEYS)
         if unknown:

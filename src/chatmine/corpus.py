@@ -22,10 +22,12 @@ from pathlib import Path
 
 from . import lexicons
 from .errors import ConfigError, DataError
+from .fileio import read_lines, write_file
 
 # Tags inserted by normalization; everything else in clean text is lowercase.
 PLACEHOLDER_TOKEN_RE = re.compile(r"\[(?:URL|EMAIL|HTML|CODE|ID|EMOJI_[A-Z]+)\]")
 _PH_SPLIT_RE = re.compile(r"(\[(?:URL|EMAIL|HTML|CODE|ID|EMOJI_[A-Z]+)\])")
+_LOWER_WORD_RE = re.compile(r"[a-z]+")
 TOKEN_RE = re.compile(
     r"\[(?:URL|EMAIL|HTML|CODE|ID|EMOJI_[A-Z]+)\]|[a-z0-9]+(?:'[a-z0-9]+)*|[^\sa-z0-9]"
 )
@@ -121,6 +123,19 @@ class SkippedLine:
     reason: str
 
 
+class _LemmaCache(dict):
+    """word -> lemma under one rule table. Each distinct word is lemmatized
+    once and kept for as long as ``_resources`` keeps its config."""
+
+    def __init__(self, rule_table):
+        super().__init__()
+        self.rule_table = rule_table
+
+    def __missing__(self, word):
+        lemma = self[word] = lexicons.lemmatize_word(word, self.rule_table)
+        return lemma
+
+
 @lru_cache(maxsize=8)
 def _resources(cfg):
     """The compiled normalization lexicons of a PreprocessConfig."""
@@ -142,7 +157,9 @@ def _resources(cfg):
         "acronyms": acronyms,
         "emoji": sorted(emoji.items(), key=lambda kv: (-len(kv[0]), kv[0])),
         "stopwords": frozenset(lexicons.load_wordlist(path(cfg.stopwords_path, "stopwords.txt"))),
-        "lemma": lexicons.load_lemma_rules(path(cfg.lemma_rules_path, "lemma_rules.tsv")),
+        "lemma": _LemmaCache(
+            lexicons.load_lemma_rules(path(cfg.lemma_rules_path, "lemma_rules.tsv"))
+        ),
     }
 
 
@@ -181,11 +198,9 @@ def preprocess_utterance(raw, cfg, index=0):
             text = text.replace(key, " " + tag + " ")
             hits[tag[1:-1]] += 1
     text = _outside_placeholders(text, str.lower)
+    lemma = res["lemma"]
     text = _outside_placeholders(
-        text,
-        lambda seg: re.sub(
-            r"[a-z]+", lambda m: lexicons.lemmatize_word(m.group(0), res["lemma"]), seg
-        ),
+        text, lambda seg: _LOWER_WORD_RE.sub(lambda m: lemma[m.group(0)], seg)
     )
     clean = " ".join(text.split())
     tokens = tuple(t for t in tokenize(clean) if t not in res["stopwords"])
@@ -211,7 +226,7 @@ def parse_chat_log(path, community_id=None):
         community_id = p.stem
     records = []
     skipped = []
-    for line_no, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(read_lines(p), 1):
         if not line.strip():
             continue
         try:
@@ -310,48 +325,70 @@ def build_corpus_lm(log):
 
 # -- corpus-level passes ---------------------------------------------------
 
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+_WORD_RE = re.compile(r"\w+")
 
 
-def _edit1(word):
-    out = set()
-    for i in range(len(word) + 1):
-        head, tail = word[:i], word[i:]
-        if tail:
-            out.add(head + tail[1:])
-        for c in _LETTERS:
-            if tail:
-                out.add(head + c + tail[1:])
-            out.add(head + c + tail)
-    out.discard(word)
-    return out
+def _typo_index(vocab):
+    """Vocabulary words under the keys of their edit-distance-one variants:
+    ``v[:i] + "\\0" + v[i+1:]`` (one letter substituted at i) and
+    ``v[:i] + v[i+1:]`` (one letter inserted at i, seen from the shorter
+    word). Only a-z positions get keys, the letters a repair may write; the
+    NUL keeps the two kinds of key apart, as no token holds one."""
+    index = {}
+    for v in vocab:
+        for i, ch in enumerate(v):
+            if "a" <= ch <= "z":
+                index.setdefault(v[:i] + "\0" + v[i + 1 :], []).append(v)
+                index.setdefault(v[:i] + v[i + 1 :], []).append(v)
+    return index
+
+
+def _typo_candidates(tok, vocab, index):
+    """The vocabulary words one edit from ``tok``: one character of it
+    deleted, or one a-z letter substituted into it or inserted into it."""
+    cands = {tok[:i] + tok[i + 1 :] for i in range(len(tok))} & vocab
+    cands.update(index.get(tok, ()))
+    for i in range(len(tok)):
+        cands.update(index.get(tok[:i] + "\0" + tok[i + 1 :], ()))
+    cands.discard(tok)
+    return cands
 
 
 def correct_typos(utterances, cfg):
     """Rewrite rare alphabetic tokens onto an in-vocabulary neighbor at edit
     distance one. Vocabulary is corpus-wide; candidates are ranked by count,
-    then alphabetically. Both tokens and clean_text are rewritten."""
+    then alphabetically. A fixed word is rewritten in the tokens that hold
+    it, and in clean_text wherever it is a whole ``\\w+`` run outside
+    placeholders; the two can disagree (``buldé`` is one text word but
+    tokens ``buld``, ``é``)."""
     counts = Counter(t for u in utterances for t in u.tokens)
     vocab = {
         t for t, c in counts.items() if c >= cfg.vocab_min_count and t.isalpha()
     }
+    index = _typo_index(vocab)
     fixes = {}
-    for tok, c in counts.items():
+    for tok in counts:
         if tok in vocab or not tok.isalpha() or len(tok) < cfg.typo_min_len:
             continue
-        cands = _edit1(tok) & vocab
+        cands = _typo_candidates(tok, vocab, index)
         if cands:
             fixes[tok] = min(cands, key=lambda w: (-counts[w], w))
     if not fixes:
         return list(utterances)
-    fix_re = re.compile(r"\b(?:" + "|".join(sorted(fixes, key=len, reverse=True)) + r")\b")
+
+    def fix_words(seg):
+        return _WORD_RE.sub(lambda m: fixes.get(m.group(0), m.group(0)), seg)
+
     out = []
     for u in utterances:
-        toks = tuple(fixes.get(t, t) for t in u.tokens)
-        clean = _outside_placeholders(
-            u.clean_text, lambda seg: fix_re.sub(lambda m: fixes[m.group(0)], seg)
-        )
-        out.append(replace(u, tokens=toks, clean_text=clean))
+        toks, clean = u.tokens, u.clean_text
+        if not fixes.keys().isdisjoint(toks):
+            toks = tuple(fixes.get(t, t) for t in toks)
+        if not fixes.keys().isdisjoint(_WORD_RE.findall(clean)):
+            clean = _outside_placeholders(clean, fix_words)
+        if toks is not u.tokens or clean is not u.clean_text:
+            u = replace(u, tokens=toks, clean_text=clean)
+        out.append(u)
     return out
 
 
@@ -423,7 +460,7 @@ def write_raw_jsonl(log, path):
         )
         for u in log.utterances
     ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_file(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def write_clean_jsonl(log, path):
@@ -444,7 +481,7 @@ def write_clean_jsonl(log, path):
                 ensure_ascii=False,
             )
         )
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_file(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def read_clean_jsonl(path, community_id=None):
@@ -454,7 +491,7 @@ def read_clean_jsonl(path, community_id=None):
     if community_id is None:
         community_id = p.stem
     utterances = []
-    for line_no, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(read_lines(p), 1):
         if not line.strip():
             continue
         try:

@@ -43,6 +43,7 @@ from . import checkpoint as ckpt_io
 from . import nn
 from .corpus import ChatLog, preprocess_utterance, raw_message
 from .errors import ConfigError, ContractViolation, DataError
+from .fileio import read_lines
 
 FEATURE_DIM = 77
 LINK_HIDDEN = 64
@@ -487,7 +488,7 @@ def load_link_examples(path, pre_cfg):
     if not p.is_file():
         raise DataError(f"link training data not found: {p}")
     examples = []
-    for line_no, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(read_lines(p), 1):
         if not line.strip():
             continue
         where = f"{p}:{line_no}"

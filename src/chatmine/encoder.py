@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
+from .fileio import read_lines
 
 _PROVIDERS = ("hash", "table")
 # the EncoderConfig fields that change the produced vectors
@@ -87,7 +88,7 @@ def load_embedding_table(path, cfg):
     vectors = {}
     duplicates = 0
     dim = None
-    for line_no, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(read_lines(p), 1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split()

@@ -11,6 +11,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError
+from .fileio import read_lines
 
 
 def data_path(name):
@@ -23,8 +24,7 @@ def _read_lines(path):
     if not p.is_file():
         raise ConfigError(f"lexicon file not found: {p}")
     out = []
-    for line in p.read_text(encoding="utf-8").splitlines():
-        line = line.rstrip("\n")
+    for line in read_lines(p):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         out.append(line)

@@ -46,6 +46,7 @@ from .features import (
     local_attention,
     textual_features,
 )
+from .fileio import read_lines
 
 FC_HIDDEN = 64
 N_CLASSES = 2
@@ -112,7 +113,7 @@ def load_labeled_dialogs(path, pre_cfg):
         raise DataError(f"labeled dialogs not found: {p}")
     logs = {}
     dialogs = []
-    for line_no, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(read_lines(p), 1):
         if not line.strip():
             continue
         try:

@@ -790,6 +790,94 @@ def test_extract_with_list_encoder_config_exits_3(tmp_path, cli_ckpts, capsys):
     assert "encoder_config" in err
 
 
+# -- files: line separators, encodings, output paths ------------------------
+
+
+def verb_argv(verb, inp, out, cli_ckpts, labeled_path):
+    """argv running ``verb`` on input ``inp`` (train and eval: the labeled
+    corpus when ``inp`` is None) with output ``out``."""
+    if verb in ("preprocess", "disentangle"):
+        return [verb, "--input", str(inp), "--out", str(out)]
+    if verb == "extract":
+        return ["extract", "--input", str(inp), "--out", str(out), "--encoder-dim", "16",
+                "--issue-ckpt", str(cli_ckpts["issue"]), "--solution-ckpt", str(cli_ckpts["solution"])]
+    data = str(inp or labeled_path)
+    if verb == "eval":
+        return ["eval", "--data", data, "--out", str(out), "--epochs", "1", "--encoder-dim", "16"]
+    target = verb.split(":")[1]
+    return ["train", "--data", data, "--target", target, "--out", str(out), "--epochs", "1"]
+
+
+def test_line_separators_inside_texts_pass_preprocess_disentangle_and_extract(
+    tmp_path, cli_ckpts, capsys
+):
+    # json.dumps(..., ensure_ascii=False) writes U+2028, U+2029 and U+0085 raw
+    records = synth.synth_raw_chat_records(4, 3)
+    for i, sep in enumerate(["\u2028", "\u2029", "\u0085"]):
+        records[i]["text"] = records[i]["text"].replace(" ", sep, 1)
+    raw, clean = tmp_path / "raw.jsonl", tmp_path / "clean.jsonl"
+    raw.write_text("\n".join(json.dumps(r, ensure_ascii=False) for r in records) + "\n", encoding="utf-8")
+    assert main(["preprocess", "--input", str(raw), "--out", str(clean)]) == 0
+    assert "skipped line" not in capsys.readouterr().err
+    clean_text = clean.read_text(encoding="utf-8")
+    assert "\u2028" in clean_text and "\u0085" in clean_text
+    n_clean = clean_text.count("\n")
+    dialogs = tmp_path / "dialogs.jsonl"
+    assert main(["disentangle", "--input", str(clean), "--out", str(dialogs)]) == 0
+    members = [i for line in dialogs.read_text().split("\n") if line for i in json.loads(line)["members"]]
+    assert sorted(members) == list(range(n_clean))
+    pairs = tmp_path / "pairs.jsonl"
+    assert main(verb_argv("extract", raw, pairs, cli_ckpts, None)) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["preprocess", "disentangle", "extract", "train:issue", "train:link"])
+def test_input_that_is_not_utf8_exits_3(tmp_path, cli_ckpts, capsys, verb):
+    good = {"time": 1, "id": "ann", "text": "hi", "clean_text": "hi", "tokens": ["hi"],
+            "community_id": "c", "utterances": GOOD_UTTS, "y_issue": 0, "links": []}
+    data = tmp_path / "in.jsonl"
+    data.write_bytes(json.dumps(good).encode() + b"\n" + b'{"text": "caf\xff"}\n')
+    argv = verb_argv(verb, data, tmp_path / "out", cli_ckpts, None)
+    err = assert_data_error(main(argv), capsys)
+    assert err.strip().splitlines()[-1] == (
+        f"error: code=3 reason={data}:2: not UTF-8 text (byte 0xff)"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "verb", ["preprocess", "disentangle", "extract", "eval", "train:issue", "train:link"]
+)
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_unwritable_out_exits_3(tmp_path, cli_ckpts, labeled_path, capsys, verb, where):
+    raw = write_raw(tmp_path / "raw.jsonl")
+    inp = None
+    if verb in ("preprocess", "extract"):
+        inp = raw
+    elif verb == "disentangle":
+        inp = tmp_path / "clean.jsonl"
+        assert main(["preprocess", "--input", str(raw), "--out", str(inp)]) == 0
+    elif verb == "train:link":
+        inp = tmp_path / "links.jsonl"
+        inp.write_text(json.dumps({"utterances": GOOD_UTTS, "links": [[1, 0]]}) + "\n")
+    out = tmp_path / "nowhere" / "out" if where == "missing-directory" else tmp_path / "outdir"
+    if where == "a-directory":
+        out.mkdir()
+    capsys.readouterr()
+    err = assert_data_error(main(verb_argv(verb, inp, out, cli_ckpts, labeled_path)), capsys)
+    assert f"cannot write {out}" in err
+    assert out.is_dir() if where == "a-directory" else not out.parent.exists()
+
+
+def test_output_that_cannot_be_encoded_exits_3_and_leaves_no_file(tmp_path, capsys):
+    # a JSON escape can name a lone surrogate, which UTF-8 cannot hold
+    raw, out = tmp_path / "raw.jsonl", tmp_path / "clean.jsonl"
+    raw.write_text('{"time": 1, "id": "ann", "text": "the build \\ud800 fails"}\n', encoding="utf-8")
+    err = assert_data_error(main(["preprocess", "--input", str(raw), "--out", str(out)]), capsys)
+    assert f"cannot write {out}" in err
+    assert not out.exists()
+
+
 # -- README ----------------------------------------------------------------
 
 

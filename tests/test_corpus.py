@@ -6,6 +6,9 @@ cross-checked against an independent counting implementation in this file.
 
 import json
 import math
+import re
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -167,6 +170,21 @@ def test_parse_chat_log_skips_bad_lines_with_reasons(tmp_path):
     reasons = " | ".join(s.reason for s in skipped)
     assert "missing field" in reasons
     assert "time" in reasons
+
+
+def test_records_split_at_newlines_only(tmp_path):
+    text = "one\u2028two\u0085three\u2029four"
+    lines = [
+        json.dumps({"time": 1, "id": "a", "text": text}, ensure_ascii=False),
+        "not json",
+        json.dumps({"time": 2, "id": "b", "text": "hi"}),
+    ]
+    p = tmp_path / "log.jsonl"
+    for eol in ("\n", "\r\n", "\r"):
+        p.write_bytes((eol.join(lines) + eol).encode("utf-8"))
+        log, skipped = parse_chat_log(p)
+        assert [u.raw_text for u in log.utterances] == [text, "hi"]
+        assert skipped == [corpus.SkippedLine(2, "invalid json")]
 
 
 def test_parse_stable_order_for_equal_times(tmp_path):
@@ -362,6 +380,120 @@ def test_typo_correction_leaves_short_and_known_words_alone():
     fixed = corpus.correct_typos(utts, CFG)
     target = [u for u in fixed if u.author_id == "u9"][0]
     assert "teh" in target.clean_text.split()  # below typo_min_len, untouched
+
+
+def edit1_reference(word):
+    """Every string one a-z substitution or insertion, or one deletion, away."""
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    out = set()
+    for i in range(len(word) + 1):
+        head, tail = word[:i], word[i:]
+        if tail:
+            out.add(head + tail[1:])
+        for c in letters:
+            if tail:
+                out.add(head + c + tail[1:])
+            out.add(head + c + tail)
+    out.discard(word)
+    return out
+
+
+def correct_typos_reference(utterances, cfg):
+    """Typo repair as first written: every edit of each rare token intersected
+    with the vocabulary, and clean text rewritten by one alternation regex."""
+    counts = Counter(t for u in utterances for t in u.tokens)
+    vocab = {t for t, c in counts.items() if c >= cfg.vocab_min_count and t.isalpha()}
+    fixes = {}
+    for tok in counts:
+        if tok in vocab or not tok.isalpha() or len(tok) < cfg.typo_min_len:
+            continue
+        cands = edit1_reference(tok) & vocab
+        if cands:
+            fixes[tok] = min(cands, key=lambda w: (-counts[w], w))
+    if not fixes:
+        return list(utterances)
+    fix_re = re.compile(r"\b(?:" + "|".join(sorted(fixes, key=len, reverse=True)) + r")\b")
+    return [
+        replace(
+            u,
+            tokens=tuple(fixes.get(t, t) for t in u.tokens),
+            clean_text=corpus._outside_placeholders(
+                u.clean_text, lambda seg: fix_re.sub(lambda m: fixes[m.group(0)], seg)
+            ),
+        )
+        for u in utterances
+    ]
+
+
+# small alphabets, so that words one edit apart are common
+_LETTER = st.sampled_from("abcdeéжz")
+_WORD = st.text(_LETTER, min_size=1, max_size=6).filter(str.isalpha)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(_WORD, max_size=25), _WORD)
+def test_typo_candidates_equal_the_edits_in_the_vocabulary(vocab, tok):
+    vocab.discard(tok)
+    index = corpus._typo_index(vocab)
+    assert corpus._typo_candidates(tok, vocab, index) == edit1_reference(tok) & vocab
+
+
+def test_typo_candidates_cover_each_kind_of_edit():
+    vocab = {"build", "buil", "bxild", "builds", "éuild", "ébuild", "bujld"}
+    index = corpus._typo_index(vocab)
+    # deletion, substitution and insertion of a-z letters; é and ж are never
+    # written, but a deletion may drop one
+    want = {"build": {"buil", "bxild", "bujld", "builds"}, "bжild": {"build", "bxild"}, "ébuild": {"build", "éuild"}}
+    for tok, cands in want.items():
+        assert corpus._typo_candidates(tok, vocab, index) == cands == edit1_reference(tok) & vocab
+
+
+_PIECE = st.sampled_from(
+    ["build", "buld", "buldé", "x'buld", "instal", "install", "instll", "é", "ж", "a",
+     "ab", "abc", "b", "_buld", "buld2", "2", "[URL]", "url", "it's", "fail", "fale", ",", "?"]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(_PIECE, min_size=1, max_size=8), min_size=1, max_size=12),
+    st.integers(1, 4),
+    st.integers(1, 3),
+)
+def test_correct_typos_matches_the_reference(texts, min_len, min_count):
+    cfg = PreprocessConfig(typo_min_len=min_len, vocab_min_count=min_count)
+    utts = [
+        preprocess_utterance(RawMessage(i, "a", " ".join(words)), cfg, index=i)
+        for i, words in enumerate(texts)
+    ]
+    assert corpus.correct_typos(utts, cfg) == correct_typos_reference(utts, cfg)
+
+
+def test_typo_fixes_rewrite_tokens_and_text_words_independently():
+    texts = ["build build", "buldé", "x'buld"]
+    utts = [preprocess_utterance(RawMessage(i, "a", t), CFG, index=i) for i, t in enumerate(texts)]
+    fixed = corpus.correct_typos(utts, CFG)
+    assert fixed == correct_typos_reference(utts, CFG)
+    # "buldé" is one text word but the tokens buld, é: only the token is fixed
+    assert (fixed[1].clean_text, fixed[1].tokens) == ("buldé", ("build", "é"))
+    # "x'buld" is one token but the text words x, buld: only the text is fixed
+    assert (fixed[2].clean_text, fixed[2].tokens) == ("x'build", ("x'buld",))
+
+
+def test_lemmas_are_cached_per_word_and_rule_table(monkeypatch):
+    calls = Counter()
+    real = lexicons.lemmatize_word
+
+    def counting(word, rules):
+        calls[word] += 1
+        return real(word, rules)
+
+    monkeypatch.setattr(lexicons, "lemmatize_word", counting)
+    cfg = PreprocessConfig(merge_time_gap_max_ms=7)  # a config no other test caches
+    first = [preprocess_utterance(RawMessage(0, "a", "builds failing builds"), cfg)]
+    again = [preprocess_utterance(RawMessage(0, "a", "builds failing builds"), cfg)]
+    assert first == again and first[0].clean_text == "build fail build"
+    assert calls == {"builds": 1, "failing": 1}
 
 
 # -- whole-log pipeline and serialization ----------------------------------
