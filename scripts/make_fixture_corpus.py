@@ -4,10 +4,10 @@ training, an interleaved raw log for extraction, and a link-labeled log for
 the reply scorer."""
 
 import argparse
-import json
 from pathlib import Path
 
 from chatmine import synth
+from chatmine.fileio import write_jsonl
 
 
 def main():
@@ -23,35 +23,25 @@ def main():
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    labeled = out / "labeled.jsonl"
-    synth.write_labeled_jsonl(
-        synth.synth_labeled_records(args.n_dialogs, seed=args.seed), labeled
-    )
-
-    raw = out / "raw.jsonl"
-    records = synth.synth_raw_chat_records(seed=args.seed + 1, n_dialogs=args.raw_dialogs)
-    raw.write_text(
-        "".join(json.dumps(r, sort_keys=True) + "\n" for r in records),
-        encoding="utf-8",
-    )
-
+    files = {
+        "labeled.jsonl": synth.synth_labeled_records(args.n_dialogs, seed=args.seed),
+        "raw.jsonl": synth.synth_raw_chat_records(seed=args.seed + 1, n_dialogs=args.raw_dialogs),
+        "links.jsonl": [],
+    }
     # ground-truth reply links for the same style of interleaving
-    link = out / "links.jsonl"
-    lines = []
     for i in range(4):
         log, links, _ = synth.synth_interleaved(seed=args.seed + 10 + i, n_dialogs=3)
-        lines.append(json.dumps({
+        files["links.jsonl"].append({
             "utterances": [
                 {"time": u.time, "id": u.author_id, "text": u.raw_text}
                 for u in log.utterances
             ],
             "links": sorted([c, p] for c, p in links.items() if p is not None),
-        }, sort_keys=True))
-    link.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        })
 
-    for path in (labeled, raw, link):
-        n = sum(1 for _ in path.open())
-        print(f"wrote {path} ({n} lines)")
+    for name, records in files.items():
+        write_jsonl(out / name, records)
+        print(f"wrote {out / name} ({len(records)} lines)")
 
 
 if __name__ == "__main__":

@@ -10,13 +10,12 @@ load → save byte-identical, which the reproducibility checks rely on.
 import json
 import math
 import struct
-from pathlib import Path
 
 import numpy as np
 
 from . import nn
 from .errors import DataError
-from .fileio import write_file
+from .fileio import read_bytes, write_file
 
 FORMAT_VERSION = 1
 
@@ -92,21 +91,18 @@ def _param_entry(entry):
 
 
 def load_checkpoint(path):
-    p = Path(path)
-    if not p.is_file():
-        raise DataError(f"checkpoint not found: {p}")
-    raw = p.read_bytes()
+    raw = read_bytes(path, "checkpoint")
     if len(raw) < 4:
-        raise DataError(f"checkpoint truncated: {p}")
+        raise DataError(f"checkpoint truncated: {path}")
     (mlen,) = struct.unpack("<I", raw[:4])
     if len(raw) < 4 + mlen:
-        raise DataError(f"checkpoint manifest truncated: {p}")
+        raise DataError(f"checkpoint manifest truncated: {path}")
     try:
         manifest = json.loads(raw[4 : 4 + mlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"checkpoint manifest unreadable: {p} ({exc})") from exc
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, as in fileio.read_jsonl
+        raise DataError(f"checkpoint manifest unreadable: {path} ({exc})") from exc
     if not isinstance(manifest, dict):
-        raise DataError(f"checkpoint manifest is not an object: {p}")
+        raise DataError(f"checkpoint manifest is not an object: {path}")
     if manifest.get("version") != FORMAT_VERSION:
         raise DataError(
             f"checkpoint version {manifest.get('version')} unsupported (want {FORMAT_VERSION})"
@@ -115,7 +111,7 @@ def load_checkpoint(path):
         raise DataError(f"checkpoint dtype {manifest.get('dtype')!r} unsupported")
     blob = raw[4 + mlen :]
     if len(blob) % 4:
-        raise DataError(f"checkpoint blob of {len(blob)} bytes is not whole float32 values: {p}")
+        raise DataError(f"checkpoint blob of {len(blob)} bytes is not whole float32 values: {path}")
     values = np.frombuffer(blob, dtype="<f4")
     params = {}
     entries = manifest.get("params", [])

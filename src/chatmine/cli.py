@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 from dataclasses import fields
-from pathlib import Path
 
 from . import disentangle, model as model_mod
 from . import encoder as enc
@@ -29,7 +28,7 @@ from .corpus import (
 )
 from .errors import ConfigError, ContractViolation, DataError
 from .evaluation import cross_project_evaluate
-from .fileio import check_writable, read_lines, write_file
+from .fileio import check_writable, numbered_lines, write_file, write_jsonl
 from .gradcheck import run_standard_checks
 from .model import ModelConfig
 
@@ -46,16 +45,13 @@ def _log(msg):
 
 
 def _parse_config_file(path):
-    p = Path(path)
-    if not p.is_file():
-        raise DataError(f"config file not found: {p}")
     out = {}
-    for line_no, line in enumerate(read_lines(p), 1):
+    for line_no, line in numbered_lines(path, "config file", ConfigError):
         line = line.strip()
-        if not line or line.startswith("#"):
+        if line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"{p}:{line_no}: expected key=value, got {line!r}")
+            raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip().strip('"')
     return out
@@ -179,25 +175,21 @@ def _cmd_disentangle(args, file_cfg):
     dialogs = disentangle.assemble_dialogs(
         log, scorer, threshold=args.threshold, lookback=args.lookback
     )
-    lines = []
+    records = []
     for d in dialogs:
         parts = disentangle.split_head_body(d, log)
-        lines.append(
-            json.dumps(
-                {
-                    "subject": d.subject,
-                    "members": list(d.members),
-                    "links": [list(l) for l in d.links],
-                    "initiator": parts.initiator,
-                    "head_indices": list(parts.head_indices),
-                    "body_indices": list(parts.body_indices),
-                    "head_text": parts.head_text,
-                },
-                sort_keys=True,
-                ensure_ascii=False,
-            )
+        records.append(
+            {
+                "subject": d.subject,
+                "members": d.members,
+                "links": d.links,
+                "initiator": parts.initiator,
+                "head_indices": parts.head_indices,
+                "body_indices": parts.body_indices,
+                "head_text": parts.head_text,
+            }
         )
-    write_file(args.out, "\n".join(lines) + ("\n" if lines else ""))
+    write_jsonl(args.out, records)
     _log(f"{len(log.utterances)} utterances -> {len(dialogs)} dialogs")
     return 0
 

@@ -12,7 +12,6 @@ joins adjacent same-author sends when the joined text reads more fluently
 (lower perplexity) than either piece alone.
 """
 
-import json
 import math
 import re
 from collections import Counter
@@ -22,15 +21,13 @@ from pathlib import Path
 
 from . import lexicons
 from .errors import ConfigError, DataError
-from .fileio import read_lines, write_file
+from .fileio import read_jsonl, write_jsonl
 
 # Tags inserted by normalization; everything else in clean text is lowercase.
-PLACEHOLDER_TOKEN_RE = re.compile(r"\[(?:URL|EMAIL|HTML|CODE|ID|EMOJI_[A-Z]+)\]")
-_PH_SPLIT_RE = re.compile(r"(\[(?:URL|EMAIL|HTML|CODE|ID|EMOJI_[A-Z]+)\])")
+_PLACEHOLDER = r"\[(?:URL|EMAIL|HTML|CODE|ID|EMOJI_[A-Z]+)\]"
+_PH_SPLIT_RE = re.compile(f"({_PLACEHOLDER})")
 _LOWER_WORD_RE = re.compile(r"[a-z]+")
-TOKEN_RE = re.compile(
-    r"\[(?:URL|EMAIL|HTML|CODE|ID|EMOJI_[A-Z]+)\]|[a-z0-9]+(?:'[a-z0-9]+)*|[^\sa-z0-9]"
-)
+TOKEN_RE = re.compile(_PLACEHOLDER + r"|[a-z0-9]+(?:'[a-z0-9]+)*|[^\sa-z0-9]")
 
 START_TOKEN = "<s>"
 UNK_TOKEN = "<unk>"
@@ -43,27 +40,35 @@ class RawMessage:
     text: str
 
 
-def _whole_number(value):
-    """Whether a parsed JSON value is an int or a float with no fractional
-    part (a bool is neither)."""
-    return type(value) is int or (type(value) is float and value.is_integer())
+def utterance_fault(record):
+    """Why a parsed JSON value is not an utterance record ``{time, id, text}``
+    (a whole, non-negative epoch-ms time, a non-blank id string and a text
+    string), or None when it is one."""
+    if not isinstance(record, dict):
+        return "not an object"
+    for key in ("time", "id", "text"):
+        if key not in record:
+            return "missing field: " + key
+    time = record["time"]
+    # an int or a float with no fractional part; a bool is neither
+    if not (type(time) is int or (type(time) is float and time.is_integer())):
+        return "time is not a whole number"
+    if time < 0:
+        return f"negative time {time}"
+    if not isinstance(record["id"], str) or not record["id"].strip():
+        return "id is blank or not a string"
+    if not isinstance(record["text"], str):
+        return "text is not a string"
+    return None
 
 
 def raw_message(record, where):
-    """A training-file utterance record ``{time, id, text}`` as a RawMessage;
-    a DataError naming ``where`` (file:line) when a field is missing or of
-    the wrong type, or the time is not a whole number or is negative."""
-    try:
-        time, author_id, text = record["time"], record["id"], record["text"]
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"{where}: bad utterance ({exc})") from exc
-    if not _whole_number(time):
-        raise DataError(f"{where}: bad utterance (time {time!r} is not a whole number)")
-    if time < 0:
-        raise DataError(f"{where}: bad utterance (negative time {time})")
-    if not isinstance(author_id, str) or not isinstance(text, str):
-        raise DataError(f"{where}: bad utterance (id and text must be strings)")
-    return RawMessage(int(time), author_id, text)
+    """An utterance record as a RawMessage; a DataError naming ``where``
+    (file:line) and the record's fault when it is not one."""
+    fault = utterance_fault(record)
+    if fault is not None:
+        raise DataError(f"{where}: bad utterance ({fault})")
+    return RawMessage(int(record["time"]), record["id"], record["text"])
 
 
 @dataclass(frozen=True)
@@ -190,7 +195,7 @@ def preprocess_utterance(raw, cfg, index=0):
         text = _outside_placeholders(
             text,
             lambda seg: res["acro_re"].sub(
-                lambda m: res["acronyms"][m.group(0).lower()], seg
+                lambda m: res["acronyms"].get(m.group(0).lower(), m.group(0)), seg
             ),
         )
     for key, tag in res["emoji"]:
@@ -216,46 +221,21 @@ def preprocess_utterance(raw, cfg, index=0):
 
 
 def parse_chat_log(path, community_id=None):
-    """Read raw JSONL. Returns (log, skipped): records that fail validation
-    are reported, never raised. Utterances come back sorted by time with
-    normalization fields still empty."""
+    """Read raw JSONL. Returns (log, skipped): lines that are not JSON or
+    not utterance records are reported in line order, never raised.
+    Utterances come back sorted by time with normalization fields still
+    empty."""
     p = Path(path)
-    if not p.is_file():
-        raise DataError(f"chat log not found: {p}")
-    if community_id is None:
-        community_id = p.stem
     records = []
     skipped = []
-    for line_no, line in enumerate(read_lines(p), 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            skipped.append(SkippedLine(line_no, "invalid json"))
-            continue
-        if not isinstance(obj, dict):
-            skipped.append(SkippedLine(line_no, "not an object"))
-            continue
-        missing = [k for k in ("time", "id", "text") if k not in obj]
-        if missing:
-            skipped.append(SkippedLine(line_no, "missing field: " + missing[0]))
-            continue
-        t = obj["time"]
-        if not _whole_number(t):
-            skipped.append(SkippedLine(line_no, "bad time"))
-            continue
-        t = int(t)
-        if t < 0:
-            skipped.append(SkippedLine(line_no, "negative time"))
-            continue
-        if not isinstance(obj["id"], str) or not obj["id"].strip():
-            skipped.append(SkippedLine(line_no, "bad id"))
-            continue
-        if not isinstance(obj["text"], str):
-            skipped.append(SkippedLine(line_no, "bad text"))
-            continue
-        records.append((t, obj["id"], obj["text"]))
+    for line_no, obj in read_jsonl(
+        p, "chat log", lambda n: skipped.append(SkippedLine(n, "invalid json"))
+    ):
+        fault = utterance_fault(obj)
+        if fault is None:
+            records.append((int(obj["time"]), obj["id"], obj["text"]))
+        else:
+            skipped.append(SkippedLine(line_no, fault))
     records.sort(key=lambda r: r[0])
     utterances = [
         Utterance(
@@ -263,7 +243,7 @@ def parse_chat_log(path, community_id=None):
         )
         for i, (t, a, x) in enumerate(records)
     ]
-    return ChatLog(community_id, utterances), skipped
+    return ChatLog(p.stem if community_id is None else community_id, utterances), skipped
 
 
 # -- word-bigram language model -------------------------------------------
@@ -452,52 +432,33 @@ def preprocess_chat_log(log, cfg):
 
 
 def write_raw_jsonl(log, path):
-    lines = [
-        json.dumps(
-            {"time": u.time, "id": u.author_id, "text": u.raw_text},
-            sort_keys=True,
-            ensure_ascii=False,
-        )
-        for u in log.utterances
-    ]
-    write_file(path, "\n".join(lines) + ("\n" if lines else ""))
+    write_jsonl(
+        path, ({"time": u.time, "id": u.author_id, "text": u.raw_text} for u in log.utterances)
+    )
 
 
 def write_clean_jsonl(log, path):
-    lines = []
-    for u in log.utterances:
-        lines.append(
-            json.dumps(
-                {
-                    "index": u.index,
-                    "time": u.time,
-                    "id": u.author_id,
-                    "text": u.raw_text,
-                    "clean_text": u.clean_text,
-                    "tokens": list(u.tokens),
-                    "placeholders": dict(sorted(u.placeholders.items())),
-                },
-                sort_keys=True,
-                ensure_ascii=False,
-            )
-        )
-    write_file(path, "\n".join(lines) + ("\n" if lines else ""))
+    write_jsonl(
+        path,
+        (
+            {
+                "index": u.index,
+                "time": u.time,
+                "id": u.author_id,
+                "text": u.raw_text,
+                "clean_text": u.clean_text,
+                "tokens": u.tokens,
+                "placeholders": u.placeholders,
+            }
+            for u in log.utterances
+        ),
+    )
 
 
 def read_clean_jsonl(path, community_id=None):
     p = Path(path)
-    if not p.is_file():
-        raise DataError(f"chat log not found: {p}")
-    if community_id is None:
-        community_id = p.stem
     utterances = []
-    for line_no, line in enumerate(read_lines(p), 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{p}:{line_no}: invalid json") from exc
+    for line_no, obj in read_jsonl(p, "clean log"):
         raw = raw_message(obj, f"{p}:{line_no}")
         clean, tokens, hits = obj.get("clean_text"), obj.get("tokens"), obj.get("placeholders", {})
         if not (isinstance(clean, str) and isinstance(tokens, list) and isinstance(hits, dict)):
@@ -506,4 +467,4 @@ def read_clean_jsonl(path, community_id=None):
             raise DataError(f"{p}:{line_no}: bad record (tokens must be strings)")
         utt = Utterance(len(utterances), raw.time, raw.author_id, raw.text, clean, tuple(tokens), hits)
         utterances.append(utt)
-    return ChatLog(community_id, utterances)
+    return ChatLog(p.stem if community_id is None else community_id, utterances)

@@ -30,7 +30,6 @@ the window.
 """
 
 import bisect
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -43,7 +42,7 @@ from . import checkpoint as ckpt_io
 from . import nn
 from .corpus import ChatLog, preprocess_utterance, raw_message
 from .errors import ConfigError, ContractViolation, DataError
-from .fileio import read_lines
+from .fileio import read_jsonl
 
 FEATURE_DIM = 77
 LINK_HIDDEN = 64
@@ -485,18 +484,13 @@ def load_link_examples(path, pre_cfg):
     omitted children are dialog starters. Utterances are normalized one by
     one (no merging) so the link indices stay valid."""
     p = Path(path)
-    if not p.is_file():
-        raise DataError(f"link training data not found: {p}")
     examples = []
-    for line_no, line in enumerate(read_lines(p), 1):
-        if not line.strip():
-            continue
+    for line_no, obj in read_jsonl(p, "link training data"):
         where = f"{p}:{line_no}"
         try:
-            obj = json.loads(line)
             raw_utts = obj["utterances"]
             link_pairs = obj.get("links", [])
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (KeyError, TypeError) as exc:
             raise DataError(f"{where}: bad record ({exc})") from exc
         if not isinstance(raw_utts, list) or not isinstance(link_pairs, list):
             raise DataError(f"{where}: utterances and links must be lists")

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .fileio import read_lines
+from .fileio import numbered_lines, read_bytes
 
 _PROVIDERS = ("hash", "table")
 # the EncoderConfig fields that change the produced vectors
@@ -58,9 +58,8 @@ def config_fingerprint(cfg):
     checkpoints so stale encoder settings are caught at load time."""
     payload = {k: getattr(cfg, k) for k in VECTOR_FIELDS}
     if cfg.provider == "table":
-        payload["table_sha256"] = hashlib.sha256(
-            Path(cfg.table_path).read_bytes()
-        ).hexdigest()
+        table = read_bytes(cfg.table_path, "embedding table", ConfigError)
+        payload["table_sha256"] = hashlib.sha256(table).hexdigest()
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 
@@ -83,13 +82,11 @@ def load_embedding_table(path, cfg):
     finite number. Later duplicate tokens win; the unknown-token vector is
     the mean row. Dimension must match the config."""
     p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"embedding table not found: {p}")
     vectors = {}
     duplicates = 0
     dim = None
-    for line_no, line in enumerate(read_lines(p), 1):
-        if not line.strip() or line.startswith("#"):
+    for line_no, line in numbered_lines(p, "embedding table", ConfigError):
+        if line.startswith("#"):
             continue
         parts = line.split()
         token, vals = parts[0], parts[1:]

@@ -4,30 +4,72 @@ Every text input (JSONL logs and labeled data, config files, lexicons,
 embedding tables) is UTF-8 with one record per ``\\n``-ended line; ``\\r\\n`` and
 ``\\r`` read as ``\\n``. Other line separators (U+2028, U+2029, U+0085), which
 ``json.dumps(..., ensure_ascii=False)`` writes raw inside strings, stay part of
-their line. A write that fails removes the output file it left half written.
+their line. Blank lines carry no record. A read error names the kind of file
+(``kind``) and is raised as ``error``, so config-named files fail as
+ConfigError. A write that fails removes the output file it left half written.
 """
 
 import contextlib
+import json
 from pathlib import Path
 
 from .errors import DataError
 
 
-def read_lines(path):
-    """The lines of the UTF-8 text file at ``path``; a DataError names the
-    line of the first byte that is not UTF-8."""
+def read_bytes(path, kind, error=DataError):
+    """The bytes of the file at ``path``."""
     try:
-        data = Path(path).read_bytes()
+        return Path(path).read_bytes()
     except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        raise error(f"cannot read {kind} {path}: {exc.strerror or exc}") from exc
+
+
+def read_lines(path, kind="file", error=DataError):
+    """The lines of the UTF-8 text file at ``path``; an ``error`` names the
+    line of the first byte that is not UTF-8."""
+    data = read_bytes(path, kind, error)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line_no = data.count(b"\n", 0, exc.start) + 1
-        raise DataError(
+        raise error(
             f"{path}:{line_no}: not UTF-8 text (byte 0x{data[exc.start]:02x})"
         ) from exc
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def numbered_lines(path, kind, error=DataError):
+    """``(line number, line)`` for each line of ``path`` that is not blank."""
+    lines = read_lines(path, kind, error)
+    return [(no, line) for no, line in enumerate(lines, 1) if line.strip()]
+
+
+def read_jsonl(path, kind, on_invalid=None):
+    """``(line number, value)`` for each non-blank line of the JSONL file at
+    ``path``, in order. A line that is not JSON raises a DataError naming
+    ``path:line``, or, given ``on_invalid``, is passed to it by number and
+    skipped."""
+    for line_no, line in numbered_lines(path, kind):
+        try:
+            value = json.loads(line)
+        # a ValueError also for an integer of over 4300 digits; a
+        # RecursionError for arrays or objects nested too deep
+        except (ValueError, RecursionError) as exc:
+            if on_invalid is None:
+                raise DataError(f"{path}:{line_no}: invalid json") from exc
+            on_invalid(line_no)
+            continue
+        yield line_no, value
+
+
+def jsonl_text(records):
+    """JSONL text of ``records``: one JSON value per line, keys sorted at every
+    depth and non-ASCII characters kept as they are."""
+    return "".join(json.dumps(r, sort_keys=True, ensure_ascii=False) + "\n" for r in records)
+
+
+def write_jsonl(path, records):
+    write_file(path, jsonl_text(records))
 
 
 def check_writable(path):

@@ -11,7 +11,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError
-from .fileio import read_lines
+from .fileio import numbered_lines
 
 
 def data_path(name):
@@ -20,39 +20,44 @@ def data_path(name):
 
 
 def _read_lines(path):
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"lexicon file not found: {p}")
-    out = []
-    for line in read_lines(p):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        out.append(line)
-    return out
+    """``(path:line, line)`` for each line that is neither blank nor a
+    ``#`` comment."""
+    return [
+        (f"{path}:{no}", line)
+        for no, line in numbered_lines(path, "lexicon file", ConfigError)
+        if not line.lstrip().startswith("#")
+    ]
 
 
 def load_wordlist(path):
     """One term per line; returns a tuple preserving file order."""
-    return tuple(line.strip() for line in _read_lines(path))
+    return tuple(line.strip() for _, line in _read_lines(path))
 
 
 def load_map(path):
     """``key<TAB>value`` per line; later duplicates win."""
     table = {}
-    for line in _read_lines(path):
-        if "\t" not in line:
-            raise ConfigError(f"map line without TAB in {path}: {line!r}")
-        key, value = line.split("\t", 1)
+    for where, line in _read_lines(path):
+        key, tab, value = line.partition("\t")
+        if not tab:
+            raise ConfigError(f"{where}: map line without TAB: {line!r}")
         table[key] = value
     return table
 
 
 def load_rules(path):
-    """Ordered ``name<TAB>regex`` rules, compiled."""
+    """Ordered ``name<TAB>regex`` rules, compiled; a match is replaced by
+    ``[name]``."""
     rules = []
-    for line in _read_lines(path):
-        name, pattern = line.split("\t", 1)
-        rules.append((name, re.compile(pattern)))
+    for where, line in _read_lines(path):
+        name, tab, pattern = line.partition("\t")
+        # the name goes into a replacement template, where \ is an escape
+        if not tab or "\\" in name:
+            raise ConfigError(f"{where}: bad rule (want name<TAB>regex, no \\ in name): {line!r}")
+        try:
+            rules.append((name, re.compile(pattern)))
+        except (re.error, OverflowError) as exc:
+            raise ConfigError(f"{where}: bad regex ({exc})") from exc
     return tuple(rules)
 
 
@@ -67,14 +72,17 @@ def load_lemma_rules(path):
     enables the undouble / restore-e repair after stripping)."""
     exceptions = set()
     rules = []
-    for line in _read_lines(path):
+    for where, line in _read_lines(path):
         if line.startswith("!"):
             exceptions.add(line[1:].strip())
             continue
         parts = line.split("\t")
-        if len(parts) < 3:
-            raise ConfigError(f"bad lemma rule in {path}: {line!r}")
-        suffix, replacement, min_stem = parts[0], parts[1], int(parts[2])
+        try:
+            suffix, replacement, min_stem = parts[0], parts[1], int(parts[2])
+        except (IndexError, ValueError) as exc:
+            raise ConfigError(
+                f"{where}: bad lemma rule (want suffix<TAB>replacement<TAB>integer min_stem): {line!r}"
+            ) from exc
         flags = parts[3] if len(parts) > 3 else ""
         rules.append((suffix, replacement, min_stem, flags))
     return frozenset(exceptions), tuple(rules)

@@ -16,7 +16,6 @@ stopping with patience 5 within at most 100 epochs. Everything is a pure
 function of (data, config, seed).
 """
 
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -46,7 +45,7 @@ from .features import (
     local_attention,
     textual_features,
 )
-from .fileio import read_lines
+from .fileio import jsonl_text, read_jsonl
 
 FC_HIDDEN = 64
 N_CLASSES = 2
@@ -109,17 +108,9 @@ def load_labeled_dialogs(path, pre_cfg):
     is the concatenation of that community's dialogs, in file order; it
     provides the chat scope for topic statistics."""
     p = Path(path)
-    if not p.is_file():
-        raise DataError(f"labeled dialogs not found: {p}")
     logs = {}
     dialogs = []
-    for line_no, line in enumerate(read_lines(p), 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{p}:{line_no}: invalid json") from exc
+    for line_no, obj in read_jsonl(p, "labeled dialogs"):
         try:
             community = obj["community_id"]
             raw_utts = obj["utterances"]
@@ -534,20 +525,4 @@ def extract_pairs(log, dialogs, issue_bundle, solution_bundle, cfg, enc_cfg):
 
 
 def pairs_to_jsonl(pairs):
-    lines = []
-    for pair in pairs:
-        lines.append(
-            json.dumps(
-                {
-                    "community_id": pair.community_id,
-                    "subject_id": pair.subject_id,
-                    "issue_text": pair.issue_text,
-                    "solutions": list(pair.solutions),
-                    "status": pair.status,
-                    "p_issue": pair.p_issue,
-                },
-                sort_keys=True,
-                ensure_ascii=False,
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
+    return jsonl_text(asdict(pair) for pair in pairs)

@@ -10,12 +10,10 @@ utterance. Interleaved logs carry their true reply links for
 disentanglement tests.
 """
 
-import json
-from pathlib import Path
-
 import numpy as np
 
 from .corpus import ChatLog, PreprocessConfig, RawMessage, preprocess_utterance
+from .fileio import write_jsonl
 
 _AUTHORS = ("dev_ana", "dev_bo", "dev_cy", "dev_dee", "dev_eli", "dev_flo")
 
@@ -128,8 +126,7 @@ def synth_labeled_records(n_dialogs, seed, communities=("alpha", "beta"), start_
 
 
 def write_labeled_jsonl(records, path):
-    lines = [json.dumps(r, sort_keys=True, ensure_ascii=False) for r in records]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_jsonl(path, records)
 
 
 # -- interleaved raw logs --------------------------------------------------

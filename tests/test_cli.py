@@ -85,6 +85,53 @@ def test_missing_config_file_maps_to_exit_3(tmp_path, capsys):
     assert "config file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, text, want",
+    [
+        ("placeholder_rules_path", "# rules\nURL\t([a-z\n", "{p}:2: bad regex"),
+        ("placeholder_rules_path", "URL (no tab)\n", "{p}:1: bad rule"),
+        ("placeholder_rules_path", "U\\1RL\tx\n", "{p}:1: bad rule"),
+        ("placeholder_rules_path", "URL\ta{99999999999}\n", "{p}:1: bad regex"),
+        ("lemma_rules_path", "!went\ning\t\tx\tfix\n", "{p}:2: bad lemma rule"),
+        ("lemma_rules_path", "ing\t\n", "{p}:1: bad lemma rule"),
+        ("acronyms_path", "brb be right back\n", "{p}:1: map line without TAB"),
+        ("emoji_path", None, "cannot read lexicon file {p}: No such file"),
+        ("stopwords_path", "", "cannot read lexicon file {p}: Is a directory"),
+    ],
+    ids=["bad-regex", "rule-without-tab", "backslash-in-name", "huge-repeat", "bad-min-stem",
+         "short-lemma-rule", "map-without-tab", "missing", "directory"],
+)
+def test_bad_lexicon_exits_3_naming_its_line(tmp_path, capsys, key, text, want):
+    # text None leaves the lexicon missing; "" makes it a directory
+    lexicon = tmp_path / "lexicon"
+    if text:
+        lexicon.write_text(text, encoding="utf-8")
+    elif text == "":
+        lexicon.mkdir()
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"{key}={lexicon}\n", encoding="utf-8")
+    raw = write_raw(tmp_path / "raw.jsonl")
+    rc = main(["--config", str(cfg), "preprocess", "--input", str(raw), "--out", str(tmp_path / "c")])
+    assert want.format(p=lexicon) in assert_data_error(rc, capsys)
+
+
+@pytest.mark.parametrize("table", ["nope.txt", "."], ids=["missing", "directory"])
+def test_extract_with_an_unreadable_encoder_table_exits_3(tmp_path, cli_ckpts, capsys, table):
+    rc = main(
+        [
+            "extract",
+            "--input", str(write_raw(tmp_path / "raw.jsonl")),
+            "--issue-ckpt", str(cli_ckpts["issue"]),
+            "--solution-ckpt", str(cli_ckpts["solution"]),
+            "--out", str(tmp_path / "pairs.jsonl"),
+            "--encoder-dim", "16",
+            "--encoder-provider", "table",
+            "--encoder-table", str(tmp_path / table),
+        ]
+    )
+    assert f"cannot read embedding table {tmp_path / table}" in assert_data_error(rc, capsys)
+
+
 # -- config handling -------------------------------------------------------
 
 
@@ -561,6 +608,16 @@ def test_disentangle_with_misshapen_link_parameter_exits_3(tmp_path, capsys):
     assert main(argv + [str(good)]) == 0
     err = assert_data_error(main(argv + [str(bad)]), capsys)
     assert "'link.W2'" in err
+
+
+@pytest.mark.parametrize("body", [b"9" * 5000, b"[" * 100_000], ids=["long-integer", "deep-nesting"])
+def test_extract_with_an_unparsable_manifest_exits_3(tmp_path, cli_ckpts, capsys, body):
+    import struct
+
+    bad = tmp_path / "issue.ckpt"
+    bad.write_bytes(struct.pack("<I", len(body)) + body)
+    err = assert_data_error(extract_with_issue_ckpt(tmp_path, bad, cli_ckpts["solution"]), capsys)
+    assert "checkpoint manifest unreadable" in err
 
 
 def test_disentangle_with_nan_link_weight_exits_3(tmp_path, capsys):

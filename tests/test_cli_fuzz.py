@@ -1,6 +1,7 @@
-"""Fuzz gate for the command line: every verb, fed mutated JSONL records or
-truncated and byte-edited copies of the benchmark checkpoints, must end with
-exit 0, 2 or 3 and never with a traceback.
+"""Fuzz gate for the command line: every verb, fed mutated JSONL records,
+truncated and byte-edited copies of the benchmark checkpoints, or edited
+config files, lexicons and embedding tables, must end with exit 0, 2 or 3
+and never with a traceback.
 
 Runs are in-process through main(), so an exception escaping main() is the
 traceback a user would see. Examples are derandomized: the gate checks the
@@ -9,6 +10,7 @@ same inputs on every run.
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from chatmine import synth
+from chatmine import lexicons, synth
 from chatmine.cli import main
 
 CKPT_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "checkpoints"
@@ -48,6 +50,37 @@ LINKED = [
 ]
 RAW = synth.synth_raw_chat_records(2, n_dialogs=2)
 UTTERANCE_KEYS = ("time", "id", "text")
+
+# config key -> bundled lexicon: a word list, two maps, the placeholder rules
+# and the lemma rules
+LEXICONS = {
+    "stopwords_path": "stopwords.txt",
+    "acronyms_path": "acronyms.tsv",
+    "emoji_path": "emoji.tsv",
+    "placeholder_rules_path": "placeholder_rules.tsv",
+    "lemma_rules_path": "lemma_rules.tsv",
+}
+CONFIG = """# every kind of setting a config file holds
+perplexity_threshold=40.0
+typo_min_len=4
+typo_correction=true
+batch_size=8
+dropout=0.6
+lr=0.001
+patience=5
+issue_threshold=0.5
+balance=false
+seed=3
+encoder_window_k=1
+encoder_buckets_per_token=3
+"""
+TABLE = "".join(
+    f"{w} {i % 3 - 1} 0.5 {i / 7:.3f} -2e-1\n"
+    for i, w in enumerate(("# tokens", "why", "the", "fix", "cache", "restart", "thanks"))
+)
+# replacements that mean something to one of the line formats
+LINE_EDITS = ("", "\t", " ", "=", "#", "!", "\\", "(", "[", "{99999999999}", "x", "9", "-",
+              "nan", "1e999", "\n")
 
 # (valid, invalid) values of --lookback and of --threshold
 LOOKBACKS = (
@@ -122,6 +155,31 @@ def mutated_jsonl(draw, records):
 
 
 @st.composite
+def mutated_lines(draw, text):
+    """The text with one line dropped or replaced by arbitrary text, or with
+    one character of a line replaced by one of LINE_EDITS."""
+    lines = text.split("\n")
+    i = draw(st.integers(0, len(lines) - 1))
+    kind = draw(st.sampled_from(("drop", "line", "char")))
+    if kind == "drop":
+        del lines[i]
+    elif kind == "line":
+        lines[i] = draw(st.text(max_size=12))
+    elif lines[i]:
+        pos = draw(st.integers(0, len(lines[i]) - 1))
+        lines[i] = lines[i][:pos] + draw(st.sampled_from(LINE_EDITS)) + lines[i][pos + 1 :]
+    return "\n".join(lines)
+
+
+def write_named_by_content(directory, text):
+    """Write ``text`` to a file named by its hash: lexicons and tables are
+    cached by path, so each distinct content needs a path of its own."""
+    path = directory / hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+@st.composite
 def damaged_checkpoint(draw, name):
     """A benchmark checkpoint truncated, with one byte replaced (mostly in
     the length prefix or the manifest), with one float32 of the blob set to
@@ -151,6 +209,7 @@ def work(tmp_path_factory):
     raw = d / "raw.jsonl"
     raw.write_text("".join(json.dumps(r) + "\n" for r in RAW), encoding="utf-8")
     assert run(["preprocess", "--input", str(raw), "--out", str(d / "clean.jsonl")])[0] == 0
+    synth.write_labeled_jsonl(LABELED, d / "labeled_ok.jsonl")
     return d
 
 
@@ -204,4 +263,39 @@ def test_verbs_survive_damaged_checkpoints(work, name, data, flags):
     assert_clean_exit(
         ["extract", "--input", str(work / "raw.jsonl"), "--out", str(work / "pairs.jsonl"),
          "--issue-ckpt", ckpts["issue"], "--solution-ckpt", ckpts["solution"]]
+    )
+
+
+@FUZZ
+@given(key=st.sampled_from(sorted(LEXICONS)), data=st.data())
+def test_preprocess_survives_mutated_lexicons(work, key, data):
+    bundled = lexicons.data_path(LEXICONS[key]).read_text(encoding="utf-8")
+    lexicon = write_named_by_content(work, data.draw(mutated_lines(bundled)))
+    cfg = work / "lexicon.cfg"
+    cfg.write_text(f"{key}={lexicon}\n", encoding="utf-8")
+    assert_clean_exit(
+        ["--config", str(cfg), "preprocess", "--input", str(work / "raw.jsonl"),
+         "--out", str(work / "c.jsonl")]
+    )
+
+
+@FUZZ
+@given(text=mutated_lines(CONFIG))
+def test_training_survives_mutated_config_files(work, text):
+    cfg = work / "fuzz.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    assert_clean_exit(
+        ["--config", str(cfg), "train", "--target", "issue", "--epochs", "1", "--encoder-dim", "16",
+         "--data", str(work / "labeled_ok.jsonl"), "--out", str(work / "o")]
+    )
+
+
+@FUZZ
+@given(text=mutated_lines(TABLE))
+def test_training_survives_mutated_embedding_tables(work, text):
+    table = write_named_by_content(work, text)
+    assert_clean_exit(
+        ["train", "--target", "issue", "--epochs", "1", "--encoder-provider", "table",
+         "--encoder-table", str(table), "--encoder-dim", "4",
+         "--data", str(work / "labeled_ok.jsonl"), "--out", str(work / "o")]
     )

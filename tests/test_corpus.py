@@ -31,6 +31,9 @@ from chatmine.corpus import (
     write_clean_jsonl,
     write_raw_jsonl,
 )
+from chatmine.disentangle import load_link_examples
+from chatmine.errors import DataError
+from chatmine.model import load_labeled_dialogs
 
 CFG = PreprocessConfig()
 
@@ -67,6 +70,14 @@ def test_acronyms_expand_case_insensitively_on_word_boundaries():
     assert "thank you" in prep("ty!").clean_text
     # no substring hits inside longer words
     assert "typo" in prep("typo").clean_text
+
+
+def test_an_acronym_matched_only_by_case_folding_is_left_as_written(tmp_path):
+    # IGNORECASE matches "I" to the key "ı", but "I".lower() is "i"
+    acronyms = tmp_path / "acronyms.tsv"
+    acronyms.write_text("ı\tdotless\n", encoding="utf-8")
+    cfg = PreprocessConfig(acronyms_path=str(acronyms))
+    assert preprocess_utterance(RawMessage(0, "a", "I ı"), cfg).clean_text == "i dotless"
 
 
 def test_emoji_mapped_to_sentiment_tags():
@@ -195,6 +206,49 @@ def test_parse_stable_order_for_equal_times(tmp_path):
     )
     log, _ = parse_chat_log(p)
     assert [u.raw_text for u in log.utterances] == [f"m{i}" for i in range(6)]
+
+
+# a clean-log record, which every reader of utterance records accepts
+GOOD = {"time": 1000, "id": "ann", "text": "build fails", "clean_text": "build fail",
+        "tokens": ["build", "fail"]}
+
+
+@pytest.mark.parametrize(
+    "record, reason",
+    [
+        (["a", "list"], "not an object"),
+        ({"id": "a", "text": "x"}, "missing field: time"),
+        ({"time": 1, "text": "x"}, "missing field: id"),
+        ({"time": 1, "id": "a"}, "missing field: text"),
+        ({"time": "soon", "id": "a", "text": "x"}, "time is not a whole number"),
+        ({"time": 2.5, "id": "a", "text": "x"}, "time is not a whole number"),
+        ({"time": True, "id": "a", "text": "x"}, "time is not a whole number"),
+        ({"time": -5, "id": "a", "text": "x"}, "negative time -5"),
+        ({"time": 1, "id": 7, "text": "x"}, "id is blank or not a string"),
+        ({"time": 1, "id": " ", "text": "x"}, "id is blank or not a string"),
+        ({"time": 1, "id": "a", "text": 9}, "text is not a string"),
+    ],
+    ids=["list", "no-time", "no-id", "no-text", "string-time", "fractional-time", "bool-time",
+         "negative-time", "int-id", "blank-id", "int-text"],
+)
+def test_every_reader_applies_the_one_utterance_check(tmp_path, record, reason):
+    """The raw log skips a bad utterance with its reason; every other reader
+    of utterance records raises that same reason, naming file and line."""
+    p = tmp_path / "data.jsonl"
+    write_lines(p, [json.dumps(GOOD), "", json.dumps(record)])
+    log, skipped = parse_chat_log(p)
+    assert [u.raw_text for u in log.utterances] == [GOOD["text"]]
+    assert skipped == [corpus.SkippedLine(3, reason)]
+    want = re.escape(f"{p}:3: bad utterance ({reason})")
+    with pytest.raises(DataError, match=want):
+        read_clean_jsonl(p)
+    for reader, wrap in (
+        (load_labeled_dialogs, lambda utts: {"community_id": "c", "utterances": utts, "y_issue": 0}),
+        (load_link_examples, lambda utts: {"utterances": utts, "links": []}),
+    ):
+        write_lines(p, [json.dumps(wrap([GOOD])), "", json.dumps(wrap([GOOD, record]))])
+        with pytest.raises(DataError, match=want):
+            reader(p, CFG)
 
 
 # -- bigram fluency model --------------------------------------------------
