@@ -3,10 +3,10 @@
 Verbs: preprocess, disentangle, train, extract, eval, gradcheck. Global
 flags --seed / --config apply everywhere; a config file holds
 key=value lines mirroring the PreprocessConfig, ModelConfig, and encoder
-fields (encoder keys prefixed encoder_), and explicit CLI flags win over it;
-any other key exits 3.
-The seed is --seed, else the config file's seed, else 0; train and eval
-read it.
+fields (encoder keys prefixed encoder_); any other key exits 3. Each
+settings flag stores into the dest named by its config key, and
+``_settings`` reads both: a flag beats the config file, which beats the
+checkpoints' thresholds (extract only), which beat the defaults.
 Diagnostics go to standard error only; outputs are files. Exit codes: 0
 success, 2 usage, 3 data/config problems, 4 internal invariant breaches,
 each with one machine-parsable "error: code=N reason=..." line.
@@ -15,7 +15,7 @@ each with one machine-parsable "error: code=N reason=..." line.
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from . import disentangle, model as model_mod
 from . import encoder as enc
@@ -71,62 +71,18 @@ def _coerce(value, kind):
         raise ConfigError(f"bad {kind.__name__} value {value!r}") from exc
 
 
-def _dataclass_from(cls, file_cfg, overrides, prefix=""):
-    """Defaults <- config file <- explicit CLI values, typed per field."""
-    kwargs = {}
-    for f in fields(cls):
+def _settings(base, args, file_cfg, prefix=""):
+    """``base`` with the config file's keys laid over it, then the flags
+    given, typed per field. A settings flag's dest is its config key, so
+    the order is flag > config file > ``base``."""
+    changes = {}
+    for f in fields(base):
         key = prefix + f.name
         if key in file_cfg:
-            kind = type(f.default) if f.default is not None else str
-            kwargs[f.name] = _coerce(file_cfg[key], kind)
-        if f.name in overrides and overrides[f.name] is not None:
-            kwargs[f.name] = overrides[f.name]
-    return cls(**kwargs)
-
-
-def _pre_cfg(args, file_cfg):
-    overrides = {
-        "perplexity_threshold": getattr(args, "perplexity_threshold", None),
-        "merge_time_gap_max_ms": getattr(args, "merge_gap_ms", None),
-    }
-    if getattr(args, "no_typo_correction", False):
-        overrides["typo_correction"] = False
-    return _dataclass_from(PreprocessConfig, file_cfg, overrides)
-
-
-def _enc_cfg(args, file_cfg):
-    overrides = {
-        "dim": getattr(args, "encoder_dim", None),
-        "provider": getattr(args, "encoder_provider", None),
-        "table_path": getattr(args, "encoder_table", None),
-    }
-    return _dataclass_from(enc.EncoderConfig, file_cfg, overrides, prefix="encoder_")
-
-
-def _seed(args, file_cfg):
-    """The run's seed: --seed, else the config file's seed key, else 0."""
-    if args.seed is not None:
-        return args.seed
-    seed = _coerce(file_cfg.get("seed", 0), int)
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
-def _model_cfg(args, file_cfg):
-    overrides = {
-        "seed": _seed(args, file_cfg),
-        "batch_size": getattr(args, "batch_size", None),
-        "dropout": getattr(args, "dropout", None),
-        "lr": getattr(args, "lr", None),
-        "max_epochs": getattr(args, "epochs", None),
-        "patience": getattr(args, "patience", None),
-        "issue_threshold": getattr(args, "issue_threshold", None),
-        "solution_threshold": getattr(args, "solution_threshold", None),
-    }
-    if getattr(args, "balance", False):
-        overrides["balance"] = True
-    return _dataclass_from(ModelConfig, file_cfg, overrides)
+            changes[f.name] = _coerce(file_cfg[key], type(f.default) if f.default is not None else str)
+        if getattr(args, key, None) is not None:
+            changes[f.name] = getattr(args, key)
+    return replace(base, **changes)
 
 
 def _classifier_only(key):
@@ -153,7 +109,7 @@ def _require_utterances(log, path):
 
 
 def _cmd_preprocess(args, file_cfg):
-    cfg = _pre_cfg(args, file_cfg)
+    cfg = _settings(PreprocessConfig(), args, file_cfg)
     log, skipped = parse_chat_log(args.input, args.community)
     for s in skipped:
         _log(f"skipped line {s.line_no}: {s.reason}")
@@ -195,21 +151,18 @@ def _cmd_disentangle(args, file_cfg):
 
 
 def _cmd_train(args, file_cfg):
-    pre_cfg = _pre_cfg(args, file_cfg)
+    pre_cfg = _settings(PreprocessConfig(), args, file_cfg)
+    cfg = _settings(ModelConfig(), args, file_cfg)
     if args.target == "link":
-        keys = sorted(filter(_classifier_only, file_cfg))
-        if keys:
-            raise ConfigError(f"train --target link does not read config keys {', '.join(keys)}")
         examples = disentangle.load_link_examples(args.data, pre_cfg)
-        epochs = {} if args.epochs is None else {"epochs": args.epochs}
+        epochs = {} if args.max_epochs is None else {"epochs": args.max_epochs}
         params, history = disentangle.train_link_scorer(
-            examples, hidden=args.link_hidden, seed=_seed(args, file_cfg), **epochs
+            examples, hidden=args.link_hidden, seed=cfg.seed, **epochs
         )
         disentangle.save_link_checkpoint(args.out, params)
         _log(f"link scorer loss: {' '.join(f'{h:.4f}' for h in history)}")
         return 0
-    cfg = _model_cfg(args, file_cfg)
-    enc_cfg = _enc_cfg(args, file_cfg)
+    enc_cfg = _settings(enc.EncoderConfig(), args, file_cfg, prefix="encoder_")
     corpus = model_mod.load_labeled_dialogs(args.data, pre_cfg)
     result = model_mod.train_model(
         model_mod.build_examples(corpus, enc_cfg)[args.target],
@@ -224,15 +177,15 @@ def _cmd_train(args, file_cfg):
 
 
 def _cmd_extract(args, file_cfg):
-    pre_cfg = _pre_cfg(args, file_cfg)
-    enc_cfg = _enc_cfg(args, file_cfg)
+    pre_cfg = _settings(PreprocessConfig(), args, file_cfg)
+    enc_cfg = _settings(enc.EncoderConfig(), args, file_cfg, prefix="encoder_")
     issue_bundle = model_mod.load_model_checkpoint(args.issue_ckpt, enc_cfg, "issue")
     solution_bundle = model_mod.load_model_checkpoint(args.solution_ckpt, enc_cfg, "solution")
-    issue_thr, sol_thr = args.issue_threshold, args.solution_threshold
-    cfg = ModelConfig(
-        issue_threshold=issue_bundle.cfg.issue_threshold if issue_thr is None else issue_thr,
-        solution_threshold=solution_bundle.cfg.solution_threshold if sol_thr is None else sol_thr,
+    thresholds = ModelConfig(
+        issue_threshold=issue_bundle.cfg.issue_threshold,
+        solution_threshold=solution_bundle.cfg.solution_threshold,
     )
+    cfg = _settings(thresholds, args, file_cfg)
     scorer = _link_scorer(args)
     log, skipped = parse_chat_log(args.input, args.community)
     for s in skipped:
@@ -247,9 +200,9 @@ def _cmd_extract(args, file_cfg):
 
 
 def _cmd_eval(args, file_cfg):
-    pre_cfg = _pre_cfg(args, file_cfg)
-    cfg = _model_cfg(args, file_cfg)
-    enc_cfg = _enc_cfg(args, file_cfg)
+    pre_cfg = _settings(PreprocessConfig(), args, file_cfg)
+    cfg = _settings(ModelConfig(), args, file_cfg)
+    enc_cfg = _settings(enc.EncoderConfig(), args, file_cfg, prefix="encoder_")
     corpus = model_mod.load_labeled_dialogs(args.data, pre_cfg)
     report = cross_project_evaluate(corpus, cfg, enc_cfg)
     write_file(args.out, json.dumps(report, sort_keys=True, indent=2) + "\n")
@@ -322,10 +275,10 @@ def build_parser():
     encoder_flags = argparse.ArgumentParser(add_help=False)
     encoder_flags.add_argument("--encoder-dim", type=int)
     encoder_flags.add_argument("--encoder-provider", choices=("hash", "table"))
-    encoder_flags.add_argument("--encoder-table")
+    encoder_flags.add_argument("--encoder-table", dest="encoder_table_path")
 
     model_flags = argparse.ArgumentParser(add_help=False)
-    model_flags.add_argument("--epochs", type=_int_at_least(0))
+    model_flags.add_argument("--epochs", dest="max_epochs", type=_int_at_least(0))
     model_flags.add_argument("--batch-size", type=_int_at_least(1))
     model_flags.add_argument("--dropout", type=float)
     model_flags.add_argument("--lr", type=_positive_float)
@@ -339,8 +292,8 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--community")
     p.add_argument("--perplexity-threshold", type=float)
-    p.add_argument("--merge-gap-ms", type=int)
-    p.add_argument("--no-typo-correction", action="store_true")
+    p.add_argument("--merge-gap-ms", dest="merge_time_gap_max_ms", type=int)
+    p.add_argument("--no-typo-correction", dest="typo_correction", action="store_false", default=None)
     p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("disentangle", help="group a clean log into dialogs")
@@ -392,9 +345,12 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "target", None) == "link":
-        given = ["--" + k.replace("_", "-") for k, v in vars(args).items()
-                 if v is not None and _classifier_only(k)]
+    link = getattr(args, "target", None) == "link"
+    if link:
+        train = parser._subparsers._group_actions[0].choices["train"]
+        # link training reads --epochs, but not a config file's max_epochs
+        given = [a.option_strings[0] for a in train._actions if a.dest != "max_epochs"
+                 and _classifier_only(a.dest) and getattr(args, a.dest) is not None]
         if given:
             parser.error(f"train --target link takes no {', '.join(given)} (classifier settings)")
     try:
@@ -404,6 +360,9 @@ def main(argv=None):
         unknown = sorted(set(file_cfg) - _CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"{args.config}: unknown config keys {', '.join(unknown)}")
+        keys = sorted(filter(_classifier_only, file_cfg)) if link else []
+        if keys:
+            raise ConfigError(f"train --target link does not read config keys {', '.join(keys)}")
         return args.func(args, file_cfg)
     except ContractViolation as exc:
         reason = " ".join(str(exc).split())

@@ -46,6 +46,10 @@ from .fileio import read_jsonl
 
 FEATURE_DIM = 77
 LINK_HIDDEN = 64
+# link training's fixed Adam step, mini-batch size and sampled negatives per child
+LINK_LR = 0.001
+LINK_BATCH_SIZE = 32
+LINK_NEGATIVES = 3
 _TIME_BUCKETS = 25
 _DIST_BUCKETS = 15
 _COUNT_BUCKETS = 10
@@ -511,16 +515,7 @@ def load_link_examples(path, pre_cfg):
     return examples
 
 
-def train_link_scorer(
-    examples,
-    hidden=LINK_HIDDEN,
-    epochs=5,
-    lr=0.001,
-    batch_size=32,
-    lookback=50,
-    negatives_per_positive=3,
-    seed=0,
-):
+def train_link_scorer(examples, hidden=LINK_HIDDEN, epochs=5, lookback=50, seed=0):
     """Fit the scorer on (log, links) pairs, links mapping child index to its
     true parent index or None for dialog starters. Negatives are sampled from
     the other in-window candidates. Returns (params, per-epoch mean loss)."""
@@ -541,7 +536,7 @@ def train_link_scorer(
                 if true_parent is not None:
                     candidates.append(None)
                 rng.shuffle(candidates)
-                picked = [true_parent] + candidates[:negatives_per_positive]
+                picked = [true_parent] + candidates[:LINK_NEGATIVES]
                 # the child's rows are self, then child - 1 down the window
                 start = block.starts[child - first]
                 rows += [start if p is None else start + child - p for p in picked]
@@ -551,7 +546,7 @@ def train_link_scorer(
         raise DataError("no link training pairs")
     features, signs = np.concatenate(blocks), np.array(signs)
     params = init_link_params(rng, hidden)
-    state = nn.AdamState(lr=lr)
+    state = nn.AdamState(lr=LINK_LR)
 
     def batch_loss(batch):
         return link_loss(features[batch], signs[batch], params)
@@ -560,5 +555,5 @@ def train_link_scorer(
     order = np.arange(len(features))
     for _ in range(epochs):
         rng.shuffle(order)
-        history.append(nn.train_epoch(order, batch_size, batch_loss, params, state))
+        history.append(nn.train_epoch(order, LINK_BATCH_SIZE, batch_loss, params, state))
     return params, history

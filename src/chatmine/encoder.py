@@ -121,7 +121,7 @@ def _cached_table(path, cfg):
     return load_embedding_table(path, cfg)
 
 
-def encode_tokens(tokens, cfg, table=None):
+def encode_tokens(tokens, cfg):
     """Mean of token vectors, L2 normalized; no tokens gives the zero
     vector."""
     if not tokens:
@@ -131,8 +131,7 @@ def encode_tokens(tokens, cfg, table=None):
         for t in tokens:
             acc += _token_hash_vector(t, cfg)
     else:
-        if table is None:
-            table = _cached_table(str(cfg.table_path), cfg)
+        table = _cached_table(str(cfg.table_path), cfg)
         acc = np.zeros(cfg.dim)
         for t in tokens:
             acc += table.vectors.get(t, table.unk)

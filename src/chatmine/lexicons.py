@@ -35,12 +35,15 @@ def load_wordlist(path):
 
 
 def load_map(path):
-    """``key<TAB>value`` per line; later duplicates win."""
+    """``key<TAB>value`` per line, the key not empty; later duplicates win."""
     table = {}
     for where, line in _read_lines(path):
         key, tab, value = line.partition("\t")
         if not tab:
             raise ConfigError(f"{where}: map line without TAB: {line!r}")
+        # an empty key matches between every two characters of every message
+        if not key:
+            raise ConfigError(f"{where}: map line with an empty key: {line!r}")
         table[key] = value
     return table
 

@@ -80,6 +80,8 @@ class ModelConfig:
             raise ConfigError(f"lr must be a positive finite number, got {self.lr}")
         if not 0.0 <= self.beta1 < 1.0:
             raise ConfigError(f"beta1 must be in [0, 1), got {self.beta1}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from chatmine import cli, synth
-from chatmine.cli import _coerce, _enc_cfg, _model_cfg, _parse_config_file, main
+from chatmine.cli import _coerce, _parse_config_file, _settings, main
+from chatmine.encoder import EncoderConfig
 from chatmine.errors import ConfigError, ContractViolation, DataError
+from chatmine.model import ModelConfig
 
 
 def write_raw(path, seed=0, n_dialogs=2):
@@ -95,11 +97,15 @@ def test_missing_config_file_maps_to_exit_3(tmp_path, capsys):
         ("lemma_rules_path", "!went\ning\t\tx\tfix\n", "{p}:2: bad lemma rule"),
         ("lemma_rules_path", "ing\t\n", "{p}:1: bad lemma rule"),
         ("acronyms_path", "brb be right back\n", "{p}:1: map line without TAB"),
+        # an empty key would match between every two characters of a message
+        ("emoji_path", "\t[EMOJI_POS]\n", "{p}:1: map line with an empty key"),
+        ("acronyms_path", "brb\tbe right back\n\tfoo\n", "{p}:2: map line with an empty key"),
         ("emoji_path", None, "cannot read lexicon file {p}: No such file"),
         ("stopwords_path", "", "cannot read lexicon file {p}: Is a directory"),
     ],
     ids=["bad-regex", "rule-without-tab", "backslash-in-name", "huge-repeat", "bad-min-stem",
-         "short-lemma-rule", "map-without-tab", "missing", "directory"],
+         "short-lemma-rule", "map-without-tab", "empty-emoji-key", "empty-acronym-key", "missing",
+         "directory"],
 )
 def test_bad_lexicon_exits_3_naming_its_line(tmp_path, capsys, key, text, want):
     # text None leaves the lexicon missing; "" makes it a directory
@@ -160,7 +166,7 @@ def test_coerce_booleans_and_numbers():
 
 def model_args(**kw):
     base = dict(
-        seed=0, batch_size=None, dropout=None, lr=None, epochs=None,
+        seed=0, batch_size=None, dropout=None, lr=None, max_epochs=None,
         patience=None, issue_threshold=None, solution_threshold=None,
     )
     base.update(kw)
@@ -169,7 +175,7 @@ def model_args(**kw):
 
 def test_cli_flags_override_config_file_values():
     file_cfg = {"dropout": "0.3", "max_epochs": "7"}
-    cfg = _model_cfg(model_args(dropout=0.2), file_cfg)
+    cfg = _settings(ModelConfig(), model_args(dropout=0.2), file_cfg)
     assert cfg.dropout == 0.2  # explicit flag wins
     assert cfg.max_epochs == 7  # file fills what flags leave unset
     assert cfg.batch_size == 8  # untouched default
@@ -214,14 +220,87 @@ def test_negative_config_seed_exits_3(tmp_path, labeled_path, target, capsys):
 
 def test_encoder_config_uses_prefixed_keys():
     file_cfg = {"encoder_dim": "32", "encoder_seed": "4"}
-    args = argparse.Namespace(encoder_dim=None, encoder_provider=None, encoder_table=None)
-    cfg = _enc_cfg(args, file_cfg)
+    args = argparse.Namespace(encoder_dim=None, encoder_provider=None, encoder_table_path=None)
+    cfg = _settings(EncoderConfig(), args, file_cfg, prefix="encoder_")
     assert (cfg.dim, cfg.seed) == (32, 4)
-    cfg2 = _enc_cfg(
-        argparse.Namespace(encoder_dim=64, encoder_provider=None, encoder_table=None),
+    cfg2 = _settings(
+        EncoderConfig(),
+        argparse.Namespace(encoder_dim=64, encoder_provider=None, encoder_table_path=None),
         file_cfg,
+        prefix="encoder_",
     )
     assert cfg2.dim == 64
+
+
+def test_no_typo_correction_flag_reaches_the_preprocess_config(tmp_path, monkeypatch):
+    seen = []
+    real = cli.preprocess_chat_log
+    monkeypatch.setattr(
+        cli, "preprocess_chat_log", lambda log, cfg: seen.append(cfg.typo_correction) or real(log, cfg)
+    )
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("typo_correction=true\n", encoding="utf-8")
+    argv = ["preprocess", "--input", str(write_raw(tmp_path / "raw.jsonl")), "--out", str(tmp_path / "c")]
+    assert main(argv) == 0
+    assert main([*argv, "--no-typo-correction"]) == 0
+    assert main(["--config", str(cfg), *argv, "--no-typo-correction"]) == 0
+    cfg.write_text("typo_correction=false\n", encoding="utf-8")
+    assert main(["--config", str(cfg), *argv]) == 0
+    assert seen == [True, False, False, False]
+
+
+def test_config_file_thresholds_reach_extract_and_a_flag_beats_them(tmp_path, monkeypatch):
+    # the bench checkpoints gate at 0.5 (issue) and 0.4 (solution); on this
+    # log a solution threshold of 0.8 drops one of the six solutions
+    seen = []
+    real = cli.model_mod.extract_pairs
+
+    def spy(clean, dialogs, issue, solution, cfg, enc_cfg):
+        seen.append((cfg.issue_threshold, cfg.solution_threshold))
+        return real(clean, dialogs, issue, solution, cfg, enc_cfg)
+
+    monkeypatch.setattr(cli.model_mod, "extract_pairs", spy)
+    ckpts = Path(__file__).resolve().parent.parent / "perfbench" / "checkpoints"
+    raw = write_raw(tmp_path / "raw.jsonl", seed=1, n_dialogs=4)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("issue_threshold=0.7\nsolution_threshold=0.8\n", encoding="utf-8")
+
+    def extract(config, *flags):
+        out = tmp_path / "pairs.jsonl"
+        given = ["--config", str(cfg)] if config else []
+        assert main([*given, "extract", "--input", str(raw), "--out", str(out),
+                     "--issue-ckpt", str(ckpts / "issue.ckpt"),
+                     "--solution-ckpt", str(ckpts / "solution.ckpt"), *flags]) == 0
+        return out.read_bytes()
+
+    default = extract(False)
+    from_config = extract(True)
+    from_flags = extract(False, "--issue-threshold", "0.7", "--solution-threshold", "0.8")
+    flag_wins = extract(True, "--solution-threshold", "0.4")
+    assert seen == [(0.5, 0.4), (0.7, 0.8), (0.7, 0.8), (0.7, 0.4)]
+    assert from_config == from_flags != default
+    assert flag_wins == default
+
+
+# flags that name a verb's inputs and outputs or set what only that verb
+# reads; every other flag stores into the config key of its setting
+NOT_CONFIG_KEYS = {
+    "help", "config", "input", "out", "data", "target", "community", "issue_ckpt",
+    "solution_ckpt", "link_ckpt", "link_hidden", "threshold", "lookback", "tol", "step", "seeds",
+}
+
+
+def test_every_settings_flag_stores_into_its_config_key():
+    parser = cli.build_parser()
+    verbs = parser._subparsers._group_actions[0].choices
+    dests = set()
+    for verb in ("preprocess", "train", "extract", "eval"):
+        for action in parser._actions + verbs[verb]._actions:
+            if action.option_strings and action.dest not in NOT_CONFIG_KEYS:
+                assert action.dest in cli._CONFIG_KEYS, (verb, action.option_strings)
+                dests.add(action.dest)
+    assert {"seed", "typo_correction", "merge_time_gap_max_ms", "max_epochs",
+            "encoder_table_path"} <= dests
 
 
 # -- pipeline verbs --------------------------------------------------------
@@ -400,8 +479,8 @@ def write_link_data(tmp_path):
 @pytest.mark.parametrize(
     "flags",
     [["--lr", "0.5"], ["--batch-size", "3"], ["--dropout", "0"], ["--balance"],
-     ["--encoder-dim", "16"], ["--lr", "0.5", "--batch-size", "3"]],
-    ids=["lr", "batch-size", "dropout-zero", "balance", "encoder-dim", "both"],
+     ["--encoder-dim", "16"], ["--encoder-table", "emb.txt"], ["--lr", "0.5", "--batch-size", "3"]],
+    ids=["lr", "batch-size", "dropout-zero", "balance", "encoder-dim", "encoder-table", "both"],
 )
 def test_train_link_rejects_classifier_flags(tmp_path, flags, capsys):
     # link training has its own fixed lr and batch size; a classifier flag
@@ -413,7 +492,10 @@ def test_train_link_rejects_classifier_flags(tmp_path, flags, capsys):
         main(argv + flags)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "Traceback" not in err and flags[0] in err
+    assert "Traceback" not in err
+    # each flag named as typed, not by its dest
+    named = err.split("takes no ")[1].split(" (classifier settings)")[0].split(", ")
+    assert set(named) == set(flags[::2])
     assert not out.exists()
 
 

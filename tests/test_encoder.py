@@ -86,7 +86,7 @@ def test_table_lookup_and_unknown_row(tmp_path):
     assert np.array_equal(table.vectors["hot"], [1.0, 0.0])
     # unknown token falls back to the mean of all rows
     assert np.array_equal(table.unk, [0.5, 0.5])
-    got = encode_tokens(("mystery",), cfg, table)
+    got = encode_tokens(("mystery",), cfg)
     assert np.allclose(got, np.array([0.5, 0.5]) / np.linalg.norm([0.5, 0.5]))
 
 

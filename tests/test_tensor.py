@@ -352,7 +352,7 @@ def test_conv_pool_matches_window_major_on_a_trained_stack():
 
     ckpt = Path(__file__).resolve().parent.parent / "perfbench" / "checkpoints" / "issue.ckpt"
     params = load_checkpoint(ckpt).params
-    x = encode_tokens(("build", "fails", "after", "the", "upgrade"), EncoderConfig(), None)
+    x = encode_tokens(("build", "fails", "after", "the", "upgrade"), EncoderConfig())
     assert x.shape == (800,)
     rng = np.random.default_rng(6)
     for i, m in enumerate((1024, 512, 256), 1):
@@ -373,7 +373,7 @@ def test_conv_pool_gradient_path_gives_the_no_grad_bits_on_a_trained_stack():
     ckpt = Path(__file__).resolve().parent.parent / "perfbench" / "checkpoints" / "issue.ckpt"
     params = load_checkpoint(ckpt).params
     hashed = [
-        encode_tokens(tokens, EncoderConfig(), None)
+        encode_tokens(tokens, EncoderConfig())
         for tokens in (("build", "fails", "after", "the", "upgrade"), ("pip", "install", "error"))
     ]
     dense = np.random.default_rng(13).normal(size=800)
