@@ -4,9 +4,11 @@ Verbs: preprocess, disentangle, train, extract, eval, gradcheck. Global
 flags --seed / --config apply everywhere; a config file holds
 key=value lines mirroring the PreprocessConfig, ModelConfig, and encoder
 fields (encoder keys prefixed encoder_); any other key exits 3. Each
-settings flag stores into the dest named by its config key, and
-``_settings`` reads both: a flag beats the config file, which beats the
-checkpoints' thresholds (extract only), which beat the defaults.
+settings flag stores into its config key with only its field's type, and
+``main`` lays flag over file over base (the defaults, or 5 link epochs)
+once, before any verb runs; extract lays them again over its checkpoints'
+thresholds. The config classes alone decide a setting's range (exit 3);
+verb-local flags are checked by argparse (exit 2).
 Diagnostics go to standard error only; outputs are files. Exit codes: 0
 success, 2 usage, 3 data/config problems, 4 internal invariant breaches,
 each with one machine-parsable "error: code=N reason=..." line.
@@ -85,11 +87,11 @@ def _settings(base, args, file_cfg, prefix=""):
     return replace(base, **changes)
 
 
-def _classifier_only(key):
-    """A setting (flag dest or config key) only the issue and solution models
-    read; link training, with its fixed lr and batch size, rejects it."""
-    model_keys = {f.name for f in fields(ModelConfig)} - {"seed"}
-    return key in model_keys or key.startswith("encoder_")
+# the settings only the issue and solution models read; link training, with
+# its fixed lr and batch size, rejects them as flags and as config keys
+_LINK_IGNORED = ({f.name for f in fields(ModelConfig)} - {"seed", "max_epochs"}) | {
+    "encoder_" + f.name for f in fields(enc.EncoderConfig)
+}
 
 
 def _link_scorer(args):
@@ -108,13 +110,12 @@ def _require_utterances(log, path):
         raise DataError(f"{path}: no utterances")
 
 
-def _cmd_preprocess(args, file_cfg):
-    cfg = _settings(PreprocessConfig(), args, file_cfg)
+def _cmd_preprocess(args, pre_cfg, cfg, enc_cfg, file_cfg):
     log, skipped = parse_chat_log(args.input, args.community)
     for s in skipped:
         _log(f"skipped line {s.line_no}: {s.reason}")
     before = len(log.utterances)
-    clean, _ = preprocess_chat_log(log, cfg)
+    clean = preprocess_chat_log(log, pre_cfg)
     _require_utterances(clean, args.input)
     write_clean_jsonl(clean, args.out)
     _log(
@@ -124,7 +125,7 @@ def _cmd_preprocess(args, file_cfg):
     return 0
 
 
-def _cmd_disentangle(args, file_cfg):
+def _cmd_disentangle(args, pre_cfg, cfg, enc_cfg, file_cfg):
     log = read_clean_jsonl(args.input, args.community)
     _require_utterances(log, args.input)
     scorer = _link_scorer(args)
@@ -150,19 +151,15 @@ def _cmd_disentangle(args, file_cfg):
     return 0
 
 
-def _cmd_train(args, file_cfg):
-    pre_cfg = _settings(PreprocessConfig(), args, file_cfg)
-    cfg = _settings(ModelConfig(), args, file_cfg)
+def _cmd_train(args, pre_cfg, cfg, enc_cfg, file_cfg):
     if args.target == "link":
         examples = disentangle.load_link_examples(args.data, pre_cfg)
-        epochs = {} if args.max_epochs is None else {"epochs": args.max_epochs}
         params, history = disentangle.train_link_scorer(
-            examples, hidden=args.link_hidden, seed=cfg.seed, **epochs
+            examples, hidden=args.link_hidden, epochs=cfg.max_epochs, seed=cfg.seed
         )
         disentangle.save_link_checkpoint(args.out, params)
         _log(f"link scorer loss: {' '.join(f'{h:.4f}' for h in history)}")
         return 0
-    enc_cfg = _settings(enc.EncoderConfig(), args, file_cfg, prefix="encoder_")
     corpus = model_mod.load_labeled_dialogs(args.data, pre_cfg)
     result = model_mod.train_model(
         model_mod.build_examples(corpus, enc_cfg)[args.target],
@@ -176,21 +173,20 @@ def _cmd_train(args, file_cfg):
     return 0
 
 
-def _cmd_extract(args, file_cfg):
-    pre_cfg = _settings(PreprocessConfig(), args, file_cfg)
-    enc_cfg = _settings(enc.EncoderConfig(), args, file_cfg, prefix="encoder_")
+def _cmd_extract(args, pre_cfg, cfg, enc_cfg, file_cfg):
     issue_bundle = model_mod.load_model_checkpoint(args.issue_ckpt, enc_cfg, "issue")
     solution_bundle = model_mod.load_model_checkpoint(args.solution_ckpt, enc_cfg, "solution")
     thresholds = ModelConfig(
         issue_threshold=issue_bundle.cfg.issue_threshold,
         solution_threshold=solution_bundle.cfg.solution_threshold,
     )
+    # the same settings laid over the checkpoints' thresholds, not the defaults
     cfg = _settings(thresholds, args, file_cfg)
     scorer = _link_scorer(args)
     log, skipped = parse_chat_log(args.input, args.community)
     for s in skipped:
         _log(f"skipped line {s.line_no}: {s.reason}")
-    clean, _ = preprocess_chat_log(log, pre_cfg)
+    clean = preprocess_chat_log(log, pre_cfg)
     _require_utterances(clean, args.input)
     dialogs = disentangle.assemble_dialogs(clean, scorer)
     pairs = model_mod.extract_pairs(clean, dialogs, issue_bundle, solution_bundle, cfg, enc_cfg)
@@ -199,10 +195,7 @@ def _cmd_extract(args, file_cfg):
     return 0
 
 
-def _cmd_eval(args, file_cfg):
-    pre_cfg = _settings(PreprocessConfig(), args, file_cfg)
-    cfg = _settings(ModelConfig(), args, file_cfg)
-    enc_cfg = _settings(enc.EncoderConfig(), args, file_cfg, prefix="encoder_")
+def _cmd_eval(args, pre_cfg, cfg, enc_cfg, file_cfg):
     corpus = model_mod.load_labeled_dialogs(args.data, pre_cfg)
     report = cross_project_evaluate(corpus, cfg, enc_cfg)
     write_file(args.out, json.dumps(report, sort_keys=True, indent=2) + "\n")
@@ -213,7 +206,7 @@ def _cmd_eval(args, file_cfg):
     return 0
 
 
-def _cmd_gradcheck(args, file_cfg):
+def _cmd_gradcheck(args, pre_cfg, cfg, enc_cfg, file_cfg):
     reports = run_standard_checks(seeds=args.seeds, tolerance=args.tol, step=args.step)
     failed = [r for r in reports if not r.passed]
     for r in reports:
@@ -268,24 +261,25 @@ def build_parser():
         prog="chatmine",
         description="Mine issue-solution pairs from developer chat logs.",
     )
-    parser.add_argument("--seed", type=_int_at_least(0), help="global random seed")
+    parser.add_argument("--seed", type=int, help="global random seed")
     parser.add_argument("--config", help="key=value config file")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     encoder_flags = argparse.ArgumentParser(add_help=False)
-    encoder_flags.add_argument("--encoder-dim", type=int)
-    encoder_flags.add_argument("--encoder-provider", choices=("hash", "table"))
-    encoder_flags.add_argument("--encoder-table", dest="encoder_table_path")
-
     model_flags = argparse.ArgumentParser(add_help=False)
-    model_flags.add_argument("--epochs", dest="max_epochs", type=_int_at_least(0))
-    model_flags.add_argument("--batch-size", type=_int_at_least(1))
-    model_flags.add_argument("--dropout", type=float)
-    model_flags.add_argument("--lr", type=_positive_float)
-    model_flags.add_argument("--patience", type=int)
-    model_flags.add_argument("--issue-threshold", type=float)
-    model_flags.add_argument("--solution-threshold", type=float)
-    model_flags.add_argument("--balance", action="store_true", default=None)
+    settings_flags = [
+        encoder_flags.add_argument("--encoder-dim", type=int),
+        encoder_flags.add_argument("--encoder-provider"),
+        encoder_flags.add_argument("--encoder-table", dest="encoder_table_path"),
+        model_flags.add_argument("--epochs", dest="max_epochs", type=int),
+        model_flags.add_argument("--batch-size", type=int),
+        model_flags.add_argument("--dropout", type=float),
+        model_flags.add_argument("--lr", type=float),
+        model_flags.add_argument("--patience", type=int),
+        model_flags.add_argument("--issue-threshold", type=float),
+        model_flags.add_argument("--solution-threshold", type=float),
+        model_flags.add_argument("--balance", action="store_true", default=None),
+    ]
 
     p = sub.add_parser("preprocess", help="normalize and repair a raw chat log")
     p.add_argument("--input", required=True)
@@ -312,7 +306,10 @@ def build_parser():
     p.add_argument("--target", required=True, choices=("issue", "solution", "link"))
     p.add_argument("--out", required=True)
     p.add_argument("--link-hidden", type=_int_at_least(1), default=disentangle.LINK_HIDDEN)
-    p.set_defaults(func=_cmd_train)
+    # each flag link training rejects, by dest, as its usage error names it
+    p.set_defaults(func=_cmd_train, link_ignored={
+        a.dest: a.option_strings[0] for a in settings_flags if a.dest in _LINK_IGNORED
+    })
 
     p = sub.add_parser(
         "extract", parents=[encoder_flags], help="chat log + checkpoints -> issue-solution pairs"
@@ -347,10 +344,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     link = getattr(args, "target", None) == "link"
     if link:
-        train = parser._subparsers._group_actions[0].choices["train"]
-        # link training reads --epochs, but not a config file's max_epochs
-        given = [a.option_strings[0] for a in train._actions if a.dest != "max_epochs"
-                 and _classifier_only(a.dest) and getattr(args, a.dest) is not None]
+        given = [flag for key, flag in args.link_ignored.items() if getattr(args, key) is not None]
         if given:
             parser.error(f"train --target link takes no {', '.join(given)} (classifier settings)")
     try:
@@ -360,18 +354,18 @@ def main(argv=None):
         unknown = sorted(set(file_cfg) - _CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"{args.config}: unknown config keys {', '.join(unknown)}")
-        keys = sorted(filter(_classifier_only, file_cfg)) if link else []
+        keys = sorted(_LINK_IGNORED.intersection(file_cfg)) if link else []
         if keys:
             raise ConfigError(f"train --target link does not read config keys {', '.join(keys)}")
-        return args.func(args, file_cfg)
-    except ContractViolation as exc:
-        reason = " ".join(str(exc).split())
-        print(f"error: code=4 reason={reason}", file=sys.stderr)
-        return 4
-    except DataError as exc:
-        reason = " ".join(str(exc).split())
-        print(f"error: code=3 reason={reason}", file=sys.stderr)
-        return 3
+        base = ModelConfig(max_epochs=disentangle.LINK_EPOCHS) if link else ModelConfig()
+        pre_cfg = _settings(PreprocessConfig(), args, file_cfg)
+        cfg = _settings(base, args, file_cfg)
+        enc_cfg = _settings(enc.EncoderConfig(), args, file_cfg, prefix="encoder_")
+        return args.func(args, pre_cfg, cfg, enc_cfg, file_cfg)
+    except (ContractViolation, DataError) as exc:
+        code = 4 if isinstance(exc, ContractViolation) else 3
+        print(f"error: code={code} reason={' '.join(str(exc).split())}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -412,8 +412,8 @@ def merge_broken_utterances(log, lm, cfg):
 
 def preprocess_chat_log(log, cfg):
     """Full normalization pass over a parsed log. Messages whose text
-    normalizes to nothing are dropped. Returns (log, lm) with the bigram
-    model used for merging."""
+    normalizes to nothing are dropped; broken sends are merged under the
+    log's bigram model."""
     processed = []
     for u in log.utterances:
         p = preprocess_utterance(
@@ -424,8 +424,7 @@ def preprocess_chat_log(log, cfg):
     if cfg.typo_correction:
         processed = correct_typos(processed, cfg)
     staged = ChatLog(log.community_id, processed)
-    lm = build_corpus_lm(staged)
-    return merge_broken_utterances(staged, lm, cfg), lm
+    return merge_broken_utterances(staged, build_corpus_lm(staged), cfg)
 
 
 # -- serialization ---------------------------------------------------------

@@ -46,6 +46,7 @@ from .fileio import read_jsonl
 
 FEATURE_DIM = 77
 LINK_HIDDEN = 64
+LINK_EPOCHS = 5  # link training's default; the flag or config key max_epochs
 # link training's fixed Adam step, mini-batch size and sampled negatives per child
 LINK_LR = 0.001
 LINK_BATCH_SIZE = 32
@@ -515,7 +516,7 @@ def load_link_examples(path, pre_cfg):
     return examples
 
 
-def train_link_scorer(examples, hidden=LINK_HIDDEN, epochs=5, lookback=50, seed=0):
+def train_link_scorer(examples, hidden=LINK_HIDDEN, epochs=LINK_EPOCHS, lookback=50, seed=0):
     """Fit the scorer on (log, links) pairs, links mapping child index to its
     true parent index or None for dialog starters. Negatives are sampled from
     the other in-window candidates. Returns (params, per-epoch mean loss)."""

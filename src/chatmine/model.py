@@ -66,22 +66,20 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("issue_threshold", "solution_threshold"):
-            t = getattr(self, name)
-            if not 0.2 <= t <= 0.8:
-                raise ConfigError(f"{name} must be in [0.2, 0.8], got {t}")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise ConfigError("batch_size and max_epochs must be >= 1")
-        if not 0.0 < self.lr < np.inf:
-            raise ConfigError(f"lr must be a positive finite number, got {self.lr}")
-        if not 0.0 <= self.beta1 < 1.0:
-            raise ConfigError(f"beta1 must be in [0, 1), got {self.beta1}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        checks = (
+            ("issue_threshold", "in [0.2, 0.8]", 0.2 <= self.issue_threshold <= 0.8),
+            ("solution_threshold", "in [0.2, 0.8]", 0.2 <= self.solution_threshold <= 0.8),
+            ("patience", ">= 1", self.patience >= 1),
+            ("dropout", "in [0, 1)", 0.0 <= self.dropout < 1.0),
+            ("batch_size", ">= 1", self.batch_size >= 1),
+            ("max_epochs", ">= 1", self.max_epochs >= 1),
+            ("lr", "a positive finite number", 0.0 < self.lr < np.inf),  # NaN fails
+            ("beta1", "in [0, 1)", 0.0 <= self.beta1 < 1.0),
+            ("seed", ">= 0", self.seed >= 0),
+        )
+        for name, rule, ok in checks:
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

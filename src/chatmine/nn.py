@@ -103,10 +103,11 @@ class Tensor:
         other = _as_tensor(other)
 
         def back(g):
+            # g is this node's own gradient: a view of it is copied, a sum kept
             if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.data.shape))
+                self._accumulate(_unbroadcast(g.view(), self.data.shape))
             if other.requires_grad:
-                other._accumulate(_unbroadcast(g, other.data.shape))
+                other._accumulate(_unbroadcast(g.view(), other.data.shape))
 
         return Tensor(self.data + other.data, parents=(self, other), backward_fn=back)
 
@@ -200,14 +201,14 @@ def _as_tensor(x):
 
 
 def _unbroadcast(g, shape):
-    """Sum a broadcast gradient back down to ``shape``."""
+    """Sum a broadcast gradient back down to ``shape``; fresh stays fresh."""
     g = np.asarray(g)
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for axis, dim in enumerate(shape):
         if dim == 1 and g.shape[axis] != 1:
             g = g.sum(axis=axis, keepdims=True)
-    return g.reshape(shape)
+    return g
 
 
 # -- layers and activations ---------------------------------------------
@@ -230,7 +231,8 @@ def linear(x, W, b):
         if b.requires_grad:
             b._accumulate(g.sum(axis=0))
         if x.requires_grad:
-            x._accumulate((g @ W.data).reshape(x.data.shape))
+            gx = g @ W.data
+            x._accumulate(gx if gx.shape == x.data.shape else gx.reshape(x.data.shape))
 
     return Tensor(x.data @ W.data.T + b.data, parents=(x, W, b), backward_fn=back)
 

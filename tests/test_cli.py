@@ -3,6 +3,7 @@ and config-file layering. Commands run in-process through main()."""
 
 import argparse
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from chatmine import cli, synth
 from chatmine.cli import _coerce, _parse_config_file, _settings, main
+from chatmine.corpus import PreprocessConfig
 from chatmine.encoder import EncoderConfig
 from chatmine.errors import ConfigError, ContractViolation, DataError
 from chatmine.model import ModelConfig
@@ -290,17 +292,110 @@ NOT_CONFIG_KEYS = {
 }
 
 
+# (flag, config key, an out-of-range value, a verb reading the setting)
+OUT_OF_RANGE = {
+    "seed-negative": ("--seed", "seed", "-1", "preprocess"),
+    "perplexity-zero": ("--perplexity-threshold", "perplexity_threshold", "0", "preprocess"),
+    "merge-gap-negative": ("--merge-gap-ms", "merge_time_gap_max_ms", "-100", "preprocess"),
+    "link-epochs-negative": ("--epochs", "max_epochs", "-3", "train:link"),
+    "epochs-zero": ("--epochs", "max_epochs", "0", "train:issue"),
+    "batch-size-zero": ("--batch-size", "batch_size", "0", "train:issue"),
+    "dropout-one": ("--dropout", "dropout", "1.0", "train:solution"),
+    "lr-nan": ("--lr", "lr", "nan", "train:issue"),
+    "lr-negative": ("--lr", "lr", "-1", "train:issue"),
+    "lr-inf": ("--lr", "lr", "inf", "eval"),
+    "patience-zero": ("--patience", "patience", "0", "eval"),
+    "issue-threshold-high": ("--issue-threshold", "issue_threshold", "0.9", "extract"),
+    "solution-threshold-low": ("--solution-threshold", "solution_threshold", "0.1", "extract"),
+    "encoder-dim-zero": ("--encoder-dim", "encoder_dim", "0", "extract"),
+    "encoder-provider-unknown": ("--encoder-provider", "encoder_provider", "bert", "train:issue"),
+}
+# settings flags without a range: switches, and a path read only when used
+NO_RANGE = {"typo_correction", "balance", "encoder_table_path"}
+
+
 def test_every_settings_flag_stores_into_its_config_key():
+    # and each one with a range has an out-of-range case below
     parser = cli.build_parser()
     verbs = parser._subparsers._group_actions[0].choices
+    flags = {flag for flag, *_ in OUT_OF_RANGE.values()}
     dests = set()
     for verb in ("preprocess", "train", "extract", "eval"):
         for action in parser._actions + verbs[verb]._actions:
             if action.option_strings and action.dest not in NOT_CONFIG_KEYS:
                 assert action.dest in cli._CONFIG_KEYS, (verb, action.option_strings)
+                assert action.dest in NO_RANGE or action.option_strings[0] in flags, (verb, action.dest)
                 dests.add(action.dest)
     assert {"seed", "typo_correction", "merge_time_gap_max_ms", "max_epochs",
             "encoder_table_path"} <= dests
+
+
+def settings_argv(verb, tmp_path, out):
+    """argv running ``verb`` on inputs that do not exist: the settings are
+    checked before a verb reads anything."""
+    missing = str(tmp_path / "missing.jsonl")
+    if verb in ("preprocess", "disentangle"):
+        return [verb, "--input", missing, "--out", str(out)]
+    if verb == "extract":
+        return ["extract", "--input", missing, "--out", str(out),
+                "--issue-ckpt", missing, "--solution-ckpt", missing]
+    if verb == "eval":
+        return ["eval", "--data", missing, "--out", str(out)]
+    if verb == "gradcheck":
+        return ["gradcheck"]
+    return ["train", "--data", missing, "--target", verb.split(":")[1], "--out", str(out)]
+
+
+def run_setting(tmp_path, verb, key, value, flag=None):
+    """Exit code of ``verb`` given ``key`` as ``value``: by ``flag`` when one
+    is named, else by a config file."""
+    out = tmp_path / "out"
+    argv = settings_argv(verb, tmp_path, out)
+    if flag == "--seed":
+        argv = [flag, value, *argv]
+    elif flag is not None:
+        argv = [*argv, flag, value]
+    else:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{key}={value}\n", encoding="utf-8")
+        argv = ["--config", str(cfg), *argv]
+    rc = main(argv)
+    assert not out.exists()
+    return rc
+
+
+def dataclass_reason(key, value):
+    """The message the config class gives for ``key`` = ``value``."""
+    if key.startswith("encoder_"):
+        cls, name = EncoderConfig, key[len("encoder_"):]
+    else:
+        cls = ModelConfig if key in {f.name for f in fields(ModelConfig)} else PreprocessConfig
+        name = key
+    kind = next(type(f.default) for f in fields(cls) if f.name == name)
+    with pytest.raises(ConfigError) as exc:
+        cls(**{name: kind(value)})
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("case", list(OUT_OF_RANGE), ids=list(OUT_OF_RANGE))
+def test_out_of_range_setting_exits_3_from_flag_and_key(tmp_path, capsys, case):
+    # the config classes alone hold the range rules: a flag and its config
+    # key fail the same way, before the verb reads its inputs
+    flag, key, value, verb = OUT_OF_RANGE[case]
+    want = f"error: code=3 reason={dataclass_reason(key, value)}"
+    from_flag = assert_data_error(run_setting(tmp_path, verb, key, value, flag), capsys)
+    from_key = assert_data_error(run_setting(tmp_path, verb, key, value), capsys)
+    assert from_flag.strip().splitlines()[-1] == want
+    assert from_key.strip().splitlines()[-1] == want
+
+
+@pytest.mark.parametrize(
+    "verb", ["preprocess", "disentangle", "train:issue", "train:link", "extract", "eval", "gradcheck"]
+)
+def test_negative_seed_exits_3_in_every_verb(tmp_path, capsys, verb):
+    for flag in ("--seed", None):
+        err = assert_data_error(run_setting(tmp_path, verb, "seed", "-1", flag), capsys)
+        assert "reason=seed must be >= 0, got -1" in err
 
 
 # -- pipeline verbs --------------------------------------------------------
@@ -499,7 +594,7 @@ def test_train_link_rejects_classifier_flags(tmp_path, flags, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("line", ["lr=0.5", "batch_size=3", "max_epochs=1", "encoder_dim=16"])
+@pytest.mark.parametrize("line", ["lr=0.5", "batch_size=3", "encoder_dim=16"])
 def test_train_link_rejects_classifier_config_keys(tmp_path, line, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("merge_time_gap_max_ms=1000\n" + line + "\n", encoding="utf-8")
@@ -513,6 +608,21 @@ def test_train_link_rejects_classifier_config_keys(tmp_path, line, capsys):
     cfg.write_text("merge_time_gap_max_ms=1000\n", encoding="utf-8")
     assert main(["--config", str(cfg)] + argv) == 0
     assert out.exists()
+
+
+def test_train_link_reads_max_epochs_from_config_and_the_flag_wins(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("max_epochs=2\n", encoding="utf-8")
+    argv = ["--config", str(cfg), "train", "--data", str(write_link_data(tmp_path)),
+            "--target", "link", "--out", str(tmp_path / "link.ckpt"), "--link-hidden", "4"]
+
+    def losses(*flags):
+        assert main(argv + list(flags)) == 0
+        line = capsys.readouterr().err.strip().splitlines()[-1]
+        return line.split("link scorer loss: ")[1].split()
+
+    assert len(losses()) == 2
+    assert len(losses("--epochs", "1")) == 1
 
 
 def extract_with_issue_ckpt(tmp_path, issue_ckpt, solution_ckpt):
@@ -830,10 +940,8 @@ def test_train_with_non_finite_table_value_exits_3(tmp_path, labeled_path, capsy
         ["gradcheck", "--step", "0"],
         ["gradcheck", "--tol", "nan"],
         ["train", "--data", "d", "--target", "link", "--out", "o", "--link-hidden", "-1"],
-        ["train", "--data", "d", "--target", "link", "--out", "o", "--epochs", "-3"],
-        ["train", "--data", "d", "--target", "issue", "--out", "o", "--batch-size", "0"],
-        ["train", "--data", "d", "--target", "issue", "--out", "o", "--lr", "nan"],
-        ["train", "--data", "d", "--target", "issue", "--out", "o", "--lr", "-1"],
+        ["train", "--data", "d", "--target", "issue", "--out", "o", "--batch-size", "x"],
+        ["--seed", "1.5", "preprocess", "--input", "i", "--out", "o"],
         ["disentangle", "--input", "i", "--out", "o", "--lookback", "-3"],
         ["disentangle", "--input", "i", "--out", "o", "--lookback", "0"],
         ["disentangle", "--input", "i", "--out", "o", "--lookback", "2.5"],
@@ -844,7 +952,7 @@ def test_train_with_non_finite_table_value_exits_3(tmp_path, labeled_path, capsy
     ],
     ids=[
         "gradcheck-seeds", "gradcheck-step", "gradcheck-tol", "link-hidden",
-        "link-epochs-negative", "batch-size-zero", "lr-nan", "lr-negative",
+        "batch-size-not-a-number", "seed-not-a-number",
         "lookback-negative", "lookback-zero", "lookback-fraction",
         "threshold-nan", "threshold-above-one", "threshold-negative", "threshold-inf",
     ],

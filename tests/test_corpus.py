@@ -561,7 +561,7 @@ def test_preprocess_chat_log_drops_empty_after_normalization():
             corpus.Utterance(1, 5, "a", "hello", "hello", ("hello",), {}),
         ],
     )
-    out, _lm = preprocess_chat_log(log, CFG)
+    out = preprocess_chat_log(log, CFG)
     assert len(out.utterances) == 1
 
 

@@ -510,7 +510,7 @@ def test_float32_round_trip_keeps_gate_decisions_and_pairs(tmp_path, small_bundl
     script = Path(__file__).resolve().parent.parent / "scripts" / "make_fixture_corpus.py"
     subprocess.run([sys.executable, str(script), "--out-dir", str(tmp_path)], check=True, capture_output=True)
     raw, _ = parse_chat_log(tmp_path / "raw.jsonl")
-    log, _ = preprocess_chat_log(raw, PreprocessConfig())
+    log = preprocess_chat_log(raw, PreprocessConfig())
     loaded = {}
     for target, bundle in small_bundles.items():
         save_model_checkpoint(tmp_path / f"{target}.ckpt", bundle)

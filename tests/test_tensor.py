@@ -420,7 +420,7 @@ def test_extract_pairs_are_the_same_with_the_window_major_conv(tmp_path, monkeyp
     spec.loader.exec_module(gen)
     raw = tmp_path / "raw.jsonl"
     gen.write_raw(gen.chained_log(1, 40, 3), raw)
-    clean, _ = preprocess_chat_log(parse_chat_log(raw)[0], PreprocessConfig())
+    clean = preprocess_chat_log(parse_chat_log(raw)[0], PreprocessConfig())
     dialogs = assemble_dialogs(clean, heuristic_link_scorer)
     enc_cfg = EncoderConfig()
     issue = model.load_model_checkpoint(bench / "checkpoints" / "issue.ckpt", enc_cfg, "issue")
