@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import lexicons
 from .errors import ConfigError, DataError
-from .fileio import read_jsonl, write_jsonl
+from .fileio import read_jsonl, stamp, write_jsonl
 
 # Tags inserted by normalization; everything else in clean text is lowercase.
 _PLACEHOLDER = r"\[(?:URL|EMAIL|HTML|CODE|ID|EMOJI_[A-Z]+)\]"
@@ -130,7 +130,7 @@ class SkippedLine:
 
 class _LemmaCache(dict):
     """word -> lemma under one rule table. Each distinct word is lemmatized
-    once and kept for as long as ``_resources`` keeps its config."""
+    once and kept for as long as ``_compiled_lexicons`` keeps its files."""
 
     def __init__(self, rule_table):
         super().__init__()
@@ -141,30 +141,43 @@ class _LemmaCache(dict):
         return lemma
 
 
+# the lexicon each PreprocessConfig path field names, and its bundled file
+_LEXICON_FILES = (
+    ("placeholder_rules_path", "placeholder_rules.tsv"),
+    ("acronyms_path", "acronyms.tsv"),
+    ("emoji_path", "emoji.tsv"),
+    ("stopwords_path", "stopwords.txt"),
+    ("lemma_rules_path", "lemma_rules.tsv"),
+)
+
+
+def normalization_lexicons(cfg):
+    """The compiled normalization lexicons of a PreprocessConfig, as its
+    files are now: a file rewritten since the last call is read again."""
+    paths = tuple(
+        lexicons.data_path(name) if getattr(cfg, field) is None else getattr(cfg, field)
+        for field, name in _LEXICON_FILES
+    )
+    return _compiled_lexicons(paths, tuple(map(stamp, paths)))
+
+
 @lru_cache(maxsize=8)
-def _resources(cfg):
-    """The compiled normalization lexicons of a PreprocessConfig."""
-
-    def path(value, name):
-        return value if value is not None else lexicons.data_path(name)
-
-    acronyms = {
-        k.lower(): v for k, v in lexicons.load_map(path(cfg.acronyms_path, "acronyms.tsv")).items()
-    }
+def _compiled_lexicons(paths, stamps):
+    """The lexicons at ``paths``; ``stamps``, the files', keys the cache."""
+    rules_path, acronyms_path, emoji_path, stopwords_path, lemma_path = paths
+    acronyms = {k.lower(): v for k, v in lexicons.load_map(acronyms_path).items()}
     keys = sorted(acronyms, key=len, reverse=True)
     acro_re = re.compile(
         r"\b(?:" + "|".join(re.escape(k) for k in keys) + r")\b", re.IGNORECASE
     ) if keys else None
-    emoji = lexicons.load_map(path(cfg.emoji_path, "emoji.tsv"))
+    emoji = lexicons.load_map(emoji_path)
     return {
-        "rules": lexicons.load_rules(path(cfg.placeholder_rules_path, "placeholder_rules.tsv")),
+        "rules": lexicons.load_rules(rules_path),
         "acro_re": acro_re,
         "acronyms": acronyms,
         "emoji": sorted(emoji.items(), key=lambda kv: (-len(kv[0]), kv[0])),
-        "stopwords": frozenset(lexicons.load_wordlist(path(cfg.stopwords_path, "stopwords.txt"))),
-        "lemma": _LemmaCache(
-            lexicons.load_lemma_rules(path(cfg.lemma_rules_path, "lemma_rules.tsv"))
-        ),
+        "stopwords": frozenset(lexicons.load_wordlist(stopwords_path)),
+        "lemma": _LemmaCache(lexicons.load_lemma_rules(lemma_path)),
     }
 
 
@@ -180,11 +193,14 @@ def tokenize(text):
     return TOKEN_RE.findall(text)
 
 
-def preprocess_utterance(raw, cfg, index=0):
+def preprocess_utterance(raw, cfg, index=0, res=None):
     """Normalize one message. Stage order matters: placeholders first (URLs
     before emails), then shorthand expansion, emoticons, lowercasing outside
-    placeholders, lemmatization, whitespace collapse."""
-    res = _resources(cfg)
+    placeholders, lemmatization, whitespace collapse. A caller normalizing
+    a whole log passes ``res``, ``normalization_lexicons(cfg)`` taken once,
+    so the lexicon files are not checked again for every message."""
+    if res is None:
+        res = normalization_lexicons(cfg)
     text = raw.text
     hits = Counter()
     for name, rx in res["rules"]:
@@ -415,9 +431,10 @@ def preprocess_chat_log(log, cfg):
     normalizes to nothing are dropped; broken sends are merged under the
     log's bigram model."""
     processed = []
+    res = normalization_lexicons(cfg)
     for u in log.utterances:
         p = preprocess_utterance(
-            RawMessage(u.time, u.author_id, u.raw_text), cfg, index=len(processed)
+            RawMessage(u.time, u.author_id, u.raw_text), cfg, len(processed), res
         )
         if p.clean_text:
             processed.append(p)

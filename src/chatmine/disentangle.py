@@ -40,7 +40,7 @@ import numpy as np
 
 from . import checkpoint as ckpt_io
 from . import nn
-from .corpus import ChatLog, preprocess_utterance, raw_message
+from .corpus import ChatLog, normalization_lexicons, preprocess_utterance, raw_message
 from .errors import ConfigError, ContractViolation, DataError
 from .fileio import read_jsonl
 
@@ -490,6 +490,7 @@ def load_link_examples(path, pre_cfg):
     one (no merging) so the link indices stay valid."""
     p = Path(path)
     examples = []
+    res = normalization_lexicons(pre_cfg)
     for line_no, obj in read_jsonl(p, "link training data"):
         where = f"{p}:{line_no}"
         try:
@@ -500,7 +501,7 @@ def load_link_examples(path, pre_cfg):
         if not isinstance(raw_utts, list) or not isinstance(link_pairs, list):
             raise DataError(f"{where}: utterances and links must be lists")
         raws = [raw_message(r, where) for r in raw_utts]
-        utts = [preprocess_utterance(raw, pre_cfg, index=i) for i, raw in enumerate(raws)]
+        utts = [preprocess_utterance(raw, pre_cfg, i, res) for i, raw in enumerate(raws)]
         links = {}
         for pair in link_pairs:
             # indices are JSON integers: no bools, no floats to truncate

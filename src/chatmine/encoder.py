@@ -4,7 +4,8 @@ Two interchangeable providers produce token vectors: a seeded feature-hashing
 scheme that needs no external file, and a lookup table loaded from disk for
 pretrained vectors. An utterance vector is the L2-normalized mean of its
 token vectors; windows of 2k+1 neighboring utterance vectors are zero padded
-at sequence edges.
+at sequence edges. A TokenVectors map keeps each token's vector, as its few
+nonzeros, so a token is hashed once per chat log.
 """
 
 import hashlib
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .fileio import numbered_lines, read_bytes
+from .fileio import numbered_lines, read_bytes, stamp
 
 _PROVIDERS = ("hash", "table")
 # the EncoderConfig fields that change the produced vectors
@@ -117,24 +118,52 @@ def load_embedding_table(path, cfg):
 
 
 @lru_cache(maxsize=4)
-def _cached_table(path, cfg):
-    return load_embedding_table(path, cfg)
+def _cached_table(cfg, file_stamp):
+    """The table of ``cfg``; ``file_stamp``, its file's, keys the cache."""
+    return load_embedding_table(cfg.table_path, cfg)
 
 
-def encode_tokens(tokens, cfg):
+class TokenVectors(dict):
+    """token -> (indices, values) of its vector under one EncoderConfig.
+    Each distinct token is hashed once for as long as the map is kept; a
+    hashed token keeps only its nonzeros, at most buckets_per_token, as
+    lists, so a long log's map stays small. A table token keeps its row, all
+    indices, which the table holds already; the table is read as its file
+    is when the map is made. Lists live in Python's object arenas: as numpy
+    arrays, thousands of small buffers made between extraction's forwards
+    kept freed heap resident (the bench's `extract` peak RSS read 56.7-57.2
+    MB in three runs with arrays, 54.6-54.7 MB in three with lists)."""
+
+    def __init__(self, cfg):
+        super().__init__()
+        self.cfg = cfg
+        self.table = _cached_table(cfg, stamp(cfg.table_path)) if cfg.provider == "table" else None
+
+    def __missing__(self, token):
+        if self.table is not None:
+            entry = (slice(None), self.table.vectors.get(token, self.table.unk))
+        else:
+            v = _token_hash_vector(token, self.cfg)
+            nz = np.flatnonzero(v)
+            entry = (nz.tolist(), v[nz].tolist())
+        self[token] = entry
+        return entry
+
+
+def encode_tokens(tokens, cfg, vectors=None):
     """Mean of token vectors, L2 normalized; no tokens gives the zero
-    vector."""
+    vector. ``vectors``, a TokenVectors of ``cfg``, keeps the token vectors
+    for later calls. Adding a vector's nonzeros alone gives the bits of
+    adding the whole vector: x + 0.0 is x for every x but -0.0, and the
+    running sum starts at +0.0 and never becomes -0.0."""
     if not tokens:
         return np.zeros(cfg.dim)
-    if cfg.provider == "hash":
-        acc = np.zeros(cfg.dim)
-        for t in tokens:
-            acc += _token_hash_vector(t, cfg)
-    else:
-        table = _cached_table(str(cfg.table_path), cfg)
-        acc = np.zeros(cfg.dim)
-        for t in tokens:
-            acc += table.vectors.get(t, table.unk)
+    if vectors is None:
+        vectors = TokenVectors(cfg)
+    acc = np.zeros(cfg.dim)
+    for t in tokens:
+        nz, values = vectors[t]
+        acc[nz] += values
     acc /= len(tokens)
     norm = np.linalg.norm(acc)
     return acc / norm if norm > 0 else acc

@@ -24,6 +24,17 @@ def read_bytes(path, kind, error=DataError):
         raise error(f"cannot read {kind} {path}: {exc.strerror or exc}") from exc
 
 
+def stamp(path):
+    """The (size, mtime in ns) of the file at ``path``, or None when it cannot
+    be read: a cache of what a file holds keys on it, so a file rewritten in
+    place is read again."""
+    try:
+        st = Path(path).stat()
+    except OSError:
+        return None
+    return st.st_size, st.st_mtime_ns
+
+
 def read_lines(path, kind="file", error=DataError):
     """The lines of the UTF-8 text file at ``path``; an ``error`` names the
     line of the first byte that is not UTF-8."""

@@ -6,8 +6,10 @@ Only the ops the models need are provided: linear algebra, a fused
 conv1d+max-pool, the usual activations, dropout, fused softmax cross-entropy,
 and Adam. The layers take a leading batch axis, so a whole mini-batch is one
 graph with one node per layer. The conv-pool scores only the windows that
-can win, few on a sparse hashed vector, and when a gradient is needed keeps
-each kernel's winning window, so its backward runs no matrix product; that
+can win, few on a sparse hashed vector. Without a gradient it scores the
+windows of all a batch's rows together, in cache-sized tiles with no loop
+over rows; when a gradient is needed it runs row by row and keeps each
+kernel's winning window, so its backward runs no matrix product, and that
 path folds the bias into the kernel product. Backward stores a fresh
 gradient without a copy, and Adam updates in place through scratch kept
 across steps.
@@ -330,11 +332,52 @@ def concat(parts):
     )
 
 
-# Kernel rows per matmul block in conv1d_maxpool, so each (block, windows)
-# product stays in cache. On the 800-d 1024/512/256 stack (Xeon, one BLAS
-# thread), scoring every window of a dense row, blocks of 64 or 128 took
-# 1.36 ms per example, 32 took 1.58 ms and 256 to 1024 took 2.0-2.4 ms.
+# Kernel rows per matmul block on conv1d_maxpool's gradient path, so each
+# (block, windows) product stays in cache. On the 800-d 1024/512/256 stack
+# (Xeon, one BLAS thread), scoring every window of a dense row, blocks of 64
+# or 128 took 1.36 ms per example, 32 took 1.58 ms and 256 to 1024 took
+# 2.0-2.4 ms.
 _CONV_BLOCK = 64
+# (kernel, window) products per tile on the no-gradient path: 512 KB of
+# float64, at most _CONV_TILE // _CONV_BLOCK = 1024 windows wide, so a dense
+# row of a 1024-wide input fills one tile, as it fills one block above. At
+# this size OpenBLAS (0.3, Haswell) runs each product through its
+# small-matrix kernel, which sums a window's terms in the same order wherever
+# the window sits; products of over about 10^6 multiply-adds computed their
+# last columns in another order.
+_CONV_TILE = 65536
+
+
+def _window_maxima(x, kernels, cand):
+    """(B, m): per row of the (B, n) batch ``x``, each kernel's max of
+    kernel . window over the row's candidate windows, the starts ``cand``
+    (B, n-h+1) marks. The candidate windows of all rows are gathered row
+    after row into one (h, windows) array and scored in tiles of at most
+    _CONV_TILE products; one maximum.reduceat per tile pools each row's part
+    of it. No tile is one kernel tall or, with two windows or more, one window
+    wide: numpy would send it to a matrix-vector kernel with another sum
+    order."""
+    m, h = kernels.shape
+    counts = cand.sum(axis=1)
+    width = counts.sum()
+    # tap by tap, so no (windows, h) copy is made on the way
+    wins = np.empty((h, width))
+    for i in range(h):
+        wins[i] = x[:, i : i + cand.shape[1]][cand]
+    first = np.cumsum(counts) - counts  # each row's first column in wins
+    n_cols = -(-width * _CONV_BLOCK // _CONV_TILE)
+    col_edges = np.arange(n_cols + 1) * width // n_cols
+    n_kern = -(-m * (width // n_cols) // _CONV_TILE)
+    kern_edges = np.arange(n_kern + 1) * m // n_kern
+    peak = np.full((len(x), m), -np.inf)
+    for lo, hi in zip(col_edges[:-1], col_edges[1:]):
+        r0 = np.searchsorted(first, lo, side="right") - 1
+        r1 = np.searchsorted(first, hi)
+        cuts = np.maximum(first[r0:r1] - lo, 0)
+        for k0, k1 in zip(kern_edges[:-1], kern_edges[1:]):
+            part = np.maximum.reduceat(kernels[k0:k1] @ wins[:, lo:hi], cuts, axis=1)
+            np.maximum(peak[r0:r1, k0:k1], part.T, out=peak[r0:r1, k0:k1])
+    return peak
 
 
 def conv1d_maxpool(x, kernels, bias):
@@ -350,24 +393,25 @@ def conv1d_maxpool(x, kernels, bias):
     candidate starts are those whose window holds a nonzero plus the first
     all-zero window, in ascending order: a hashed vector keeps a few dozen
     of its n-h+1 windows, a dense row keeps them all, and an all-zero row
-    keeps one. The batch is one node that runs row by row, so each
-    (block, candidates) product stays in cache.
+    keeps one.
 
-    Without a gradient the forward keeps only each block's maxima and adds
-    the bias after pooling. When an input needs a gradient it keeps each
-    kernel's winning start, the first argmax, so backward only gathers the
-    winning windows and runs no matrix product. That path folds the bias
-    into the product: kernels [K | b], (m, h+1), against each row's
-    windows closed by a row of ones, (h+1, candidates), so one product per
-    block holds fl(w . x + b) and one argmax reads the peak there. The term
-    b * 1 is exact, so this is fl(fl(w . x) + b), bit-equal to adding b
-    after the product, as long as BLAS adds the last column's term last;
-    the window-major tests catch a BLAS that does not. numpy's
-    matrix-vector kernel need not, so a stage with a one-row kernel block,
-    or with n == h, adds b after the product. Rounding is monotone, so
-    max_t fl(pre_t + b) == fl(max_t pre_t + b) and the two paths give the
-    same bits, and ReLU commutes with max: pooling first gives max_t
-    ReLU(pre_t + b) exactly. Backward uses the (m, h) kernels.
+    Without a gradient the batch's windows are scored together, in tiles
+    (_window_maxima), and the bias is added after pooling. When an input
+    needs a gradient the node runs row by row, in blocks of _CONV_BLOCK
+    kernels, and keeps each kernel's winning start, the first argmax, so
+    backward only gathers the winning windows and runs no matrix product.
+    That path folds the bias into the product: kernels [K | b], (m, h+1),
+    against each row's windows closed by a row of ones, (h+1, candidates),
+    so one product per block holds fl(w . x + b) and one argmax reads the
+    peak there. The term b * 1 is exact, so this is fl(fl(w . x) + b),
+    bit-equal to adding b after the product, as long as BLAS adds the last
+    column's term last; the window-major tests catch a BLAS that does not.
+    Rounding is monotone, so max_t fl(pre_t + b) == fl(max_t pre_t + b) and
+    the two paths give the same bits, and ReLU commutes with max: pooling
+    first gives max_t ReLU(pre_t + b) exactly. numpy's matrix-vector kernel
+    sums in another order, and a stage with a one-row kernel block, or with
+    n == h, makes such products on the row path; there both paths run the
+    rows, adding b after the product. Backward uses the (m, h) kernels.
     """
     x, kernels, bias = _as_tensor(x), _as_tensor(kernels), _as_tensor(bias)
     rows, n = x.data.shape
@@ -380,11 +424,15 @@ def conv1d_maxpool(x, kernels, bias):
     # of zeros (argmin finds it; a row with none marks a live start again)
     cand = np.lib.stride_tricks.sliding_window_view(xd != 0.0, h, axis=1).any(axis=2)
     cand[np.arange(rows), cand.argmin(axis=1)] = True
-    blocks = [slice(lo, lo + _CONV_BLOCK) for lo in range(0, m, _CONV_BLOCK)]
     keep = x.requires_grad or kernels.requires_grad or bias.requires_grad
-    # no matrix-vector products (see above): with n > h only an all-zero row
-    # has a single window, and its sum is b in any order
-    fold = keep and n > h and m % _CONV_BLOCK != 1
+    # the row path makes matrix-vector products when a kernel block has one
+    # row or n == h; with n > h only an all-zero row has a single window, and
+    # its sum is b in any order
+    matvec = n == h or m % _CONV_BLOCK == 1
+    if not (keep or matvec):
+        return Tensor(np.maximum(_window_maxima(xd, K, cand) + b, 0.0))
+    blocks = [slice(lo, lo + _CONV_BLOCK) for lo in range(0, m, _CONV_BLOCK)]
+    fold = keep and not matvec
     if fold:
         # [K | b] against windows closed by a row of ones: gathering x at
         # n + start, past the row's end, reads a one for every start
@@ -401,15 +449,12 @@ def conv1d_maxpool(x, kernels, bias):
         wt = xp[r, taps[:, None] + starts]  # (h, candidates), or (h+1, ...)
         for blk in blocks:
             pre = Kp[blk] @ wt
-            if keep:
-                if not fold:
-                    pre += b[blk, None]
-                j = pre.argmax(axis=1)
-                win[r, blk] = starts[j]
-                peak[r, blk] = pre[lanes[: len(j)], j]
-            else:
-                np.maximum.reduce(pre, axis=1, out=peak[r, blk])
-    out = np.maximum(peak if keep else peak + b, 0.0)
+            if not fold:
+                pre += b[blk, None]
+            j = pre.argmax(axis=1)
+            win[r, blk] = starts[j]
+            peak[r, blk] = pre[lanes[: len(j)], j]
+    out = np.maximum(peak, 0.0)
 
     def back(g):
         gate = out > 0.0

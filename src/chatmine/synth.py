@@ -12,7 +12,13 @@ disentanglement tests.
 
 import numpy as np
 
-from .corpus import ChatLog, PreprocessConfig, RawMessage, preprocess_utterance
+from .corpus import (
+    ChatLog,
+    PreprocessConfig,
+    RawMessage,
+    normalization_lexicons,
+    preprocess_utterance,
+)
 from .fileio import write_jsonl
 
 _AUTHORS = ("dev_ana", "dev_bo", "dev_cy", "dev_dee", "dev_eli", "dev_flo")
@@ -168,8 +174,9 @@ def synth_interleaved(seed, n_dialogs, pre_cfg=None, start_time=1_600_000_000_00
     true_links = {}
     partition = [[] for _ in range(n_dialogs)]
     last_index_of = {}
+    res = normalization_lexicons(pre_cfg)
     for global_idx, (d, pos, author, text) in enumerate(order):
-        u = preprocess_utterance(RawMessage(t, author, text), pre_cfg, index=global_idx)
+        u = preprocess_utterance(RawMessage(t, author, text), pre_cfg, global_idx, res)
         utterances.append(u)
         partition[d].append(global_idx)
         if pos > 0:

@@ -6,6 +6,7 @@ cross-checked against an independent counting implementation in this file.
 
 import json
 import math
+import os
 import re
 from collections import Counter
 from dataclasses import replace
@@ -534,7 +535,7 @@ def test_typo_fixes_rewrite_tokens_and_text_words_independently():
     assert (fixed[2].clean_text, fixed[2].tokens) == ("x'build", ("x'buld",))
 
 
-def test_lemmas_are_cached_per_word_and_rule_table(monkeypatch):
+def test_lemmas_are_cached_per_word_and_rule_table(tmp_path, monkeypatch):
     calls = Counter()
     real = lexicons.lemmatize_word
 
@@ -543,11 +544,30 @@ def test_lemmas_are_cached_per_word_and_rule_table(monkeypatch):
         return real(word, rules)
 
     monkeypatch.setattr(lexicons, "lemmatize_word", counting)
-    cfg = PreprocessConfig(merge_time_gap_max_ms=7)  # a config no other test caches
+    # a rule file no other test reads, so no other test has filled its cache
+    rules = tmp_path / "lemma_rules.tsv"
+    rules.write_bytes(lexicons.data_path("lemma_rules.tsv").read_bytes())
+    cfg = PreprocessConfig(lemma_rules_path=rules)
     first = [preprocess_utterance(RawMessage(0, "a", "builds failing builds"), cfg)]
     again = [preprocess_utterance(RawMessage(0, "a", "builds failing builds"), cfg)]
     assert first == again and first[0].clean_text == "build fail build"
     assert calls == {"builds": 1, "failing": 1}
+
+
+def test_a_lexicon_rewritten_in_place_is_read_again(tmp_path):
+    acronyms = tmp_path / "acronyms.tsv"
+    acronyms.write_text("brb\tbe right back\n", encoding="utf-8")
+    cfg = PreprocessConfig(acronyms_path=acronyms)
+    msg = RawMessage(0, "a", "brb")
+    assert preprocess_utterance(msg, cfg).tokens == ("right", "back")
+    acronyms.write_text("brb\tback in a minute\n", encoding="utf-8")
+    assert preprocess_utterance(msg, cfg).tokens == ("back", "minute")
+    # the same size: only the modification time tells the two apart
+    acronyms.write_text("brb\tback in a moment\n", encoding="utf-8")
+    os.utime(acronyms, ns=(1_000_000_000, 1_000_000_000))
+    assert preprocess_utterance(msg, cfg).tokens == ("back", "moment")
+    log = ChatLog("c", [corpus.Utterance(0, 0, "a", "brb", "", (), {})])
+    assert preprocess_chat_log(log, cfg).utterances[0].tokens == ("back", "moment")
 
 
 # -- whole-log pipeline and serialization ----------------------------------

@@ -1,6 +1,8 @@
 """Utterance vector provider tests: hashing determinism, table lookup,
 window padding, and configuration fingerprints."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,48 @@ def test_table_rejects_values_that_are_not_finite(tmp_path, value):
 
 
 # -- local windows ---------------------------------------------------------
+
+
+def dense_mean_reference(tokens, cfg):
+    """encode_tokens as a sum of whole 800-wide token vectors, hashing each
+    occurrence."""
+    acc = np.zeros(cfg.dim)
+    for t in tokens:
+        acc += enc._token_hash_vector(t, cfg)
+    acc /= len(tokens)
+    norm = np.linalg.norm(acc)
+    return acc / norm if norm > 0 else acc
+
+
+def test_token_vectors_hash_each_token_once_and_keep_the_dense_bits(monkeypatch):
+    texts = [
+        ("build", "fails", "after", "the", "upgrade"),
+        ("the", "build", "the", "build"),
+        ("pip", "install", "error", "fails"),
+        ("x",) * 9,
+    ]
+    want = [dense_mean_reference(t, CFG) for t in texts]
+    calls = []
+    real = enc._token_hash_vector
+    monkeypatch.setattr(enc, "_token_hash_vector", lambda t, cfg: calls.append(t) or real(t, cfg))
+    vectors = enc.TokenVectors(CFG)
+    got = [encode_tokens(t, CFG, vectors) for t in texts]
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+    assert sorted(calls) == sorted({t for text in texts for t in text})
+    assert all(len(nz) <= CFG.buckets_per_token for nz, _ in vectors.values())
+
+
+def test_a_table_rewritten_in_place_is_read_again(tmp_path):
+    p = tmp_path / "emb.txt"
+    write_table(p, ["hot 1 0", "cold 0 1"])
+    cfg = EncoderConfig(dim=2, provider="table", table_path=str(p))
+    assert np.array_equal(encode_tokens(("hot",), cfg), [1.0, 0.0])
+    write_table(p, ["hot 0 1", "cold 1 0"])  # same size: only the mtime tells
+    os.utime(p, ns=(1_000_000_000, 1_000_000_000))
+    assert np.array_equal(encode_tokens(("hot",), cfg), [0.0, 1.0])
+    write_table(p, ["hot 0.5 0", "cold 1 0"])
+    assert np.array_equal(encode_tokens(("hot",), cfg), [1.0, 0.0])
 
 
 def test_window_zero_pads_sequence_edges():

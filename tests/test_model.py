@@ -721,6 +721,72 @@ def test_extraction_encodes_each_head_and_body_utterance_once(labeled_corpus, sm
     assert calls["encode"] == len(dialogs) + sum(len(parts.body_indices) for parts in splits)
 
 
+def scored_extraction(log, dialogs, bundles, enc_cfg, monkeypatch):
+    """extract_pairs' pairs and every probability it computed, keyed by
+    (target, utterance index)."""
+    probs = {}
+    proba = mdl.ModelBundle.proba
+
+    def recording(self, examples):
+        p = proba(self, examples)
+        probs.update(((self.target, ex.utt_index), v) for ex, v in zip(examples, p.tolist()))
+        return p
+
+    monkeypatch.setattr(mdl.ModelBundle, "proba", recording)
+    cfg = bundle_thresholds(bundles)
+    pairs = extract_pairs(log, dialogs, bundles["issue"], bundles["solution"], cfg, enc_cfg)
+    monkeypatch.setattr(mdl.ModelBundle, "proba", proba)
+    return pairs, probs
+
+
+@pytest.mark.parametrize("rows", [1, 10**9], ids=["one-dialog", "whole-log"])
+def test_extraction_chunks_give_the_same_pairs(labeled_corpus, small_bundles, small_enc, monkeypatch, rows):
+    # a chunk of one dialog, or of the whole log, scores the same heads and
+    # bodies as the default chunks, to within the rounding of a batched
+    # product, and makes the same gate decisions
+    log = labeled_corpus.logs["alpha"]
+    dialogs = assemble_dialogs(log, heuristic_link_scorer)
+    want, want_p = scored_extraction(log, dialogs, small_bundles, small_enc, monkeypatch)
+    monkeypatch.setattr(mdl, "_EXTRACT_ROWS", rows)
+    got, got_p = scored_extraction(log, dialogs, small_bundles, small_enc, monkeypatch)
+    assert any(pair.solutions for pair in want) and len(want) < len(dialogs)
+    assert got == want
+    assert got_p.keys() == want_p.keys()
+    cfg = bundle_thresholds(small_bundles)
+    for (target, i), p in want_p.items():
+        assert abs(got_p[target, i] - p) <= 1e-12
+        bar = cfg.issue_threshold if target == "issue" else cfg.solution_threshold
+        assert (got_p[target, i] >= bar) == (p >= bar)
+
+
+def test_extraction_runs_one_issue_forward_per_chunk(labeled_corpus, small_bundles, small_enc, monkeypatch):
+    log = labeled_corpus.logs["alpha"]
+    dialogs = assemble_dialogs(log, heuristic_link_scorer)
+    monkeypatch.setattr(mdl, "_EXTRACT_ROWS", 8)
+    chunks = list(mdl._dialog_chunks(log, dialogs))
+    assert 1 < len(chunks) < len(dialogs)
+    for chunk in chunks:
+        rows = sum(1 + len(parts.body_indices) for _, parts in chunk)
+        assert rows <= 8 or len(chunk) == 1
+    forwards = []
+    forward = mdl.forward_logits
+
+    def counted(examples, params, *a, **k):
+        forwards.append((params is small_bundles["issue"].params, len(examples)))
+        return forward(examples, params, *a, **k)
+
+    monkeypatch.setattr(mdl, "forward_logits", counted)
+    pairs = extract_pairs(
+        log, dialogs, small_bundles["issue"], small_bundles["solution"],
+        bundle_thresholds(small_bundles), small_enc,
+    )
+    assert pairs
+    # one issue forward over each chunk's heads, at most one solution
+    # forward over the bodies of the chunk's heads that pass
+    assert [n for is_issue, n in forwards if is_issue] == [len(c) for c in chunks]
+    assert len(forwards) <= 2 * len(chunks)
+
+
 def test_examples_encode_the_joined_head_and_each_reply(labeled_corpus, small_enc):
     # the center row of each window is the head's joined tokens, encoded
     # once, then each body utterance's own tokens, for one- and

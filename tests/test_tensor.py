@@ -405,6 +405,46 @@ def test_conv_pool_gradient_path_keeps_the_bits_near_matrix_vector_products(m, n
     assert np.array_equal(got.data, want)
 
 
+def no_grad_cases():
+    """Named (x, kernels, bias) stages for the no-gradient path, 800 wide
+    unless named otherwise: with 133 kernels the scoring tiles split both
+    the kernels and, on several rows, the windows."""
+    rng = np.random.default_rng(15)
+    m = 2 * nn._CONV_BLOCK + 5
+    k, b = rng.normal(size=(m, 3)), rng.normal(size=m)
+    k[0], b[0] = 1.0, 0.5  # alive at a score of 0: windows of zeros tie
+    dense = rng.normal(size=(6, 800))
+    many_zeros = dense * (rng.random((6, 800)) < 0.03)
+    sparse = np.stack(list(sparse_case_rows(800).values()))
+    return {
+        # period 3: window t repeats at t + 3, so every maximum is tied
+        "ties": (np.tile([0.5, -1.0, 2.0], (4, 267))[:, :800], k, b),
+        "repeats": (np.repeat(rng.normal(size=(4, 100)), 8, axis=1), k, b),
+        "all-zeros": (np.zeros((5, 800)), k, b),
+        "many-zeros": (many_zeros, k, b),
+        "one-kernel": (dense, k[:1], b[:1]),
+        "n-equals-h": (rng.normal(size=(7, 3)), k, b),
+        "mixed": (np.concatenate([sparse, dense[:2], many_zeros[:2]]), k, b),
+    }
+
+
+@pytest.mark.parametrize("tile", [None, 256], ids=["default-tiles", "tiny-tiles"])
+@pytest.mark.parametrize("case", list(no_grad_cases()))
+def test_conv_pool_no_grad_tiles_give_the_gradient_path_bits(case, tile, monkeypatch):
+    # the no-gradient forward scores all rows' windows together in tiles,
+    # the gradient path row by row; tiny tiles make rows straddle tiles
+    if tile is not None:
+        monkeypatch.setattr(nn, "_CONV_TILE", tile)
+    x, k, b = no_grad_cases()[case]
+    const = nn.conv1d_maxpool(nn.tensor(x), nn.tensor(k), nn.tensor(b))
+    grad = nn.conv1d_maxpool(nn.Parameter("x", x), nn.Parameter("k", k), nn.Parameter("b", b))
+    assert not const.requires_grad and grad.requires_grad
+    assert np.array_equal(const.data, grad.data)
+    assert np.array_equal(np.signbit(const.data), np.signbit(grad.data))
+    want = window_major_batch(x, k, b, np.zeros((len(x), len(b))))[0]
+    assert np.array_equal(const.data, want)
+
+
 def test_extract_pairs_are_the_same_with_the_window_major_conv(tmp_path, monkeypatch):
     import importlib.util
     from pathlib import Path
