@@ -4,10 +4,11 @@ utterances into dialogs.
 
 Each (child, candidate parent) pair maps to a 77-wide feature row. The link
 scorer turns a row into a link probability with two softsign hidden layers
-of width 64 and a sigmoid readout. ``link_logit`` is its only forward, one
-graph over a (rows, 77) block: training (``train --target link``) runs it
-on each mini-batch and inference (``disentangle --link-ckpt``) on each
-chunk of children. A child takes its best-scoring candidate, falling back
+of width 64 and a sigmoid readout. ``link_logit`` is its forward, one graph
+over a (rows, 77) block, which training (``train --target link``) runs on
+each mini-batch; inference (``disentangle --link-ckpt``) runs the same
+operations in place on each chunk of children (``link_mlp_scorer``), with
+the same bits. A child takes its best-scoring candidate, falling back
 to self when nothing clears the threshold. Connected components of the
 chosen links are the dialogs; within a dialog, the initiator's opening run
 of messages is the head and everything after it is the body.
@@ -322,15 +323,42 @@ def link_probabilities(features, params):
 
 
 def link_mlp_scorer(params):
-    """The trained scorer as a block scorer for assemble_dialogs: one
-    forward per block, over constant copies of ``params`` so that no graph
-    is kept."""
-    params = {name: nn.tensor(p.data) for name, p in params.items()}
+    """The trained scorer as a block scorer for assemble_dialogs. It runs
+    link_probabilities' operations in the same order, so its probabilities
+    have the same bits, but builds no graph: the hidden layers run in place,
+    in two (rows, hidden) buffers kept from block to block and grown to the
+    largest block."""
+    w1, b1, w2, b2, w3, b3 = (
+        params[f"link.{name}"].data for name in ("W1", "b1", "W2", "b2", "w3", "b3")
+    )
+    bufs = [np.empty((0, len(b1)))] * 2
 
     def scorer(block):
-        return link_probabilities(block.features, params)
+        rows = len(block.features)
+        if len(bufs[0]) < rows:
+            bufs[:] = [np.empty((rows, len(b1))) for _ in bufs]
+        h1, h2 = (buf[:rows] for buf in bufs)
+        np.matmul(block.features, w1.T, out=h1)
+        h1 += b1
+        _softsign(h1, h2)
+        np.matmul(h1, w2.T, out=h2)
+        h2 += b2
+        _softsign(h2, h1)
+        z = h2 @ w3
+        z += b3
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        return np.divide(1.0, z, out=z)  # sigmoid: 1 / (1 + e^-z)
 
     return scorer
+
+
+def _softsign(h, scratch):
+    """nn.softsign in place: h / (1 + |h|)."""
+    np.abs(h, out=scratch)
+    scratch += 1.0
+    h /= scratch
 
 
 # hand-set weights on the interpretable features, summed in this order; used

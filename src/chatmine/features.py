@@ -130,8 +130,9 @@ class TopicProfile:
 
 
 class TopicStats:
-    """Chat-level document statistics: IDF over utterances-as-documents, and
-    the profile of the whole chat as one scope."""
+    """Chat-level document statistics: IDF over utterances-as-documents, the
+    profile of the whole chat as one scope, and the stem of each of its
+    distinct tokens."""
 
     def __init__(self, chat):
         docs = [u.tokens for u in chat.utterances]
@@ -143,6 +144,7 @@ class TopicStats:
             t: math.log((1 + self.n_docs) / (1 + c)) + 1.0 for t, c in df.items()
         }
         self.chat = self.profile(tuple(t for d in docs for t in d))
+        self.stems = {t: lexicons.porter_stem(t) if t.isalpha() else t for t in df}
 
     def tfidf(self, tokens):
         """Term -> TF-IDF weight within the given scope. Unseen terms carry
@@ -172,8 +174,8 @@ def heuristic_attributes(dialog, parts, chat, stats, lex):
 
     Row 0 is the head: its joined text and tokens, position 1 and the
     initiator flag. Then comes one row per body utterance. ``parts`` is the
-    dialog's head/body split, ``stats`` the chat-level topic statistics.
-    Flags look at clean text, counts at the token stream.
+    dialog's head/body split, ``stats`` the topic statistics of ``chat``,
+    stems included. Flags look at clean text, counts at the token stream.
     """
     head = stats.profile(parts.head_tokens)
     rows = [(parts.head_text, parts.head_tokens, 1, head, parts.initiator)]
@@ -195,7 +197,7 @@ def heuristic_attributes(dialog, parts, chat, stats, lex):
         nt = len(tokens)
         v[12] = nt
         v[13] = len(set(tokens))
-        v[14] = len({lexicons.porter_stem(t) if t.isalpha() else t for t in tokens})
+        v[14] = len({stats.stems[t] for t in tokens})
         v[15] = ap
         v[16] = ap / len(dialog.members)
         v[17] = chat_vs_head

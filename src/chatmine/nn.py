@@ -8,14 +8,20 @@ and Adam. The layers take a leading batch axis, so a whole mini-batch is one
 graph with one node per layer. The conv-pool scores only the windows that
 can win, few on a sparse hashed vector. Without a gradient it scores the
 windows of all a batch's rows together, in cache-sized tiles with no loop
-over rows; when a gradient is needed it runs row by row and keeps each
-kernel's winning window, so its backward runs no matrix product, and that
-path folds the bias into the kernel product. Backward stores a fresh
-gradient without a copy, and Adam updates in place through scratch kept
-across steps.
+over rows. On a dense row of a wide stage it first drops the windows inside
+the hull of the row's extreme windows: no kernel's maximum can pick them,
+by a margin far above the products' rounding, so the pooled bits stay those
+of scoring every window. When a gradient is needed it runs row by row and
+keeps each kernel's winning window, so its backward runs no matrix product,
+and that path folds the bias into the kernel product. Backward stores a
+fresh gradient without a copy, and Adam updates in place through scratch
+kept across steps.
 Everything is deterministic given (input, params, seed); dropout takes its
 uniform draws from the caller.
 """
+
+import itertools
+import math
 
 import numpy as np
 
@@ -341,11 +347,104 @@ _CONV_BLOCK = 64
 # (kernel, window) products per tile on the no-gradient path: 512 KB of
 # float64, at most _CONV_TILE // _CONV_BLOCK = 1024 windows wide, so a dense
 # row of a 1024-wide input fills one tile, as it fills one block above. At
-# this size OpenBLAS (0.3, Haswell) runs each product through its
-# small-matrix kernel, which sums a window's terms in the same order wherever
-# the window sits; products of over about 10^6 multiply-adds computed their
-# last columns in another order.
+# this size OpenBLAS (0.3, SkylakeX and Haswell kernels) runs each product
+# through its small-matrix kernel, which sums a window's terms in the same
+# order wherever the window sits; products of over about 10^6 multiply-adds
+# computed their last columns in another order.
 _CONV_TILE = 65536
+# The no-gradient path drops the windows inside their row's inner hull
+# (conv1d_maxpool) where a row would cost at least _HULL_PRODUCTS (kernel,
+# candidate window) products. Measured on the bench's extract rows (seeds
+# 1-3, 2-core Xeon, one BLAS thread): stage 2, 512 kernels over 1022 dense
+# windows, keeps 66 windows a row and costs 0.18 to 0.21 ms a row, about
+# 0.09 of it in the filter, against 0.42 to 0.47 scoring every window.
+# Stage 3, 256 kernels over 510 windows with a fifth of its inputs zero,
+# keeps 268 and went from 0.165 to 0.243 ms a row; stage 1's hashed rows
+# hold about 61 candidate windows.
+_HULL_PRODUCTS = 1 << 18
+# Rows per hull group: an extract chunk's forward, at most 16 rows mostly,
+# is one group, and a group's temporaries stay under about 2 MB.
+_HULL_ROWS = 16
+# A row's extremes are the windows that maximize and minimize u . window
+# for the 6 face diagonals u of {-1, 0, 1}^3, up to sign: at most 12 points.
+# Adding the 4 body diagonals kept 56 windows a row instead of 66, but the
+# facet search over up to 20 points took stage 2 from 0.20 to 0.23 ms a row,
+# and 10 s bench runs of extract read 57.3 MB of peak RSS each instead of
+# 54.7-54.8; adding the 3 axes as well kept 51 and took 0.29 ms a row.
+_HULL_DIRS = np.array(
+    [(1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1)], dtype=float
+)
+# Every triple of a row's at most 2 * len(_HULL_DIRS) distinct extremes, in
+# colexicographic order: the first C(k, 3) are the triples of the first k.
+_HULL_TRIPLES = np.array(
+    sorted(itertools.combinations(range(2 * len(_HULL_DIRS)), 3), key=lambda c: c[::-1]),
+    dtype=np.intp,
+).T
+
+
+def _hull_interior(x):
+    """(B, n-2) mask of the windows of the (B, n) batch ``x``, read as points
+    of R^3, that lie inside the hull of their row's extreme windows by the
+    margin conv1d_maxpool states; all False on a row that is not pruned. The
+    rows go in groups of at most _HULL_ROWS."""
+    inside = np.zeros((len(x), x.shape[1] - 2), dtype=bool)
+    big = np.abs(x).max(axis=1)
+    rows = np.flatnonzero((big > 1e-60) & (big < 1e60))  # NaN fails both
+    for lo in range(0, len(rows), _HULL_ROWS):
+        group = rows[lo : lo + _HULL_ROWS]
+        inside[group] = _interior(x[group], big[group, None])
+    return inside
+
+
+def _interior(x, big):
+    """_hull_interior on rows whose largest |x| is ``big`` (B, 1): the
+    extremes, every triple's plane, the planes with all extremes on one side,
+    then each window against those planes."""
+    rows, w = len(x), x.shape[1] - 2
+    inside = np.zeros((rows, w), dtype=bool)
+    pts = np.empty((rows, 4, w))  # each window as a column (x_t, x_t+1, x_t+2, 1)
+    for i in range(3):
+        pts[:, i] = x[:, i : i + w]
+    pts[:, 3] = 1.0
+    proj = _HULL_DIRS @ pts[:, :3]  # (rows, directions, w)
+    ext = np.concatenate((proj.argmax(axis=2), proj.argmin(axis=2)), axis=1)
+    ext.sort(axis=1)
+    new = np.ones(ext.shape, dtype=bool)
+    np.not_equal(ext[:, 1:], ext[:, :-1], out=new[:, 1:])
+    k = new.sum(axis=1)  # distinct extremes per row, moved to the front
+    top = k.max()
+    if top < 4:
+        return inside
+    ext = np.take_along_axis(ext, np.argsort(~new, axis=1, kind="stable")[:, :top], axis=1)
+    e = np.stack([np.take_along_axis(x[:, i : i + w], ext, axis=1) for i in range(3)])
+    # every triple's plane, coordinate-major: normal (b - a) x (c - a) from a
+    # table of differences, and both of its sides as [normal | offset]
+    p, q, r = _HULL_TRIPLES[:, : math.comb(top, 3)]
+    t = len(r)
+    diff = (e[:, :, None, :] - e[:, :, :, None]).reshape(3, rows, top * top)
+    u, v = np.take(diff, p * top + q, axis=2), np.take(diff, p * top + r, axis=2)
+    planes = np.empty((4, rows, 2 * t))
+    n = planes[:3, :, :t]
+    for i, j, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(u[j], v[l], out=n[i])
+        n[i] -= u[l] * v[j]
+    s = e.transpose(1, 2, 0) @ n.transpose(1, 0, 2)  # (rows, top, t): extremes . normals
+    on = np.take(s.reshape(rows, -1), p * t + np.arange(t), axis=1)  # at the plane's point p
+    hi, lo = s.max(axis=1), s.min(axis=1)
+    l1 = np.abs(n).sum(axis=0)
+    tol = 1e-9 * big * l1 + 1e-12 * big**3
+    facet = np.empty((rows, 2 * t), dtype=bool)
+    np.less_equal(hi - on, tol, out=facet[:, :t])
+    np.less_equal(on - lo, tol, out=facet[:, t:])
+    real = (r < k[:, None]) & (l1 > 0.0)  # no padding point, no repeated point
+    facet[:, :t] &= real
+    facet[:, t:] &= real
+    np.negative(n, out=planes[:3, :, t:])
+    np.subtract(2.0 * tol, hi, out=planes[3, :, :t])
+    np.add(2.0 * tol, lo, out=planes[3, :, t:])
+    for i in np.flatnonzero((k >= 4) & facet.any(axis=1)):
+        np.less((planes[:, i, facet[i]].T @ pts[i]).max(axis=0), 0.0, out=inside[i])
+    return inside
 
 
 def _window_maxima(x, kernels, cand):
@@ -396,7 +495,24 @@ def conv1d_maxpool(x, kernels, bias):
     keeps one.
 
     Without a gradient the batch's windows are scored together, in tiles
-    (_window_maxima), and the bias is added after pooling. When an input
+    (_window_maxima), and the bias is added after pooling. With kernel size
+    3, a row whose candidates would cost at least _HULL_PRODUCTS products
+    first loses the windows no kernel can pick. Read as points p of R^3, a
+    kernel w peaks at a vertex of the hull of the row's windows. The windows
+    that maximize and minimize u . p over _HULL_DIRS span an inner hull: each
+    triple of them is a plane with normal N, and a side of it is a facet when
+    every extreme lies within tol = 1e-9 M |N|_1 + 1e-12 M^3 of it, M the
+    row's largest |x|. A candidate inside every facet by 2 tol is dropped: a
+    box of half-width about 1e-9 M around it lies in the hull, so w . p is
+    below w . e for some extreme e by about 1e-9 M |w|_1, far above the
+    rounding of a computed product, gamma_3 |w|_1 M (3.3e-16 |w|_1 M in any
+    order, with or without FMA). So no computed peak moves. The M^3 term
+    covers the rounding of the normals, about 1e-16 M^2 whatever a triangle's
+    shape. A row is left whole when M is not finite or M^3 would leave the
+    normal floats (the margins would be inf or NaN), or when its extremes
+    span no volume: fewer than 4 distinct ones, or coplanar ones, which make
+    a plane a facet on both sides, so no window is inside by a positive
+    margin. When an input
     needs a gradient the node runs row by row, in blocks of _CONV_BLOCK
     kernels, and keeps each kernel's winning start, the first argmax, so
     backward only gathers the winning windows and runs no matrix product.
@@ -430,6 +546,10 @@ def conv1d_maxpool(x, kernels, bias):
     # its sum is b in any order
     matvec = n == h or m % _CONV_BLOCK == 1
     if not (keep or matvec):
+        if h == 3:
+            hull = cand.sum(axis=1) * m >= _HULL_PRODUCTS
+            if hull.any():
+                cand[hull] &= ~_hull_interior(xd[hull])
         return Tensor(np.maximum(_window_maxima(xd, K, cand) + b, 0.0))
     blocks = [slice(lo, lo + _CONV_BLOCK) for lo in range(0, m, _CONV_BLOCK)]
     fold = keep and not matvec

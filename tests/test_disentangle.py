@@ -165,6 +165,27 @@ def test_link_mlp_scorer_wraps_feature_extraction(two_turn_log):
     assert np.array_equal(scorer(b), want)
 
 
+def test_link_mlp_scorer_keeps_the_graph_bits_as_its_buffers_are_reused():
+    # the scorer runs the layers in place in buffers kept across blocks:
+    # every block, a smaller one after a larger one too, scores the bits of
+    # the graph forward, and an earlier block's scores stay as they were
+    rng = np.random.default_rng(7)
+    params = dis.init_link_params(rng, hidden=64)
+    for name in ("link.b1", "link.b2", "link.b3"):
+        params[name].data[...] = rng.normal(size=params[name].data.shape)
+    scorer = dis.link_mlp_scorer(params)
+    kept = []
+    for rows in (17, 2048, 2, 1, 17, 2048, 1):
+        f = rng.normal(size=(rows, dis.FEATURE_DIM)) * (rng.random((rows, dis.FEATURE_DIM)) < 0.3)
+        got = scorer(dis.LinkBlock(features=f, child=None, parent=None, starts=None))
+        want = dis.link_probabilities(f, params)
+        assert got.shape == (rows,)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        kept.append((got, want.copy()))
+    for got, want in kept:
+        assert np.array_equal(got, want)
+
+
 # -- parent choice ---------------------------------------------------------
 
 

@@ -353,6 +353,37 @@ def test_topic_stats_keep_no_per_dialog_state():
     assert vars(stats) == before
 
 
+def test_each_distinct_token_is_stemmed_once_per_log(monkeypatch):
+    # the stems live in the log's TopicStats: building them stems each
+    # distinct alphabetic token once, scoring dialogs stems nothing more, and
+    # the distinct-stem count is the one stemming every token gives
+    tokens = (
+        ("builds", "failing", "builds", "?", "v2"),
+        ("failing", "fixes", "42", "building"),
+        ("builds", "fixed", "?"),
+    )
+    chat = ChatLog("c", [utt(i, "ab"[i % 2], " ".join(t), t) for i, t in enumerate(tokens)])
+    calls = Counter()
+    stem = ft.lexicons.porter_stem
+
+    def counting(word):
+        calls[word] += 1
+        return stem(word)
+
+    monkeypatch.setattr(ft.lexicons, "porter_stem", counting)
+    stats = ft.TopicStats(chat)
+    alphabetic = {t for ts in tokens for t in ts if t.isalpha()}
+    assert calls == Counter(alphabetic)
+    for members in ((0, 1), (1, 2), (0, 1, 2)):
+        dialog = Dialog(members[0], members, ())
+        parts = split_head_body(dialog, chat)
+        block = ft.heuristic_attributes(dialog, parts, chat, stats, toy_lexicons())
+        rows = [parts.head_tokens, *(chat.utterances[i].tokens for i in parts.body_indices)]
+        want = [len({stem(t) if t.isalpha() else t for t in ts}) for ts in rows]
+        assert block[:, 14].tolist() == want
+    assert calls == Counter(alphabetic)
+
+
 # -- standardization -------------------------------------------------------
 
 

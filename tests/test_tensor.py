@@ -445,6 +445,120 @@ def test_conv_pool_no_grad_tiles_give_the_gradient_path_bits(case, tile, monkeyp
     assert np.array_equal(const.data, want)
 
 
+# -- the hull filter of the no-gradient path -------------------------------
+
+HULL_KINDS = ("dense", "ties", "repeats", "all-zeros", "many-zeros", "constant", "flat", "ellipse")
+
+
+def hull_row(kind, rng, n=1024):
+    """One (n,) row of a named kind, read by kernels of size 3 as n-2 points
+    of R^3."""
+    if kind == "dense":
+        return np.abs(rng.normal(size=n))
+    if kind == "ties":  # window t repeats at t + 3: three points
+        return np.tile(rng.normal(size=3), n // 3 + 1)[:n]
+    if kind == "repeats":
+        return np.repeat(rng.normal(size=n // 8), 8)
+    if kind == "all-zeros":
+        return np.zeros(n)
+    if kind == "many-zeros":
+        return rng.normal(size=n) * (rng.random(n) < 0.3)
+    if kind == "constant":  # one point
+        return np.full(n, rng.normal())
+    if kind == "flat":  # a, b, b - a, -a, -b, a - b, ...: six points on x - y + z = 0
+        a, b = rng.normal(size=2)
+        return np.tile([a, b, b - a, -a, -b, a - b], n // 6 + 1)[:n]
+    # x_t = sin(w t + phase) solves x_t+2 = 2 cos(w) x_t+1 - x_t: a plane,
+    # up to rounding
+    return np.sin(rng.uniform(0.1, 3.0) * np.arange(n) + rng.uniform(0, 6))
+
+
+def stage2_like_rows(rows, seed):
+    """Dense rows like a trained stack's stage-2 input: stage 1 pooled over
+    sparse rows of 21 nonzeros, as the hashed encoder makes them."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros((rows, 800))
+    for row in x:
+        row[rng.choice(800, 21, replace=False)] = rng.normal(size=21)
+    k = nn.glorot_uniform(rng, (1024, 3), 3, 1024)
+    b = rng.normal(scale=0.01, size=1024)
+    return nn.conv1d_maxpool(nn.tensor(x), nn.tensor(k), nn.tensor(b)).data
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.sampled_from(HULL_KINDS), min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+def test_conv_pool_hull_filter_keeps_every_peak(kinds, seed):
+    # 512 kernels over 1022 windows: rows with enough candidate windows go
+    # through the hull filter, and their peaks must be the bits of scoring
+    # every window, as the gradient path does
+    rng = np.random.default_rng(seed)
+    x = np.stack([hull_row(kind, rng) for kind in kinds])
+    k, b = rng.normal(size=(512, 3)), rng.normal(size=512)
+    k[0], k[1], k[2] = (1.0, 1.0, 0.0), (1.0, -1.0, 1.0), 0.0  # lattice directions; all zero
+    pruned = nn.conv1d_maxpool(nn.tensor(x), nn.tensor(k), nn.tensor(b))
+    full = nn.conv1d_maxpool(nn.Parameter("x", x), nn.tensor(k), nn.tensor(b))
+    assert np.array_equal(pruned.data.view(np.int64), full.data.view(np.int64))
+
+
+@pytest.mark.parametrize("kind", ["stage-2", *HULL_KINDS])
+def test_hull_filter_never_marks_a_first_argmax(kind):
+    rng = np.random.default_rng(31)
+    if kind == "stage-2":
+        x = stage2_like_rows(3, 32)
+    else:
+        x = np.stack([hull_row(kind, rng) for _ in range(3)])
+    inside = nn._hull_interior(x)
+    directions = rng.normal(size=(4096, 3))
+    directions[:26] = [u for u in np.ndindex(3, 3, 3) if u != (1, 1, 1)]
+    directions[:26] -= 1.0  # the 26 directions of {-1, 0, 1}^3
+    for row, marked in zip(x, inside):
+        windows = np.lib.stride_tricks.sliding_window_view(row, 3)
+        first = (directions @ windows.T).argmax(axis=1)
+        assert not marked[first].any()
+
+
+def test_hull_filter_prunes_most_of_a_stage_2_like_row(monkeypatch):
+    # the predicate marks at least 80% of each row, and a no-gradient
+    # stage-2 forward (512 kernels) scores only the windows left
+    x = stage2_like_rows(6, 33)
+    assert (x != 0).mean() > 0.98
+    inside = nn._hull_interior(x)
+    assert (inside.sum(axis=1) >= 0.8 * inside.shape[1]).all()
+    scored = []
+    window_maxima = nn._window_maxima
+
+    def counting(x, kernels, cand):
+        scored.append(cand.sum(axis=1))
+        return window_maxima(x, kernels, cand)
+
+    monkeypatch.setattr(nn, "_window_maxima", counting)
+    k = np.random.default_rng(38).normal(size=(512, 3))
+    nn.conv1d_maxpool(nn.tensor(x), nn.tensor(k), nn.tensor(np.zeros(512)))
+    assert np.array_equal(scored[0], (~inside).sum(axis=1))
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        np.zeros(1024),
+        np.full(1024, 0.3),
+        np.tile([0.5, -1.0, 2.0], 342)[:1024],
+        hull_row("flat", np.random.default_rng(34)),
+        np.where(np.arange(1024) == 500, np.inf, hull_row("dense", np.random.default_rng(35))),
+        np.where(np.arange(1024) == 7, np.nan, hull_row("dense", np.random.default_rng(36))),
+        hull_row("dense", np.random.default_rng(37)) * 1e200,
+    ],
+    ids=["all-zeros", "constant", "three-points", "flat", "inf", "nan", "huge"],
+)
+def test_hull_filter_leaves_rows_it_cannot_bound_whole(row):
+    # fewer than 4 distinct extremes, coplanar extremes, non-finite values
+    # and magnitudes whose cube leaves the float range: nothing is marked
+    assert not nn._hull_interior(row[None, :]).any()
+
+
 def test_extract_pairs_are_the_same_with_the_window_major_conv(tmp_path, monkeypatch):
     import importlib.util
     from pathlib import Path
