@@ -14,7 +14,7 @@ import struct
 import numpy as np
 
 from . import nn
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .fileio import read_bytes, write_file
 
 FORMAT_VERSION = 1
@@ -45,9 +45,17 @@ def save_checkpoint(path, params, extra):
 
 
 class Checkpoint:
-    def __init__(self, manifest, params):
+    def __init__(self, manifest, params, path):
         self.manifest = manifest
         self.params = params  # name -> float64 ndarray
+        self.path = path
+
+    def target(self, *wanted):
+        """The manifest's target; a ConfigError when it is none of ``wanted``."""
+        found = self.manifest.get("target")
+        if found not in wanted:
+            raise ConfigError(f"checkpoint target {found!r} is not {' or '.join(wanted)}: {self.path}")
+        return found
 
     def field(self, name, build):
         """``build`` applied to a manifest field; a DataError naming the
@@ -126,4 +134,4 @@ def load_checkpoint(path):
         if not np.all(np.isfinite(data)):
             raise DataError(f"checkpoint parameter {name!r} holds values that are not finite")
         params[name] = data.astype(np.float64).reshape(shape)
-    return Checkpoint(manifest, params)
+    return Checkpoint(manifest, params, path)

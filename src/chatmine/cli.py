@@ -155,9 +155,7 @@ def _cmd_disentangle(args, pre_cfg, cfg, enc_cfg, file_cfg):
 def _cmd_train(args, pre_cfg, cfg, enc_cfg, file_cfg):
     if args.target == "link":
         examples = disentangle.load_link_examples(args.data, pre_cfg)
-        params, history = disentangle.train_link_scorer(
-            examples, hidden=args.link_hidden, epochs=cfg.max_epochs, seed=cfg.seed
-        )
+        params, history = disentangle.train_link_scorer(examples, cfg, hidden=args.link_hidden)
         disentangle.save_link_checkpoint(args.out, params)
         _log(f"link scorer loss: {' '.join(f'{h:.4f}' for h in history)}")
         return 0

@@ -6,7 +6,8 @@ Each (child, candidate parent) pair maps to a 77-wide feature row. The link
 scorer turns a row into a link probability with two softsign hidden layers
 of width 64 and a sigmoid readout. ``link_logit`` is its forward, one graph
 over a (rows, 77) block, which training (``train --target link``) runs on
-each mini-batch; inference (``disentangle --link-ckpt``) runs the same
+each mini-batch, for the max_epochs and seed of the validated ModelConfig
+it is given; inference (``disentangle --link-ckpt``) runs the same
 operations in place on each chunk of children (``link_mlp_scorer``), with
 the same bits. A child takes its best-scoring candidate, falling back
 to self when nothing clears the threshold. Connected components of the
@@ -42,7 +43,7 @@ import numpy as np
 from . import checkpoint as ckpt_io
 from . import nn
 from .corpus import ChatLog, normalization_lexicons, preprocess_utterance, raw_message
-from .errors import ConfigError, ContractViolation, DataError
+from .errors import ContractViolation, DataError
 from .fileio import read_jsonl
 
 FEATURE_DIM = 77
@@ -501,10 +502,7 @@ def load_link_checkpoint(path):
     with parameters missing or of other shapes than its hidden width needs,
     is a data error."""
     ck = ckpt_io.load_checkpoint(path)
-    if ck.manifest.get("target") != "link":
-        raise DataError(
-            f"expected a link checkpoint, got target {ck.manifest.get('target')!r}"
-        )
+    ck.target("link")
     return ck.require(link_param_shapes(ck.field("hidden", int)))
 
 
@@ -545,13 +543,12 @@ def load_link_examples(path, pre_cfg):
     return examples
 
 
-def train_link_scorer(examples, hidden=LINK_HIDDEN, epochs=LINK_EPOCHS, lookback=50, seed=0):
+def train_link_scorer(examples, cfg, hidden=LINK_HIDDEN, lookback=50):
     """Fit the scorer on (log, links) pairs, links mapping child index to its
-    true parent index or None for dialog starters. Negatives are sampled from
+    true parent index or None for dialog starters, for the max_epochs of the
+    validated ModelConfig ``cfg`` from its seed. Negatives are sampled from
     the other in-window candidates. Returns (params, per-epoch mean loss)."""
-    if epochs < 1:
-        raise ConfigError(f"epochs must be >= 1, got {epochs}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     blocks, signs = [], []
     for log, links in examples:
         cols = link_columns(log)
@@ -583,7 +580,7 @@ def train_link_scorer(examples, hidden=LINK_HIDDEN, epochs=LINK_EPOCHS, lookback
 
     history = []
     order = np.arange(len(features))
-    for _ in range(epochs):
+    for _ in range(cfg.max_epochs):
         rng.shuffle(order)
         history.append(nn.train_epoch(order, LINK_BATCH_SIZE, batch_loss, params, state))
     return params, history

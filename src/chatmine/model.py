@@ -15,7 +15,7 @@ forward over the chunk's heads, one over the bodies of the heads that pass.
 Training uses Adam on mini-batches of 8 examples with dropout 0.6 after each
 conv stage and the first FC layer, a seeded 10% validation split, and early
 stopping with patience 5 within at most 100 epochs. Everything is a pure
-function of (data, config, seed).
+function of (data, config, seed). Link training reads the same ModelConfig.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -369,8 +369,6 @@ def train_model(examples, target, cfg, enc_cfg, conv_spec=ConvStackSpec(), log_f
     n_val = max(1, round(0.1 * n))
     val_idx = perm[:n_val]
     train_idx = perm[n_val:]
-    if len(train_idx) == 0:
-        raise DataError("not enough examples to split off validation data")
     train_labels = {examples[i].label for i in train_idx}
     if train_labels != {0, 1}:
         raise DataError("training split is single-class after validation holdout")
@@ -441,6 +439,8 @@ def _heuristic_stats(d):
     stats = HeuristicStats(tuple(map(float, d["mean"])), tuple(map(float, d["std"])))
     if len(stats.mean) != HEURISTIC_DIM or len(stats.std) != HEURISTIC_DIM:
         raise ValueError(f"mean and std must have {HEURISTIC_DIM} entries")
+    if not (np.all(np.isfinite(stats.mean)) and all(0.0 < s < np.inf for s in stats.std)):
+        raise ValueError("mean must be finite, std finite and positive")
     return stats
 
 
@@ -454,29 +454,23 @@ def _conv_spec(d):
 def load_model_checkpoint(path, enc_cfg, target=None):
     """Load and validate against the runtime encoder configuration and, when
     given, the expected target; a checkpoint of another target, stale
-    encoder settings, missing or misshapen parameters, or missing manifest
-    fields fail loudly."""
+    encoder settings (dim included, through the fingerprint), a conv stack
+    too deep for the encoder width, missing or misshapen parameters,
+    heuristic statistics that are not finite (or a std not positive), or
+    missing manifest fields fail loudly."""
     ck = ckpt_io.load_checkpoint(path)
-    man = ck.manifest
-    found = man.get("target")
-    wanted = (target,) if target is not None else TARGETS
-    if found not in wanted:
-        raise ConfigError(f"checkpoint target {found!r} is not {' or '.join(wanted)}: {path}")
-    stored = man.get("encoder_config", {})
+    found = ck.target(*((target,) if target is not None else TARGETS))
+    stored = ck.manifest.get("encoder_config", {})
     if not isinstance(stored, dict):
         raise DataError("checkpoint manifest field 'encoder_config' malformed (not an object)")
-    if stored.get("dim") != enc_cfg.dim:
-        raise ConfigError(
-            f"checkpoint encoder dim {stored.get('dim')} != runtime dim {enc_cfg.dim}"
-        )
-    fp = enc.config_fingerprint(enc_cfg)
-    if man.get("encoder_fingerprint") != fp:
+    if ck.manifest.get("encoder_fingerprint") != enc.config_fingerprint(enc_cfg):
         mismatched = [k for k in enc.VECTOR_FIELDS if stored.get(k) != getattr(enc_cfg, k)]
         raise ConfigError(
             "checkpoint encoder fingerprint does not match runtime encoder"
             + (f" (differs in: {', '.join(mismatched)})" if mismatched else " (table contents changed)")
         )
     spec = ck.field("conv_spec", _conv_spec)
+    spec.validate_input_len(enc_cfg.dim)
     params = ck.require(model_param_shapes(enc_cfg.dim, spec))
     stats = ck.field("heuristic_stats", _heuristic_stats)
     cfg = ck.field("model_config", lambda d: ModelConfig(**d))

@@ -1009,6 +1009,59 @@ def test_extract_with_other_last_conv_stage_exits_3(tmp_path, capsys):
     assert "conv_spec" in assert_data_error(rc, capsys)
 
 
+def set_stat(key, value):
+    def edit(manifest):
+        manifest["heuristic_stats"][key][0] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("std", 0.0), ("std", float("nan")), ("std", -1.0), ("mean", float("inf"))],
+    ids=["zero-std", "nan-std", "negative-std", "infinite-mean"],
+)
+def test_extract_with_bad_heuristic_stats_exits_3(tmp_path, cli_ckpts, capsys, key, value):
+    # fit_heuristic_stats writes finite means and stds of at least 1e-12;
+    # anything else would standardize the attributes to inf or nan
+    bad = rewrite_manifest(cli_ckpts["issue"], tmp_path / "issue.ckpt", set_stat(key, value))
+    rc = extract_with_issue_ckpt(tmp_path, bad, cli_ckpts["solution"])
+    assert "heuristic_stats" in assert_data_error(rc, capsys)
+    assert not (tmp_path / "pairs.jsonl").exists()
+
+
+def test_extract_with_a_conv_stack_too_deep_for_the_encoder_exits_3(tmp_path, cli_ckpts, capsys):
+    # stage 2's 2 kernels leave stage 3 a sequence shorter than its kernel
+    from chatmine import checkpoint as ckpt_io
+
+    ck = ckpt_io.load_checkpoint(cli_ckpts["issue"])
+    params = {**ck.params, "conv2.w": ck.params["conv2.w"][:2], "conv2.b": ck.params["conv2.b"][:2]}
+    manifest = {k: v for k, v in ck.manifest.items() if k not in ("version", "dtype", "params")}
+    manifest["conv_spec"] = {**manifest["conv_spec"], "kernel_counts": [1024, 2, 256]}
+    bad = tmp_path / "issue.ckpt"
+    ckpt_io.save_checkpoint(bad, params, manifest)
+    rc = extract_with_issue_ckpt(tmp_path, bad, cli_ckpts["solution"])
+    assert "conv stage 3: sequence length 2 < kernel size 3" in assert_data_error(rc, capsys)
+    assert not (tmp_path / "pairs.jsonl").exists()
+
+
+def test_a_checkpoint_of_another_target_exits_3_with_one_reason(tmp_path, cli_ckpts, capsys):
+    # the classifier and link loaders share one target check and its wording
+    from chatmine import disentangle
+
+    link = tmp_path / "link.ckpt"
+    disentangle.save_link_checkpoint(link, disentangle.init_link_params(np.random.default_rng(0), 4))
+    extract_err = assert_data_error(extract_with_issue_ckpt(tmp_path, link, cli_ckpts["solution"]), capsys)
+    clean = tmp_path / "clean.jsonl"
+    assert main(["preprocess", "--input", str(tmp_path / "raw.jsonl"), "--out", str(clean)]) == 0
+    capsys.readouterr()
+    rc = main(["disentangle", "--input", str(clean), "--out", str(tmp_path / "d.jsonl"),
+               "--link-ckpt", str(cli_ckpts["issue"])])
+    disentangle_err = assert_data_error(rc, capsys)
+    assert f"reason=checkpoint target 'link' is not issue: {link}" in extract_err
+    assert f"reason=checkpoint target 'issue' is not link: {cli_ckpts['issue']}" in disentangle_err
+
+
 @pytest.mark.parametrize("time", [2**62, -(2**62), 2**70])
 def test_disentangle_with_out_of_range_time_exits_3(tmp_path, capsys, time):
     records = [

@@ -20,6 +20,7 @@ from chatmine import disentangle as dis
 from chatmine import nn, synth
 from chatmine.corpus import ChatLog, Utterance
 from chatmine.errors import ContractViolation, DataError
+from chatmine.model import ModelConfig
 
 
 def utt(index, time, author, clean, tokens, raw=None):
@@ -649,7 +650,8 @@ def test_link_trainer_matches_per_pair_reference(lookback, tmp_path):
     # may not
     examples = link_training_examples()
     want, want_hist = ref_train_link_scorer(examples, 8, 2, seed=3, lookback=lookback)
-    got, got_hist = dis.train_link_scorer(examples, hidden=8, epochs=2, seed=3, lookback=lookback)
+    cfg = ModelConfig(max_epochs=2, seed=3)
+    got, got_hist = dis.train_link_scorer(examples, cfg, hidden=8, lookback=lookback)
     assert np.allclose(got_hist, want_hist, rtol=0, atol=1e-12)
     for name in want:
         assert np.allclose(got[name].data, want[name].data, rtol=0, atol=1e-12), name
@@ -700,7 +702,7 @@ def link_training_examples(n_logs=4):
 
 def test_train_link_scorer_reduces_loss():
     examples = link_training_examples()
-    params, history = dis.train_link_scorer(examples, hidden=32, epochs=4, seed=0)
+    params, history = dis.train_link_scorer(examples, ModelConfig(max_epochs=4, seed=0), hidden=32)
     assert len(history) == 4
     assert history[-1] < history[0]
     assert {n: p.data.shape for n, p in params.items()} == dis.link_param_shapes(32)
