@@ -31,6 +31,8 @@ TOKEN_RE = re.compile(_PLACEHOLDER + r"|[a-z0-9]+(?:'[a-z0-9]+)*|[^\sa-z0-9]")
 
 START_TOKEN = "<s>"
 UNK_TOKEN = "<unk>"
+# times are int64 milliseconds; below 2**62 every gap between two fits as well
+_MAX_TIME_MS = 2**62
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,7 @@ class RawMessage:
 
 def utterance_fault(record):
     """Why a parsed JSON value is not an utterance record ``{time, id, text}``
-    (a whole, non-negative epoch-ms time, a non-blank id string and a text
+    (a whole epoch-ms time in [0, 2**62), a non-blank id string and a text
     string), or None when it is one."""
     if not isinstance(record, dict):
         return "not an object"
@@ -55,6 +57,8 @@ def utterance_fault(record):
         return "time is not a whole number"
     if time < 0:
         return f"negative time {time}"
+    if time >= _MAX_TIME_MS:
+        return f"time out of range: {time} >= 2**62"
     if not isinstance(record["id"], str) or not record["id"].strip():
         return "id is blank or not a string"
     if not isinstance(record["text"], str):

@@ -58,8 +58,6 @@ _DIST_BUCKETS = 15
 _COUNT_BUCKETS = 10
 _SHARED_BUCKETS = 6
 _BASE = _TIME_BUCKETS + _DIST_BUCKETS  # parent token-count one-hot starts here
-# times are int64 milliseconds; within +-2**62 every gap fits as well
-_MAX_TIME_MS = 2**62
 
 _MENTION_RE = re.compile(r"@\w+")
 # count bucket of 0..21 tokens; 21 and more share the last bucket
@@ -125,12 +123,8 @@ class LinkColumns:
 def link_columns(log):
     """Read a log once into the columns that every feature block uses."""
     utts = log.utterances
-    try:
-        times = np.array([u.time for u in utts], dtype=np.int64)
-    except OverflowError as exc:
-        raise DataError(f"utterance time out of range ({exc})") from exc
-    if np.any((times <= -_MAX_TIME_MS) | (times >= _MAX_TIME_MS)):
-        raise DataError(f"utterance time out of range (|time| >= {_MAX_TIME_MS})")
+    # the readers take times in [0, 2**62) only (corpus.utterance_fault)
+    times = np.array([u.time for u in utts], dtype=np.int64)
     codes, names, patterns = {}, [], []
     for u in utts:
         if u.author_id not in codes:

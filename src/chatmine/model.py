@@ -8,9 +8,9 @@ reads the dialog head through the window [pad, head, first body utterance];
 the solution model reads each body utterance through its radius-1 window.
 
 One batched forward serves training, evaluation and extraction: each
-mini-batch, validation split and test fold is one graph. Extraction scores
-a chunk of consecutive dialogs at a time, about 16 example rows: one
-forward over the chunk's heads, one over the bodies of the heads that pass.
+mini-batch, validation split and test fold is one graph. Extraction fills
+each forward with 16 example rows across dialog boundaries, from a queue of
+dialog heads and a queue of the bodies of the heads that pass.
 
 Training uses Adam on mini-batches of 8 examples with dropout 0.6 after each
 conv stage and the first FC layer, a seeded 10% validation split, and early
@@ -490,67 +490,92 @@ class IssueSolutionPair:
     p_issue: float
 
 
-# Example rows (a head plus its body) per extraction chunk. Larger chunks
-# pass faster but hold more temporaries. On the bench's `extract` inputs
-# (400 utterances; 2-core Xeon, one BLAS thread) a pass took 0.78 s with one
-# dialog per chunk, 0.68 s at 8 rows, 0.60 s at 16 and 0.50 s at 32 or 64,
-# and the bench's peak RSS read 54.6-57.2 MB (median 56.2) at 16 rows and
-# 57.3-59.9 MB at 32, against 55.0-55.3 MB before chunked extraction.
+# Example rows per extraction forward. Larger forwards pass faster but hold
+# more temporaries. On the bench's `extract` input (seed 1, 400 utterances;
+# 2-core Xeon, one BLAS thread; medians of 6 processes of 20 passes) a pass
+# took 0.256 s at 8 rows, 0.217 s at 16 and 0.215 s at 32, against 0.28 s
+# when each forward held a run of whole dialogs, and the process's peak RSS
+# read 49.1, 49.4 and 50.7 MB, against 49.0 MB.
 _EXTRACT_ROWS = 16
-
-
-def _dialog_chunks(log, dialogs):
-    """Runs of consecutive dialogs, as (dialog, head/body split) lists of at
-    most _EXTRACT_ROWS example rows, or of one larger dialog."""
-    chunk, rows = [], 0
-    for dialog in dialogs:
-        parts = split_head_body(dialog, log)
-        size = 1 + len(parts.body_indices)
-        if chunk and rows + size > _EXTRACT_ROWS:
-            yield chunk
-            chunk, rows = [], 0
-        chunk.append((dialog, parts))
-        rows += size
-    if chunk:
-        yield chunk
+# Example rows, heads and their bodies, the issue queue may hold before it is
+# scored early: the examples alive at once stay within this plus the bodies
+# left on the solution queue, or one larger dialog plus those. On the bench's
+# logs (seeds 1-5 at 400 utterances, seed 1 at 10k) 16 consecutive dialogs
+# hold at most 100 rows, so it does not trigger there.
+_PENDING_ROWS = 8 * _EXTRACT_ROWS
 
 
 def extract_pairs(log, dialogs, issue_bundle, solution_bundle, cfg, enc_cfg):
     """The pairs of ``log``'s dialogs, in dialog order: one per dialog whose
     head reaches cfg.issue_threshold, holding the body utterances that reach
-    cfg.solution_threshold, in order. A chunk of dialogs is scored at a
-    time: one issue forward over its heads, then one solution forward over
-    the bodies of the heads that pass."""
+    cfg.solution_threshold, in order.
+
+    Two queues fill each forward across dialog boundaries. Each dialog is
+    embedded once, in log order, and its head goes on the issue queue; one
+    issue forward scores the queue when it holds _EXTRACT_ROWS heads, or
+    early, before the pending dialogs' rows would pass _PENDING_ROWS. The
+    bodies of the heads that pass go on the solution queue, and one solution
+    forward scores it whenever it holds _EXTRACT_ROWS rows, so a dialog's
+    bodies may span forwards. Both queues flush at the end of the log; a
+    failed head's bodies are never scored. On the bench's seed-1 input (94
+    dialogs, 306 bodies) that makes 6 issue and 19 solution forwards, where
+    runs of whole dialogs made 60 forwards."""
     embedder = DialogEmbedder(log, enc_cfg)
+    passed = []  # (dialog, parts, p_issue, body probabilities), in dialog order
+    heads = []  # (dialog, parts, head example, body examples)
+    bodies = []  # (its dialog's body probabilities, body example)
+
+    def score_bodies():
+        p_body = solution_bundle.proba([ex for _, ex in bodies]).tolist()
+        for (probs, _), p in zip(bodies, p_body):
+            probs.append(p)
+        bodies.clear()
+
+    def score_heads():
+        p_issue = issue_bundle.proba([head for _, _, head, _ in heads]).tolist()
+        for (dialog, parts, _, body), p in zip(heads, p_issue):
+            if p >= cfg.issue_threshold:
+                probs = []
+                passed.append((dialog, parts, p, probs))
+                for ex in body:
+                    bodies.append((probs, ex))
+                    if len(bodies) == _EXTRACT_ROWS:
+                        score_bodies()
+        heads.clear()
+
+    for dialog in dialogs:
+        parts = split_head_body(dialog, log)
+        rows = 1 + len(parts.body_indices)
+        if heads and rows + sum(1 + len(body) for *_, body in heads) > _PENDING_ROWS:
+            score_heads()
+        heads.append((dialog, parts, *embedder.examples_for(dialog, parts)))
+        if len(heads) == _EXTRACT_ROWS:
+            score_heads()
+    if heads:
+        score_heads()
+    if bodies:
+        score_bodies()
+
     utts = log.utterances
     pairs = []
-    for chunk in _dialog_chunks(log, dialogs):
-        embedded = [embedder.examples_for(dialog, parts) for dialog, parts in chunk]
-        p_issue = issue_bundle.proba([head for head, _ in embedded]).tolist()
-        passed = [i for i, p in enumerate(p_issue) if p >= cfg.issue_threshold]
-        bodies = [ex for i in passed for ex in embedded[i][1]]
-        p_body = iter(solution_bundle.proba(bodies).tolist())
-        for i in passed:
-            (dialog, parts), (_, body) = chunk[i], embedded[i]
-            solutions = []
-            # zip reads the body first, so it stops at the body's end
-            for ex, p in zip(body, p_body):
-                if p >= cfg.solution_threshold:
-                    u = utts[ex.utt_index]
-                    solutions.append(
-                        {"text": u.raw_text, "author": u.author_id, "time": u.time,
-                         "p": round(p, 6)}
-                    )
-            pairs.append(
-                IssueSolutionPair(
-                    community_id=log.community_id,
-                    subject_id=dialog.subject,
-                    issue_text="\n".join(utts[j].raw_text for j in parts.head_indices),
-                    solutions=tuple(solutions),
-                    status="answered" if solutions else "unresolved",
-                    p_issue=round(p_issue[i], 6),
+    for dialog, parts, p_issue, probs in passed:
+        solutions = []
+        for i, p in zip(parts.body_indices, probs):
+            if p >= cfg.solution_threshold:
+                u = utts[i]
+                solutions.append(
+                    {"text": u.raw_text, "author": u.author_id, "time": u.time, "p": round(p, 6)}
                 )
+        pairs.append(
+            IssueSolutionPair(
+                community_id=log.community_id,
+                subject_id=dialog.subject,
+                issue_text="\n".join(utts[j].raw_text for j in parts.head_indices),
+                solutions=tuple(solutions),
+                status="answered" if solutions else "unresolved",
+                p_issue=round(p_issue, 6),
             )
+        )
     return pairs
 
 

@@ -362,8 +362,8 @@ _CONV_TILE = 65536
 # keeps 268 and went from 0.165 to 0.243 ms a row; stage 1's hashed rows
 # hold about 61 candidate windows.
 _HULL_PRODUCTS = 1 << 18
-# Rows per hull group: an extract chunk's forward, at most 16 rows mostly,
-# is one group, and a group's temporaries stay under about 2 MB.
+# Rows per hull group: an extract forward, at most 16 rows, is one group,
+# and a group's temporaries stay under about 2 MB.
 _HULL_ROWS = 16
 # A row's extremes are the windows that maximize and minimize u . window
 # for the 6 face diagonals u of {-1, 0, 1}^3, up to sign: at most 12 points.
@@ -402,12 +402,15 @@ def _interior(x, big):
     then each window against those planes."""
     rows, w = len(x), x.shape[1] - 2
     inside = np.zeros((rows, w), dtype=bool)
-    pts = np.empty((rows, 4, w))  # each window as a column (x_t, x_t+1, x_t+2, 1)
-    for i in range(3):
-        pts[:, i] = x[:, i : i + w]
-    pts[:, 3] = 1.0
-    proj = _HULL_DIRS @ pts[:, :3]  # (rows, directions, w)
-    ext = np.concatenate((proj.argmax(axis=2), proj.argmin(axis=2)), axis=1)
+    taps = [x[:, i : i + w] for i in range(3)]  # window t is (x_t, x_t+1, x_t+2)
+    ext = np.empty((rows, 2 * len(_HULL_DIRS)), dtype=np.intp)
+    proj = np.empty((rows, w))
+    for d, u in enumerate(_HULL_DIRS):
+        # u has two nonzeros, 1 then +-1: u . window is one add or subtract
+        i, j = np.flatnonzero(u)
+        (np.add if u[j] > 0 else np.subtract)(taps[i], taps[j], out=proj)
+        ext[:, d] = proj.argmax(axis=1)
+        ext[:, len(_HULL_DIRS) + d] = proj.argmin(axis=1)
     ext.sort(axis=1)
     new = np.ones(ext.shape, dtype=bool)
     np.not_equal(ext[:, 1:], ext[:, :-1], out=new[:, 1:])
@@ -416,7 +419,7 @@ def _interior(x, big):
     if top < 4:
         return inside
     ext = np.take_along_axis(ext, np.argsort(~new, axis=1, kind="stable")[:, :top], axis=1)
-    e = np.stack([np.take_along_axis(x[:, i : i + w], ext, axis=1) for i in range(3)])
+    e = np.stack([np.take_along_axis(tap, ext, axis=1) for tap in taps])
     # every triple's plane, coordinate-major: normal (b - a) x (c - a) from a
     # table of differences, and both of its sides as [normal | offset]
     p, q, r = _HULL_TRIPLES[:, : math.comb(top, 3)]
@@ -442,8 +445,11 @@ def _interior(x, big):
     np.negative(n, out=planes[:3, :, t:])
     np.subtract(2.0 * tol, hi, out=planes[3, :, :t])
     np.add(2.0 * tol, lo, out=planes[3, :, t:])
+    pts = np.ones((4, w))  # a row's windows as columns (x_t, x_t+1, x_t+2, 1)
     for i in np.flatnonzero((k >= 4) & facet.any(axis=1)):
-        np.less((planes[:, i, facet[i]].T @ pts[i]).max(axis=0), 0.0, out=inside[i])
+        for j, tap in enumerate(taps):
+            pts[j] = tap[i]
+        np.less((planes[:, i, facet[i]].T @ pts).max(axis=0), 0.0, out=inside[i])
     return inside
 
 

@@ -1075,6 +1075,25 @@ def test_disentangle_with_out_of_range_time_exits_3(tmp_path, capsys, time):
     assert want in assert_data_error(rc, capsys)
 
 
+@pytest.mark.parametrize("time", [2**62, 2**70, float(2**62)])
+def test_preprocess_skips_an_out_of_range_time_at_its_line(tmp_path, capsys, time):
+    # the bound is checked where a raw record is first read: preprocess skips
+    # the line with a note naming it, like any other bad raw record, and a log
+    # with no other line exits 3
+    bad, good = {"time": time, "id": "bob", "text": "yo"}, {"time": 1000, "id": "ann", "text": "hi"}
+    raw, clean = tmp_path / "raw.jsonl", tmp_path / "clean.jsonl"
+    raw.write_text(json.dumps(bad) + "\n" + json.dumps(good) + "\n", encoding="utf-8")
+    assert main(["preprocess", "--input", str(raw), "--out", str(clean)]) == 0
+    assert f"skipped line 1: time out of range: {time} >= 2**62" in capsys.readouterr().err
+    assert [json.loads(line)["time"] for line in clean.read_text(encoding="utf-8").splitlines()] == [1000]
+    raw.write_text(json.dumps(bad) + "\n", encoding="utf-8")
+    err = assert_data_error(main(["preprocess", "--input", str(raw), "--out", str(clean)]), capsys)
+    assert err.strip().splitlines() == [
+        f"skipped line 1: time out of range: {time} >= 2**62",
+        f"error: code=3 reason={raw}: no utterances",
+    ]
+
+
 @pytest.mark.parametrize("target", ["issue", "link"])
 def test_train_rejects_a_negative_utterance_time(tmp_path, capsys, target):
     utts = [GOOD_UTTS[0], {**GOOD_UTTS[1], "time": -5}, {"time": -3, "id": "ann", "text": "thanks"}]

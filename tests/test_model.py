@@ -7,7 +7,9 @@ trained-model quality gates live in the acceptance suite.
 import math
 import subprocess
 import sys
+import weakref
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -721,9 +723,10 @@ def test_extraction_encodes_each_head_and_body_utterance_once(labeled_corpus, sm
     assert calls["encode"] == len(dialogs) + sum(len(parts.body_indices) for parts in splits)
 
 
-def scored_extraction(log, dialogs, bundles, enc_cfg, monkeypatch):
+def scored_extraction(log, dialogs, bundles, enc_cfg, monkeypatch, cfg=None):
     """extract_pairs' pairs and every probability it computed, keyed by
-    (target, utterance index)."""
+    (target, utterance index); ``cfg`` holds the thresholds, by default the
+    bundles'."""
     probs = {}
     proba = mdl.ModelBundle.proba
 
@@ -733,7 +736,7 @@ def scored_extraction(log, dialogs, bundles, enc_cfg, monkeypatch):
         return p
 
     monkeypatch.setattr(mdl.ModelBundle, "proba", recording)
-    cfg = bundle_thresholds(bundles)
+    cfg = cfg or bundle_thresholds(bundles)
     pairs = extract_pairs(log, dialogs, bundles["issue"], bundles["solution"], cfg, enc_cfg)
     monkeypatch.setattr(mdl.ModelBundle, "proba", proba)
     return pairs, probs
@@ -741,9 +744,9 @@ def scored_extraction(log, dialogs, bundles, enc_cfg, monkeypatch):
 
 @pytest.mark.parametrize("rows", [1, 10**9], ids=["one-dialog", "whole-log"])
 def test_extraction_chunks_give_the_same_pairs(labeled_corpus, small_bundles, small_enc, monkeypatch, rows):
-    # a chunk of one dialog, or of the whole log, scores the same heads and
-    # bodies as the default chunks, to within the rounding of a batched
-    # product, and makes the same gate decisions
+    # forwards of one row, or of every queued row of the log, score the same
+    # heads and bodies as the default forwards, to within the rounding of a
+    # batched product, and make the same gate decisions
     log = labeled_corpus.logs["alpha"]
     dialogs = assemble_dialogs(log, heuristic_link_scorer)
     want, want_p = scored_extraction(log, dialogs, small_bundles, small_enc, monkeypatch)
@@ -759,32 +762,113 @@ def test_extraction_chunks_give_the_same_pairs(labeled_corpus, small_bundles, sm
         assert (got_p[target, i] >= bar) == (p >= bar)
 
 
-def test_extraction_runs_one_issue_forward_per_chunk(labeled_corpus, small_bundles, small_enc, monkeypatch):
-    log = labeled_corpus.logs["alpha"]
-    dialogs = assemble_dialogs(log, heuristic_link_scorer)
-    monkeypatch.setattr(mdl, "_EXTRACT_ROWS", 8)
-    chunks = list(mdl._dialog_chunks(log, dialogs))
-    assert 1 < len(chunks) < len(dialogs)
-    for chunk in chunks:
-        rows = sum(1 + len(parts.body_indices) for _, parts in chunk)
-        assert rows <= 8 or len(chunk) == 1
+def counted_forwards(monkeypatch, issue_bundle):
+    """The (is issue forward, utterance indices) of every forward_logits call."""
     forwards = []
     forward = mdl.forward_logits
 
     def counted(examples, params, *a, **k):
-        forwards.append((params is small_bundles["issue"].params, len(examples)))
+        forwards.append((params is issue_bundle.params, [ex.utt_index for ex in examples]))
         return forward(examples, params, *a, **k)
 
     monkeypatch.setattr(mdl, "forward_logits", counted)
+    return forwards
+
+
+def test_extraction_fills_each_forward_across_dialogs(labeled_corpus, small_bundles, small_enc, monkeypatch):
+    # heads queue across dialog boundaries, and so do the bodies of the heads
+    # that pass: every forward but the last of each kind holds exactly
+    # _EXTRACT_ROWS rows, and a failed head's bodies are never scored
+    log = labeled_corpus.logs["alpha"]
+    dialogs = assemble_dialogs(log, heuristic_link_scorer)
+    splits = {d.subject: dis.split_head_body(d, log) for d in dialogs}
+    assert sum(1 + len(parts.body_indices) for parts in splits.values()) < mdl._PENDING_ROWS
+    monkeypatch.setattr(mdl, "_EXTRACT_ROWS", 8)
+    forwards = counted_forwards(monkeypatch, small_bundles["issue"])
     pairs = extract_pairs(
         log, dialogs, small_bundles["issue"], small_bundles["solution"],
         bundle_thresholds(small_bundles), small_enc,
     )
-    assert pairs
-    # one issue forward over each chunk's heads, at most one solution
-    # forward over the bodies of the chunk's heads that pass
-    assert [n for is_issue, n in forwards if is_issue] == [len(c) for c in chunks]
-    assert len(forwards) <= 2 * len(chunks)
+    issue = [rows for is_issue, rows in forwards if is_issue]
+    solution = [rows for is_issue, rows in forwards if not is_issue]
+    assert 0 < len(pairs) < len(dialogs)
+    assert [i for rows in issue for i in rows] == [d.subject for d in dialogs]
+    assert len(issue) == math.ceil(len(dialogs) / 8)
+    assert len(solution) > 1
+    for queue in (issue, solution):
+        assert [len(rows) for rows in queue[:-1]] == [8] * (len(queue) - 1)
+        assert 0 < len(queue[-1]) <= 8
+    want = [i for pair in pairs for i in splits[pair.subject_id].body_indices]
+    assert [i for rows in solution for i in rows] == want
+
+
+def large_dialogs(log, sizes):
+    """Consecutive runs of ``log``'s utterances as dialogs of the given sizes."""
+    dialogs, lo = [], 0
+    for size in sizes:
+        members = tuple(range(lo, lo + size))
+        dialogs.append(Dialog(lo, members, tuple(zip(members[1:], members))))
+        lo += size
+    return dialogs
+
+
+def test_extraction_splits_a_large_dialog_across_forwards(labeled_corpus, small_bundles, small_enc, monkeypatch):
+    # a dialog with more bodies than a forward holds is scored over several
+    # forwards, and gives the pairs of scoring each queue in one forward
+    log = labeled_corpus.logs["alpha"]
+    dialogs = large_dialogs(log, [40, 3, 30])
+    bodies = {d.subject: len(dis.split_head_body(d, log).body_indices) for d in dialogs}
+    assert bodies[0] > 2 * mdl._EXTRACT_ROWS
+    cfg = replace(bundle_thresholds(small_bundles), issue_threshold=0.2)
+    forwards = counted_forwards(monkeypatch, small_bundles["issue"])
+    want, want_p = scored_extraction(log, dialogs, small_bundles, small_enc, monkeypatch, cfg)
+    assert want[0].subject_id == 0 and want[0].solutions
+    scored = sum(bodies[pair.subject_id] for pair in want)
+    assert [len(rows) for is_issue, rows in forwards if not is_issue] == [
+        min(mdl._EXTRACT_ROWS, scored - lo) for lo in range(0, scored, mdl._EXTRACT_ROWS)
+    ]
+    monkeypatch.setattr(mdl, "_EXTRACT_ROWS", 10**9)
+    got, got_p = scored_extraction(log, dialogs, small_bundles, small_enc, monkeypatch, cfg)
+    assert got == want
+    assert got_p.keys() == want_p.keys()
+    assert max(abs(got_p[key] - p) for key, p in want_p.items()) <= 1e-12
+
+
+def test_extraction_keeps_the_live_example_rows_bounded(labeled_corpus, small_bundles, small_enc, monkeypatch):
+    # however large the dialogs, the examples alive at once are the issue
+    # queue's pending rows (at most _PENDING_ROWS, or one larger dialog) plus
+    # fewer than _EXTRACT_ROWS bodies left on the solution queue
+    log = labeled_corpus.logs["alpha"]
+    monkeypatch.setattr(mdl, "_EXTRACT_ROWS", 4)
+    monkeypatch.setattr(mdl, "_PENDING_ROWS", 12)
+    refs, live = [], []
+    examples_for = DialogEmbedder.examples_for
+
+    def tracked(self, dialog, parts, *a, **k):
+        head, body = examples_for(self, dialog, parts, *a, **k)
+        refs.extend(weakref.ref(ex) for ex in (head, *body))
+        live.append(sum(r() is not None for r in refs))
+        return head, body
+
+    def proba(self, examples):
+        assert len(examples) <= 4
+        live.append(sum(r() is not None for r in refs))
+        return np.full(len(examples), 0.9)
+
+    monkeypatch.setattr(DialogEmbedder, "examples_for", tracked)
+    monkeypatch.setattr(mdl.ModelBundle, "proba", proba)
+    for sizes in ([7, 9, 8, 6, 9, 8, 7, 9], [7, 9, 20, 6, 9]):
+        dialogs = large_dialogs(log, sizes)
+        rows = [1 + len(dis.split_head_body(d, log).body_indices) for d in dialogs]
+        refs.clear()
+        live.clear()
+        pairs = extract_pairs(
+            log, dialogs, small_bundles["issue"], small_bundles["solution"],
+            bundle_thresholds(small_bundles), small_enc,
+        )
+        assert len(pairs) == len(dialogs) and len(refs) == sum(rows)
+        assert max(live) <= max(12, *rows) + 4 - 1
+        assert all(r() is None for r in refs)
 
 
 def test_examples_encode_the_joined_head_and_each_reply(labeled_corpus, small_enc):
