@@ -78,12 +78,18 @@ def textual_features(vecs, spec, params, dropout=0.0, uniforms=()):
     """Run a (B, d) batch of utterance vectors, each read as a sequence of
     scalars, through the convolution-pooling stack; returns the (B, m) tensor
     of the last stage. With ``uniforms``, one (B, m_i) array of U[0, 1) draws
-    per stage, dropout at rate ``dropout`` follows each stage."""
+    per stage, dropout at rate ``dropout`` follows each stage, and each stage
+    scores only the outputs its dropout keeps: ``uniforms >= dropout``, the
+    comparison nn.dropout makes. A dropped output is zero after dropout
+    either way, so the values and gradients keep their bits."""
     x = nn.tensor(vecs)
     for i in range(1, len(spec.kernel_counts) + 1):
-        x = nn.conv1d_maxpool(x, params[f"conv{i}.w"], params[f"conv{i}.b"])
+        w, b = params[f"conv{i}.w"], params[f"conv{i}.b"]
         if uniforms:
-            x = nn.dropout(x, dropout, uniforms[i - 1])
+            u = uniforms[i - 1]
+            x = nn.dropout(nn.conv1d_maxpool(x, w, b, u >= dropout), dropout, u)
+        else:
+            x = nn.conv1d_maxpool(x, w, b)
     return x
 
 

@@ -19,6 +19,7 @@ from .features import local_attention
 DEFAULT_STEP = 1e-5
 DEFAULT_TOLERANCE = 1e-4
 _MARGIN = 1e-3
+_DROP_RATE = 0.6  # the classifiers' default dropout
 
 
 @dataclass(frozen=True)
@@ -106,11 +107,14 @@ def _frag_linear_ce(seed, rows=3):
     return params, lambda: nn.softmax_cross_entropy(nn.linear(nn.tensor(x), W, b), labels)
 
 
-def _frag_conv_pool(seed, m=4, rows=2, support=None):
+def _frag_conv_pool(seed, m=4, rows=2, support=None, drops=None):
     """conv_pool over a batch of ``rows`` sequences, with the input checked
     as well as the kernels and bias. A (rows, 10) bool ``support`` zeroes x
     off it; the biases are then negative, because an alive kernel would tie
-    across the windows of zeros and leave its x gradient undefined."""
+    across the windows of zeros and leave its x gradient undefined. With
+    ``drops``, (rows, m) U[0, 1) draws, the op scores only the outputs that
+    dropout at rate _DROP_RATE keeps, and nn.dropout follows on the same
+    draws."""
     def build(rng):
         x = rng.normal(size=(rows, 10))
         k = rng.normal(size=(m, 3)) * 0.7
@@ -131,12 +135,27 @@ def _frag_conv_pool(seed, m=4, rows=2, support=None):
     kp = nn.Parameter("kernels", k)
     bp = nn.Parameter("bias", b)
     params = {"x": xp, "kernels": kp, "bias": bp}
-    return params, lambda: (nn.conv1d_maxpool(xp, kp, bp) * nn.tensor(r)).sum()
+
+    def loss():
+        if drops is None:
+            return (nn.conv1d_maxpool(xp, kp, bp) * nn.tensor(r)).sum()
+        out = nn.conv1d_maxpool(xp, kp, bp, drops >= _DROP_RATE)
+        return (nn.dropout(out, _DROP_RATE, drops) * nn.tensor(r)).sum()
+
+    return params, loss
 
 
 def _frag_conv_pool_blocks(seed):
     """conv_pool with more kernels than one matmul block holds."""
     return _frag_conv_pool(seed, m=nn._CONV_BLOCK + 2)
+
+
+def _frag_conv_pool_dropout(seed):
+    """conv_pool scoring only the outputs dropout keeps, then that dropout:
+    rows that keep three kernels of five, one kernel and none."""
+    keep = np.array([[1, 0, 1, 1, 0], [0, 0, 1, 0, 0], [0, 0, 0, 0, 0]], dtype=bool)
+    drops = np.where(keep, 0.9, 0.1)
+    return _frag_conv_pool(seed, m=5, rows=3, drops=drops)
 
 
 def _frag_conv_pool_sparse(seed):
@@ -259,6 +278,7 @@ STANDARD_FRAGMENTS = (
     ("conv_pool", _frag_conv_pool),
     ("conv_pool_blocks", _frag_conv_pool_blocks),
     ("conv_pool_sparse", _frag_conv_pool_sparse),
+    ("conv_pool_dropout", _frag_conv_pool_dropout),
     ("link_mlp", _frag_link_mlp),
     ("softmax_ce", _frag_softmax_ce),
     ("local_attention", _frag_local_attention),

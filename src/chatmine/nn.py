@@ -13,7 +13,10 @@ the hull of the row's extreme windows: no kernel's maximum can pick them,
 by a margin far above the products' rounding, so the pooled bits stay those
 of scoring every window. When a gradient is needed it runs row by row and
 keeps each kernel's winning window, so its backward runs no matrix product,
-and that path folds the bias into the kernel product. Backward stores a
+and that path folds the bias into the kernel product. Given the mask of the
+dropout that follows it, as training gives it, a row scores only the kernels
+that dropout keeps, and backward visits only the winners of live outputs,
+with the bits of scoring every kernel. Backward stores a
 fresh gradient without a copy, and Adam updates in place through scratch
 kept across steps.
 Everything is deterministic given (input, params, seed); dropout takes its
@@ -485,13 +488,33 @@ def _window_maxima(x, kernels, cand):
     return peak
 
 
-def conv1d_maxpool(x, kernels, bias):
+def _kept_blocks(keep):
+    """The kernels one row's (m,) ``keep`` marks, split evenly into index
+    blocks of at most _CONV_BLOCK. A lone kept kernel is listed twice, so no
+    block has one row and none makes a matrix-vector product."""
+    kept = np.flatnonzero(keep)
+    if len(kept) == 1:
+        kept = kept.repeat(2)
+    k = len(kept)
+    n_blk = -(-k // _CONV_BLOCK)
+    return [kept[i * k // n_blk : (i + 1) * k // n_blk] for i in range(n_blk)]
+
+
+def _dropped(out, keep):
+    """``out`` with +0.0 where ``keep`` is False; all of it without a mask."""
+    if keep is not None:
+        out[~keep] = 0.0
+    return out
+
+
+def conv1d_maxpool(x, kernels, bias, keep=None):
     """One convolution-pooling stage: ReLU(w . x[t:t+h]) then max over t.
 
     ``x`` is a (B, n) batch of length-n sequences of scalars, ``kernels`` an
     (m, h) matrix and ``bias`` an (m,) vector; the output is the (B, m) batch
     of per-kernel pooled maxima. Ties at the max go to the first maximal
-    position.
+    position. ``keep``, an optional (B, m) bool array, marks the outputs to
+    score; every other output is +0.0, has no winner and routes no gradient.
 
     Only candidate windows are scored. A window of zeros scores exactly 0
     before the bias, the same as every other window of zeros, so a row's
@@ -533,7 +556,20 @@ def conv1d_maxpool(x, kernels, bias):
     first gives max_t ReLU(pre_t + b) exactly. numpy's matrix-vector kernel
     sums in another order, and a stage with a one-row kernel block, or with
     n == h, makes such products on the row path; there both paths run the
-    rows, adding b after the product. Backward uses the (m, h) kernels.
+    rows, adding b after the product. Backward uses the (m, h) kernels and
+    visits only the winners of outputs above zero: the others would add
+    +-0.0 to sums that start at +0.0, which moves no bit.
+
+    With ``keep`` on the folded path each row scores only its kept kernels
+    (_kept_blocks), gathered and split evenly into blocks of at most
+    _CONV_BLOCK with no one-row block. OpenBLAS sums each entry of a product
+    in the same order whatever the block's height (the keep tests check it,
+    under the Haswell kernels too), so a kept output has the bits of the
+    unmasked op, and so does every gradient once the dropout that ``keep``
+    mirrors has zeroed the rest. The other paths score every kernel, then
+    zero the dropped outputs. Training passes the mask of the dropout after
+    each stage (features.textual_features): at rate 0.6 a row skips 60% of
+    its products and argmaxes.
     """
     x, kernels, bias = _as_tensor(x), _as_tensor(kernels), _as_tensor(bias)
     rows, n = x.data.shape
@@ -546,19 +582,20 @@ def conv1d_maxpool(x, kernels, bias):
     # of zeros (argmin finds it; a row with none marks a live start again)
     cand = np.lib.stride_tricks.sliding_window_view(xd != 0.0, h, axis=1).any(axis=2)
     cand[np.arange(rows), cand.argmin(axis=1)] = True
-    keep = x.requires_grad or kernels.requires_grad or bias.requires_grad
+    grad = x.requires_grad or kernels.requires_grad or bias.requires_grad
     # the row path makes matrix-vector products when a kernel block has one
     # row or n == h; with n > h only an all-zero row has a single window, and
     # its sum is b in any order
     matvec = n == h or m % _CONV_BLOCK == 1
-    if not (keep or matvec):
+    if not (grad or matvec):
         if h == 3:
             hull = cand.sum(axis=1) * m >= _HULL_PRODUCTS
             if hull.any():
                 cand[hull] &= ~_hull_interior(xd[hull])
-        return Tensor(np.maximum(_window_maxima(xd, K, cand) + b, 0.0))
+        return Tensor(_dropped(np.maximum(_window_maxima(xd, K, cand) + b, 0.0), keep))
     blocks = [slice(lo, lo + _CONV_BLOCK) for lo in range(0, m, _CONV_BLOCK)]
-    fold = keep and not matvec
+    fold = grad and not matvec
+    masked = fold and keep is not None
     if fold:
         # [K | b] against windows closed by a row of ones: gathering x at
         # n + start, past the row's end, reads a one for every start
@@ -567,36 +604,41 @@ def conv1d_maxpool(x, kernels, bias):
         taps = np.append(offsets, n)
     else:
         Kp, xp, taps = K, xd, offsets
-    peak = np.empty((rows, m))
-    win = np.empty((rows, m), dtype=np.intp)
+    # a dropped kernel keeps +0.0 and start 0
+    peak = np.zeros((rows, m))
+    win = np.zeros((rows, m), dtype=np.intp)
     lanes = np.arange(_CONV_BLOCK)
     for r in range(rows):
+        row_blocks = _kept_blocks(keep[r]) if masked else blocks
+        if not row_blocks:
+            continue
         starts = np.flatnonzero(cand[r])
         wt = xp[r, taps[:, None] + starts]  # (h, candidates), or (h+1, ...)
-        for blk in blocks:
+        for blk in row_blocks:
             pre = Kp[blk] @ wt
             if not fold:
                 pre += b[blk, None]
             j = pre.argmax(axis=1)
             win[r, blk] = starts[j]
             peak[r, blk] = pre[lanes[: len(j)], j]
-    out = np.maximum(peak, 0.0)
+    out = _dropped(np.maximum(peak, 0.0), keep)
 
     def back(g):
         gate = out > 0.0
         gk = g * gate  # (B, m)
-        # a dead kernel's ReLU row is all zeros: its first maximum is window 0
-        idx = np.where(gate, win, 0)[:, :, None] + offsets  # (B, m, h)
+        # only live outputs route a gradient
+        live_r, live_k = np.nonzero(gate)
+        idx = win[live_r, live_k, None] + offsets  # (live, h)
+        gl = gk[live_r, live_k, None]
         if kernels.requires_grad:
             gK = np.zeros_like(K)
-            for r in range(rows):
-                gK += gk[r, :, None] * xd[r, idx[r]]
+            np.add.at(gK, live_k, gl * xd[live_r[:, None], idx])  # row after row
             kernels._accumulate(gK)
         if bias.requires_grad:
             bias._accumulate(gk.sum(axis=0))
         if x.requires_grad:
             gx = np.zeros((rows, n))
-            np.add.at(gx, (np.arange(rows)[:, None, None], idx), gk[:, :, None] * K)
+            np.add.at(gx, (live_r[:, None], idx), gl * K[live_k])
             x._accumulate(gx)
 
     return Tensor(out, parents=(x, kernels, bias), backward_fn=back)

@@ -63,15 +63,15 @@ def test_c01_scope_and_limitations_documented():
 def test_c02_gradient_checks_all_fragments_three_seeds():
     """Central finite differences vs analytic gradients for every computation
     fragment (linear+CE over a batch; conv-pool over two rows, over more
-    than one kernel block and over sparse rows, its input's gradient checked
-    too; batched link MLP; softmax+CE over a batch; local attention over
+    than one kernel block, over sparse rows and scoring only the outputs a
+    dropout keeps, its input's gradient checked too; batched link MLP; softmax+CE over a batch; local attention over
     batches with padded windows and a row on the uniform fallback; 413-64-2
     head) at seeds 1..3: max relative error < 1e-4 at 64-bit, total runtime
     under 60 seconds."""
     t0 = time.monotonic()
     reports = run_standard_checks(seeds=(1, 2, 3), tolerance=1e-4)
     elapsed = time.monotonic() - t0
-    assert len(reports) == 27  # 9 fragments x 3 seeds
+    assert len(reports) == 30  # 10 fragments x 3 seeds
     for r in reports:
         assert r.passed, f"{r.fragment} seed {r.seed}: {r.max_rel_error} at {r.worst_param}"
         assert r.max_rel_error < 1e-4

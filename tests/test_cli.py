@@ -502,7 +502,7 @@ def test_gradcheck_verb_passes_and_reports(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     lines = [l for l in out.strip().splitlines() if l]
-    assert len(lines) == 9  # one line per fragment
+    assert len(lines) == 10  # one line per fragment
     for line in lines:
         assert line.endswith("PASS")
         assert "max_rel_error=" in line

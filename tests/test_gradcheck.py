@@ -22,6 +22,7 @@ def test_report_carries_fragment_metadata():
     reports = gradcheck.run_standard_checks(seeds=(2,))
     names = {r.fragment for r in reports}
     assert "conv_pool" in names
+    assert "conv_pool_dropout" in names
     assert "local_attention" in names
     assert "local_attention_padded" in names
     for rep in reports:

@@ -471,6 +471,60 @@ def test_checkpoint_bytes_stable_across_saves(tmp_path, tiny_examples):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_full_width_training_keeps_its_bits_when_conv_scores_every_output(tmp_path, labeled_corpus, monkeypatch):
+    # training scores only the conv outputs its dropout keeps; the same run
+    # through a conv that ignores the mask and scores every output must give
+    # the same params, history and checkpoint bytes
+    enc_cfg = EncoderConfig()
+    examples = build_examples(labeled_corpus, enc_cfg)["issue"]
+    cfg = tiny_cfg()
+
+    def run(name):
+        res = train_model(examples, "issue", cfg, enc_cfg)
+        save_model_checkpoint(tmp_path / name, res)
+        return res, (tmp_path / name).read_bytes()
+
+    got, got_bytes = run("masked.ckpt")
+    conv = nn.conv1d_maxpool
+    masked = []
+
+    def reference(x, kernels, bias, keep=None):
+        masked.append(keep is not None)
+        return conv(x, kernels, bias)
+
+    monkeypatch.setattr(nn, "conv1d_maxpool", reference)
+    want, want_bytes = run("unmasked.ckpt")
+    assert any(masked) and not all(masked)  # training forwards pass a mask, validation none
+    assert got.history == want.history and got.best_epoch == want.best_epoch
+    for name in got.params:
+        assert np.array_equal(got.params[name].data.view(np.int64), want.params[name].data.view(np.int64)), name
+    assert got_bytes == want_bytes
+
+
+def test_training_conv_masks_are_the_dropout_masks(labeled_corpus, monkeypatch):
+    # each conv stage is told to keep exactly the outputs the dropout after
+    # it leaves nonzero
+    conv, dropout = nn.conv1d_maxpool, nn.dropout
+    keeps, nonzero = [], []
+
+    def recording_conv(x, kernels, bias, keep=None):
+        keeps.append(keep)
+        return conv(x, kernels, bias, keep)
+
+    def recording_dropout(x, p, uniforms):
+        nonzero.append(dropout(nn.tensor(np.ones(uniforms.shape)), p, uniforms).data != 0.0)
+        return dropout(x, p, uniforms)
+
+    monkeypatch.setattr(nn, "conv1d_maxpool", recording_conv)
+    monkeypatch.setattr(nn, "dropout", recording_dropout)
+    exs = varied_examples(labeled_corpus, 1)[:5]
+    forward_logits(exs, tiny_params(), TINY_SPEC, None, ModelConfig(), np.random.default_rng(0), training=True)
+    assert len(keeps) == len(TINY_SPEC.kernel_counts) and len(nonzero) == len(keeps) + 1  # + the FC layer's
+    for keep, mask in zip(keeps, nonzero):
+        assert keep.dtype == bool and np.array_equal(keep, mask)
+        assert 0 < keep.sum() < keep.size
+
+
 def test_checkpoint_rejects_wrong_runtime_encoder(tmp_path, tiny_examples):
     res = train_model(tiny_examples["issue"], "issue", tiny_cfg(), TINY_ENC, TINY_SPEC)
     p = tmp_path / "issue.ckpt"

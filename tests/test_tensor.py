@@ -265,17 +265,18 @@ def sparse_case_rows(n=40):
     }
 
 
-def conv_pool_batch(x, kernels, bias, g, mode):
-    """The op's output and (kernel, bias, x) gradients on a (B, n) batch. In
-    "no_grad" every operand is a constant and there are no gradients; in
-    "const_x" the kernels and bias are Parameters; in "param_x" x is too."""
+def conv_pool_batch(x, kernels, bias, g, mode, keep=None):
+    """The op's output and (kernel, bias, x) gradients on a (B, n) batch,
+    scoring the outputs ``keep`` marks. In "no_grad" every operand is a
+    constant and there are no gradients; in "const_x" the kernels and bias
+    are Parameters; in "param_x" x is too."""
     if mode == "no_grad":
-        out = nn.conv1d_maxpool(nn.tensor(x), nn.tensor(kernels), nn.tensor(bias))
+        out = nn.conv1d_maxpool(nn.tensor(x), nn.tensor(kernels), nn.tensor(bias), keep)
         assert not out.requires_grad
         return (out.data,)
     xp = nn.Parameter("x", x) if mode == "param_x" else nn.tensor(x)
     kp, bp = nn.Parameter("k", kernels), nn.Parameter("b", bias)
-    out = nn.conv1d_maxpool(xp, kp, bp)
+    out = nn.conv1d_maxpool(xp, kp, bp, keep)
     (out * nn.tensor(g)).sum().backward()
     return (out.data, kp.grad, bp.grad) + ((xp.grad,) if mode == "param_x" else ())
 
@@ -602,6 +603,96 @@ def test_extract_pairs_are_the_same_with_the_window_major_conv(tmp_path, monkeyp
     assert calls
     assert any(pair.solutions for pair in got)
     assert got == want
+
+
+# -- the dropout mask of the gradient path ---------------------------------
+
+KEEP_SHAPES = [(2 * nn._CONV_BLOCK + 5, 800), (nn._CONV_BLOCK + 1, 40), (2 * nn._CONV_BLOCK + 5, 3)]
+KEEP_IDS = ["uneven-blocks", "one-row-tail-block", "n-equals-h"]
+DROP_RATE = 0.6
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+def keep_case(m, n, seed=40):
+    """(x, kernels, bias, draws) for the masked conv-pool: rows of four kinds
+    (sparse like a hashed vector, 60% zeros like a dropped-out stage, dense,
+    all zeros), each row of a kind keeping none, one, two, all or a random
+    40% of the m kernels; ``draws`` >= DROP_RATE exactly where a kernel is
+    kept."""
+    rng = np.random.default_rng(seed)
+    hashed = np.zeros(n)
+    hashed[rng.choice(n, max(1, n // 40), replace=False)] = rng.normal(size=max(1, n // 40))
+    kinds = [hashed, np.abs(rng.normal(size=n)) * (rng.random(n) >= 0.6), rng.normal(size=n), np.zeros(n)]
+    rows, keeps = [], []
+    for row in kinds:
+        for count in (0, 1, 2, m, None):
+            keep = rng.random(m) < 0.4 if count is None else np.isin(np.arange(m), rng.choice(m, count, replace=False))
+            rows.append(row)
+            keeps.append(keep)
+    keeps = np.array(keeps)
+    draws = np.where(keeps, rng.uniform(DROP_RATE, 1.0, keeps.shape), rng.uniform(0.0, DROP_RATE, keeps.shape))
+    k, b = rng.normal(size=(m, 3)), rng.normal(size=m)  # some kernels dead
+    k[0], b[0] = 1.0, 0.5  # alive at a score of 0: windows of zeros tie
+    return np.array(rows), k, b, draws
+
+
+@pytest.mark.parametrize("mode", ["no_grad", "const_x", "param_x"])
+@pytest.mark.parametrize("m, n", KEEP_SHAPES, ids=KEEP_IDS)
+def test_conv_pool_keep_scores_the_kept_outputs_with_the_unmasked_bits(m, n, mode):
+    # a kept output and its winning window are those of the unmasked op; a
+    # dropped one is +0.0 and routes nothing. A gradient only on the kept
+    # outputs reads the winners back: the kernel gradient sums their
+    # windows and each row's x gradient marks them
+    x, k, b, draws = keep_case(m, n)
+    keep = draws >= DROP_RATE
+    g = np.random.default_rng(41).normal(size=keep.shape) * keep
+    got = conv_pool_batch(x, k, b, g, mode, keep)
+    want = conv_pool_batch(x, k, b, g, mode)
+    assert same_bits(got[0], np.where(keep, want[0], 0.0))
+    assert np.count_nonzero(got[0]) > 0
+    for name, a, w in zip(("kernel grad", "bias grad", "x grad"), got[1:], want[1:]):
+        assert same_bits(a, w), name
+
+
+@pytest.mark.parametrize("m, n", KEEP_SHAPES, ids=KEEP_IDS)
+def test_conv_pool_keep_then_dropout_gives_the_unmasked_values_and_gradients(m, n):
+    x, k, b, draws = keep_case(m, n)
+    g = np.random.default_rng(42).normal(size=draws.shape)
+
+    def conv_then_dropout(keep):
+        xp, kp, bp = nn.Parameter("x", x), nn.Parameter("k", k), nn.Parameter("b", b)
+        out = nn.dropout(nn.conv1d_maxpool(xp, kp, bp, keep), DROP_RATE, draws)
+        (out * nn.tensor(g)).sum().backward()
+        return out.data, kp.grad, bp.grad, xp.grad
+
+    got, want = conv_then_dropout(draws >= DROP_RATE), conv_then_dropout(None)
+    for name, a, w in zip(("out", "kernel grad", "bias grad", "x grad"), got, want):
+        assert same_bits(a, w), name
+
+
+def test_conv_pool_keep_scores_no_dropped_kernel(monkeypatch):
+    # each row's kernel products hold its kept kernels only, in blocks of
+    # at least two rows; a row keeping none makes no product
+    x, k, b, draws = keep_case(2 * nn._CONV_BLOCK + 5, 800)
+    keep = draws >= DROP_RATE
+    scored = []
+    kept_blocks = nn._kept_blocks
+
+    def recording(row_keep):
+        blocks = kept_blocks(row_keep)
+        scored.append((row_keep, blocks))
+        return blocks
+
+    monkeypatch.setattr(nn, "_kept_blocks", recording)
+    nn.conv1d_maxpool(nn.tensor(x), nn.Parameter("k", k), nn.Parameter("b", b), keep)
+    assert len(scored) == len(x)
+    for row_keep, blocks in scored:
+        assert all(2 <= len(blk) <= nn._CONV_BLOCK for blk in blocks)
+        scored_kernels = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.intp)
+        assert np.array_equal(np.unique(scored_kernels), np.flatnonzero(row_keep))
 
 
 def test_conv_pool_graph_holds_no_window_by_kernel_array():
