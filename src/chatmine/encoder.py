@@ -51,7 +51,6 @@ class EmbeddingTable:
     vectors: dict
     unk: np.ndarray
     dim: int
-    duplicate_rows: int = 0
 
 
 def config_fingerprint(cfg):
@@ -84,7 +83,6 @@ def load_embedding_table(path, cfg):
     the mean row. Dimension must match the config."""
     p = Path(path)
     vectors = {}
-    duplicates = 0
     dim = None
     for line_no, line in numbered_lines(p, "embedding table", ConfigError):
         if line.startswith("#"):
@@ -99,8 +97,6 @@ def load_embedding_table(path, cfg):
             raise ConfigError(
                 f"{p}:{line_no}: row has {len(vals)} values, expected {dim}"
             )
-        if token in vectors:
-            duplicates += 1
         try:
             vectors[token] = np.array([float(x) for x in vals])
         except ValueError as exc:
@@ -114,7 +110,7 @@ def load_embedding_table(path, cfg):
             f"embedding table dim {dim} does not match configured dim {cfg.dim}"
         )
     unk = np.mean(list(vectors.values()), axis=0)
-    return EmbeddingTable(vectors, unk, dim, duplicates)
+    return EmbeddingTable(vectors, unk, dim)
 
 
 @lru_cache(maxsize=4)

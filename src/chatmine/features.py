@@ -47,13 +47,13 @@ class ConvStackSpec:
             raise ConfigError(f"kernel size must be >= 1, got {self.kernel_size}")
 
     def validate_input_len(self, input_len):
-        """Each stage needs a sequence at least as long as its kernel."""
+        """Each stage needs a sequence longer than its kernel."""
         length = input_len
         for i, m in enumerate(self.kernel_counts, 1):
-            if length < self.kernel_size:
+            if length <= self.kernel_size:
                 raise ConfigError(
-                    f"conv stage {i}: sequence length {length} < kernel "
-                    f"size {self.kernel_size}"
+                    f"conv stage {i}: sequence length {length} must exceed "
+                    f"kernel size {self.kernel_size}"
                 )
             length = m
         return self.kernel_counts[-1]

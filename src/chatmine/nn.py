@@ -6,19 +6,20 @@ Only the ops the models need are provided: linear algebra, a fused
 conv1d+max-pool, the usual activations, dropout, fused softmax cross-entropy,
 and Adam. The layers take a leading batch axis, so a whole mini-batch is one
 graph with one node per layer. The conv-pool scores only the windows that
-can win, few on a sparse hashed vector. Without a gradient it scores the
-windows of all a batch's rows together, in cache-sized tiles with no loop
-over rows. On a dense row of a wide stage it first drops the windows inside
-the hull of the row's extreme windows: no kernel's maximum can pick them,
-by a margin far above the products' rounding, so the pooled bits stay those
-of scoring every window. When a gradient is needed it runs row by row and
-keeps each kernel's winning window, so its backward runs no matrix product,
-and that path folds the bias into the kernel product. Given the mask of the
-dropout that follows it, as training gives it, a row scores only the kernels
-that dropout keeps, and backward visits only the winners of live outputs,
-with the bits of scoring every kernel. Backward stores a
-fresh gradient without a copy, and Adam updates in place through scratch
-kept across steps.
+can win, few on a sparse hashed vector, on one of two routes. Without a
+gradient it scores the windows of all a batch's rows together, in
+cache-sized tiles with no loop over rows. On a dense row of a wide stage it
+first drops the windows inside the hull of the row's extreme windows: no
+kernel's maximum can pick them, by a margin far above the products'
+rounding, so the pooled bits stay those of scoring every window. With a
+gradient it runs row by row, folds the bias into the kernel product and
+keeps each kernel's winning window, so its backward runs no matrix product.
+Each row scores its kernels in even blocks; given the mask of the dropout
+that follows, as training gives it, only the kernels that dropout keeps,
+and backward visits only the winners of live outputs, with the bits of
+scoring every kernel. A stage needs an input longer than its kernel.
+Backward stores a fresh gradient without a copy, and Adam updates in place
+through scratch kept across steps.
 Everything is deterministic given (input, params, seed); dropout takes its
 uniform draws from the caller.
 """
@@ -462,9 +463,9 @@ def _window_maxima(x, kernels, cand):
     (B, n-h+1) marks. The candidate windows of all rows are gathered row
     after row into one (h, windows) array and scored in tiles of at most
     _CONV_TILE products; one maximum.reduceat per tile pools each row's part
-    of it. No tile is one kernel tall or, with two windows or more, one window
-    wide: numpy would send it to a matrix-vector kernel with another sum
-    order."""
+    of it. ``kernels`` has two rows or more, and no tile is one kernel tall
+    or, with two windows or more, one window wide: numpy would send it to a
+    matrix-vector kernel with another sum order."""
     m, h = kernels.shape
     counts = cand.sum(axis=1)
     width = counts.sum()
@@ -489,9 +490,10 @@ def _window_maxima(x, kernels, cand):
 
 
 def _kept_blocks(keep):
-    """The kernels one row's (m,) ``keep`` marks, split evenly into index
-    blocks of at most _CONV_BLOCK. A lone kept kernel is listed twice, so no
-    block has one row and none makes a matrix-vector product."""
+    """The kernels one row's (m,) ``keep`` marks, all m in a call without a
+    mask, split evenly into index blocks of at most _CONV_BLOCK. A lone kept
+    kernel, as in a one-kernel stage, is listed twice, so no block has one
+    row and none makes a matrix-vector product."""
     kept = np.flatnonzero(keep)
     if len(kept) == 1:
         kept = kept.repeat(2)
@@ -500,28 +502,25 @@ def _kept_blocks(keep):
     return [kept[i * k // n_blk : (i + 1) * k // n_blk] for i in range(n_blk)]
 
 
-def _dropped(out, keep):
-    """``out`` with +0.0 where ``keep`` is False; all of it without a mask."""
-    if keep is not None:
-        out[~keep] = 0.0
-    return out
-
-
 def conv1d_maxpool(x, kernels, bias, keep=None):
     """One convolution-pooling stage: ReLU(w . x[t:t+h]) then max over t.
 
-    ``x`` is a (B, n) batch of length-n sequences of scalars, ``kernels`` an
-    (m, h) matrix and ``bias`` an (m,) vector; the output is the (B, m) batch
-    of per-kernel pooled maxima. Ties at the max go to the first maximal
-    position. ``keep``, an optional (B, m) bool array, marks the outputs to
-    score; every other output is +0.0, has no winner and routes no gradient.
+    ``x`` is a (B, n) batch of length-n sequences of scalars, n > h,
+    ``kernels`` an (m, h) matrix and ``bias`` an (m,) vector; the output is
+    the (B, m) batch of per-kernel pooled maxima. Ties at the max go to the
+    first maximal position. ``keep``, an optional (B, m) bool array, marks
+    the outputs to score; every other output is +0.0, has no winner and
+    routes no gradient.
 
     Only candidate windows are scored. A window of zeros scores exactly 0
     before the bias, the same as every other window of zeros, so a row's
     candidate starts are those whose window holds a nonzero plus the first
     all-zero window, in ascending order: a hashed vector keeps a few dozen
     of its n-h+1 windows, a dense row keeps them all, and an all-zero row
-    keeps one.
+    keeps one. A lone kernel is scored twice on either route, so no product
+    is one kernel tall; with n > h a product is one window wide only on an
+    all-zero row, whose sums are exact in any order. numpy sends those
+    shapes to its matrix-vector kernel, which sums in another order.
 
     Without a gradient the batch's windows are scored together, in tiles
     (_window_maxima), and the bias is added after pooling. With kernel size
@@ -541,87 +540,75 @@ def conv1d_maxpool(x, kernels, bias, keep=None):
     normal floats (the margins would be inf or NaN), or when its extremes
     span no volume: fewer than 4 distinct ones, or coplanar ones, which make
     a plane a facet on both sides, so no window is inside by a positive
-    margin. When an input
-    needs a gradient the node runs row by row, in blocks of _CONV_BLOCK
-    kernels, and keeps each kernel's winning start, the first argmax, so
-    backward only gathers the winning windows and runs no matrix product.
-    That path folds the bias into the product: kernels [K | b], (m, h+1),
-    against each row's windows closed by a row of ones, (h+1, candidates),
-    so one product per block holds fl(w . x + b) and one argmax reads the
-    peak there. The term b * 1 is exact, so this is fl(fl(w . x) + b),
-    bit-equal to adding b after the product, as long as BLAS adds the last
-    column's term last; the window-major tests catch a BLAS that does not.
-    Rounding is monotone, so max_t fl(pre_t + b) == fl(max_t pre_t + b) and
-    the two paths give the same bits, and ReLU commutes with max: pooling
-    first gives max_t ReLU(pre_t + b) exactly. numpy's matrix-vector kernel
-    sums in another order, and a stage with a one-row kernel block, or with
-    n == h, makes such products on the row path; there both paths run the
-    rows, adding b after the product. Backward uses the (m, h) kernels and
-    visits only the winners of outputs above zero: the others would add
-    +-0.0 to sums that start at +0.0, which moves no bit.
+    margin. The outputs ``keep`` drops are zeroed after scoring.
 
-    With ``keep`` on the folded path each row scores only its kept kernels
-    (_kept_blocks), gathered and split evenly into blocks of at most
-    _CONV_BLOCK with no one-row block. OpenBLAS sums each entry of a product
-    in the same order whatever the block's height (the keep tests check it,
-    under the Haswell kernels too), so a kept output has the bits of the
-    unmasked op, and so does every gradient once the dropout that ``keep``
-    mirrors has zeroed the rest. The other paths score every kernel, then
-    zero the dropped outputs. Training passes the mask of the dropout after
-    each stage (features.textual_features): at rate 0.6 a row skips 60% of
-    its products and argmaxes.
+    When an input needs a gradient the node runs row by row and keeps each
+    kernel's winning start, the first argmax, so backward only gathers the
+    winning windows and runs no matrix product. A row scores only its kept
+    kernels, every kernel without ``keep`` (_kept_blocks), gathered and
+    split evenly into blocks of at most _CONV_BLOCK. Each block folds the
+    bias into the product: kernels [K | b] against the row's windows closed
+    by a row of ones, (h+1, candidates), so one product holds fl(w . x + b)
+    and one argmax reads the peak there. The term b * 1 is exact, so this is
+    fl(fl(w . x) + b), bit-equal to adding b after the product, as long as
+    BLAS adds the last column's term last; the window-major tests catch a
+    BLAS that does not. Rounding is monotone, so max_t fl(pre_t + b) ==
+    fl(max_t pre_t + b) and the two routes give the same bits, and ReLU
+    commutes with max: pooling first gives max_t ReLU(pre_t + b) exactly.
+    OpenBLAS sums each entry of a product in the same order whatever the
+    block's height (the keep tests check it, under several kernels), so a
+    kept output has the bits of the unmasked op, and so does every gradient
+    once the dropout that ``keep`` mirrors has zeroed the rest. Training
+    passes the mask of the dropout after each stage
+    (features.textual_features): at rate 0.6 a row skips 60% of its products
+    and argmaxes. Backward uses the (m, h) kernels and visits only the
+    winners of outputs above zero: the others would add +-0.0 to sums that
+    start at +0.0, which moves no bit.
     """
     x, kernels, bias = _as_tensor(x), _as_tensor(kernels), _as_tensor(bias)
     rows, n = x.data.shape
     m, h = kernels.data.shape
-    if n < h:
-        raise ContractViolation(f"conv1d_maxpool: sequence length {n} < kernel size {h}")
+    if n <= h:
+        raise ContractViolation(f"conv1d_maxpool: sequence length {n} must exceed kernel size {h}")
     xd, K, b = x.data, kernels.data, bias.data
     offsets = np.arange(h)
     # (B, n-h+1): the windows holding a nonzero, plus each row's first window
     # of zeros (argmin finds it; a row with none marks a live start again)
     cand = np.lib.stride_tricks.sliding_window_view(xd != 0.0, h, axis=1).any(axis=2)
     cand[np.arange(rows), cand.argmin(axis=1)] = True
-    grad = x.requires_grad or kernels.requires_grad or bias.requires_grad
-    # the row path makes matrix-vector products when a kernel block has one
-    # row or n == h; with n > h only an all-zero row has a single window, and
-    # its sum is b in any order
-    matvec = n == h or m % _CONV_BLOCK == 1
-    if not (grad or matvec):
+    if not (x.requires_grad or kernels.requires_grad or bias.requires_grad):
         if h == 3:
             hull = cand.sum(axis=1) * m >= _HULL_PRODUCTS
             if hull.any():
                 cand[hull] &= ~_hull_interior(xd[hull])
-        return Tensor(_dropped(np.maximum(_window_maxima(xd, K, cand) + b, 0.0), keep))
-    blocks = [slice(lo, lo + _CONV_BLOCK) for lo in range(0, m, _CONV_BLOCK)]
-    fold = grad and not matvec
-    masked = fold and keep is not None
-    if fold:
-        # [K | b] against windows closed by a row of ones: gathering x at
-        # n + start, past the row's end, reads a one for every start
-        Kp = np.concatenate((K, b[:, None]), axis=1)
-        xp = np.concatenate((xd, np.ones((rows, n - h + 1))), axis=1)
-        taps = np.append(offsets, n)
-    else:
-        Kp, xp, taps = K, xd, offsets
+        peak = _window_maxima(xd, K if m > 1 else K.repeat(2, axis=0), cand)[:, :m]
+        out = np.maximum(peak + b, 0.0)
+        if keep is not None:
+            out[~keep] = 0.0
+        return Tensor(out)
+    if keep is None:
+        keep = np.ones((rows, m), dtype=bool)
+    # [K | b] against windows closed by a row of ones: gathering x at
+    # n + start, past the row's end, reads a one for every start
+    Kp = np.concatenate((K, b[:, None]), axis=1)
+    xp = np.concatenate((xd, np.ones((rows, n - h + 1))), axis=1)
+    taps = np.append(offsets, n)
     # a dropped kernel keeps +0.0 and start 0
     peak = np.zeros((rows, m))
     win = np.zeros((rows, m), dtype=np.intp)
     lanes = np.arange(_CONV_BLOCK)
     for r in range(rows):
-        row_blocks = _kept_blocks(keep[r]) if masked else blocks
-        if not row_blocks:
+        blocks = _kept_blocks(keep[r])
+        if not blocks:
             continue
         starts = np.flatnonzero(cand[r])
-        wt = xp[r, taps[:, None] + starts]  # (h, candidates), or (h+1, ...)
-        for blk in row_blocks:
+        wt = xp[r, taps[:, None] + starts]  # (h+1, candidates)
+        for blk in blocks:
             pre = Kp[blk] @ wt
-            if not fold:
-                pre += b[blk, None]
             j = pre.argmax(axis=1)
             win[r, blk] = starts[j]
             peak[r, blk] = pre[lanes[: len(j)], j]
-    out = _dropped(np.maximum(peak, 0.0), keep)
+    out = np.maximum(peak, 0.0)
 
     def back(g):
         gate = out > 0.0

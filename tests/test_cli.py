@@ -1041,8 +1041,16 @@ def test_extract_with_a_conv_stack_too_deep_for_the_encoder_exits_3(tmp_path, cl
     bad = tmp_path / "issue.ckpt"
     ckpt_io.save_checkpoint(bad, params, manifest)
     rc = extract_with_issue_ckpt(tmp_path, bad, cli_ckpts["solution"])
-    assert "conv stage 3: sequence length 2 < kernel size 3" in assert_data_error(rc, capsys)
+    assert "conv stage 3: sequence length 2 must exceed kernel size 3" in assert_data_error(rc, capsys)
     assert not (tmp_path / "pairs.jsonl").exists()
+
+
+def test_train_with_an_encoder_one_window_long_exits_3(tmp_path, labeled_path, capsys):
+    # a 3-d vector is a single window of the size-3 kernels; the last flag wins
+    out = tmp_path / "issue.ckpt"
+    rc = main([*train_argv(tmp_path, labeled_path, "issue", out), "--encoder-dim", "3"])
+    assert "conv stage 1: sequence length 3 must exceed kernel size 3" in assert_data_error(rc, capsys)
+    assert not out.exists()
 
 
 def test_a_checkpoint_of_another_target_exits_3_with_one_reason(tmp_path, cli_ckpts, capsys):

@@ -97,7 +97,6 @@ def test_table_duplicate_rows_last_wins(tmp_path):
     write_table(p, ["x 1 0", "x 0 1"])
     cfg = EncoderConfig(dim=2, provider="table", table_path=str(p))
     table = load_embedding_table(p, cfg)
-    assert table.duplicate_rows == 1
     assert np.array_equal(table.vectors["x"], [0.0, 1.0])
 
 

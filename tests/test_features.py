@@ -45,6 +45,8 @@ def test_spec_validation():
         ft.ConvStackSpec(kernel_size=0)
     with pytest.raises(ConfigError):
         ft.ConvStackSpec(kernel_counts=(4, 4)).validate_input_len(2)
+    with pytest.raises(ConfigError, match="conv stage 1: sequence length 3 must exceed kernel size 3"):
+        ft.ConvStackSpec((4, 4, 256)).validate_input_len(3)  # one window
     assert ft.ConvStackSpec().validate_input_len(800) == 256
 
 

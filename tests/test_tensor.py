@@ -177,8 +177,14 @@ def test_conv_pool_tie_goes_to_first_window():
     assert np.array_equal(x.grad, [[1.0, 0.0, 0.0]])
 
 
+def one_window_rejected():
+    """The error the op raises on an input no longer than its kernel."""
+    return pytest.raises(ContractViolation, match="must exceed kernel size")
+
+
 def test_conv_pool_matches_bruteforce_on_random_cases():
     rng = np.random.default_rng(3)
+    one_window = 0
     for _ in range(20):
         n = int(rng.integers(3, 12))
         m = int(rng.integers(1, 6))
@@ -186,13 +192,22 @@ def test_conv_pool_matches_bruteforce_on_random_cases():
         x = rng.normal(size=n)
         k = rng.normal(size=(m, h))
         b = rng.normal(size=m)
+        if h == n:
+            one_window += 1
+            with one_window_rejected():
+                nn.conv1d_maxpool(nn.tensor(x[None]), nn.tensor(k), nn.tensor(b))
+            continue
         got = nn.conv1d_maxpool(nn.tensor(x[None]), nn.tensor(k), nn.tensor(b)).data
         assert np.allclose(got[0], conv_pool_oracle(x, k, b), atol=1e-12)
+    assert one_window > 0
 
 
 def test_conv_pool_rejects_short_sequence():
-    with pytest.raises(ContractViolation):
-        nn.conv1d_maxpool(nn.tensor(np.zeros((1, 2))), nn.tensor(np.zeros((1, 3))), nn.tensor(np.zeros(1)))
+    # shorter than the kernel, or one window long, with and without a gradient
+    for n in (2, 3):
+        for x in (nn.tensor(np.zeros((1, n))), nn.Parameter("x", np.zeros((1, n)))):
+            with one_window_rejected():
+                nn.conv1d_maxpool(x, nn.tensor(np.zeros((1, 3))), nn.tensor(np.zeros(1)))
 
 
 def window_major_conv_pool(x, kernels, bias, g):
@@ -396,11 +411,17 @@ def test_conv_pool_gradient_path_gives_the_no_grad_bits_on_a_trained_stack():
 )
 def test_conv_pool_gradient_path_keeps_the_bits_near_matrix_vector_products(m, n):
     # numpy sends a one-row or one-column product to a matrix-vector kernel,
-    # whose sum order differs from the matrix-matrix one
+    # whose sum order differs from the matrix-matrix one; an input one
+    # window long is rejected
     rng = np.random.default_rng(14)
     x = rng.normal(size=(200, n))
     x[1] = 0.0
     k, b = rng.normal(size=(m, 3)), rng.normal(size=m) + 3.0  # kernels alive
+    if n == 3:
+        for mode in ("no_grad", "const_x", "param_x"):
+            with one_window_rejected():
+                conv_pool_batch(x, k, b, np.zeros((len(x), m)), mode)
+        return
     want = conv_pool_batch(x, k, b, None, "no_grad")[0]
     got = nn.conv1d_maxpool(nn.Parameter("x", x), nn.Parameter("k", k), nn.Parameter("b", b))
     assert np.array_equal(got.data, want)
@@ -437,6 +458,11 @@ def test_conv_pool_no_grad_tiles_give_the_gradient_path_bits(case, tile, monkeyp
     if tile is not None:
         monkeypatch.setattr(nn, "_CONV_TILE", tile)
     x, k, b = no_grad_cases()[case]
+    if case == "n-equals-h":
+        for xt in (nn.tensor(x), nn.Parameter("x", x)):
+            with one_window_rejected():
+                nn.conv1d_maxpool(xt, nn.tensor(k), nn.tensor(b))
+        return
     const = nn.conv1d_maxpool(nn.tensor(x), nn.tensor(k), nn.tensor(b))
     grad = nn.conv1d_maxpool(nn.Parameter("x", x), nn.Parameter("k", k), nn.Parameter("b", b))
     assert not const.requires_grad and grad.requires_grad
@@ -649,6 +675,11 @@ def test_conv_pool_keep_scores_the_kept_outputs_with_the_unmasked_bits(m, n, mod
     x, k, b, draws = keep_case(m, n)
     keep = draws >= DROP_RATE
     g = np.random.default_rng(41).normal(size=keep.shape) * keep
+    if n == 3:
+        for mask in (keep, None):
+            with one_window_rejected():
+                conv_pool_batch(x, k, b, g, mode, mask)
+        return
     got = conv_pool_batch(x, k, b, g, mode, keep)
     want = conv_pool_batch(x, k, b, g, mode)
     assert same_bits(got[0], np.where(keep, want[0], 0.0))
@@ -668,31 +699,52 @@ def test_conv_pool_keep_then_dropout_gives_the_unmasked_values_and_gradients(m, 
         (out * nn.tensor(g)).sum().backward()
         return out.data, kp.grad, bp.grad, xp.grad
 
+    if n == 3:
+        for keep in (draws >= DROP_RATE, None):
+            with one_window_rejected():
+                conv_then_dropout(keep)
+        return
     got, want = conv_then_dropout(draws >= DROP_RATE), conv_then_dropout(None)
     for name, a, w in zip(("out", "kernel grad", "bias grad", "x grad"), got, want):
         assert same_bits(a, w), name
 
 
 def test_conv_pool_keep_scores_no_dropped_kernel(monkeypatch):
-    # each row's kernel products hold its kept kernels only, in blocks of
-    # at least two rows; a row keeping none makes no product
+    # every row of a gradient call goes through _kept_blocks: its kernel
+    # products hold its kept kernels only, every kernel without a mask, in
+    # blocks of at least two rows; a row keeping none makes no product. A
+    # lone kernel is scored twice on both routes
     x, k, b, draws = keep_case(2 * nn._CONV_BLOCK + 5, 800)
-    keep = draws >= DROP_RATE
-    scored = []
-    kept_blocks = nn._kept_blocks
+    scored, tiled = [], []
+    kept_blocks, window_maxima = nn._kept_blocks, nn._window_maxima
 
     def recording(row_keep):
         blocks = kept_blocks(row_keep)
-        scored.append((row_keep, blocks))
+        scored.append(blocks)
         return blocks
 
+    def tiling(x, kernels, cand):
+        tiled.append(kernels)
+        return window_maxima(x, kernels, cand)
+
     monkeypatch.setattr(nn, "_kept_blocks", recording)
-    nn.conv1d_maxpool(nn.tensor(x), nn.Parameter("k", k), nn.Parameter("b", b), keep)
+    monkeypatch.setattr(nn, "_window_maxima", tiling)
+    for keep in (draws >= DROP_RATE, None):
+        scored.clear()
+        nn.conv1d_maxpool(nn.tensor(x), nn.Parameter("k", k), nn.Parameter("b", b), keep)
+        assert len(scored) == len(x)
+        for r, blocks in enumerate(scored):
+            assert all(2 <= len(blk) <= nn._CONV_BLOCK for blk in blocks)
+            scored_kernels = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.intp)
+            want = np.arange(len(k)) if keep is None else np.flatnonzero(keep[r])
+            assert np.array_equal(np.unique(scored_kernels), want)
+    assert not tiled
+    scored.clear()
+    nn.conv1d_maxpool(nn.tensor(x), nn.Parameter("k", k[:1]), nn.Parameter("b", b[:1]))
     assert len(scored) == len(x)
-    for row_keep, blocks in scored:
-        assert all(2 <= len(blk) <= nn._CONV_BLOCK for blk in blocks)
-        scored_kernels = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.intp)
-        assert np.array_equal(np.unique(scored_kernels), np.flatnonzero(row_keep))
+    assert all(len(blocks) == 1 and np.array_equal(blocks[0], [0, 0]) for blocks in scored)
+    nn.conv1d_maxpool(nn.tensor(x), nn.tensor(k[:1]), nn.tensor(b[:1]))
+    assert len(tiled) == 1 and np.array_equal(tiled[0], k[[0, 0]])
 
 
 def test_conv_pool_graph_holds_no_window_by_kernel_array():
