@@ -580,4 +580,4 @@ def extract_pairs(log, dialogs, issue_bundle, solution_bundle, cfg, enc_cfg):
 
 
 def pairs_to_jsonl(pairs):
-    return jsonl_text(asdict(pair) for pair in pairs)
+    return jsonl_text(vars(pair) for pair in pairs)

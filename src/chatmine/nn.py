@@ -572,9 +572,10 @@ def conv1d_maxpool(x, kernels, bias, keep=None):
         raise ContractViolation(f"conv1d_maxpool: sequence length {n} must exceed kernel size {h}")
     xd, K, b = x.data, kernels.data, bias.data
     offsets = np.arange(h)
-    # (B, n-h+1): the windows holding a nonzero, plus each row's first window
-    # of zeros (argmin finds it; a row with none marks a live start again)
-    cand = np.lib.stride_tricks.sliding_window_view(xd != 0.0, h, axis=1).any(axis=2)
+    # (B, n-h+1): the windows holding a nonzero, an OR of h shifted masks, and
+    # each row's first window of zeros (argmin; a row with none marks a live one)
+    nz = xd != 0.0
+    cand = np.logical_or.reduce([nz[:, i : i + n - h + 1] for i in range(h)])
     cand[np.arange(rows), cand.argmin(axis=1)] = True
     if not (x.requires_grad or kernels.requires_grad or bias.requires_grad):
         if h == 3:
@@ -613,20 +614,19 @@ def conv1d_maxpool(x, kernels, bias, keep=None):
     def back(g):
         gate = out > 0.0
         gk = g * gate  # (B, m)
-        # only live outputs route a gradient
+        # only live outputs route a gradient. The flat cells of x and of K, each
+        # live output's h taps in turn: bincount adds each bin's terms in that
+        # order from +0.0, as np.add.at does (_accumulate casts its int zeros)
         live_r, live_k = np.nonzero(gate)
-        idx = win[live_r, live_k, None] + offsets  # (live, h)
-        gl = gk[live_r, live_k, None]
+        xc = (live_r[:, None] * n + win[live_r, live_k, None] + offsets).ravel()
+        kc = (live_k[:, None] * h + offsets).ravel()
+        gl = np.repeat(gk[live_r, live_k], h)
         if kernels.requires_grad:
-            gK = np.zeros_like(K)
-            np.add.at(gK, live_k, gl * xd[live_r[:, None], idx])  # row after row
-            kernels._accumulate(gK)
+            kernels._accumulate(np.bincount(kc, gl * xd.ravel()[xc], minlength=m * h).reshape(m, h))
         if bias.requires_grad:
             bias._accumulate(gk.sum(axis=0))
         if x.requires_grad:
-            gx = np.zeros((rows, n))
-            np.add.at(gx, (live_r[:, None], idx), gl * K[live_k])
-            x._accumulate(gx)
+            x._accumulate(np.bincount(xc, gl * K.ravel()[kc], minlength=rows * n).reshape(rows, n))
 
     return Tensor(out, parents=(x, kernels, bias), backward_fn=back)
 

@@ -132,14 +132,22 @@ def test_table_rejects_values_that_are_not_finite(tmp_path, value):
 
 
 def dense_mean_reference(tokens, cfg):
-    """encode_tokens as a sum of whole 800-wide token vectors, hashing each
-    occurrence."""
+    """encode_tokens as the per-token loop: each token's whole dim-wide
+    vector, hashed for each occurrence or read from the table, added in turn
+    to a sum that starts at +0.0."""
+    if not tokens:
+        return np.zeros(cfg.dim)
+    table = load_embedding_table(cfg.table_path, cfg) if cfg.provider == "table" else None
     acc = np.zeros(cfg.dim)
     for t in tokens:
-        acc += enc._token_hash_vector(t, cfg)
+        acc += enc._token_hash_vector(t, cfg) if table is None else table.vectors.get(t, table.unk)
     acc /= len(tokens)
     norm = np.linalg.norm(acc)
     return acc / norm if norm > 0 else acc
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def test_token_vectors_hash_each_token_once_and_keep_the_dense_bits(monkeypatch):
@@ -156,9 +164,39 @@ def test_token_vectors_hash_each_token_once_and_keep_the_dense_bits(monkeypatch)
     vectors = enc.TokenVectors(CFG)
     got = [encode_tokens(t, CFG, vectors) for t in texts]
     for a, b in zip(got, want):
-        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+        assert same_bits(a, b)
     assert sorted(calls) == sorted({t for text in texts for t in text})
     assert all(len(nz) <= CFG.buckets_per_token for nz, _ in vectors.values())
+
+
+def test_encode_tokens_keeps_the_bits_of_the_token_loop(tmp_path):
+    # at dim 4 with 2 buckets, "port" and "path" put both their buckets in
+    # one cell and "build" cancels to the zero vector, so a text of it alone
+    # sums no entry at all
+    hashed = EncoderConfig(dim=4, buckets_per_token=2)
+    assert not enc._token_hash_vector("build", hashed).any()
+    assert all(np.count_nonzero(enc._token_hash_vector(t, hashed)) == 1 for t in ("port", "path"))
+    # table column 0 sums to 0.0 left to right and to 1.0 right to left;
+    # column 1 holds -0.0 only, whose sum from +0.0 is +0.0
+    p = tmp_path / "emb.txt"
+    write_table(p, ["a 1 -0 0.1", "b 1e16 -0 0.2", "c -1e16 -0 0.3"])
+    table = EncoderConfig(dim=3, provider="table", table_path=str(p))
+    cases = [
+        (hashed, ("port", "path", "build", "port", "x")),
+        (hashed, ("build",)),
+        (hashed, ("build", "build")),
+        (hashed, ()),
+        (table, ("a", "b", "c")),
+        (table, ("c", "b", "a", "a")),
+        (table, ("mystery", "b", "c")),
+        (table, ()),
+    ]
+    for cfg, tokens in cases:
+        want = dense_mean_reference(tokens, cfg)
+        vectors = enc.TokenVectors(cfg)
+        # without a map, then filling one, then reading it
+        for kept in (None, vectors, vectors):
+            assert same_bits(encode_tokens(tokens, cfg, kept), want), (cfg.provider, tokens)
 
 
 def test_a_table_rewritten_in_place_is_read_again(tmp_path):

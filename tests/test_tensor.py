@@ -767,6 +767,79 @@ def test_conv_pool_graph_holds_no_window_by_kernel_array():
         assert held < 1_000_000, (x, held)
 
 
+def candidate_rows(n, rng):
+    """(rows, n) inputs for the candidate mask: a lone nonzero at each
+    position, a row of +0.0 and one of -0.0, a row with no window of zeros,
+    and sparse random rows; the nonzeros include NaN, +-inf and
+    subnormals."""
+    tiny = np.nextafter(0.0, 1.0)
+    special = np.array([np.nan, np.inf, -np.inf, tiny, -tiny, 1.0, -2.5])
+    lone = np.zeros((n, n))
+    lone[np.arange(n), np.arange(n)] = special[np.arange(n) % len(special)]
+    dense = special[np.arange(n) % len(special)]
+    zeros = np.where(rng.random((12, n)) < 0.5, 0.0, -0.0)
+    sparse = np.where(rng.random((12, n)) < 0.3, rng.choice(special, (12, n)), zeros)
+    return np.vstack([lone, np.zeros((1, n)), np.full((1, n), -0.0), dense[None], sparse])
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 4])
+def test_conv_pool_candidates_are_the_windows_holding_a_nonzero(h, monkeypatch):
+    # the op scores the starts whose window holds a nonzero, NaN and
+    # subnormals included, plus each row's first window of zeros; a row
+    # with none marks its first start again
+    seen = []
+    monkeypatch.setattr(
+        nn, "_window_maxima", lambda x, kernels, cand: seen.append(cand.copy()) or np.zeros((len(x), len(kernels)))
+    )
+    rng = np.random.default_rng(50 + h)
+    for n in (h + 1, h + 2, 12):
+        x = candidate_rows(n, rng)
+        want = np.lib.stride_tricks.sliding_window_view(x != 0.0, h, axis=1).any(axis=2)
+        want[np.arange(len(x)), want.argmin(axis=1)] = True
+        seen.clear()
+        nn.conv1d_maxpool(nn.tensor(x), nn.tensor(np.ones((2, h))), nn.tensor(np.zeros(2)))
+        assert len(seen) == 1 and np.array_equal(seen[0], want), n
+
+
+def add_at_conv_grads(x, kernels, bias, g, keep):
+    """The op's kernel and x gradients by np.add.at over the winners of a
+    window-major forward, live output after live output."""
+    h = kernels.shape[1]
+    pre = np.lib.stride_tricks.sliding_window_view(x, h, axis=1) @ kernels.T + bias  # (B, w, m)
+    win = pre.argmax(axis=1)
+    gate = np.take_along_axis(pre, win[:, None], axis=1)[:, 0] > 0.0
+    if keep is not None:
+        gate &= keep
+    live_r, live_k = np.nonzero(gate)
+    idx = win[live_r, live_k, None] + np.arange(h)
+    gl = (g * gate)[live_r, live_k, None]
+    gK, gx = np.zeros_like(kernels), np.zeros_like(x)
+    np.add.at(gK, live_k, gl * x[live_r[:, None], idx])
+    np.add.at(gx, (live_r[:, None], idx), gl * kernels[live_k])
+    return gK, gx
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["all", "keep"])
+def test_conv_pool_gradients_match_add_at_scatters(masked):
+    # dense rows, and rows of one tall spike: most kernels win one of the
+    # windows that overlap it, so a cell of x sums dozens of terms, and each
+    # kernel's gradient one term per row
+    rng = np.random.default_rng(60)
+    m, n = 2 * nn._CONV_BLOCK + 5, 30
+    x = rng.normal(size=(6, n))
+    x[3, 10:13] = 40.0
+    x[4, 20:23] = [30.0, 40.0, 30.0]
+    x[5] = np.abs(x[5])
+    k, b = rng.normal(size=(m, 3)), rng.normal(size=m)
+    keep = rng.random((len(x), m)) < 0.4 if masked else None
+    g = rng.normal(size=(len(x), m))
+    spike_win = (np.lib.stride_tricks.sliding_window_view(x[3], 3) @ k.T + b).argmax(axis=0)
+    assert np.count_nonzero((spike_win >= 8) & (spike_win <= 12)) > m // 2
+    _, gk, _, gx = conv_pool_batch(x, k, b, g, "param_x", keep)
+    want_k, want_x = add_at_conv_grads(x, k, b, g, keep)
+    assert same_bits(gk, want_k) and same_bits(gx, want_x)
+
+
 # -- losses ----------------------------------------------------------------
 
 
