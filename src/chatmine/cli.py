@@ -157,7 +157,7 @@ def _cmd_train(args, pre_cfg, cfg, enc_cfg, file_cfg):
         examples = disentangle.load_link_examples(args.data, pre_cfg)
         params, history = disentangle.train_link_scorer(examples, cfg, hidden=args.link_hidden)
         disentangle.save_link_checkpoint(args.out, params)
-        _log(f"link scorer loss: {' '.join(f'{h:.4f}' for h in history)}")
+        _log(f"link scorer loss: {' '.join(f'{tr:.4f}' for tr, _ in history)}")
         return 0
     corpus = model_mod.load_labeled_dialogs(args.data, pre_cfg)
     result = model_mod.train_model(

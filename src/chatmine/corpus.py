@@ -15,7 +15,7 @@ joins adjacent same-author sends when the joined text reads more fluently
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -80,8 +80,7 @@ class Utterance:
     """One chat message after normalization.
 
     tokens is derived deterministically from raw_text: normalization is a
-    pure function of the text and the configured lexicons. placeholders
-    counts substitutions by tag name.
+    pure function of the text and the configured lexicons.
     """
 
     index: int
@@ -90,7 +89,6 @@ class Utterance:
     raw_text: str
     clean_text: str
     tokens: tuple
-    placeholders: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -206,11 +204,8 @@ def preprocess_utterance(raw, cfg, index=0, res=None):
     if res is None:
         res = normalization_lexicons(cfg)
     text = raw.text
-    hits = Counter()
     for name, rx in res["rules"]:
-        text, n = rx.subn("[" + name + "]", text)
-        if n:
-            hits[name] += n
+        text = rx.sub("[" + name + "]", text)
     if res["acro_re"] is not None:
         text = _outside_placeholders(
             text,
@@ -221,7 +216,6 @@ def preprocess_utterance(raw, cfg, index=0, res=None):
     for key, tag in res["emoji"]:
         if key in text:
             text = text.replace(key, " " + tag + " ")
-            hits[tag[1:-1]] += 1
     text = _outside_placeholders(text, str.lower)
     lemma = res["lemma"]
     text = _outside_placeholders(
@@ -236,7 +230,6 @@ def preprocess_utterance(raw, cfg, index=0, res=None):
         raw_text=raw.text,
         clean_text=clean,
         tokens=tokens,
-        placeholders=dict(hits),
     )
 
 
@@ -413,14 +406,11 @@ def merge_broken_utterances(log, lm, cfg):
                     ngram_perplexity(prev.clean_text, lm),
                     ngram_perplexity(u.clean_text, lm),
                 ):
-                    hits = Counter(prev.placeholders)
-                    hits.update(u.placeholders)
                     merged[-1] = replace(
                         prev,
                         raw_text=prev.raw_text + "\n" + u.raw_text,
                         clean_text=joint,
                         tokens=prev.tokens + u.tokens,
-                        placeholders=dict(hits),
                     )
                     last_time = u.time
                     continue
@@ -468,7 +458,6 @@ def write_clean_jsonl(log, path):
                 "text": u.raw_text,
                 "clean_text": u.clean_text,
                 "tokens": u.tokens,
-                "placeholders": u.placeholders,
             }
             for u in log.utterances
         ),
@@ -480,11 +469,12 @@ def read_clean_jsonl(path, community_id=None):
     utterances = []
     for line_no, obj in read_jsonl(p, "clean log"):
         raw = raw_message(obj, f"{p}:{line_no}")
-        clean, tokens, hits = obj.get("clean_text"), obj.get("tokens"), obj.get("placeholders", {})
-        if not (isinstance(clean, str) and isinstance(tokens, list) and isinstance(hits, dict)):
-            raise DataError(f"{p}:{line_no}: bad record (clean_text, tokens or placeholders)")
+        clean, tokens = obj.get("clean_text"), obj.get("tokens")
+        if not (isinstance(clean, str) and isinstance(tokens, list)):
+            raise DataError(f"{p}:{line_no}: bad record (clean_text or tokens)")
         if not all(isinstance(t, str) for t in tokens):
             raise DataError(f"{p}:{line_no}: bad record (tokens must be strings)")
-        utt = Utterance(len(utterances), raw.time, raw.author_id, raw.text, clean, tuple(tokens), hits)
-        utterances.append(utt)
+        utterances.append(
+            Utterance(len(utterances), raw.time, raw.author_id, raw.text, clean, tuple(tokens))
+        )
     return ChatLog(p.stem if community_id is None else community_id, utterances)

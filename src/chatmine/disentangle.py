@@ -6,8 +6,8 @@ Each (child, candidate parent) pair maps to a 77-wide feature row. The link
 scorer turns a row into a link probability with two softsign hidden layers
 of width 64 and a sigmoid readout. ``link_logit`` is its forward, one graph
 over a (rows, 77) block, which training (``train --target link``) runs on
-each mini-batch, for the max_epochs and seed of the validated ModelConfig
-it is given; inference (``disentangle --link-ckpt``) runs the same
+each mini-batch in the classifiers' epoch loop, ``nn.fit``, with a 10%
+holdout; inference (``disentangle --link-ckpt``) runs the same
 operations in place on each chunk of children (``link_mlp_scorer``), with
 the same bits. A child takes its best-scoring candidate, falling back
 to self when nothing clears the threshold. Connected components of the
@@ -539,10 +539,11 @@ def load_link_examples(path, pre_cfg):
 
 def train_link_scorer(examples, cfg, hidden=LINK_HIDDEN, lookback=50):
     """Fit the scorer on (log, links) pairs, links mapping child index to its
-    true parent index or None for dialog starters, for the max_epochs of the
-    validated ModelConfig ``cfg`` from its seed. Negatives are sampled from
-    the other in-window candidates. Returns (params, per-epoch mean loss)."""
-    rng = np.random.default_rng(cfg.seed)
+    true parent index or None for dialog starters, with ``nn.fit`` and the
+    validated ModelConfig ``cfg``. Negatives are sampled from the other
+    in-window candidates, and the held-out loss is the mean link loss of
+    ``nn.holdout``'s rows. Returns (params of the best epoch, history)."""
+    sample_rng, init_rng, split_rng, shuffle_rng = np.random.default_rng(cfg.seed).spawn(4)
     blocks, signs = [], []
     for log, links in examples:
         cols = link_columns(log)
@@ -556,25 +557,27 @@ def train_link_scorer(examples, cfg, hidden=LINK_HIDDEN, lookback=50):
                 candidates = [p for p in range(max(0, child - lookback), child) if p != true_parent]
                 if true_parent is not None:
                     candidates.append(None)
-                rng.shuffle(candidates)
+                sample_rng.shuffle(candidates)
                 picked = [true_parent] + candidates[:LINK_NEGATIVES]
                 # the child's rows are self, then child - 1 down the window
                 start = block.starts[child - first]
                 rows += [start if p is None else start + child - p for p in picked]
                 signs += [-1.0] + [1.0] * (len(picked) - 1)
             blocks.append(block.features[rows])
-    if not blocks:
-        raise DataError("no link training pairs")
+    if len(signs) < 2:
+        raise DataError(f"link training needs at least 2 pairs to hold one out, got {len(signs)}")
     features, signs = np.concatenate(blocks), np.array(signs)
-    params = init_link_params(rng, hidden)
+    train_idx, val_idx = nn.holdout(len(features), split_rng)
+    params = init_link_params(init_rng, hidden)
     state = nn.AdamState(lr=LINK_LR)
 
     def batch_loss(batch):
         return link_loss(features[batch], signs[batch], params)
 
-    history = []
-    order = np.arange(len(features))
-    for _ in range(cfg.max_epochs):
-        rng.shuffle(order)
-        history.append(nn.train_epoch(order, LINK_BATCH_SIZE, batch_loss, params, state))
+    def val_loss():
+        return float(link_loss(features[val_idx], signs[val_idx], params).data)
+
+    history, _ = nn.fit(
+        params, state, train_idx, LINK_BATCH_SIZE, batch_loss, val_loss, cfg, shuffle_rng
+    )
     return params, history

@@ -14,8 +14,9 @@ dialog heads and a queue of the bodies of the heads that pass.
 
 Training uses Adam on mini-batches of 8 examples with dropout 0.6 after each
 conv stage and the first FC layer, a seeded 10% validation split, and early
-stopping with patience 5 within at most 100 epochs. Everything is a pure
-function of (data, config, seed). Link training reads the same ModelConfig.
+stopping with patience 5 within at most 100 epochs, keeping the best epoch.
+Everything is a pure function of (data, config, seed). The epoch loop is
+``nn.fit``, which link training runs too, from the same ModelConfig.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -263,27 +264,6 @@ def forward_logits(examples, params, conv_spec, heur_stats, cfg, rng=None, train
 # -- training --------------------------------------------------------------
 
 
-class EarlyStopper:
-    """Stop after `patience` consecutive epochs without strict improvement."""
-
-    def __init__(self, patience):
-        self.patience = patience
-        self.best = np.inf
-        self.bad_epochs = 0
-
-    def update(self, value):
-        if value < self.best:
-            self.best = value
-            self.bad_epochs = 0
-            return True
-        self.bad_epochs += 1
-        return False
-
-    @property
-    def should_stop(self):
-        return self.bad_epochs >= self.patience
-
-
 @dataclass
 class ModelBundle:
     """A model ready for inference, loaded from a checkpoint or just trained."""
@@ -364,20 +344,11 @@ def train_model(examples, target, cfg, enc_cfg, conv_spec=ConvStackSpec(), log_f
         examples = bootstrap_balance(
             examples, int(balance_rng.integers(2**31)), label=lambda e: e.label
         )
-    n = len(examples)
-    perm = split_rng.permutation(n)
-    n_val = max(1, round(0.1 * n))
-    val_idx = perm[:n_val]
-    train_idx = perm[n_val:]
-    train_labels = {examples[i].label for i in train_idx}
-    if train_labels != {0, 1}:
+    train_idx, val_idx = nn.holdout(len(examples), split_rng)
+    if {examples[i].label for i in train_idx} != {0, 1}:
         raise DataError("training split is single-class after validation holdout")
     params = init_model_params(init_rng, enc_cfg.dim, conv_spec)
     state = nn.AdamState(lr=cfg.lr, beta1=cfg.beta1)
-    stopper = EarlyStopper(cfg.patience)
-    best_params = {k: p.data.copy() for k, p in params.items()}
-    best_epoch = 0
-    history = []
     val_examples = [examples[i] for i in val_idx]
 
     def batch_loss(idx):
@@ -385,21 +356,13 @@ def train_model(examples, target, cfg, enc_cfg, conv_spec=ConvStackSpec(), log_f
         logits = forward_logits(batch, params, conv_spec, heur_stats, cfg, drop_rng, training=True)
         return nn.softmax_cross_entropy(logits, [ex.label for ex in batch])
 
-    for epoch in range(1, cfg.max_epochs + 1):
-        order = shuffle_rng.permutation(train_idx)
-        train_loss = nn.train_epoch(order, cfg.batch_size, batch_loss, params, state)
-        val_logits = forward_logits(val_examples, params, conv_spec, heur_stats, cfg)
-        val_loss = float(nn.softmax_cross_entropy(val_logits, [ex.label for ex in val_examples]).data)
-        history.append((train_loss, val_loss))
-        if stopper.update(val_loss):
-            best_params = {k: p.data.copy() for k, p in params.items()}
-            best_epoch = epoch
-        if log_fn is not None:
-            log_fn(epoch, train_loss, val_loss)
-        if stopper.should_stop:
-            break
-    for k, p in params.items():
-        p.data = best_params[k]
+    def val_loss():
+        logits = forward_logits(val_examples, params, conv_spec, heur_stats, cfg)
+        return float(nn.softmax_cross_entropy(logits, [ex.label for ex in val_examples]).data)
+
+    history, best_epoch = nn.fit(
+        params, state, train_idx, cfg.batch_size, batch_loss, val_loss, cfg, shuffle_rng, log_fn
+    )
     return TrainResult(
         params=params,
         heur_stats=heur_stats,

@@ -19,7 +19,8 @@ that follows, as training gives it, only the kernels that dropout keeps,
 and backward visits only the winners of live outputs, with the bits of
 scoring every kernel. A stage needs an input longer than its kernel.
 Backward stores a fresh gradient without a copy, and Adam updates in place
-through scratch kept across steps.
+through scratch kept across steps, all inside ``fit``, the one epoch loop of
+every trainer, with its early stopping and best-epoch restore.
 Everything is deterministic given (input, params, seed); dropout takes its
 uniform draws from the caller.
 """
@@ -47,7 +48,8 @@ __all__ = [
     "softmax_cross_entropy",
     "AdamState",
     "adam_step",
-    "train_epoch",
+    "holdout",
+    "fit",
     "glorot_uniform",
     "init_params",
 ]
@@ -713,19 +715,54 @@ def adam_step(params, state):
         p.grad = None
 
 
-def train_epoch(order, batch_size, batch_loss, params, state):
-    """One pass over the example indices ``order`` in mini-batches of
-    ``batch_size``: ``batch_loss(batch)`` builds a batch's scalar mean loss,
-    which is backpropagated before Adam updates ``params``. Returns the
-    example-weighted mean loss."""
-    total = 0.0
-    for start in range(0, len(order), batch_size):
-        batch = order[start : start + batch_size]
-        loss = batch_loss(batch)
-        loss.backward()
-        adam_step(params, state)
-        total += float(loss.data) * len(batch)
-    return total / len(order)
+def holdout(n, rng):
+    """A seeded split of the indices 0..n-1 into (train, held out), from one
+    ``rng.permutation(n)``: its first max(1, round(0.1 * n)) entries are
+    held out, the rest train."""
+    perm = rng.permutation(n)
+    n_val = max(1, round(0.1 * n))
+    return perm[n_val:], perm[:n_val]
+
+
+def fit(params, state, train_idx, batch_size, batch_loss, val_loss, cfg, rng, log_fn=None):
+    """At most cfg.max_epochs passes over ``rng.permutation(train_idx)`` in
+    mini-batches of ``batch_size``: ``batch_loss(batch)`` builds a batch's
+    scalar mean loss, which is backpropagated before Adam updates
+    ``params``. After each epoch ``val_loss()`` gives the held-out loss, and
+    ``log_fn(epoch, train loss, val loss)`` is called. Training stops after
+    cfg.patience epochs without a strict improvement (a tie or NaN is none)
+    and puts back the best epoch's params, or the initial ones when no epoch
+    beat +inf. Returns (history, best_epoch): one (example-weighted mean
+    train loss, val loss) pair per epoch run, and the best epoch from 1 (0
+    when none)."""
+    best, best_epoch, bad_epochs = np.inf, 0, 0
+    best_params = {k: p.data.copy() for k, p in params.items()}
+    history = []
+    for epoch in range(1, cfg.max_epochs + 1):
+        order = rng.permutation(train_idx)
+        total = 0.0
+        for start in range(0, len(order), batch_size):
+            batch = order[start : start + batch_size]
+            loss = batch_loss(batch)
+            loss.backward()
+            adam_step(params, state)
+            total += float(loss.data) * len(batch)
+            # the graph and its gradients go before the next forward runs
+            del loss
+        train_loss, val = total / len(order), val_loss()
+        history.append((train_loss, val))
+        if val < best:
+            best, best_epoch, bad_epochs = val, epoch, 0
+            best_params = {k: p.data.copy() for k, p in params.items()}
+        else:
+            bad_epochs += 1
+        if log_fn is not None:
+            log_fn(epoch, train_loss, val)
+        if bad_epochs >= cfg.patience:
+            break
+    for k, p in params.items():
+        p.data = best_params[k]
+    return history, best_epoch
 
 
 def zero_grads(params):

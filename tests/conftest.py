@@ -1,5 +1,6 @@
 """Session-scoped fixtures: one synthetic labeled corpus, models trained on
-it at two scales, and the acceptance-report summary hook.
+it at two scales, the standard gradient-check reports, and the
+acceptance-report summary hook.
 
 Training runs at most once per scale per session; everything downstream
 (prediction tests, pipeline tests, the overfit gate) shares the results.
@@ -11,6 +12,7 @@ import pytest
 
 from chatmine import synth
 from chatmine.corpus import PreprocessConfig
+from chatmine.gradcheck import run_standard_checks
 from chatmine.encoder import EncoderConfig
 from chatmine.features import ConvStackSpec
 from chatmine.model import (
@@ -96,6 +98,15 @@ def full_embedders(labeled_corpus):
     return {
         cid: DialogEmbedder(log, enc_cfg) for cid, log in labeled_corpus.logs.items()
     }
+
+
+@pytest.fixture(scope="session")
+def standard_gradchecks():
+    """The standard gradient-check reports for seeds 1-3, computed once per
+    session for the tests that only read them, and their wall time."""
+    t0 = time.monotonic()
+    reports = run_standard_checks(seeds=(1, 2, 3))
+    return {"reports": reports, "seconds": time.monotonic() - t0}
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -43,6 +43,11 @@ def prep(text, author="alice", time=0):
     return preprocess_utterance(RawMessage(time, author, text), CFG)
 
 
+def tags(u):
+    """The placeholder tags in an utterance's clean text, counted by name."""
+    return Counter(re.findall(r"\[([A-Z_]+)\]", u.clean_text))
+
+
 # -- normalization ---------------------------------------------------------
 
 
@@ -50,20 +55,20 @@ def test_pinned_normalization_example():
     u = prep("IMO it fails :(")
     assert u.clean_text == "in my opinion it fail [EMOJI_NEG]"
     assert u.tokens == ("opinion", "fail", "[EMOJI_NEG]")
-    assert u.placeholders == {"EMOJI_NEG": 1}
+    assert tags(u) == {"EMOJI_NEG": 1}
 
 
 def test_placeholders_cover_the_noise_classes():
     u = prep("see https://x.io/a?q=1 or mail bob@x.io about <div> and `rm -rf` build 1.2.3")
     for tag in ("URL", "EMAIL", "HTML", "CODE", "ID"):
-        assert u.placeholders.get(tag) == 1, (tag, u.clean_text)
+        assert tags(u)[tag] == 1, (tag, u.clean_text)
     assert "bob@x.io" not in u.clean_text
     assert "[URL]" in u.clean_text
 
 
 def test_url_with_credentials_is_one_url_not_an_email():
     u = prep("ftp://user@host.example/path broke")
-    assert u.placeholders == {"URL": 1}
+    assert tags(u) == {"URL": 1}
 
 
 def test_acronyms_expand_case_insensitively_on_word_boundaries():
@@ -83,7 +88,7 @@ def test_an_acronym_matched_only_by_case_folding_is_left_as_written(tmp_path):
 
 def test_emoji_mapped_to_sentiment_tags():
     u = prep("works now :) but earlier :(")
-    assert u.placeholders == {"EMOJI_POS": 1, "EMOJI_NEG": 1}
+    assert tags(u) == {"EMOJI_POS": 1, "EMOJI_NEG": 1}
 
 
 def test_lemmatizer_examples():
@@ -566,7 +571,7 @@ def test_a_lexicon_rewritten_in_place_is_read_again(tmp_path):
     acronyms.write_text("brb\tback in a moment\n", encoding="utf-8")
     os.utime(acronyms, ns=(1_000_000_000, 1_000_000_000))
     assert preprocess_utterance(msg, cfg).tokens == ("back", "moment")
-    log = ChatLog("c", [corpus.Utterance(0, 0, "a", "brb", "", (), {})])
+    log = ChatLog("c", [corpus.Utterance(0, 0, "a", "brb", "", ())])
     assert preprocess_chat_log(log, cfg).utterances[0].tokens == ("back", "moment")
 
 
@@ -577,8 +582,8 @@ def test_preprocess_chat_log_drops_empty_after_normalization():
     log = ChatLog(
         "c",
         [
-            corpus.Utterance(0, 0, "a", "   ", "", (), {}),
-            corpus.Utterance(1, 5, "a", "hello", "hello", ("hello",), {}),
+            corpus.Utterance(0, 0, "a", "   ", "", ()),
+            corpus.Utterance(1, 5, "a", "hello", "hello", ("hello",)),
         ],
     )
     out = preprocess_chat_log(log, CFG)
@@ -596,6 +601,18 @@ def test_clean_jsonl_round_trip(tmp_path):
     back = read_clean_jsonl(p, community_id="proj")
     assert back.community_id == "proj"
     assert back.utterances == log.utterances
+
+
+def test_clean_log_holds_no_placeholder_counts_and_reads_old_ones(tmp_path):
+    log = ChatLog("proj", [preprocess_utterance(RawMessage(1, "a", "IMO it fails :("), CFG)])
+    p = tmp_path / "clean.jsonl"
+    write_clean_jsonl(log, p)
+    record = json.loads(p.read_text(encoding="utf-8"))
+    assert set(record) == {"index", "time", "id", "text", "clean_text", "tokens"}
+    # a clean log written with the per-tag counts reads as any other extra key
+    write_lines(p, [json.dumps({**record, "placeholders": v}) for v in ({"EMOJI_NEG": 1}, [1])])
+    u = log.utterances[0]
+    assert read_clean_jsonl(p, community_id="proj").utterances == [u, replace(u, index=1)]
 
 
 def test_raw_jsonl_round_trip(tmp_path):

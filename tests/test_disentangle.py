@@ -31,7 +31,6 @@ def utt(index, time, author, clean, tokens, raw=None):
         raw_text=raw if raw is not None else clean,
         clean_text=clean,
         tokens=tuple(tokens),
-        placeholders={},
     )
 
 
@@ -607,10 +606,11 @@ def ref_link_logit(features, params):
     return (h2 * params["link.w3"]).sum() + params["link.b3"]
 
 
-def ref_train_link_scorer(examples, hidden, epochs, seed, lookback=50):
+def ref_train_link_scorer(examples, hidden, epochs, seed, lookback=50, patience=5):
     """The link trainer with per-pair feature vectors and one graph per
-    pair."""
-    rng = np.random.default_rng(seed)
+    pair: a seeded 10% of the pairs held out, early stopping on their mean
+    loss and the best epoch's parameters put back."""
+    sample_rng, init_rng, split_rng, shuffle_rng = np.random.default_rng(seed).spawn(4)
     pairs = []
     for log, links in examples:
         for child in range(len(log.utterances)):
@@ -619,27 +619,60 @@ def ref_train_link_scorer(examples, hidden, epochs, seed, lookback=50):
             others = [p for p in range(max(0, child - lookback), child) if p != true_parent]
             if true_parent is not None:
                 others.append(None)
-            rng.shuffle(others)
+            sample_rng.shuffle(others)
             pairs.extend((ref_features(log, child, p), 0.0) for p in others[:3])
-    params = dis.init_link_params(rng, hidden)
+    perm = split_rng.permutation(len(pairs))
+    n_val = max(1, round(0.1 * len(pairs)))
+    held_out, train = perm[:n_val], perm[n_val:]
+    params = dis.init_link_params(init_rng, hidden)
     state = nn.AdamState(lr=0.001)
+
+    def mean_loss(rows):
+        losses = []
+        for j in rows:
+            z = ref_link_logit(pairs[j][0], params)
+            losses.append(nn.softplus(z * -1.0 if pairs[j][1] == 1.0 else z))
+        return sum(losses[1:], losses[0]) * (1.0 / len(losses))
+
     history = []
-    order = np.arange(len(pairs))
-    for _ in range(epochs):
-        rng.shuffle(order)
+    best, bad = np.inf, 0
+    best_params = {k: p.data.copy() for k, p in params.items()}
+    for epoch in range(epochs):
+        order = shuffle_rng.permutation(train)
         total = 0.0
         for start in range(0, len(order), 32):
             batch = order[start : start + 32]
-            losses = []
-            for j in batch:
-                z = ref_link_logit(pairs[j][0], params)
-                losses.append(nn.softplus(z * -1.0 if pairs[j][1] == 1.0 else z))
-            loss = sum(losses[1:], losses[0]) * (1.0 / len(losses))
+            loss = mean_loss(batch)
             loss.backward()
             nn.adam_step(params, state)
             total += float(loss.data) * len(batch)
-        history.append(total / len(order))
+        val = float(mean_loss(held_out).data)
+        history.append((total / len(order), val))
+        if val < best:
+            best, bad = val, 0
+            best_params = {k: p.data.copy() for k, p in params.items()}
+        else:
+            bad += 1
+            if bad == patience:
+                break
+    for k, p in params.items():
+        p.data = best_params[k]
     return params, history
+
+
+def assert_trainer_matches_reference(examples, cfg, lookback, tmp_path):
+    want, want_hist = ref_train_link_scorer(
+        examples, 8, cfg.max_epochs, cfg.seed, lookback, cfg.patience
+    )
+    got, got_hist = dis.train_link_scorer(examples, cfg, hidden=8, lookback=lookback)
+    assert len(got_hist) == len(want_hist)
+    assert np.allclose(got_hist, want_hist, rtol=0, atol=1e-12)
+    for name in want:
+        assert np.allclose(got[name].data, want[name].data, rtol=0, atol=1e-12), name
+    dis.save_link_checkpoint(tmp_path / "want.ckpt", want)
+    dis.save_link_checkpoint(tmp_path / "got.ckpt", got)
+    assert (tmp_path / "got.ckpt").read_bytes() == (tmp_path / "want.ckpt").read_bytes()
+    return got_hist
 
 
 @pytest.mark.parametrize("lookback", [50, 2])
@@ -648,16 +681,17 @@ def test_link_trainer_matches_per_pair_reference(lookback, tmp_path):
     # mini-batch sums in another order than one per pair, so the float64
     # parameters may move in the last bits, but the saved float32 checkpoint
     # may not
-    examples = link_training_examples()
-    want, want_hist = ref_train_link_scorer(examples, 8, 2, seed=3, lookback=lookback)
     cfg = ModelConfig(max_epochs=2, seed=3)
-    got, got_hist = dis.train_link_scorer(examples, cfg, hidden=8, lookback=lookback)
-    assert np.allclose(got_hist, want_hist, rtol=0, atol=1e-12)
-    for name in want:
-        assert np.allclose(got[name].data, want[name].data, rtol=0, atol=1e-12), name
-    dis.save_link_checkpoint(tmp_path / "want.ckpt", want)
-    dis.save_link_checkpoint(tmp_path / "got.ckpt", got)
-    assert (tmp_path / "got.ckpt").read_bytes() == (tmp_path / "want.ckpt").read_bytes()
+    assert_trainer_matches_reference(link_training_examples(), cfg, lookback, tmp_path)
+
+
+def test_link_trainer_matches_the_reference_when_it_stops_early(tmp_path):
+    # on this seed the held-out loss rises from the first epoch: training
+    # stops after 1 + patience epochs and puts the first epoch back
+    cfg = ModelConfig(max_epochs=10, patience=3, seed=0)
+    history = assert_trainer_matches_reference(link_training_examples(), cfg, 2, tmp_path)
+    assert len(history) == 4
+    assert min(history, key=lambda h: h[1]) == history[0]
 
 
 # -- head and body ---------------------------------------------------------
@@ -704,8 +738,62 @@ def test_train_link_scorer_reduces_loss():
     examples = link_training_examples()
     params, history = dis.train_link_scorer(examples, ModelConfig(max_epochs=4, seed=0), hidden=32)
     assert len(history) == 4
-    assert history[-1] < history[0]
+    train_losses = [train for train, _ in history]
+    assert train_losses[-1] < train_losses[0]
     assert {n: p.data.shape for n, p in params.items()} == dis.link_param_shapes(32)
+
+
+def test_link_trainer_trains_on_the_rest_of_its_holdout_and_keeps_the_best_epoch(monkeypatch):
+    examples = link_training_examples()
+    lookback = 2
+    rows = 0
+    for log, links in examples:
+        for child in range(len(log.utterances)):
+            window = range(max(0, child - lookback), child)
+            tp = links.get(child)
+            rows += 1 + min(dis.LINK_NEGATIVES, len(window) - (tp in window) + (tp is not None))
+    split, batches, at_val = {}, [], []
+    holdout, fit = nn.holdout, nn.fit
+
+    def spy_holdout(n, rng):
+        split["n"] = n
+        split["train"], split["held"] = holdout(n, rng)
+        return split["train"], split["held"]
+
+    def spy_fit(params, state, train_idx, batch_size, batch_loss, val_loss, *rest):
+        def spy_batch(batch):
+            batches.append(set(batch.tolist()))
+            return batch_loss(batch)
+
+        def spy_val():
+            at_val.append({k: p.data.copy() for k, p in params.items()})
+            return val_loss()
+
+        return fit(params, state, train_idx, batch_size, spy_batch, spy_val, *rest)
+
+    monkeypatch.setattr(nn, "holdout", spy_holdout)
+    monkeypatch.setattr(nn, "fit", spy_fit)
+    cfg = ModelConfig(max_epochs=10, patience=3, seed=0)
+    params, history = dis.train_link_scorer(examples, cfg, hidden=8, lookback=lookback)
+    held = set(split["held"].tolist())
+    assert split["n"] == rows
+    assert len(held) == max(1, round(0.1 * rows))
+    assert held | set(split["train"].tolist()) == set(range(rows))
+    assert len(split["held"]) + len(split["train"]) == rows
+    assert batches and all(held.isdisjoint(b) for b in batches)
+    vals = [v for _, v in history]
+    best = vals.index(min(vals))
+    assert best < len(vals) - 1  # the kept epoch is not the last one run
+    for name, p in params.items():
+        assert np.array_equal(p.data, at_val[best][name]), name
+
+
+@pytest.mark.parametrize("n_utterances", [0, 1])
+def test_link_trainer_rejects_data_with_no_row_to_train_on_after_the_holdout(n_utterances):
+    # one utterance makes one row, the self row, and the holdout takes it
+    log = ChatLog("c", [utt(0, 0, "a", "hi", ("hi",))][:n_utterances])
+    with pytest.raises(DataError, match=f"at least 2 pairs .*, got {n_utterances}"):
+        dis.train_link_scorer([(log, {})], ModelConfig(max_epochs=1))
 
 
 def test_link_checkpoint_round_trip(tmp_path):

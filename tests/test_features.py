@@ -29,7 +29,6 @@ def utt(index, author, clean, tokens, time=0):
         raw_text=clean,
         clean_text=clean,
         tokens=tuple(tokens),
-        placeholders={},
     )
 
 

@@ -1,7 +1,8 @@
 """Central-difference verification of the analytic gradients.
 
-The full three-seed sweep lives in the acceptance suite; here we run one
-seed per fragment and prove the checker actually catches a wrong gradient.
+The full three-seed sweep lives in the acceptance suite; here we read one
+seed per fragment from the session's reports and prove the checker
+actually catches a wrong gradient.
 """
 
 import numpy as np
@@ -10,16 +11,17 @@ import pytest
 from chatmine import gradcheck, nn
 
 
-def test_each_fragment_passes_one_seed():
-    reports = gradcheck.run_standard_checks(seeds=(1,))
+def test_each_fragment_passes_one_seed(standard_gradchecks):
+    reports = [r for r in standard_gradchecks["reports"] if r.seed == 1]
     assert len(reports) == len(gradcheck.STANDARD_FRAGMENTS)
     for rep in reports:
         assert rep.passed, f"{rep.fragment}: max rel error {rep.max_rel_error}"
         assert rep.max_rel_error < rep.tolerance
 
 
-def test_report_carries_fragment_metadata():
-    reports = gradcheck.run_standard_checks(seeds=(2,))
+def test_report_carries_fragment_metadata(standard_gradchecks):
+    reports = [r for r in standard_gradchecks["reports"] if r.seed == 2]
+    assert len(reports) == len(gradcheck.STANDARD_FRAGMENTS)
     names = {r.fragment for r in reports}
     assert "conv_pool" in names
     assert "conv_pool_dropout" in names

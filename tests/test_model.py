@@ -27,7 +27,6 @@ from chatmine.errors import ConfigError, ContractViolation, DataError
 from chatmine.features import ConvStackSpec
 from chatmine.model import (
     DialogEmbedder,
-    EarlyStopper,
     ModelConfig,
     build_examples,
     extract_pairs,
@@ -357,32 +356,83 @@ def test_init_model_params_names_and_shapes():
     assert params["fc2.w"].data.shape == (2, 64)
 
 
-# -- early stopping --------------------------------------------------------
+# -- the epoch loop --------------------------------------------------------
 
 
-def test_early_stopper_never_stops_while_improving():
-    s = EarlyStopper(patience=5)
-    for v in np.linspace(1.0, 0.01, 100):
-        assert s.update(v)
-        assert not s.should_stop
+def test_holdout_holds_out_a_rounded_tenth_of_one_permutation():
+    for n in range(1, 40):
+        train, held = nn.holdout(n, np.random.default_rng(n))
+        assert len(held) == max(1, round(0.1 * n))
+        assert np.array_equal(np.concatenate([held, train]), np.random.default_rng(n).permutation(n))
 
 
-def test_early_stopper_stops_after_patience_flat_epochs():
-    s = EarlyStopper(patience=3)
-    s.update(1.0)
-    for i in range(3):
-        assert not s.update(1.0)
-        assert s.should_stop is (i == 2)
+def scripted_fit(vals, patience, max_epochs=None):
+    """nn.fit on one two-entry parameter over 5 training rows in batches of
+    2, with ``val_loss()`` reading ``vals`` in turn. Returns (history, best
+    epoch, the parameter at each val_loss call, the parameter left, the
+    (loss, size) of each batch in order)."""
+    w = nn.Parameter("w", np.array([1.0, -2.0]))
+    script = iter(vals)
+    at_val, batches = [], []
+
+    def batch_loss(batch):
+        loss = (w * w).sum() * float(len(batch))
+        batches.append((float(loss.data), len(batch)))
+        return loss
+
+    def val_loss():
+        at_val.append(w.data.copy())
+        return next(script)
+
+    cfg = ModelConfig(max_epochs=max_epochs or len(vals), patience=patience)
+    history, best_epoch = nn.fit(
+        {"w": w}, nn.AdamState(lr=0.1), np.arange(5), 2, batch_loss, val_loss, cfg,
+        np.random.default_rng(0),
+    )
+    return history, best_epoch, at_val, w.data, batches
 
 
-def test_early_stopper_improvement_resets_counter():
-    s = EarlyStopper(patience=2)
-    s.update(1.0)
-    s.update(1.0)
-    s.update(0.5)
-    assert s.bad_epochs == 0
-    s.update(0.5)  # a tie is not an improvement
-    assert s.bad_epochs == 1
+def test_fit_never_stops_while_the_loss_improves():
+    vals = np.linspace(1.0, 0.01, 100).tolist()
+    history, best_epoch, *_ = scripted_fit(vals, patience=1)
+    assert len(history) == 100 and best_epoch == 100
+
+
+@pytest.mark.parametrize("patience", [1, 2, 4])
+def test_fit_stops_patience_epochs_after_the_last_improvement(patience):
+    vals = [1.0, 0.9, 0.5, 0.7, 0.6, 0.8, 0.9, 0.7, 0.6, 0.5]
+    history, best_epoch, *_ = scripted_fit(vals, patience)
+    assert best_epoch == 3
+    assert len(history) == 3 + patience
+
+
+def test_fit_counts_neither_a_tie_nor_nan_as_an_improvement():
+    nan = float("nan")
+    history, best_epoch, *_ = scripted_fit([nan, 1.0, 0.5, 0.5, nan, 0.5, 0.1], patience=3)
+    assert best_epoch == 3  # a leading NaN does not count either
+    assert len(history) == 6
+    # no epoch improves on +inf: the initial params are put back
+    history, best_epoch, at_val, w, _ = scripted_fit([nan, nan], patience=5)
+    assert best_epoch == 0 and len(history) == 2
+    assert w.tolist() == [1.0, -2.0] != at_val[-1].tolist()
+
+
+def test_fit_puts_back_the_best_epochs_params():
+    _, best_epoch, at_val, w, _ = scripted_fit([1.0, 0.2, 0.4, 0.3], patience=2)
+    assert best_epoch == 2
+    assert np.array_equal(w, at_val[1])
+    assert not np.array_equal(w, at_val[-1])
+
+
+def test_fit_history_holds_one_pair_per_epoch_run():
+    vals = [1.0, 0.8, 0.9, 0.95]
+    history, _, _, _, batches = scripted_fit(vals, patience=2, max_epochs=10)
+    assert [v for _, v in history] == vals
+    assert len(batches) == 3 * len(vals)  # 5 rows in batches of 2, 2 and 1
+    for epoch, (train_loss, _) in enumerate(history):
+        part = batches[3 * epoch : 3 * epoch + 3]
+        assert [n for _, n in part] == [2, 2, 1]
+        assert train_loss == sum(loss * n for loss, n in part) / 5
 
 
 # -- training --------------------------------------------------------------
