@@ -133,20 +133,18 @@ def _cmd_disentangle(args, pre_cfg, cfg, enc_cfg, file_cfg):
     dialogs = disentangle.assemble_dialogs(
         log, scorer, threshold=args.threshold, lookback=args.lookback
     )
-    records = []
-    for d in dialogs:
-        parts = disentangle.split_head_body(d, log)
-        records.append(
-            {
-                "subject": d.subject,
-                "members": d.members,
-                "links": d.links,
-                "initiator": parts.initiator,
-                "head_indices": parts.head_indices,
-                "body_indices": parts.body_indices,
-                "head_text": parts.head_text,
-            }
-        )
+    records = [
+        {
+            "subject": d.subject,
+            "members": d.members,
+            "links": d.links,
+            "initiator": d.initiator,
+            "head_indices": d.head_indices,
+            "body_indices": d.body_indices,
+            "head_text": d.head_text,
+        }
+        for d in dialogs
+    ]
     write_jsonl(args.out, records)
     _log(f"{len(log.utterances)} utterances -> {len(dialogs)} dialogs")
     return 0

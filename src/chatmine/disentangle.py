@@ -11,8 +11,9 @@ holdout; inference (``disentangle --link-ckpt``) runs the same
 operations in place on each chunk of children (``link_mlp_scorer``), with
 the same bits. A child takes its best-scoring candidate, falling back
 to self when nothing clears the threshold. Connected components of the
-chosen links are the dialogs; within a dialog, the initiator's opening run
-of messages is the head and everything after it is the body.
+chosen links are the dialogs. A ``Dialog`` carries its head/body split from
+the moment ``split_head_body`` builds it: the initiator's opening run of
+messages is the head and everything after it is the body.
 
 ``link_columns`` reads a log once into per-utterance columns (times, token
 counts and buckets, flags, author codes). ``link_chunks`` cuts the children
@@ -387,12 +388,25 @@ def heuristic_link_scorer(block):
 
 @dataclass(frozen=True)
 class Dialog:
-    """subject is the earliest member; links are the chosen (child, parent)
-    reply edges inside this dialog."""
+    """One dialog of a log, as ``split_head_body`` builds it. ``members`` are
+    index-sorted and ``links`` are the chosen (child, parent) reply edges
+    inside it. The initiator, the earliest member's author, speaks the head:
+    the opening run of members by that author. The body is the rest, in
+    order, including anything the initiator says later. ``head_text`` joins
+    the head's clean texts with spaces; ``head_tokens`` chains its tokens."""
 
-    subject: int
     members: tuple
     links: tuple
+    initiator: str
+    head_indices: tuple
+    body_indices: tuple
+    head_text: str
+    head_tokens: tuple
+
+    @property
+    def subject(self):
+        """The earliest member."""
+        return self.members[0]
 
 
 def choose_parents(block, scores, threshold=0.5):
@@ -417,8 +431,8 @@ def assemble_dialogs(log, scorer, threshold=0.5, lookback=50):
     """Greedy parent choice per utterance, one scorer call per chunk of
     children, then connected components.
 
-    Every utterance lands in exactly one dialog; members are index-sorted
-    and the component's earliest utterance is the subject.
+    Every utterance lands in exactly one dialog, built with its head/body
+    split; members are index-sorted and dialogs come in subject order.
     """
     n = len(log.utterances)
     cols = link_columns(log)
@@ -442,45 +456,34 @@ def assemble_dialogs(log, scorer, threshold=0.5, lookback=50):
     groups = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
+    # a group is first seen at its earliest member and fills in index order,
+    # so the dialogs come out in subject order with their members sorted
     dialogs = []
     for members in groups.values():
-        members.sort()
         links = tuple((c, parent_of[c]) for c in members if c in parent_of)
-        dialogs.append(Dialog(subject=members[0], members=tuple(members), links=links))
-    dialogs.sort(key=lambda d: d.subject)
+        dialogs.append(split_head_body(members, links, log))
     return dialogs
 
 
-@dataclass(frozen=True)
-class HeadBody:
-    """The initiator's opening run is the head; the rest of the dialog, in
-    order, is the body (including anything the initiator says later)."""
-
-    initiator: str
-    head_indices: tuple
-    body_indices: tuple
-    head_text: str
-    head_tokens: tuple
-
-
-def split_head_body(dialog, log):
+def split_head_body(members, links, log):
+    """The Dialog of ``log``'s utterances ``members`` (index-sorted, at
+    least one) with reply edges ``links``, split into head and body."""
+    if not members:
+        raise ContractViolation("a dialog needs at least one member")
     utts = log.utterances
-    initiator = utts[dialog.subject].author_id
-    head = []
-    rest = []
-    for i in dialog.members:
-        if not rest and utts[i].author_id == initiator:
-            head.append(i)
-        else:
-            rest.append(i)
-    head_text = " ".join(utts[i].clean_text for i in head)
-    head_tokens = tuple(t for i in head for t in utts[i].tokens)
-    return HeadBody(
+    initiator = utts[members[0]].author_id
+    n_head = next(
+        (k for k, i in enumerate(members) if utts[i].author_id != initiator), len(members)
+    )
+    head = tuple(members[:n_head])
+    return Dialog(
+        members=tuple(members),
+        links=tuple(links),
         initiator=initiator,
-        head_indices=tuple(head),
-        body_indices=tuple(rest),
-        head_text=head_text,
-        head_tokens=head_tokens,
+        head_indices=head,
+        body_indices=tuple(members[n_head:]),
+        head_text=" ".join(utts[i].clean_text for i in head),
+        head_tokens=tuple(t for i in head for t in utts[i].tokens),
     )
 
 

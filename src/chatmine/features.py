@@ -2,13 +2,14 @@
 attributes, and a Gaussian-damped local attention context, concatenated per
 utterance into one 413-wide fused vector (256 + 29 + 128).
 
-The attributes are built once per dialog, one row for the head and one per
-body utterance. Each row packs, in order: question-word flags (what why when
-who which how), "?" and "!" flags, greeting and disapproval flags,
-similarity mentions ("simi"-prefixed words, whole word "same"), token counts
-(total, unique, unique stems), dialog position (absolute, relative), topic
-deviations (chat vs head, head vs utterance), three sentiment score slots,
-sentiment word counts, sentiment emoji counts, and the initiator flag.
+The attributes are built once per dialog, from the head/body split the
+dialog carries: one row for the head and one per body utterance. Each row
+packs, in order: question-word flags (what why when who which how), "?" and
+"!" flags, greeting and disapproval flags, similarity mentions
+("simi"-prefixed words, whole word "same"), token counts (total, unique,
+unique stems), dialog position (absolute, relative), topic deviations (chat
+vs head, head vs utterance), three sentiment score slots, sentiment word
+counts, sentiment emoji counts, and the initiator flag.
 """
 
 import math
@@ -175,18 +176,18 @@ def topic_deviation(a, b):
     return math.sqrt(sum((a.weights.get(t, 0.0) - b.weights.get(t, 0.0)) ** 2 for t in union))
 
 
-def heuristic_attributes(dialog, parts, chat, stats, lex):
-    """The (1 + len(body), 29) attribute rows of one dialog.
+def heuristic_attributes(dialog, chat, stats, lex):
+    """The (1 + len(body), 29) attribute rows of one Dialog.
 
     Row 0 is the head: its joined text and tokens, position 1 and the
-    initiator flag. Then comes one row per body utterance. ``parts`` is the
-    dialog's head/body split, ``stats`` the topic statistics of ``chat``,
-    stems included. Flags look at clean text, counts at the token stream.
+    initiator flag. Then comes one row per body utterance. ``stats`` are the
+    topic statistics of ``chat``, stems included. Flags look at clean text,
+    counts at the token stream.
     """
-    head = stats.profile(parts.head_tokens)
-    rows = [(parts.head_text, parts.head_tokens, 1, head, parts.initiator)]
+    head = stats.profile(dialog.head_tokens)
+    rows = [(dialog.head_text, dialog.head_tokens, 1, head, dialog.initiator)]
     # the head is the members' opening run, so the body follows it in order
-    for ap, i in enumerate(parts.body_indices, len(parts.head_indices) + 1):
+    for ap, i in enumerate(dialog.body_indices, len(dialog.head_indices) + 1):
         u = chat.utterances[i]
         rows.append((u.clean_text, u.tokens, ap, stats.profile(u.tokens), u.author_id))
     chat_vs_head = topic_deviation(stats.chat, head)
@@ -216,7 +217,7 @@ def heuristic_attributes(dialog, parts, chat, stats, lex):
             v[19 + j] = min(1.0, (sw + se) / nt) if nt else 0.0
             v[22 + j] = sw
             v[25 + j] = se
-        v[28] = 1.0 if author == parts.initiator else 0.0
+        v[28] = 1.0 if author == dialog.initiator else 0.0
     return out
 
 

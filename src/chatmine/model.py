@@ -7,10 +7,13 @@ followed by 413→64→2 fully connected layers with softmax. The issue model
 reads the dialog head through the window [pad, head, first body utterance];
 the solution model reads each body utterance through its radius-1 window.
 
-One batched forward serves training, evaluation and extraction: each
-mini-batch, validation split and test fold is one graph. Extraction fills
-each forward with 16 example rows across dialog boundaries, from a queue of
-dialog heads and a queue of the bodies of the heads that pass.
+Each dialog, labeled or assembled, is one ``disentangle.Dialog`` that
+already holds its head/body split, so embedding and pair assembly read the
+split and never make it. One batched forward serves training, evaluation
+and extraction: each mini-batch, validation split and test fold is one
+graph. Extraction fills each forward with 16 example rows across dialog
+boundaries, from a queue of dialog heads and a queue of the bodies of the
+heads that pass.
 
 Training uses Adam on mini-batches of 8 examples with dropout 0.6 after each
 conv stage and the first FC layer, a seeded 10% validation split, and early
@@ -28,8 +31,8 @@ from . import checkpoint as ckpt_io
 from . import encoder as enc
 from . import nn
 from .corpus import ChatLog, normalization_lexicons, preprocess_utterance, raw_message
-from .disentangle import Dialog, HeadBody, split_head_body
-from .errors import ConfigError, ContractViolation, DataError
+from .disentangle import Dialog, split_head_body
+from .errors import ConfigError, DataError
 from .features import (
     CONTEXT_DIM,
     HEURISTIC_DIM,
@@ -87,13 +90,12 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class LabeledDialog:
-    """One annotated dialog: indices into its community's log, its head/body
-    split, the head issue label, and per-body-utterance solution labels (only
-    when the head is an issue)."""
+    """One annotated dialog: its Dialog (indices into its community's log,
+    with the head/body split), the head issue label, and per-body-utterance
+    solution labels (only when the head is an issue)."""
 
     community_id: str
     dialog: Dialog
-    parts: HeadBody
     y_issue: int
     y_solution: tuple = ()
 
@@ -142,17 +144,16 @@ def load_labeled_dialogs(path, pre_cfg):
             u = preprocess_utterance(raw, pre_cfg, len(log.utterances), res)
             log.utterances.append(u)
             members.append(u.index)
-        dialog = Dialog(subject=members[0], members=tuple(members), links=())
-        parts = split_head_body(dialog, log)
+        dialog = split_head_body(members, (), log)
         if y_issue == 1:
-            if len(y_solution) != len(parts.body_indices):
+            if len(y_solution) != len(dialog.body_indices):
                 raise DataError(
                     f"{p}:{line_no}: y_solution length {len(y_solution)} != "
-                    f"body length {len(parts.body_indices)}"
+                    f"body length {len(dialog.body_indices)}"
                 )
         elif y_solution:
             raise DataError(f"{p}:{line_no}: y_solution given for a non-issue dialog")
-        dialogs.append(LabeledDialog(community, dialog, parts, y_issue, y_solution))
+        dialogs.append(LabeledDialog(community, dialog, y_issue, y_solution))
     if not dialogs:
         raise DataError(f"no labeled dialogs in {p}")
     return LabeledCorpus(logs, dialogs)
@@ -188,18 +189,15 @@ class DialogEmbedder:
         self.stats = TopicStats(chat)
         self.vectors = enc.TokenVectors(enc_cfg)
 
-    def examples_for(self, dialog, parts, y_issue=-1, y_solution=()):
-        """(head example, body examples) of one dialog, given its head/body
-        split ``parts``: the head encoded from its joined tokens, each body
-        utterance from its own."""
-        if not parts.head_indices:
-            raise ContractViolation("dialog head is empty")
+    def examples_for(self, dialog, y_issue=-1, y_solution=()):
+        """(head example, body examples) of one dialog: the head encoded from
+        its joined tokens, each body utterance from its own."""
         utts = self.chat.utterances
-        tokens = [parts.head_tokens, *(utts[i].tokens for i in parts.body_indices)]
+        tokens = [dialog.head_tokens, *(utts[i].tokens for i in dialog.body_indices)]
         seq = np.stack([enc.encode_tokens(t, self.enc_cfg, self.vectors) for t in tokens])
         windows, pad_mask = enc.local_windows(seq, self.enc_cfg.window_k)
-        heur = heuristic_attributes(dialog, parts, self.chat, self.stats, self.lex)
-        indices = [dialog.subject, *parts.body_indices]
+        heur = heuristic_attributes(dialog, self.chat, self.stats, self.lex)
+        indices = [dialog.subject, *dialog.body_indices]
         labels = [y_issue, *y_solution] + [-1] * (len(indices) - 1 - len(y_solution))
         examples = [
             EmbeddedExample(window, mask, row, label, i, self.chat.community_id)
@@ -300,7 +298,7 @@ def build_examples(corpus, enc_cfg):
     examples = {target: [] for target in TARGETS}
     for ld in corpus.dialogs:
         emb = embedders[ld.community_id]
-        head_ex, body_exs = emb.examples_for(ld.dialog, ld.parts, ld.y_issue, ld.y_solution)
+        head_ex, body_exs = emb.examples_for(ld.dialog, ld.y_issue, ld.y_solution)
         examples["issue"].append(head_ex)
         if ld.y_issue == 1:
             examples["solution"].extend(body_exs)
@@ -484,8 +482,8 @@ def extract_pairs(log, dialogs, issue_bundle, solution_bundle, cfg, enc_cfg):
     dialogs, 306 bodies) that makes 6 issue and 19 solution forwards, where
     runs of whole dialogs made 60 forwards."""
     embedder = DialogEmbedder(log, enc_cfg)
-    passed = []  # (dialog, parts, p_issue, body probabilities), in dialog order
-    heads = []  # (dialog, parts, head example, body examples)
+    passed = []  # (dialog, p_issue, body probabilities), in dialog order
+    heads = []  # (dialog, head example, body examples)
     bodies = []  # (its dialog's body probabilities, body example)
 
     def score_bodies():
@@ -495,11 +493,11 @@ def extract_pairs(log, dialogs, issue_bundle, solution_bundle, cfg, enc_cfg):
         bodies.clear()
 
     def score_heads():
-        p_issue = issue_bundle.proba([head for _, _, head, _ in heads]).tolist()
-        for (dialog, parts, _, body), p in zip(heads, p_issue):
+        p_issue = issue_bundle.proba([head for _, head, _ in heads]).tolist()
+        for (dialog, _, body), p in zip(heads, p_issue):
             if p >= cfg.issue_threshold:
                 probs = []
-                passed.append((dialog, parts, p, probs))
+                passed.append((dialog, p, probs))
                 for ex in body:
                     bodies.append((probs, ex))
                     if len(bodies) == _EXTRACT_ROWS:
@@ -507,11 +505,10 @@ def extract_pairs(log, dialogs, issue_bundle, solution_bundle, cfg, enc_cfg):
         heads.clear()
 
     for dialog in dialogs:
-        parts = split_head_body(dialog, log)
-        rows = 1 + len(parts.body_indices)
+        rows = 1 + len(dialog.body_indices)
         if heads and rows + sum(1 + len(body) for *_, body in heads) > _PENDING_ROWS:
             score_heads()
-        heads.append((dialog, parts, *embedder.examples_for(dialog, parts)))
+        heads.append((dialog, *embedder.examples_for(dialog)))
         if len(heads) == _EXTRACT_ROWS:
             score_heads()
     if heads:
@@ -521,9 +518,9 @@ def extract_pairs(log, dialogs, issue_bundle, solution_bundle, cfg, enc_cfg):
 
     utts = log.utterances
     pairs = []
-    for dialog, parts, p_issue, probs in passed:
+    for dialog, p_issue, probs in passed:
         solutions = []
-        for i, p in zip(parts.body_indices, probs):
+        for i, p in zip(dialog.body_indices, probs):
             if p >= cfg.solution_threshold:
                 u = utts[i]
                 solutions.append(
@@ -533,7 +530,7 @@ def extract_pairs(log, dialogs, issue_bundle, solution_bundle, cfg, enc_cfg):
             IssueSolutionPair(
                 community_id=log.community_id,
                 subject_id=dialog.subject,
-                issue_text="\n".join(utts[j].raw_text for j in parts.head_indices),
+                issue_text="\n".join(utts[j].raw_text for j in dialog.head_indices),
                 solutions=tuple(solutions),
                 status="answered" if solutions else "unresolved",
                 p_issue=round(p_issue, 6),

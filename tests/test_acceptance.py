@@ -16,7 +16,6 @@ import pytest
 from chatmine import cli, features as ft, nn, synth
 from chatmine.corpus import ChatLog, PreprocessConfig, Utterance
 from chatmine.disentangle import (
-    Dialog,
     assemble_dialogs,
     heuristic_link_scorer,
     split_head_body,
@@ -245,11 +244,7 @@ def _fixture_chat():
     ]
     log = ChatLog("fixture", utts)
     dialogs = [
-        Dialog(
-            subject=m[0],
-            members=m,
-            links=tuple((c, m[j]) for j, c in enumerate(m[1:])),
-        )
+        split_head_body(m, tuple((c, m[j]) for j, c in enumerate(m[1:])), log)
         for m in _MEMBERS
     ]
     return log, dialogs
@@ -292,10 +287,9 @@ def test_c05_attribute_fixture_matches_hand_expectations():
     stats = ft.TopicStats(log)
     rows = {}
     for dialog in dialogs:
-        parts = split_head_body(dialog, log)
-        assert parts.head_indices == (dialog.subject,)  # one-utterance heads only
-        w_head = _tfidf_oracle(list(parts.head_tokens), docs)
-        block = ft.heuristic_attributes(dialog, parts, log, stats, _LEX)
+        assert dialog.head_indices == (dialog.subject,)  # one-utterance heads only
+        w_head = _tfidf_oracle(list(dialog.head_tokens), docs)
+        block = ft.heuristic_attributes(dialog, log, stats, _LEX)
         assert block.shape == (len(dialog.members), 29)
         rows[dialog.subject] = dict(zip(dialog.members, block))
         for i, got in rows[dialog.subject].items():
@@ -359,7 +353,7 @@ def test_c07_issue_gate_blocks_solutions_and_thresholds_are_monotone(small_bundl
         embedder = DialogEmbedder(log, small_enc)
         assert set(by_subject) <= {d.subject for d in dialogs}
         for d in dialogs:
-            head_ex, body_exs = embedder.examples_for(d, split_head_body(d, log))
+            head_ex, body_exs = embedder.examples_for(d)
             p_issue = issue_b.proba([head_ex])[0]
             positive = p_issue >= issue_b.cfg.issue_threshold
             assert (d.subject in by_subject) == positive
@@ -369,7 +363,7 @@ def test_c07_issue_gate_blocks_solutions_and_thresholds_are_monotone(small_bundl
             # one-row forwards, while extraction scores the replies as one batch
             body_p = [(ex.utt_index, float(sol_b.proba([ex])[0])) for ex in body_exs]
             want = [(j, p) for j, p in body_p if p >= sol_b.cfg.solution_threshold]
-            body_times = [log.utterances[j].time for j in split_head_body(d, log).body_indices]
+            body_times = [log.utterances[j].time for j in d.body_indices]
             assert len(pair.solutions) == len(want)
             for sol, (j, p) in zip(pair.solutions, want):
                 assert sol["time"] == log.utterances[j].time

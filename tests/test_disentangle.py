@@ -8,8 +8,10 @@ per-pair path with one feature vector, one scorer call and one comparison
 per (child, candidate) pair.
 """
 
+import itertools
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -707,20 +709,55 @@ def test_split_head_body_opening_run():
             utt(3, 5000, "alice", "that worked", ("worked",)),
         ],
     )
-    d = dis.Dialog(subject=0, members=(0, 1, 2, 3), links=((1, 0), (2, 0), (3, 2)))
-    parts = dis.split_head_body(d, log)
-    assert parts.initiator == "alice"
-    assert parts.head_indices == (0, 1)
-    assert parts.body_indices == (2, 3)  # the initiator's return goes to the body
-    assert parts.head_text == "my build broke with error five"
-    assert parts.head_tokens == ("build", "broke", "error", "five")
+    d = dis.split_head_body((0, 1, 2, 3), ((1, 0), (2, 0), (3, 2)), log)
+    assert d.subject == 0
+    assert d.members == (0, 1, 2, 3)
+    assert d.links == ((1, 0), (2, 0), (3, 2))
+    assert d.initiator == "alice"
+    assert d.head_indices == (0, 1)
+    assert d.body_indices == (2, 3)  # the initiator's return goes to the body
+    assert d.head_text == "my build broke with error five"
+    assert d.head_tokens == ("build", "broke", "error", "five")
 
 
 def test_split_head_body_single_message_dialog():
     log = make_flat_log(1)
-    parts = dis.split_head_body(dis.Dialog(0, (0,), ()), log)
-    assert parts.head_indices == (0,)
-    assert parts.body_indices == ()
+    d = dis.split_head_body((0,), (), log)
+    assert (d.subject, d.members, d.links) == (0, (0,), ())
+    assert d.head_indices == (0,)
+    assert d.body_indices == ()
+    with pytest.raises(ContractViolation):
+        dis.split_head_body((), (), log)
+
+
+def test_assembled_dialogs_carry_their_head_body_split():
+    # every dialog assemble_dialogs returns, with the heuristic and the oracle
+    # scorer, is split as it is built: the head is the initiator's opening
+    # run, the body the rest of the members in order, and the head's text and
+    # tokens are its members' joined
+    seen = Counter()
+    for seed, oracle in itertools.product(range(8), (False, True)):
+        log, links, _ = synth.synth_interleaved(seed=600 + seed, n_dialogs=4)
+        score = synth.oracle_scorer(links) if oracle else dis.heuristic_link_scorer
+        dialogs = dis.assemble_dialogs(log, score)
+        assert sorted(i for d in dialogs for i in d.members) == list(range(len(log.utterances)))
+        assert [d.subject for d in dialogs] == sorted(d.subject for d in dialogs)
+        utts = log.utterances
+        for d in dialogs:
+            assert d.head_indices + d.body_indices == d.members
+            assert d.subject == d.members[0] == d.head_indices[0]
+            assert d.initiator == utts[d.subject].author_id
+            assert all(utts[i].author_id == d.initiator for i in d.head_indices)
+            if d.body_indices:
+                assert utts[d.body_indices[0]].author_id != d.initiator
+            assert d.head_text == " ".join(utts[i].clean_text for i in d.head_indices)
+            assert d.head_tokens == tuple(t for i in d.head_indices for t in utts[i].tokens)
+            seen["long head"] += len(d.head_indices) > 1
+            seen["initiator returns"] += any(
+                utts[i].author_id == d.initiator for i in d.body_indices
+            )
+    # the heuristic scorer's merged dialogs give the long heads
+    assert seen["long head"] and seen["initiator returns"], seen
 
 
 # -- training and persistence ----------------------------------------------

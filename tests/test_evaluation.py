@@ -245,7 +245,7 @@ def test_each_fold_trains_on_its_training_projects_and_tests_on_its_own(three_co
     want = {"issue": [], "solution": []}
     for ld in three_communities.dialogs:
         want["issue"].append((ld.community_id, ld.dialog.subject, ld.y_issue))
-        body = zip(ld.parts.body_indices, ld.y_solution)
+        body = zip(ld.dialog.body_indices, ld.y_solution)
         want["solution"] += [(ld.community_id, i, y) for i, y in body]
     expected = []
     for test_project, train_projects in cross_project_split(COMMUNITIES):

@@ -16,7 +16,7 @@ import pytest
 from chatmine import features as ft
 from chatmine import nn
 from chatmine.corpus import ChatLog, Utterance
-from chatmine.disentangle import Dialog, split_head_body
+from chatmine.disentangle import split_head_body
 from chatmine.encoder import local_windows
 from chatmine.errors import ConfigError, ContractViolation
 
@@ -108,11 +108,10 @@ def dialog_rows(utts, lex=None):
     """The attribute block of the one dialog of all ``utts``, as rows keyed
     by utterance index (the head row by the subject's)."""
     chat = ChatLog("c", utts)
-    dialog = Dialog(subject=0, members=tuple(u.index for u in utts), links=())
-    parts = split_head_body(dialog, chat)
-    block = ft.heuristic_attributes(dialog, parts, chat, ft.TopicStats(chat), lex or toy_lexicons())
-    assert block.shape == (1 + len(parts.body_indices), 29)
-    return dict(zip([dialog.subject, *parts.body_indices], block))
+    dialog = split_head_body(tuple(u.index for u in utts), (), chat)
+    block = ft.heuristic_attributes(dialog, chat, ft.TopicStats(chat), lex or toy_lexicons())
+    assert block.shape == (1 + len(dialog.body_indices), 29)
+    return dict(zip([dialog.subject, *dialog.body_indices], block))
 
 
 def test_question_word_and_punctuation_flags():
@@ -349,8 +348,7 @@ def test_topic_stats_keep_no_per_dialog_state():
     stats = ft.TopicStats(chat)
     before = copy.deepcopy(vars(stats))
     for members in ((0, 1), (1, 2), (0, 1, 2)):
-        dialog = Dialog(members[0], members, ())
-        ft.heuristic_attributes(dialog, split_head_body(dialog, chat), chat, stats, toy_lexicons())
+        ft.heuristic_attributes(split_head_body(members, (), chat), chat, stats, toy_lexicons())
     assert vars(stats) == before
 
 
@@ -376,10 +374,9 @@ def test_each_distinct_token_is_stemmed_once_per_log(monkeypatch):
     alphabetic = {t for ts in tokens for t in ts if t.isalpha()}
     assert calls == Counter(alphabetic)
     for members in ((0, 1), (1, 2), (0, 1, 2)):
-        dialog = Dialog(members[0], members, ())
-        parts = split_head_body(dialog, chat)
-        block = ft.heuristic_attributes(dialog, parts, chat, stats, toy_lexicons())
-        rows = [parts.head_tokens, *(chat.utterances[i].tokens for i in parts.body_indices)]
+        dialog = split_head_body(members, (), chat)
+        block = ft.heuristic_attributes(dialog, chat, stats, toy_lexicons())
+        rows = [dialog.head_tokens, *(chat.utterances[i].tokens for i in dialog.body_indices)]
         want = [len({stem(t) if t.isalpha() else t for t in ts}) for ts in rows]
         assert block[:, 14].tolist() == want
     assert calls == Counter(alphabetic)

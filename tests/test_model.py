@@ -21,7 +21,7 @@ from chatmine import encoder as enc
 from chatmine import model as mdl
 from chatmine import nn
 from chatmine.corpus import PreprocessConfig, parse_chat_log, preprocess_chat_log
-from chatmine.disentangle import Dialog, assemble_dialogs, heuristic_link_scorer
+from chatmine.disentangle import assemble_dialogs, heuristic_link_scorer
 from chatmine.encoder import EncoderConfig, encode_tokens
 from chatmine.errors import ConfigError, ContractViolation, DataError
 from chatmine.features import ConvStackSpec
@@ -79,9 +79,10 @@ def test_fixture_corpus_loads_balanced(labeled_corpus):
 
 def test_solution_labels_align_with_bodies(labeled_corpus):
     for ld in labeled_corpus.dialogs:
-        assert ld.parts == dis.split_head_body(ld.dialog, labeled_corpus.logs[ld.community_id])
+        log = labeled_corpus.logs[ld.community_id]
+        assert ld.dialog == dis.split_head_body(ld.dialog.members, (), log)
         if ld.y_issue:
-            assert len(ld.y_solution) == len(ld.parts.body_indices)
+            assert len(ld.y_solution) == len(ld.dialog.body_indices)
         else:
             assert ld.y_solution == ()
 
@@ -157,7 +158,7 @@ def issue_dialog_with_body(corpus, min_body=3):
 def test_embedder_emits_head_plus_body_examples(labeled_corpus, small_enc):
     ld = issue_dialog_with_body(labeled_corpus)
     emb = DialogEmbedder(labeled_corpus.logs[ld.community_id], small_enc)
-    head_ex, body_exs = emb.examples_for(ld.dialog, ld.parts, ld.y_issue, ld.y_solution)
+    head_ex, body_exs = emb.examples_for(ld.dialog, ld.y_issue, ld.y_solution)
     assert head_ex.label == 1
     assert head_ex.utt_index == ld.dialog.subject
     # the head sits at sequence start, so the left window slot is padding
@@ -196,7 +197,7 @@ def tiny_params(seed=0):
 def tiny_example(labeled_corpus):
     emb = DialogEmbedder(labeled_corpus.logs["alpha"], TINY_ENC)
     ld = [d for d in labeled_corpus.dialogs if d.community_id == "alpha"][0]
-    head_ex, _ = emb.examples_for(ld.dialog, ld.parts, ld.y_issue, ld.y_solution)
+    head_ex, _ = emb.examples_for(ld.dialog, ld.y_issue, ld.y_solution)
     return head_ex
 
 
@@ -265,7 +266,7 @@ def varied_examples(labeled_corpus, k):
     emb = DialogEmbedder(labeled_corpus.logs["alpha"], enc_cfg)
     out = []
     for ld in [d for d in labeled_corpus.dialogs if d.community_id == "alpha"][:4]:
-        head, body = emb.examples_for(ld.dialog, ld.parts, ld.y_issue, ld.y_solution)
+        head, body = emb.examples_for(ld.dialog, ld.y_issue, ld.y_solution)
         out += [head] + body
     return out
 
@@ -465,6 +466,21 @@ def test_training_seed_changes_the_run(tiny_examples):
     )
 
 
+def test_balance_leaves_solution_training_unchanged(tiny_examples):
+    # --balance bootstraps the issue examples only: on the solution examples,
+    # whose classes differ in size, it trains the same params bit for bit
+    examples = tiny_examples["solution"]
+    labels = [ex.label for ex in examples]
+    assert labels.count(1) != labels.count(0)
+    plain, balanced = (
+        train_model(examples, "solution", tiny_cfg(max_epochs=1, balance=b), TINY_ENC, TINY_SPEC)
+        for b in (False, True)
+    )
+    assert plain.history == balanced.history
+    for name in plain.params:
+        assert np.array_equal(plain.params[name].data, balanced.params[name].data), name
+
+
 def test_training_rejects_single_class_data(tmp_path, pre_cfg):
     p = tmp_path / "one_class.jsonl"
     write_jsonl(
@@ -626,7 +642,7 @@ def test_float32_round_trip_keeps_gate_decisions_and_pairs(tmp_path, small_bundl
     threshold = small_bundles["issue"].cfg.issue_threshold
     gates = {"memory": [], "loaded": []}
     for d in dialogs:
-        head, _ = embedder.examples_for(d, dis.split_head_body(d, log))
+        head, _ = embedder.examples_for(d)
         gates["memory"].append(small_bundles["issue"].proba([head])[0] >= threshold)
         gates["loaded"].append(loaded["issue"].proba([head])[0] >= threshold)
     assert gates["loaded"] == gates["memory"]
@@ -688,15 +704,15 @@ def test_extract_pair_solutions_filter_and_keep_order(labeled_corpus, small_bund
     ld = issue_dialog_with_body(labeled_corpus, min_body=3)
     emb = small_embedders[ld.community_id]
     log = labeled_corpus.logs[ld.community_id]
-    parts_body = emb.examples_for(ld.dialog, ld.parts)[1]
+    body_exs = emb.examples_for(ld.dialog)[1]
     probs = {ld.dialog.subject: 0.9}
-    for ex, p in zip(parts_body, [0.9, 0.41, 0.1] + [0.0] * len(parts_body)):
+    for ex, p in zip(body_exs, [0.9, 0.41, 0.1] + [0.0] * len(body_exs)):
         probs[ex.utt_index] = p
 
     stub_proba(monkeypatch, lambda ex: probs[ex.utt_index])
     cfg = ModelConfig(solution_threshold=0.4)
     [pair] = extract_one(log, ld.dialog, small_bundles, cfg, small_enc)
-    want = [log.utterances[ex.utt_index] for ex in parts_body[:2]]
+    want = [log.utterances[ex.utt_index] for ex in body_exs[:2]]
     assert [s["time"] for s in pair.solutions] == [u.time for u in want]
     assert [s["text"] for s in pair.solutions] == [u.raw_text for u in want]
     assert [s["p"] for s in pair.solutions] == [0.9, 0.41]
@@ -704,7 +720,7 @@ def test_extract_pair_solutions_filter_and_keep_order(labeled_corpus, small_bund
 
 def test_single_message_dialog_has_no_solution_candidates(labeled_corpus, small_bundles, small_enc, monkeypatch):
     log = labeled_corpus.logs["alpha"]
-    d = Dialog(subject=0, members=(0,), links=())
+    d = dis.split_head_body((0,), (), log)
     stub_proba(monkeypatch, lambda ex: 1.0)
     [pair] = extract_one(log, d, small_bundles, bundle_thresholds(small_bundles), small_enc)
     assert pair.solutions == ()
@@ -724,7 +740,7 @@ def test_extract_pair_fields_and_status(labeled_corpus, small_bundles, small_emb
     emb = small_embedders[ld.community_id]
     log = labeled_corpus.logs[ld.community_id]
     cfg = bundle_thresholds(small_bundles)
-    body = emb.examples_for(ld.dialog, ld.parts)[1]
+    body = emb.examples_for(ld.dialog)[1]
     first_body = body[0].utt_index
 
     def fake_proba(ex):
@@ -740,8 +756,7 @@ def test_extract_pair_fields_and_status(labeled_corpus, small_bundles, small_emb
     assert sol["text"] == log.utterances[first_body].raw_text
     assert sol["author"] == log.utterances[first_body].author_id
     assert sol["p"] == pytest.approx(0.8)
-    parts = dis.split_head_body(ld.dialog, log)
-    want_head = "\n".join(log.utterances[i].raw_text for i in parts.head_indices)
+    want_head = "\n".join(log.utterances[i].raw_text for i in ld.dialog.head_indices)
     assert pair.issue_text == want_head
 
     # no solution clears the bar -> unresolved
@@ -758,9 +773,9 @@ def test_extract_pair_fields_and_status(labeled_corpus, small_bundles, small_emb
 
 
 def test_extraction_splits_and_embeds_each_dialog_once(labeled_corpus, small_bundles, small_enc, monkeypatch):
+    # assembly builds each dialog with its head/body split, one constructor
+    # call per dialog; extraction embeds each dialog once and splits none
     log = labeled_corpus.logs["alpha"]
-    dialogs = assemble_dialogs(log, heuristic_link_scorer)
-    n_dialogs = len(dialogs)
     calls = Counter()
 
     def counted(name, fn):
@@ -776,6 +791,9 @@ def test_extraction_splits_and_embeds_each_dialog_once(labeled_corpus, small_bun
     monkeypatch.setattr(
         DialogEmbedder, "examples_for", counted("examples_for", DialogEmbedder.examples_for)
     )
+    dialogs = assemble_dialogs(log, heuristic_link_scorer)
+    n_dialogs = len(dialogs)
+    assert calls == {"split_head_body": n_dialogs}
     # every dialog passes the gate, so its body is scored too
     stub_proba(monkeypatch, lambda ex: 0.9)
     pairs = extract_pairs(
@@ -787,6 +805,8 @@ def test_extraction_splits_and_embeds_each_dialog_once(labeled_corpus, small_bun
 
 
 def test_training_splits_each_dialog_once(labeled_path, pre_cfg, small_enc, monkeypatch):
+    # loading builds each labeled dialog with its split, once per record;
+    # building the examples splits none again
     calls = Counter()
     split = dis.split_head_body
 
@@ -797,6 +817,7 @@ def test_training_splits_each_dialog_once(labeled_path, pre_cfg, small_enc, monk
     monkeypatch.setattr(mdl, "split_head_body", counted)
     monkeypatch.setattr(dis, "split_head_body", counted)
     corpus = load_labeled_dialogs(labeled_path, pre_cfg)
+    assert calls["split_head_body"] == len(corpus.dialogs)
     examples = build_examples(corpus, small_enc)
     for target in ("issue", "solution"):
         assert examples[target]
@@ -808,8 +829,7 @@ def test_extraction_encodes_each_head_and_body_utterance_once(labeled_corpus, sm
     # no whole-log vectors up front
     log = labeled_corpus.logs["alpha"]
     dialogs = assemble_dialogs(log, heuristic_link_scorer)
-    splits = [dis.split_head_body(d, log) for d in dialogs]
-    multi_heads = sum(len(parts.head_indices) > 1 for parts in splits)
+    multi_heads = sum(len(d.head_indices) > 1 for d in dialogs)
     assert 0 < multi_heads < len(dialogs)
     calls = Counter()
     encode = enc.encode_tokens
@@ -824,7 +844,7 @@ def test_extraction_encodes_each_head_and_body_utterance_once(labeled_corpus, sm
         log, dialogs, small_bundles["issue"], small_bundles["solution"],
         bundle_thresholds(small_bundles), small_enc,
     )
-    assert calls["encode"] == len(dialogs) + sum(len(parts.body_indices) for parts in splits)
+    assert calls["encode"] == len(dialogs) + sum(len(d.body_indices) for d in dialogs)
 
 
 def scored_extraction(log, dialogs, bundles, enc_cfg, monkeypatch, cfg=None):
@@ -885,8 +905,8 @@ def test_extraction_fills_each_forward_across_dialogs(labeled_corpus, small_bund
     # _EXTRACT_ROWS rows, and a failed head's bodies are never scored
     log = labeled_corpus.logs["alpha"]
     dialogs = assemble_dialogs(log, heuristic_link_scorer)
-    splits = {d.subject: dis.split_head_body(d, log) for d in dialogs}
-    assert sum(1 + len(parts.body_indices) for parts in splits.values()) < mdl._PENDING_ROWS
+    by_subject = {d.subject: d for d in dialogs}
+    assert sum(1 + len(d.body_indices) for d in dialogs) < mdl._PENDING_ROWS
     monkeypatch.setattr(mdl, "_EXTRACT_ROWS", 8)
     forwards = counted_forwards(monkeypatch, small_bundles["issue"])
     pairs = extract_pairs(
@@ -902,7 +922,7 @@ def test_extraction_fills_each_forward_across_dialogs(labeled_corpus, small_bund
     for queue in (issue, solution):
         assert [len(rows) for rows in queue[:-1]] == [8] * (len(queue) - 1)
         assert 0 < len(queue[-1]) <= 8
-    want = [i for pair in pairs for i in splits[pair.subject_id].body_indices]
+    want = [i for pair in pairs for i in by_subject[pair.subject_id].body_indices]
     assert [i for rows in solution for i in rows] == want
 
 
@@ -911,7 +931,7 @@ def large_dialogs(log, sizes):
     dialogs, lo = [], 0
     for size in sizes:
         members = tuple(range(lo, lo + size))
-        dialogs.append(Dialog(lo, members, tuple(zip(members[1:], members))))
+        dialogs.append(dis.split_head_body(members, tuple(zip(members[1:], members)), log))
         lo += size
     return dialogs
 
@@ -921,7 +941,7 @@ def test_extraction_splits_a_large_dialog_across_forwards(labeled_corpus, small_
     # forwards, and gives the pairs of scoring each queue in one forward
     log = labeled_corpus.logs["alpha"]
     dialogs = large_dialogs(log, [40, 3, 30])
-    bodies = {d.subject: len(dis.split_head_body(d, log).body_indices) for d in dialogs}
+    bodies = {d.subject: len(d.body_indices) for d in dialogs}
     assert bodies[0] > 2 * mdl._EXTRACT_ROWS
     cfg = replace(bundle_thresholds(small_bundles), issue_threshold=0.2)
     forwards = counted_forwards(monkeypatch, small_bundles["issue"])
@@ -948,8 +968,8 @@ def test_extraction_keeps_the_live_example_rows_bounded(labeled_corpus, small_bu
     refs, live = [], []
     examples_for = DialogEmbedder.examples_for
 
-    def tracked(self, dialog, parts, *a, **k):
-        head, body = examples_for(self, dialog, parts, *a, **k)
+    def tracked(self, dialog, *a, **k):
+        head, body = examples_for(self, dialog, *a, **k)
         refs.extend(weakref.ref(ex) for ex in (head, *body))
         live.append(sum(r() is not None for r in refs))
         return head, body
@@ -963,7 +983,7 @@ def test_extraction_keeps_the_live_example_rows_bounded(labeled_corpus, small_bu
     monkeypatch.setattr(mdl.ModelBundle, "proba", proba)
     for sizes in ([7, 9, 8, 6, 9, 8, 7, 9], [7, 9, 20, 6, 9]):
         dialogs = large_dialogs(log, sizes)
-        rows = [1 + len(dis.split_head_body(d, log).body_indices) for d in dialogs]
+        rows = [1 + len(d.body_indices) for d in dialogs]
         refs.clear()
         live.clear()
         pairs = extract_pairs(
@@ -984,12 +1004,11 @@ def test_examples_encode_the_joined_head_and_each_reply(labeled_corpus, small_en
     k = small_enc.window_k
     multi_head = set()
     for d in assemble_dialogs(log, heuristic_link_scorer):
-        parts = dis.split_head_body(d, log)
-        head_ex, body_exs = embedder.examples_for(d, parts)
-        multi_head.add(len(parts.head_indices) > 1)
-        assert np.array_equal(head_ex.window[k], encode_tokens(parts.head_tokens, small_enc))
-        assert len(body_exs) == len(parts.body_indices)
-        for ex, i in zip(body_exs, parts.body_indices):
+        head_ex, body_exs = embedder.examples_for(d)
+        multi_head.add(len(d.head_indices) > 1)
+        assert np.array_equal(head_ex.window[k], encode_tokens(d.head_tokens, small_enc))
+        assert len(body_exs) == len(d.body_indices)
+        for ex, i in zip(body_exs, d.body_indices):
             assert ex.utt_index == i
             assert np.array_equal(ex.window[k], encode_tokens(log.utterances[i].tokens, small_enc))
     assert multi_head == {False, True}
@@ -1025,7 +1044,7 @@ def followup_examples(labeled_corpus, enc_cfg):
             continue
         log = labeled_corpus.logs[ld.community_id]
         emb = DialogEmbedder(log, enc_cfg)
-        _, body = emb.examples_for(ld.dialog, ld.parts, ld.y_issue, ld.y_solution)
+        _, body = emb.examples_for(ld.dialog, ld.y_issue, ld.y_solution)
         for ex in body:
             if "restart the service afterwards" in log.utterances[ex.utt_index].raw_text:
                 out.append(ex)
